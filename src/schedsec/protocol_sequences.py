@@ -8,6 +8,12 @@ pinned at n_i * prod_{j != i} (d_j - n_j), whatever the shifts are.  What
 the attacker can still do is cluster those receptions, which moves the cost
 between the closed-form cost bounds computed by `bounds`.
 
+Invariance is decided exactly with the Fourier criterion of Shum, Chen,
+Sung & Wong, "Shift-invariant protocol sequences for the collision channel
+without feedback", IEEE Trans. Inf. Theory 55(7), 2009: a set of period D
+is shift invariant iff no two or more rows have nonzero DFT frequencies,
+one per row, that sum to 0 mod D.
+
 Sets with prescribed rational duty factors n_i / d_i are built by
 interleaving: sensor i cycles through D_{i-1} = d_1 ... d_{i-1} short
 binary vectors of length d_i and weight n_i, writing one symbol of each in
@@ -16,6 +22,7 @@ round-robin order.  The result has period exactly D = d_1 ... d_N.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -29,8 +36,6 @@ import numpy as np
 from .errors import (BudgetError, SchedSecError, ValidationError,
                      resolve_budget)
 from .scheduling import Schedule
-
-_VERIFY_SAMPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -119,13 +124,33 @@ class PolicySet:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PolicySet":
+        if not isinstance(doc, dict):
+            raise ValidationError("policy document must be a JSON object")
         for key in ("T", "rows", "factors"):
             if key not in doc:
                 raise ValidationError(f'policy document needs key "{key}"')
-        return cls(period=int(doc["T"]),
-                   rows=tuple(tuple(r) for r in doc["rows"]),
-                   factors=tuple(RationalDutyFactor(f["n"], f["d"])
-                                 for f in doc["factors"]))
+        rows, factors = doc["rows"], doc["factors"]
+        if not isinstance(rows, list) or not all(isinstance(r, list)
+                                                 for r in rows):
+            raise ValidationError('"rows" must be a list of 0/1 lists')
+        if not isinstance(factors, list):
+            raise ValidationError('"factors" must be a list of {"n", "d"} objects')
+        for i, f in enumerate(factors):
+            if not (isinstance(f, dict) and "n" in f and "d" in f):
+                raise ValidationError(f'factor {i} needs keys "n" and "d"')
+        return cls(period=_json_int(doc["T"], '"T"'),
+                   rows=tuple(tuple(_json_int(v, f"row {i} entry") for v in r)
+                              for i, r in enumerate(rows)),
+                   factors=tuple(RationalDutyFactor(
+                       _json_int(f["n"], f'factor {i} "n"'),
+                       _json_int(f["d"], f'factor {i} "d"'))
+                       for i, f in enumerate(factors)))
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def save_policy_set(ps: PolicySet, path):
@@ -179,6 +204,10 @@ def hamming_cross_correlation(policies, U, shifts) -> int:
     own offset, transmits simultaneously."""
     rows, period = _rows_of(policies)
     U, shifts = _check_tuple(U, shifts, len(rows), period)
+    return _correlation(rows, U, shifts, period)
+
+
+def _correlation(rows, U, shifts, period) -> int:
     total = 0
     for k in range(period):
         for i, t in zip(U, shifts):
@@ -215,8 +244,10 @@ def throughput(policies, U, shifts, position: int) -> Fraction:
 class InvarianceReport:
     """Outcome of a shift-invariance check; truthy iff invariant.
 
-    exhaustive is False when some subset was only sampled, in which case a
-    True verdict means "sampled, not proven".
+    witness is (U, shifts) for a non-invariant set: a sensor tuple and a
+    shift tuple whose cross-correlation differs from the all-zero shifts.
+    exhaustive is always True, because the check is exact at every size;
+    reports and invariance.json keep the field.
     """
 
     invariant: bool
@@ -227,46 +258,164 @@ class InvarianceReport:
         return self.invariant
 
 
-def is_shift_invariant(policies, budget: int | None = None,
-                       samples: int | None = None,
-                       seed: int = 0) -> InvarianceReport:
+class _Work:
+    """Counts a check's elementary steps against the work budget."""
+
+    def __init__(self, budget: int | None):
+        self.limit = resolve_budget(budget)
+        self.used = 0
+
+    def charge(self, steps: int):
+        self.used += steps
+        if self.used > self.limit:
+            raise BudgetError(
+                f"invariance check needs more than the budget of "
+                f"{self.limit} steps; raise SCHEDSEC_BUDGET to allow it")
+
+
+def _divisors(n: int) -> list[int]:
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def _mobius(n: int) -> int:
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+@functools.lru_cache(maxsize=1024)
+def _cyclotomic(m: int) -> tuple[int, ...]:
+    """Integer coefficients of the cyclotomic polynomial Phi_m, lowest
+    degree first, from Phi_m(x) = prod_{d | m} (x^d - 1)^mu(m/d)."""
+    poly = [1]
+    divide = []
+    for d in _divisors(m):
+        mu = _mobius(m // d)
+        if mu == 1:
+            poly = [0] * d + poly
+            for k in range(len(poly) - d):
+                poly[k] -= poly[k + d]
+        elif mu == -1:
+            divide.append(d)
+    for d in divide:
+        # exact division by x^d - 1: a[k] = q[k - d] - q[k]
+        q = []
+        for k in range(len(poly) - d):
+            q.append((q[k - d] if k >= d else 0) - poly[k])
+        poly = q
+    return tuple(poly)
+
+
+def _divisible(f: list[int], phi: tuple[int, ...]) -> bool:
+    """Whether the monic integer polynomial phi divides f, by long division
+    in integers (both lowest degree first)."""
+    deg = len(phi) - 1
+    terms = [(j, c) for j, c in enumerate(phi[:-1]) if c]
+    for k in range(len(f) - 1, deg - 1, -1):
+        c = f[k]
+        if c:
+            for j, a in terms:
+                f[k - deg + j] -= c * a
+    return not any(f[:deg])
+
+
+def _supports(rows, period: int, work: _Work) -> list[int]:
+    """Each row's nonzero DFT support as a bitmask over Z_period, frequency 0
+    left out.
+
+    The DFT of row r at w is r(zeta^w), and zeta^w is a primitive m-th root
+    of unity for m = period / gcd(w, period).  Its minimal polynomial is
+    Phi_m, so the coefficient vanishes iff Phi_m divides r(x), a property of
+    m alone; r is first folded mod x^m - 1, which Phi_m divides.
+    """
+    arrays = [np.asarray(row, dtype=np.int64) for row in rows]
+    masks = [0] * len(rows)
+    for m in _divisors(period)[1:]:
+        phi = _cyclotomic(m)
+        step = period // m
+        order_m = 0
+        for j in range(1, m):
+            if math.gcd(j, m) == 1:
+                order_m |= 1 << (step * j)
+        for i, a in enumerate(arrays):
+            work.charge(1)
+            if not _divisible(a.reshape(-1, m).sum(axis=0).tolist(), phi):
+                masks[i] |= order_m
+    return masks
+
+
+def _sumset(a: int, b: int, period: int, work: _Work) -> int:
+    """{x + y mod period : x in a, y in b} for bitmasks a and b."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    work.charge(a.bit_count())
+    full = (1 << period) - 1
+    out = 0
+    while a:
+        low = a & -a
+        s = low.bit_length() - 1
+        out |= ((b << s) | (b >> (period - s))) & full
+        a ^= low
+    return out
+
+
+def _zero_sum(masks, period: int, work: _Work) -> bool:
+    """Whether two or more rows have support frequencies, one per row, that
+    sum to 0 mod period: a reachability pass over Z_period."""
+    one = two = 0  # sums reachable from exactly one / at least two rows
+    for s in masks:
+        if s:
+            two |= _sumset(one | two, s, period, work)
+            if two & 1:
+                return True
+            one |= s
+    return False
+
+
+def is_shift_invariant(policies, budget: int | None = None) -> InvarianceReport:
     """Check that every subset's cross-correlation ignores relative shifts.
 
-    By cyclic reindexing of the slot counter, shifting all members of a
-    subset by the same amount never changes the correlation, so the first
-    member's shift is fixed at zero and only the remaining D^{|U|-1}
-    combinations are enumerated (that reduction has its own unit test).
-    Work per subset is capped by the budget; beyond it, pass `samples` to
-    fall back to seeded random tuples, flagged by exhaustive=False.
+    Exact at every size, by the Fourier criterion of Shum, Chen, Sung &
+    Wong (IEEE Trans. Inf. Theory 55(7), 2009): writing the cross-correlation
+    of a subset as a Fourier series in its shifts, a nonconstant term needs
+    two or more rows whose DFTs are nonzero at frequencies that sum to
+    0 mod D.  So the set is invariant iff no such frequencies exist.  Which
+    DFT coefficients vanish is decided in integers with cyclotomic
+    polynomials, with no floating-point tolerance.
+
+    For a non-invariant set the witness is the first sensor tuple, in
+    sorted order, whose own correlation depends on the shifts, with the
+    first shift tuple, in lexicographic order and the first shift pinned
+    to zero, at which the correlation differs from the all-zero shifts.
+    The budget caps the steps taken: one per cyclotomic remainder, one per
+    residue-set rotation and one per shift tuple walked for the witness.
     """
     rows, period = _rows_of(policies)
-    N = len(rows)
-    limit = resolve_budget(budget)
-    rng = np.random.default_rng(seed)
-    exhaustive = True
+    work = _Work(budget)
+    masks = _supports(rows, period, work)
+    if not _zero_sum(masks, period, work):
+        return InvarianceReport(True, None, True)
     subsets = sorted(itertools.chain.from_iterable(
-        itertools.combinations(range(N), size) for size in range(1, N + 1)))
+        itertools.combinations(range(len(rows)), size)
+        for size in range(2, len(rows) + 1)))
     for U in subsets:
-        if len(U) == 1:
-            continue  # a single row's weight cannot depend on its shift
-        reference = hamming_cross_correlation(rows, U, (0,) * len(U))
-        work = period ** len(U)
-        if work <= limit:
-            tuples = itertools.product(range(period), repeat=len(U) - 1)
-        elif samples is not None:
-            tuples = (tuple(int(v) for v in rng.integers(0, period, size=len(U) - 1))
-                      for _ in range(samples))
-            exhaustive = False
-        else:
-            raise BudgetError(
-                f"exhaustive invariance check for subset {U} needs {work} "
-                f"evaluations, above the budget {limit}; pass samples=... "
-                f"for a sampled check")
-        for rest in tuples:
-            shifts = (0,) + tuple(rest)
-            if hamming_cross_correlation(rows, U, shifts) != reference:
-                return InvarianceReport(False, (U, shifts), exhaustive)
-    return InvarianceReport(True, None, exhaustive)
+        # an all-zero member pins the correlation at 0
+        if (all(any(rows[i]) for i in U)
+                and _zero_sum([masks[i] for i in U], period, work)):
+            reference = _correlation(rows, U, (0,) * len(U), period)
+            for rest in itertools.product(range(period), repeat=len(U) - 1):
+                work.charge(1)
+                shifts = (0,) + rest
+                if _correlation(rows, U, shifts, period) != reference:
+                    return InvarianceReport(False, (U, shifts), True)
+    raise SchedSecError("no witness for a failed invariance check; this is a bug")
 
 
 def _rotate(vec, r):
@@ -283,8 +432,8 @@ def construct_shift_invariant(factors, interleavings=None,
     the common period D = d_1 ... d_N.  By default vector j is the cyclic
     rotation by (j - 1) of the base vector with ones in its last n_i
     positions; pass `interleavings` (one list of vectors per sensor) to
-    choose them explicitly.  The result is checked to be shift invariant
-    before it is returned.
+    choose them explicitly.  With verify, the result is proven shift
+    invariant by `is_shift_invariant` before it is returned.
     """
     fs = tuple(RationalDutyFactor.coerce(f) for f in factors)
     if not fs:
@@ -323,10 +472,7 @@ def construct_shift_invariant(factors, interleavings=None,
         D_prev *= f.d
     ps = PolicySet(period=D, rows=tuple(rows), factors=fs)
     if verify:
-        try:
-            report = is_shift_invariant(ps)
-        except BudgetError:
-            report = is_shift_invariant(ps, samples=_VERIFY_SAMPLES, seed=0)
+        report = is_shift_invariant(ps)
         if not report:
             raise SchedSecError(
                 f"constructed set failed its invariance check at witness "

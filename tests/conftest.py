@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from schedsec.lti_estimation import LinearSystem, steady_state
+from schedsec.protocol_sequences import hamming_cross_correlation
 from schedsec.scheduling import Schedule
 
 
@@ -82,3 +83,25 @@ def is_uniform_row(row) -> bool:
     T = len(row)
     gaps = [(ones[(j + 1) % len(ones)] - ones[j]) % T for j in range(len(ones))]
     return max(gaps) - min(gaps) <= 1
+
+
+def enumerated_invariance(policies):
+    """Reference shift-invariance check by enumeration.
+
+    For every sensor subset of two or more rows, in sorted order, walks all
+    D^(|U|-1) shift tuples in lexicographic order with the first shift
+    pinned to zero (a common shift only reindexes the cyclic sum).  Returns
+    (invariant, witness), the witness being the first (U, shifts) whose
+    correlation differs from the all-zero shifts.
+    """
+    rows = getattr(policies, "rows", policies)
+    N, D = len(rows), len(rows[0])
+    subsets = sorted(itertools.chain.from_iterable(
+        itertools.combinations(range(N), size) for size in range(2, N + 1)))
+    for U in subsets:
+        reference = hamming_cross_correlation(policies, U, (0,) * len(U))
+        for rest in itertools.product(range(D), repeat=len(U) - 1):
+            shifts = (0,) + rest
+            if hamming_cross_correlation(policies, U, shifts) != reference:
+                return False, (U, shifts)
+    return True, None

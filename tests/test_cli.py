@@ -3,7 +3,8 @@ import json
 import pytest
 
 from schedsec.cli import main
-from schedsec.protocol_sequences import load_policy_set
+from schedsec.protocol_sequences import (load_policy_set,
+                                         shortest_period_policies)
 from schedsec.scheduling import load_schedule
 
 
@@ -157,6 +158,29 @@ def test_defend_verify_positive_and_negative(tmp_path, sched_path):
     doc2 = json.loads((out2 / "invariance.json").read_text())
     assert not doc2["invariant"]
     assert doc2["witness"] is not None
+
+
+@pytest.mark.parametrize("factor", [
+    {"n": 1},                        # missing "d"
+    {"n": 1, "d": "x"},              # non-integer
+    {"n": 1, "d": "2"},
+    {"n": 1.5, "d": 2},
+    [1, 2],                          # not an object
+    None,                            # "factors" itself not a list
+])
+@pytest.mark.parametrize("command", ["verify", "bounds"])
+def test_malformed_policy_factors_exit_3(tmp_path, capsys, systems_path,
+                                         factor, command):
+    doc = shortest_period_policies(3, verify=False).to_dict()
+    doc["factors"] = 5 if factor is None else [factor] + doc["factors"][1:]
+    path = tmp_path / "policies.json"
+    path.write_text(json.dumps(doc))
+    argv = ["defend", command, "--policies", str(path)]
+    if command == "bounds":
+        argv += ["--systems", systems_path]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_simulate_with_attack_and_trials(tmp_path, systems_path, sched_path):

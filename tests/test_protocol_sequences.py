@@ -1,12 +1,14 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import enumerated_invariance
 from schedsec.errors import BudgetError, ValidationError
 from schedsec.protocol_sequences import (PolicySet, RationalDutyFactor,
                                          bounds, construct_shift_invariant,
@@ -109,13 +111,41 @@ def test_invariance_rejects_plain_round_robin(round_robin):
     assert hamming_cross_correlation(round_robin.rows, U, shifts) != ref
 
 
-def test_invariance_budget_and_sampling():
+def test_invariance_proven_within_small_budget():
+    # 35^2 shift tuples for the pair; the exact check needs a handful of steps
     ps = construct_shift_invariant([(1, 5), (1, 7)], verify=False)
-    with pytest.raises(BudgetError, match="samples"):
-        is_shift_invariant(ps, budget=100)
-    rep = is_shift_invariant(ps, budget=100, samples=50, seed=3)
-    assert rep.invariant
-    assert not rep.exhaustive
+    rep = is_shift_invariant(ps, budget=100)
+    assert rep.invariant and rep.exhaustive
+    with pytest.raises(BudgetError, match="budget"):
+        is_shift_invariant(ps, budget=2)
+
+
+def test_invariance_scales_to_period_256():
+    ps = shortest_period_policies(8, verify=False)
+    t0 = time.perf_counter()
+    rep = is_shift_invariant(ps)
+    elapsed = time.perf_counter() - t0
+    assert rep.invariant and rep.exhaustive
+    assert elapsed < 1.0
+
+
+def _row_sets(D):
+    # rows repeating a pattern of a length dividing D make invariance common
+    periodic_row = st.sampled_from([p for p in range(1, D + 1) if D % p == 0]
+                                   ).flatmap(lambda p: st.lists(
+                                       st.integers(0, 1), min_size=p,
+                                       max_size=p).map(lambda v: v * (D // p)))
+    return st.lists(periodic_row, min_size=2, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(_row_sets))
+@example([[0, 0, 0], [1, 0, 0], [0, 1, 0]])   # an all-zero row pins H at 0
+@example([[1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]])
+def test_invariance_matches_enumeration_on_random_rows(rows):
+    rep = is_shift_invariant(rows)
+    assert rep.exhaustive
+    assert (rep.invariant, rep.witness) == enumerated_invariance(rows)
 
 
 def test_tuple_validation():
@@ -161,6 +191,17 @@ def test_constructed_sets_are_invariant_seeded():
         ps = construct_shift_invariant(factors)
         assert ps.period == math.prod(d for _, d in factors)
         assert is_shift_invariant(ps).invariant
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(FACTOR_POOL), min_size=2, max_size=4))
+def test_invariance_matches_enumeration_on_constructed_sets(factors):
+    D = math.prod(d for _, d in factors)
+    assume(D ** (len(factors) - 1) <= 10 ** 5)
+    ps = construct_shift_invariant(factors, verify=False)
+    rep = is_shift_invariant(ps)
+    assert rep.exhaustive
+    assert (rep.invariant, rep.witness) == enumerated_invariance(ps)
 
 
 def test_reception_counts_fixed_under_all_shifts():
