@@ -6,21 +6,14 @@ Output is deterministic, one labelled value per line.
 """
 
 import argparse
-from importlib import resources
 
 import numpy as np
 
 from schedsec.attack import bnb_optimal_attack, brute_force_optimal_attack
-from schedsec.lti_estimation import load_systems, steady_state
+from schedsec.lti_estimation import bundled_systems, steady_state
 from schedsec.protocol_sequences import bounds, construct_shift_invariant
 from schedsec.scheduling import (average_cost, optimal_schedule_search,
-                                 reception_from_schedule)
-
-
-def bundled_systems():
-    ref = resources.files("schedsec") / "data" / "three_sensor_study.json"
-    with ref.open("r", encoding="utf-8") as fh:
-        return load_systems(fh)
+                                 reception)
 
 
 def main():
@@ -57,8 +50,7 @@ def main():
                            ("shortest-period (1/2)^3", [(1, 2)] * 3)):
         ps = construct_shift_invariant(factors)
         br = bounds(ps, states)
-        nominal = average_cost(reception_from_schedule(ps.to_schedule()),
-                               states).total
+        nominal = average_cost(reception(ps), states).total
         print(f"{label}: period {ps.period}, lower = {br.lower!r}, "
               f"upper = {br.upper!r}, zero-shift cost = {nominal!r}")
 

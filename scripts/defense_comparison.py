@@ -9,17 +9,10 @@ also redrawn per trial.
 """
 
 import argparse
-from importlib import resources
 
-from schedsec.lti_estimation import load_systems, steady_state
+from schedsec.lti_estimation import bundled_systems, steady_state
 from schedsec.protocol_sequences import bounds, construct_shift_invariant
 from schedsec.simulation import SimConfig, monte_carlo_expected_cost
-
-
-def bundled_systems():
-    ref = resources.files("schedsec") / "data" / "three_sensor_study.json"
-    with ref.open("r", encoding="utf-8") as fh:
-        return load_systems(fh)
 
 
 def main():

@@ -1,27 +1,23 @@
 """Scheduling, clock-spoofing attacks, and shift-invariant defenses for
 multi-sensor remote state estimation over a shared collision channel."""
 
-from .attack import (AttackSearchResult, MipInstance, ShiftTuple,
-                     apply_shift, attacked_reception, blocks_sensor,
+from .attack import (AttackSearchResult, MipInstance, blocks_sensor,
                      bnb_optimal_attack, brute_force_optimal_attack,
-                     build_mip, isolate_sensor_attack, load_shift_tuple,
-                     random_attack, save_shift_tuple)
+                     build_mip, isolate_sensor_attack, random_attack)
 from .errors import (BudgetError, ConvergenceError, InfeasibleError,
                      NumericalError, SchedSecError, StabilityWarning,
-                     ValidationError, resolve_budget)
-from .lti_estimation import (LinearSystem, SteadyState, load_systems,
-                             local_kalman_update, lyapunov_step, riccati_step,
-                             steady_state)
+                     ValidationError, read_json, resolve_budget)
+from .lti_estimation import (LinearSystem, SteadyState, bundled_systems,
+                             load_systems, local_kalman_update, lyapunov_step,
+                             riccati_step, steady_state)
 from .protocol_sequences import (BoundsReport, InvarianceReport, PolicySet,
                                  RationalDutyFactor, bounds,
                                  construct_shift_invariant,
                                  hamming_cross_correlation, is_shift_invariant,
-                                 load_policy_set, save_policy_set,
                                  shortest_period_policies, throughput)
-from .scheduling import (CostReport, GapHistogram, Schedule, average_cost,
-                         duty_factor, gap_histogram, load_schedule,
-                         optimal_schedule_search, reception_from_schedule,
-                         save_schedule)
+from .scheduling import (CostReport, GapHistogram, Schedule, ShiftTuple,
+                         apply_shift, average_cost, duty_factor, gap_histogram,
+                         optimal_schedule_search, reception)
 from .simplex import LpResult, solve_bounded_lp
 from .simulation import (CovarianceSeries, MonteCarloCost, SimConfig,
                          TrajectoryBatch, exact_covariance_series,
@@ -36,15 +32,13 @@ __all__ = [
     "MonteCarloCost", "NumericalError", "PolicySet", "RationalDutyFactor",
     "SchedSecError", "Schedule", "ShiftTuple", "SimConfig", "StabilityWarning",
     "SteadyState", "TrajectoryBatch", "ValidationError", "apply_shift",
-    "attacked_reception", "average_cost", "blocks_sensor",
-    "bnb_optimal_attack", "bounds", "brute_force_optimal_attack", "build_mip",
+    "average_cost", "blocks_sensor", "bnb_optimal_attack", "bounds",
+    "brute_force_optimal_attack", "build_mip", "bundled_systems",
     "construct_shift_invariant", "duty_factor", "exact_covariance_series",
     "gap_histogram", "hamming_cross_correlation", "is_shift_invariant",
-    "isolate_sensor_attack", "load_policy_set", "load_schedule",
-    "load_shift_tuple", "load_systems", "local_kalman_update", "lyapunov_step",
-    "monte_carlo_expected_cost", "optimal_schedule_search", "random_attack",
-    "reception_from_schedule", "resolve_budget", "riccati_step",
-    "save_policy_set", "save_schedule", "save_shift_tuple",
-    "shortest_period_policies", "solve_bounded_lp", "state_trajectory_sim",
-    "steady_state", "throughput",
+    "isolate_sensor_attack", "load_systems", "local_kalman_update",
+    "lyapunov_step", "monte_carlo_expected_cost", "optimal_schedule_search",
+    "random_attack", "read_json", "reception", "resolve_budget",
+    "riccati_step", "shortest_period_policies", "solve_bounded_lp",
+    "state_trajectory_sim", "steady_state", "throughput",
 ]

@@ -17,102 +17,22 @@ independent exhaustive oracle.
 from __future__ import annotations
 
 import itertools
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (BudgetError, InfeasibleError, ValidationError,
                      resolve_budget)
-from .scheduling import Schedule
+from .scheduling import Schedule, ShiftTuple, apply_shift, reception
 from .simplex import solve_bounded_lp
 
 INTEGRALITY_TOL = 1e-6
 LP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ShiftTuple:
-    """Per-sensor clock offsets; entry 0 leaves that sensor untouched."""
-
-    taus: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "taus", tuple(int(t) for t in self.taus))
-        for i, t in enumerate(self.taus):
-            if t < 0:
-                raise ValidationError(f"shift for sensor {i} must be >= 0, got {t}")
-
-    @property
-    def spoofed_count(self) -> int:
-        return sum(1 for t in self.taus if t != 0)
-
-    def validate_for(self, sched: Schedule):
-        if len(self.taus) != sched.n_sensors:
-            raise ValidationError(
-                f"shift tuple has {len(self.taus)} entries for "
-                f"{sched.n_sensors} sensors")
-        for i, t in enumerate(self.taus):
-            if t >= sched.period:
-                raise ValidationError(
-                    f"shift {t} for sensor {i} exceeds period {sched.period}")
-
-    def to_dict(self) -> dict:
-        return {"taus": list(self.taus)}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ShiftTuple":
-        if not isinstance(doc, dict) or "taus" not in doc:
-            raise ValidationError('shift tuple document needs key "taus"')
-        return cls(taus=tuple(doc["taus"]))
-
-
-def save_shift_tuple(taus: ShiftTuple, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(taus.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_shift_tuple(source) -> ShiftTuple:
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return ShiftTuple.from_dict(json.load(fh))
-    return ShiftTuple.from_dict(json.load(source))
-
-
-def apply_shift(row, tau: int):
-    """Cyclic shift of a policy row: result[k] = row[(k + tau) % T]."""
-    T = len(row)
-    if T == 0:
-        raise ValidationError("cannot shift an empty row")
-    tau = int(tau) % T
-    return tuple(row[(k + tau) % T] for k in range(T))
-
-
-def attacked_reception(sched: Schedule, attack: ShiftTuple) -> list[list[int]]:
-    """Reception indicators under shifted clocks: sensor i receives in slot
-    k iff its shifted row transmits there and no other shifted row does."""
-    attack.validate_for(sched)
-    shifted = [apply_shift(row, t) for row, t in zip(sched.rows, attack.taus)]
-    out = []
-    for i in range(sched.n_sensors):
-        lam = []
-        for k in range(sched.period):
-            ok = shifted[i][k]
-            if ok:
-                for j in range(sched.n_sensors):
-                    if j != i and shifted[j][k]:
-                        ok = 0
-                        break
-            lam.append(ok)
-        out.append(lam)
-    return out
-
-
 def blocks_sensor(sched: Schedule, attack: ShiftTuple, target: int) -> bool:
     """True when the attack leaves the target sensor with zero receptions."""
-    return not any(attacked_reception(sched, attack)[target])
+    return not any(reception(sched, attack)[target])
 
 
 def isolate_sensor_attack(sched: Schedule, target: int,
@@ -306,7 +226,7 @@ def brute_force_optimal_attack(sched: Schedule, budget: int | None = None,
         cand = ShiftTuple(combo)
         if best_count is not None and cand.spoofed_count >= best_count:
             continue
-        rec = attacked_reception(sched, cand)
+        rec = reception(sched, cand)
         starved = [i for i in range(N) if not any(rec[i])]
         if not allow_shifted_target:
             starved = [i for i in starved if combo[i] == 0]
@@ -316,7 +236,7 @@ def brute_force_optimal_attack(sched: Schedule, budget: int | None = None,
                 break
     if best is None:
         return AttackSearchResult(blocking=False, taus=None, spoofed_count=None)
-    rec = attacked_reception(sched, best)
+    rec = reception(sched, best)
     blocked = tuple(i for i in range(N) if not any(rec[i]))
     return AttackSearchResult(blocking=True, taus=best, spoofed_count=best_count,
                               blocked_sensors=blocked)
@@ -430,7 +350,7 @@ def bnb_optimal_attack(sched: Schedule) -> AttackSearchResult:
         return AttackSearchResult(blocking=False, taus=None, spoofed_count=None,
                                   per_target_costs=tuple(per_target),
                                   nodes_explored=nodes)
-    rec = attacked_reception(sched, best_taus)
+    rec = reception(sched, best_taus)
     blocked = tuple(i for i in range(N) if not any(rec[i]))
     assert blocked, "decoded attack must starve its target"
     return AttackSearchResult(blocking=True, taus=best_taus,

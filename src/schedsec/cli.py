@@ -20,22 +20,20 @@ import json
 import math
 import sys
 from fractions import Fraction
-from importlib import metadata, resources
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
-from .attack import (ShiftTuple, attacked_reception, bnb_optimal_attack,
-                     brute_force_optimal_attack, isolate_sensor_attack,
-                     load_shift_tuple, random_attack)
+from .attack import (bnb_optimal_attack, brute_force_optimal_attack,
+                     isolate_sensor_attack, random_attack)
 from .errors import (BudgetError, ConvergenceError, InfeasibleError,
-                     NumericalError, SchedSecError, ValidationError)
-from .lti_estimation import load_systems, steady_state
+                     NumericalError, SchedSecError, ValidationError, read_json)
+from .lti_estimation import bundled_systems, load_systems, steady_state
 from .protocol_sequences import (PolicySet, bounds, construct_shift_invariant,
-                                 is_shift_invariant, load_policy_set,
-                                 shortest_period_policies)
-from .scheduling import (Schedule, average_cost, load_schedule,
-                         optimal_schedule_search, reception_from_schedule)
+                                 is_shift_invariant, shortest_period_policies)
+from .scheduling import (Schedule, ShiftTuple, average_cost,
+                         optimal_schedule_search, reception)
 from .simulation import (SimConfig, exact_covariance_series,
                          monte_carlo_expected_cost)
 
@@ -116,32 +114,17 @@ class _Run:
 
 def _load_systems_arg(run: _Run, path):
     if path is None or path == _BUNDLED_SYSTEMS:
-        ref = resources.files("schedsec") / "data" / "three_sensor_study.json"
-        with ref.open("r", encoding="utf-8") as fh:
-            systems = load_systems(fh)
         run.inputs["systems"] = _BUNDLED_SYSTEMS
-        return systems
+        return bundled_systems()
     systems = load_systems(path)
     run.note_input("systems", path)
     return systems
 
 
-def _load_schedule_arg(run: _Run, path) -> Schedule:
-    sched = load_schedule(path)
-    run.note_input("schedule", path)
-    return sched
-
-
-def _load_policies_arg(run: _Run, path) -> PolicySet:
-    ps = load_policy_set(path)
-    run.note_input("policies", path)
-    return ps
-
-
-def _load_attack_arg(run: _Run, path) -> ShiftTuple:
-    attack = load_shift_tuple(path)
-    run.note_input("attack", path)
-    return attack
+def _load_arg(run: _Run, label: str, path, cls):
+    obj = cls.from_dict(read_json(path))
+    run.note_input(label, path)
+    return obj
 
 
 def _cost_doc(report) -> dict:
@@ -235,15 +218,12 @@ def _cmd_schedule(args) -> int:
 def _cmd_cost(args) -> int:
     run = _Run(args, "cost")
     systems = _load_systems_arg(run, args.systems)
-    sched = _load_schedule_arg(run, args.schedule)
+    sched = _load_arg(run, "schedule", args.schedule, Schedule)
     run.parameters = {"systems": args.systems or _BUNDLED_SYSTEMS,
                       "schedule": args.schedule, "attack": args.attack}
-    if args.attack:
-        attack = _load_attack_arg(run, args.attack)
-        attack.validate_for(sched)
-        receptions = attacked_reception(sched, attack)
-    else:
-        receptions = reception_from_schedule(sched)
+    attack = (_load_arg(run, "attack", args.attack, ShiftTuple)
+              if args.attack else None)
+    receptions = reception(sched, attack)
     ladders = [steady_state(sys) for sys in systems]
     report = average_cost(receptions, ladders)
     name = _emit_cost(run, report, "cost")
@@ -252,7 +232,7 @@ def _cmd_cost(args) -> int:
 
 def _cmd_attack_optimal(args) -> int:
     run = _Run(args, "attack optimal")
-    sched = _load_schedule_arg(run, args.schedule)
+    sched = _load_arg(run, "schedule", args.schedule, Schedule)
     run.parameters = {"schedule": args.schedule}
     result = bnb_optimal_attack(sched)
     run.add_json("attack_report.json", _attack_doc(result))
@@ -263,7 +243,7 @@ def _cmd_attack_optimal(args) -> int:
 
 def _cmd_attack_random(args) -> int:
     run = _Run(args, "attack random")
-    sched = _load_schedule_arg(run, args.schedule)
+    sched = _load_arg(run, "schedule", args.schedule, Schedule)
     run.parameters = {"schedule": args.schedule, "seed": args.seed}
     attack = random_attack(sched.period, sched.n_sensors, args.seed)
     run.add_json("attack.json", attack.to_dict())
@@ -272,7 +252,7 @@ def _cmd_attack_random(args) -> int:
 
 def _cmd_attack_isolate(args) -> int:
     run = _Run(args, "attack isolate")
-    sched = _load_schedule_arg(run, args.schedule)
+    sched = _load_arg(run, "schedule", args.schedule, Schedule)
     run.parameters = {"schedule": args.schedule, "target": args.target}
     attack = isolate_sensor_attack(sched, args.target)
     run.add_json("attack.json", attack.to_dict())
@@ -298,7 +278,7 @@ def _cmd_defend_construct(args) -> int:
         if args.n_sensors is not None:
             n = args.n_sensors
         elif args.schedule:
-            n = _load_schedule_arg(run, args.schedule).n_sensors
+            n = _load_arg(run, "schedule", args.schedule, Schedule).n_sensors
         else:
             raise ValidationError(
                 "shortest-period mode needs -n or --schedule to fix the "
@@ -311,7 +291,7 @@ def _cmd_defend_construct(args) -> int:
         if not args.schedule:
             raise ValidationError(
                 "same-duty mode needs --schedule to read duty factors from")
-        sched = _load_schedule_arg(run, args.schedule)
+        sched = _load_arg(run, "schedule", args.schedule, Schedule)
         factors = _duty_factors_of(sched)
         ps = construct_shift_invariant(factors)
         run.parameters = {"mode": args.mode, "schedule": args.schedule,
@@ -323,7 +303,7 @@ def _cmd_defend_construct(args) -> int:
 def _cmd_defend_bounds(args) -> int:
     run = _Run(args, "defend bounds")
     systems = _load_systems_arg(run, args.systems)
-    ps = _load_policies_arg(run, args.policies)
+    ps = _load_arg(run, "policies", args.policies, PolicySet)
     run.parameters = {"systems": args.systems or _BUNDLED_SYSTEMS,
                       "policies": args.policies}
     ladders = [steady_state(sys) for sys in systems]
@@ -339,10 +319,10 @@ def _cmd_defend_verify(args) -> int:
     if bool(args.policies) == bool(args.schedule):
         raise ValidationError("pass exactly one of --policies or --schedule")
     if args.policies:
-        rows = _load_policies_arg(run, args.policies)
+        rows = _load_arg(run, "policies", args.policies, PolicySet)
         source = args.policies
     else:
-        rows = _load_schedule_arg(run, args.schedule)
+        rows = _load_arg(run, "schedule", args.schedule, Schedule)
         source = args.schedule
     run.parameters = {"source": source}
     report = is_shift_invariant(rows)
@@ -366,10 +346,11 @@ def _cmd_simulate(args) -> int:
     if bool(args.policies) == bool(args.schedule):
         raise ValidationError("pass exactly one of --policies or --schedule")
     if args.policies:
-        policies = _load_policies_arg(run, args.policies)
+        policies = _load_arg(run, "policies", args.policies, PolicySet)
     else:
-        policies = _load_schedule_arg(run, args.schedule)
-    attack = _load_attack_arg(run, args.attack) if args.attack else None
+        policies = _load_arg(run, "schedule", args.schedule, Schedule)
+    attack = (_load_arg(run, "attack", args.attack, ShiftTuple)
+              if args.attack else None)
     run.parameters = {"systems": args.systems or _BUNDLED_SYSTEMS,
                       "schedule": args.schedule, "policies": args.policies,
                       "attack": args.attack, "horizon": args.horizon,
@@ -423,7 +404,7 @@ def _cmd_reproduce(args) -> int:
     if not result.blocking:
         raise InfeasibleError("no blocking attack exists for this schedule")
     run.add_json("attack.json", result.taus.to_dict())
-    attack_report = average_cost(attacked_reception(sched, result.taus), ladders)
+    attack_report = average_cost(reception(sched, result.taus), ladders)
     _emit_cost(run, attack_report, "attack_cost")
 
     same_duty = construct_shift_invariant(_duty_factors_of(sched))
@@ -608,9 +589,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except json.JSONDecodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

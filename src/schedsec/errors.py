@@ -1,4 +1,4 @@
-"""Error taxonomy and the shared enumeration budget.
+"""Error taxonomy, the shared enumeration budget and the JSON document reader.
 
 Every error raised by this package derives from SchedSecError so callers can
 catch the whole family.  ValidationError doubles as ValueError because most
@@ -7,6 +7,7 @@ of these conditions are plain bad arguments.
 
 from __future__ import annotations
 
+import json
 import os
 
 DEFAULT_BUDGET = 10_000_000
@@ -63,3 +64,42 @@ def resolve_budget(budget: int | None = None) -> int:
             raise ValidationError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
         return value
     return DEFAULT_BUDGET
+
+
+def read_json(source):
+    """Parse one JSON document from a path or an open text file.  Text that
+    is not UTF-8 JSON, or nests deeper than the parser can follow, raises
+    ValidationError."""
+    try:
+        if isinstance(source, (str, os.PathLike)):
+            with open(source, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.load(source)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"not a JSON document: {exc}") from None
+    except RecursionError:
+        raise ValidationError("JSON document nests too deeply") from None
+
+
+def json_object(doc, keys, what: str):
+    """Check that a parsed document is an object holding every key."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} document must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ValidationError(f'{what} document needs key "{key}"')
+
+
+def json_int(value, what: str) -> int:
+    """A document entry, checked to be a JSON integer (not a bool or float)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_list(value, what: str) -> list:
+    """A document entry, checked to be a JSON array."""
+    if not isinstance(value, list):
+        raise ValidationError(
+            f"{what} must be a list, got {type(value).__name__}")
+    return value

@@ -18,16 +18,15 @@ the cost of going t slots without a packet.
 
 from __future__ import annotations
 
-import io
-import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
 from .errors import (ConvergenceError, NumericalError, StabilityWarning,
-                     ValidationError)
+                     ValidationError, read_json)
 
 PSD_TOL = 1e-9
 INSTABILITY_TOL = 1e-12
@@ -104,11 +103,11 @@ class LinearSystem:
     name: str = "system"
 
     def __post_init__(self):
-        self.A = _as_matrix(self._field("A", self.A))
+        self.A = self._matrix("A", self.A)
         n = self.A.shape[1]
         if self.A.shape[0] != n:
             raise ValidationError(f"{self.name} field 'A': must be square, got {self.A.shape}")
-        self.C = _as_matrix(self._field("C", self.C), cols=n)
+        self.C = self._matrix("C", self.C, cols=n)
         m = self.C.shape[0]
         self.Q = self._cov("Q", self.Q, n, kind="psd")
         self.R = self._cov("R", self.R, m, kind="pd")
@@ -127,17 +126,18 @@ class LinearSystem:
                 f"the process is not strictly unstable and blocked sensors "
                 f"will not diverge", StabilityWarning, stacklevel=2)
 
-    def _field(self, fname, value):
+    def _matrix(self, fname, value, rows=None, cols=None):
+        """A finite 2-D float matrix; errors name the system and the field."""
         try:
-            return np.array(value, dtype=float)
-        except (TypeError, ValueError) as exc:
+            M = np.array(value, dtype=float)
+            if not np.isfinite(M).all():
+                raise ValidationError("entries must be finite")
+            return _as_matrix(M, rows=rows, cols=cols)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{self.name} field '{fname}': {exc}") from None
 
     def _cov(self, fname, value, size, kind):
-        try:
-            M = _as_matrix(self._field(fname, value), rows=size, cols=size)
-        except ValidationError as exc:
-            raise ValidationError(f"{self.name} field '{fname}': {exc}") from None
+        M = self._matrix(fname, value, rows=size, cols=size)
         if not _check_symmetric(M):
             raise ValidationError(f"{self.name} field '{fname}': not symmetric")
         lo = _min_eigenvalue(M)
@@ -216,11 +216,6 @@ class SteadyState:
         """Traces [Tr h^0(P_bar), ..., Tr h^upto(P_bar)]."""
         self.trace(upto)
         return self._traces[: upto + 1]
-
-    @property
-    def trace_ladder(self) -> tuple[float, ...]:
-        """The currently materialized ladder prefix."""
-        return tuple(self._traces)
 
 
 def steady_state(sys: LinearSystem, tol: float = 1e-10,
@@ -307,14 +302,11 @@ def load_systems(source) -> list[LinearSystem]:
     """Load sensor models from a JSON array of objects with keys
     "A", "C", "Q", "R", "Pi" (row-major nested arrays).
 
-    `source` may be a path or an open text file.  Validation errors name the
-    offending system index and field.
+    `source` may be a path, an open text file or an already parsed array.
+    Validation errors name the offending system index and field.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        doc = json.load(source)
+    if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
+        doc = read_json(source)
     else:
         doc = source
     if not isinstance(doc, list):
@@ -331,3 +323,10 @@ def load_systems(source) -> list[LinearSystem]:
         out.append(LinearSystem(A=entry["A"], C=entry["C"], Q=entry["Q"],
                                 R=entry["R"], Pi=entry["Pi"], name=f"system {i}"))
     return out
+
+
+def bundled_systems() -> list[LinearSystem]:
+    """The packaged three-sensor study used by the paper's examples."""
+    ref = resources.files("schedsec") / "data" / "three_sensor_study.json"
+    with ref.open("r", encoding="utf-8") as fh:
+        return load_systems(fh)

@@ -24,18 +24,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (BudgetError, SchedSecError, ValidationError,
-                     resolve_budget)
-from .scheduling import Schedule
+from .errors import (BudgetError, SchedSecError, ValidationError, json_int,
+                     json_list, json_object, resolve_budget)
+from .scheduling import Schedule, ShiftTuple, reception
 
 
 @dataclass(frozen=True)
@@ -72,21 +70,18 @@ class RationalDutyFactor:
 
 
 @dataclass(frozen=True)
-class PolicySet:
-    """Periodic policy rows carrying their design duty factors.
+class PolicySet(Schedule):
+    """A schedule whose rows carry their design duty factors.
 
     Row i must use exactly period * n_i / d_i slots, and the period must be
     a multiple of d_1 ... d_N (the minimum possible for a shift-invariant
     set with these factors).
     """
 
-    period: int
-    rows: tuple[tuple[int, ...], ...]
     factors: tuple[RationalDutyFactor, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows",
-                           tuple(tuple(int(v) for v in row) for row in self.rows))
+        super().__post_init__()
         object.__setattr__(self, "factors",
                            tuple(RationalDutyFactor.coerce(f) for f in self.factors))
         if len(self.rows) != len(self.factors):
@@ -98,88 +93,27 @@ class PolicySet:
                 f"period {self.period} is not a multiple of the denominator "
                 f"product {denom_product}")
         for i, (row, f) in enumerate(zip(self.rows, self.factors)):
-            if len(row) != self.period:
-                raise ValidationError(
-                    f"row {i} has length {len(row)}, expected {self.period}")
-            bad = [v for v in row if v not in (0, 1)]
-            if bad:
-                raise ValidationError(f"row {i} contains non-binary entries")
             want = self.period * f.n // f.d
             if sum(row) != want:
                 raise ValidationError(
                     f"row {i} has weight {sum(row)}, expected {want} "
                     f"for duty factor {f.n}/{f.d}")
 
-    @property
-    def n_sensors(self) -> int:
-        return len(self.rows)
-
-    def to_schedule(self) -> Schedule:
-        return Schedule(period=self.period, rows=self.rows)
-
     def to_dict(self) -> dict:
-        return {"T": self.period,
-                "rows": [list(r) for r in self.rows],
+        return {**super().to_dict(),
                 "factors": [{"n": f.n, "d": f.d} for f in self.factors]}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PolicySet":
-        if not isinstance(doc, dict):
-            raise ValidationError("policy document must be a JSON object")
-        for key in ("T", "rows", "factors"):
-            if key not in doc:
-                raise ValidationError(f'policy document needs key "{key}"')
-        rows, factors = doc["rows"], doc["factors"]
-        if not isinstance(rows, list) or not all(isinstance(r, list)
-                                                 for r in rows):
-            raise ValidationError('"rows" must be a list of 0/1 lists')
-        if not isinstance(factors, list):
-            raise ValidationError('"factors" must be a list of {"n", "d"} objects')
+        json_object(doc, ("T", "rows", "factors"), "policy")
+        factors = json_list(doc["factors"], '"factors"')
         for i, f in enumerate(factors):
             if not (isinstance(f, dict) and "n" in f and "d" in f):
                 raise ValidationError(f'factor {i} needs keys "n" and "d"')
-        return cls(period=_json_int(doc["T"], '"T"'),
-                   rows=tuple(tuple(_json_int(v, f"row {i} entry") for v in r)
-                              for i, r in enumerate(rows)),
-                   factors=tuple(RationalDutyFactor(
-                       _json_int(f["n"], f'factor {i} "n"'),
-                       _json_int(f["d"], f'factor {i} "d"'))
-                       for i, f in enumerate(factors)))
-
-
-def _json_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def save_policy_set(ps: PolicySet, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ps.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_policy_set(source) -> PolicySet:
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return PolicySet.from_dict(json.load(fh))
-    return PolicySet.from_dict(json.load(source))
-
-
-def _rows_of(obj):
-    """Rows and period of a PolicySet, Schedule, or plain row container."""
-    if isinstance(obj, (PolicySet, Schedule)):
-        return obj.rows, obj.period
-    rows = tuple(tuple(int(v) for v in row) for row in obj)
-    if not rows:
-        raise ValidationError("need at least one row")
-    period = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != period:
-            raise ValidationError(f"row {i} has length {len(row)}, expected {period}")
-        if any(v not in (0, 1) for v in row):
-            raise ValidationError(f"row {i} contains non-binary entries")
-    return rows, period
+        return super().from_dict(doc, factors=tuple(RationalDutyFactor(
+            json_int(f["n"], f'factor {i} "n"'),
+            json_int(f["d"], f'factor {i} "d"'))
+            for i, f in enumerate(factors)))
 
 
 def _check_tuple(U, shifts, n_rows, period):
@@ -202,9 +136,9 @@ def _check_tuple(U, shifts, n_rows, period):
 def hamming_cross_correlation(policies, U, shifts) -> int:
     """Number of slots in which every listed row, cyclically shifted by its
     own offset, transmits simultaneously."""
-    rows, period = _rows_of(policies)
-    U, shifts = _check_tuple(U, shifts, len(rows), period)
-    return _correlation(rows, U, shifts, period)
+    sched = Schedule.coerce(policies)
+    U, shifts = _check_tuple(U, shifts, sched.n_sensors, sched.period)
+    return _correlation(sched.rows, U, shifts, sched.period)
 
 
 def _correlation(rows, U, shifts, period) -> int:
@@ -221,23 +155,14 @@ def _correlation(rows, U, shifts, period) -> int:
 def throughput(policies, U, shifts, position: int) -> Fraction:
     """Exact fraction of slots in which member `position` of the tuple
     transmits while every other member stays silent."""
-    rows, period = _rows_of(policies)
-    U, shifts = _check_tuple(U, shifts, len(rows), period)
+    sched = Schedule.coerce(policies)
+    U, shifts = _check_tuple(U, shifts, sched.n_sensors, sched.period)
     if not 0 <= position < len(U):
         raise ValidationError(
             f"position {position} out of range for a {len(U)}-sensor tuple")
-    count = 0
-    for k in range(period):
-        me = U[position]
-        t_me = shifts[position]
-        if not rows[me][(k + t_me) % period]:
-            continue
-        for pos, (i, t) in enumerate(zip(U, shifts)):
-            if pos != position and rows[i][(k + t) % period]:
-                break
-        else:
-            count += 1
-    return Fraction(count, period)
+    members = Schedule(sched.period, tuple(sched.rows[i] for i in U))
+    return Fraction(sum(reception(members, ShiftTuple(shifts))[position]),
+                    sched.period)
 
 
 @dataclass(frozen=True)
@@ -397,7 +322,8 @@ def is_shift_invariant(policies, budget: int | None = None) -> InvarianceReport:
     The budget caps the steps taken: one per cyclotomic remainder, one per
     residue-set rotation and one per shift tuple walked for the witness.
     """
-    rows, period = _rows_of(policies)
+    sched = Schedule.coerce(policies)
+    rows, period = sched.rows, sched.period
     work = _Work(budget)
     masks = _supports(rows, period, work)
     if not _zero_sum(masks, period, work):

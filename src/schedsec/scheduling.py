@@ -2,24 +2,26 @@
 
 N sensors share one channel in slotted time.  A schedule fixes, for each slot
 of a period T, which sensors transmit; a packet gets through only when its
-sender is the sole transmitter in the slot.  The long-run estimation cost of
-a reception pattern depends only on the cyclic gap structure between
-receptions: a sensor that last received t slots ago carries covariance
-h^t(P_bar), so the per-period cost is the gap histogram weighted by the
-trace ladder.
+sender is the sole transmitter in the slot.  A clock-shift attack offsets a
+sensor's slot clock, so it transmits a cyclic shift of its row; `reception`
+applies the collision rule to shifted and unshifted rows alike.  The
+long-run estimation cost of a reception pattern depends only on the cyclic
+gap structure between receptions: a sensor that last received t slots ago
+carries covariance h^t(P_bar), so the per-period cost is the gap histogram
+weighted by the trace ladder.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isinf
 from typing import Sequence
 
-from .errors import BudgetError, ValidationError, resolve_budget
+from .errors import (BudgetError, ValidationError, json_int, json_list,
+                     json_object, resolve_budget)
 from .lti_estimation import LinearSystem, SteadyState, steady_state
 
 
@@ -51,6 +53,17 @@ class Schedule:
         object.__setattr__(self, "rows",
                            tuple(tuple(int(v) for v in row) for row in self.rows))
 
+    @classmethod
+    def coerce(cls, value) -> "Schedule":
+        """A Schedule (a PolicySet included) as it is; plain 0/1 rows of one
+        common length become a Schedule with that period."""
+        if isinstance(value, Schedule):
+            return value
+        rows = tuple(tuple(row) for row in value)
+        if not rows:
+            raise ValidationError("schedule needs at least one sensor row")
+        return cls(period=len(rows[0]), rows=rows)
+
     @property
     def n_sensors(self) -> int:
         return len(self.rows)
@@ -73,23 +86,74 @@ class Schedule:
         return {"T": self.period, "rows": [list(row) for row in self.rows]}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Schedule":
-        if not isinstance(doc, dict) or "T" not in doc or "rows" not in doc:
-            raise ValidationError('schedule document needs keys "T" and "rows"')
-        return cls(period=int(doc["T"]), rows=tuple(tuple(r) for r in doc["rows"]))
+    def from_dict(cls, doc: dict, **fields) -> "Schedule":
+        """Parse a {"T", "rows"} document strictly: every entry must be a
+        JSON integer.  Subclasses pass their own parsed fields through."""
+        json_object(doc, ("T", "rows"), "schedule")
+        rows = json_list(doc["rows"], '"rows"')
+        return cls(period=json_int(doc["T"], '"T"'),
+                   rows=tuple(tuple(json_int(v, f"row {i} entry")
+                                    for v in json_list(row, f"row {i}"))
+                              for i, row in enumerate(rows)),
+                   **fields)
 
 
-def save_schedule(sched: Schedule, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sched.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+@dataclass(frozen=True)
+class ShiftTuple:
+    """Per-sensor clock offsets; entry 0 leaves that sensor untouched."""
+
+    taus: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "taus", tuple(int(t) for t in self.taus))
+        for i, t in enumerate(self.taus):
+            if t < 0:
+                raise ValidationError(f"shift for sensor {i} must be >= 0, got {t}")
+
+    @property
+    def spoofed_count(self) -> int:
+        return sum(1 for t in self.taus if t != 0)
+
+    def validate_for(self, sched: Schedule):
+        if len(self.taus) != sched.n_sensors:
+            raise ValidationError(
+                f"shift tuple has {len(self.taus)} entries for "
+                f"{sched.n_sensors} sensors")
+        for i, t in enumerate(self.taus):
+            if t >= sched.period:
+                raise ValidationError(
+                    f"shift {t} for sensor {i} exceeds period {sched.period}")
+
+    def to_dict(self) -> dict:
+        return {"taus": list(self.taus)}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "ShiftTuple":
+        json_object(doc, ("taus",), "shift tuple")
+        return cls(taus=tuple(json_int(t, f"taus entry {i}") for i, t in
+                              enumerate(json_list(doc["taus"], '"taus"'))))
 
 
-def load_schedule(source) -> Schedule:
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return Schedule.from_dict(json.load(fh))
-    return Schedule.from_dict(json.load(source))
+def apply_shift(row, tau: int):
+    """Cyclic shift of a policy row: result[k] = row[(k + tau) % T]."""
+    T = len(row)
+    if T == 0:
+        raise ValidationError("cannot shift an empty row")
+    tau = int(tau) % T
+    return tuple(row[(k + tau) % T] for k in range(T))
+
+
+def reception(sched: Schedule,
+              attack: ShiftTuple | None = None) -> list[list[int]]:
+    """Collision-channel outcome: sensor i receives in slot k iff its row,
+    shifted by its clock offset under `attack`, transmits there and no
+    other shifted row does."""
+    rows = sched.rows
+    if attack is not None:
+        attack.validate_for(sched)
+        rows = [apply_shift(row, t) for row, t in zip(rows, attack.taus)]
+    busy = [sum(col) for col in zip(*rows)]
+    return [[v if b == 1 else 0 for v, b in zip(row, busy)] for row in rows]
 
 
 def duty_factor(row: Sequence[int]) -> Fraction:
@@ -232,24 +296,6 @@ def average_cost(receptions: Sequence[Sequence[int]],
     return CostReport(tuple(per))
 
 
-def reception_from_schedule(sched: Schedule) -> list[list[int]]:
-    """Collision-channel outcome of a schedule: sensor i receives in slot k
-    iff it transmits there and nobody else does."""
-    out = []
-    for i, row in enumerate(sched.rows):
-        lam = []
-        for k in range(sched.period):
-            ok = row[k]
-            if ok:
-                for j, other in enumerate(sched.rows):
-                    if j != i and other[k]:
-                        ok = 0
-                        break
-            lam.append(ok)
-        out.append(lam)
-    return out
-
-
 def _flat_key(cols: tuple[int, ...], n_sensors: int) -> bytes:
     """Row-major flattened 0/1 matrix of a columnwise assignment, as bytes
     (lexicographic comparison on bytes matches the flattened-matrix order)."""
@@ -312,7 +358,7 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
             seen.add(key)
             sched = Schedule(period=T, rows=tuple(
                 tuple(1 if canon[k] == i else 0 for k in range(T)) for i in range(N)))
-            report = average_cost(reception_from_schedule(sched), ladders)
+            report = average_cost(reception(sched), ladders)
             entry = (report.total, key, T)
             if best is None or entry < best[:3]:
                 best = (*entry, sched, report)

@@ -17,12 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .attack import ShiftTuple, attacked_reception
 from .errors import ValidationError
 from .lti_estimation import (LinearSystem, SteadyState, _psd_sqrt,
                              lyapunov_step, steady_state)
 from .protocol_sequences import PolicySet, construct_shift_invariant
-from .scheduling import CostReport, Schedule, average_cost
+from .scheduling import (CostReport, Schedule, ShiftTuple, average_cost,
+                         reception)
 
 OVERFLOW_TRACE = 1e12
 
@@ -40,18 +40,6 @@ class SimConfig:
             raise ValidationError(f"horizon must be positive, got {self.horizon}")
         if self.trials < 1:
             raise ValidationError(f"trials must be positive, got {self.trials}")
-
-
-def _as_schedule(policies) -> Schedule:
-    if isinstance(policies, Schedule):
-        return policies
-    if isinstance(policies, PolicySet):
-        return policies.to_schedule()
-    return Schedule(period=len(policies[0]), rows=tuple(tuple(r) for r in policies))
-
-
-def _zero_attack(n_sensors: int) -> ShiftTuple:
-    return ShiftTuple(taus=(0,) * n_sensors)
 
 
 @dataclass
@@ -158,14 +146,11 @@ def exact_covariance_series(systems: Sequence[LinearSystem], policies,
     the pre-first-packet segment follows the prediction iterates of the
     steady state.  Pass a list of matrices as `initial` to start elsewhere.
     """
-    sched = _as_schedule(policies)
+    sched = Schedule.coerce(policies)
     N = sched.n_sensors
     if len(systems) != N:
         raise ValidationError(f"{len(systems)} systems for {N} policy rows")
-    if attack is None:
-        attack = _zero_attack(N)
-    attack.validate_for(sched)
-    receptions = tuple(tuple(r) for r in attacked_reception(sched, attack))
+    receptions = tuple(tuple(r) for r in reception(sched, attack))
     if ladders is None:
         ladders = [steady_state(sys) for sys in systems]
     if initial == "steady":
@@ -266,7 +251,7 @@ def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
     if randomize_interleaving and not isinstance(policies, PolicySet):
         raise ValidationError(
             "randomize_interleaving needs a PolicySet with duty factors")
-    base = _as_schedule(policies)
+    base = Schedule.coerce(policies)
     N = base.n_sensors
     if len(systems) != N:
         raise ValidationError(f"{len(systems)} systems for {N} policy rows")
@@ -296,13 +281,13 @@ def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
                 interleavings.append(vecs)
                 D_prev *= f.d
             sched = construct_shift_invariant(
-                factors, interleavings=interleavings, verify=False).to_schedule()
+                factors, interleavings=interleavings, verify=False)
         if isinstance(attack_model, ShiftTuple):
             attack = attack_model
         else:
             attack = ShiftTuple(taus=tuple(
                 int(t) for t in rng.integers(0, sched.period, size=N)))
-        report = average_cost(attacked_reception(sched, attack), ladders)
+        report = average_cost(reception(sched, attack), ladders)
         samples.append(report.total)
     return _mc_statistics(samples)
 
@@ -346,14 +331,11 @@ def state_trajectory_sim(systems: Sequence[LinearSystem], policies,
     drawn per sensor from an independent SeedSequence child, in the fixed
     order initial error, then per slot process noise then measurement noise.
     """
-    sched = _as_schedule(policies)
+    sched = Schedule.coerce(policies)
     N = sched.n_sensors
     if len(systems) != N:
         raise ValidationError(f"{len(systems)} systems for {N} policy rows")
-    if attack is None:
-        attack = _zero_attack(N)
-    attack.validate_for(sched)
-    receptions = tuple(tuple(r) for r in attacked_reception(sched, attack))
+    receptions = tuple(tuple(r) for r in reception(sched, attack))
     if ladders is None:
         ladders = [steady_state(sys) for sys in systems]
     K = cfg.horizon

@@ -15,14 +15,13 @@ import pytest
 
 from conftest import (all_exclusive_schedules, is_uniform_row,
                       random_exclusive_schedule, random_unstable_system)
-from schedsec.attack import (ShiftTuple, attacked_reception,
-                             bnb_optimal_attack, brute_force_optimal_attack)
+from schedsec.attack import bnb_optimal_attack, brute_force_optimal_attack
 from schedsec.lti_estimation import steady_state
 from schedsec.protocol_sequences import (bounds, construct_shift_invariant,
                                          hamming_cross_correlation,
                                          is_shift_invariant, throughput)
-from schedsec.scheduling import (average_cost, optimal_schedule_search,
-                                 reception_from_schedule)
+from schedsec.scheduling import (ShiftTuple, average_cost,
+                                 optimal_schedule_search, reception)
 from schedsec.simulation import (SimConfig, exact_covariance_series,
                                  monte_carlo_expected_cost)
 
@@ -80,12 +79,12 @@ def test_criterion_02_optimal_attack(announce, round_robin):
         elapsed = time.monotonic() - t0
         assert bnb.blocking and brute.blocking
         assert bnb.spoofed_count == 1 and brute.spoofed_count == 1
-        rec = attacked_reception(round_robin, bnb.taus)
+        rec = reception(round_robin, bnb.taus)
         assert any(not any(r) for r in rec)
         # the published tuple is feasible at the same cost
         published = ShiftTuple(taus=(0, 0, 2))
         assert published.spoofed_count == 1
-        rec2 = attacked_reception(round_robin, published)
+        rec2 = reception(round_robin, published)
         assert any(not any(r) for r in rec2)
         assert elapsed < 1.0
 
@@ -123,7 +122,7 @@ def test_criterion_04_shift_one_attack(announce):
                             continue
                         attack = ShiftTuple(taus=tuple(
                             0 if j == i else 1 for j in range(N)))
-                        rec = attacked_reception(sched, attack)
+                        rec = reception(sched, attack)
                         assert not any(rec[i]), (sched.rows, i)
                         checked += 1
         assert checked > 10_000
@@ -192,13 +191,12 @@ def test_criterion_08_bound_sandwich(announce, study_systems, study_ladders):
                                 "bounds"):
         t0 = time.monotonic()
         ps = construct_shift_invariant([(1, 3)] * 3)
-        sched = ps.to_schedule()
         br = bounds(ps, study_ladders)
         rng = np.random.default_rng(20240822)
         for _ in range(100):
             attack = ShiftTuple(taus=tuple(
                 int(v) for v in rng.integers(0, 27, size=3)))
-            cost = average_cost(attacked_reception(sched, attack),
+            cost = average_cost(reception(ps, attack),
                                 study_ladders).total
             assert cost >= br.lower * (1 - 1e-9)
             assert cost <= br.upper * (1 + 1e-9)
@@ -252,7 +250,7 @@ def test_criterion_11_cross_path_consistency(announce):
                        for i in range(N)]
             ladders = [steady_state(sys) for sys in systems]
             sched = random_exclusive_schedule(rng, N, T, full_coverage=True)
-            closed = average_cost(reception_from_schedule(sched), ladders)
+            closed = average_cost(reception(sched), ladders)
             series = exact_covariance_series(systems, sched, horizon=4 * T,
                                              ladders=ladders)
             sim = series.periodic_average()

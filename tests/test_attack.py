@@ -1,15 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schedsec.attack import (ShiftTuple, apply_shift, attacked_reception,
-                             blocks_sensor, bnb_optimal_attack,
+from schedsec.attack import (blocks_sensor, bnb_optimal_attack,
                              brute_force_optimal_attack, build_mip,
-                             isolate_sensor_attack, load_shift_tuple,
-                             lp_relaxation, random_attack, save_shift_tuple)
+                             isolate_sensor_attack, lp_relaxation,
+                             random_attack)
 from schedsec.errors import BudgetError, InfeasibleError, ValidationError
-from schedsec.scheduling import Schedule
+from schedsec.scheduling import Schedule, ShiftTuple, apply_shift, reception
 
 
 def test_apply_shift_hand_values():
@@ -39,15 +40,13 @@ def test_shift_tuple_validation(round_robin):
     assert ShiftTuple(taus=(0, 2, 1)).spoofed_count == 2
 
 
-def test_shift_tuple_roundtrip(tmp_path):
+def test_shift_tuple_roundtrip():
     t = ShiftTuple(taus=(0, 0, 2))
-    path = tmp_path / "attack.json"
-    save_shift_tuple(t, path)
-    assert load_shift_tuple(path) == t
+    assert ShiftTuple.from_dict(json.loads(json.dumps(t.to_dict()))) == t
 
 
 def test_attacked_reception_reference_tuple(round_robin):
-    rec = attacked_reception(round_robin, ShiftTuple(taus=(0, 0, 2)))
+    rec = reception(round_robin, ShiftTuple(taus=(0, 0, 2)))
     assert rec[0] == [0, 0, 1]     # sensor 0 still gets its slot
     assert rec[1] == [0, 0, 0]     # sensors 1 and 2 collide at slot 1
     assert rec[2] == [0, 0, 0]
@@ -57,7 +56,7 @@ def test_attacked_reception_reference_tuple(round_robin):
 
 
 def test_zero_attack_is_identity(round_robin):
-    rec = attacked_reception(round_robin, ShiftTuple(taus=(0, 0, 0)))
+    rec = reception(round_robin, ShiftTuple(taus=(0, 0, 0)))
     assert rec == [list(r) for r in round_robin.rows]
 
 
@@ -99,7 +98,7 @@ def test_bnb_study_instance(round_robin):
     assert result.nodes_explored >= 3
     assert result.blocked_sensors
     # reported tuple actually starves what it claims to starve
-    rec = attacked_reception(round_robin, result.taus)
+    rec = reception(round_robin, result.taus)
     for i in result.blocked_sensors:
         assert not any(rec[i])
 
@@ -130,7 +129,7 @@ def test_bnb_matches_brute_force_on_random_schedules():
         assert a.blocking == b.blocking
         if a.blocking:
             assert a.spoofed_count == b.spoofed_count
-            rec = attacked_reception(sched, a.taus)
+            rec = reception(sched, a.taus)
             assert any(not any(r) for r in rec)
 
 
@@ -218,7 +217,7 @@ def test_decoded_bnb_attack_verifies(seed):
                                       int(rng.integers(2, 6)))
     result = bnb_optimal_attack(sched)
     if result.blocking:
-        rec = attacked_reception(sched, result.taus)
+        rec = reception(sched, result.taus)
         assert set(result.blocked_sensors) == {
             i for i in range(sched.n_sensors) if not any(rec[i])}
         assert result.taus.spoofed_count == result.spoofed_count

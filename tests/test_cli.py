@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schedsec.cli import main
-from schedsec.protocol_sequences import (load_policy_set,
+from schedsec.errors import read_json
+from schedsec.protocol_sequences import (PolicySet, construct_shift_invariant,
                                          shortest_period_policies)
-from schedsec.scheduling import load_schedule
+from schedsec.scheduling import Schedule
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +32,7 @@ def test_schedule_command_reproduces_reference(tmp_path, systems_path):
     out = tmp_path / "s"
     assert main(["schedule", "--systems", systems_path, "--periods", "3",
                  "--out", str(out)]) == 0
-    sched = load_schedule(out / "schedule.json")
+    sched = Schedule.from_dict(read_json(out / "schedule.json"))
     assert sched.rows == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     cost = json.loads((out / "schedule_cost.json").read_text())
     assert cost["total"] == pytest.approx(2.0250433575300404, rel=1e-8)
@@ -113,7 +119,7 @@ def test_defend_construct_shortest(tmp_path):
     out = tmp_path / "d"
     assert main(["defend", "construct", "--mode", "shortest-period",
                  "-n", "3", "--out", str(out)]) == 0
-    ps = load_policy_set(out / "policies.json")
+    ps = PolicySet.from_dict(read_json(out / "policies.json"))
     assert ps.period == 8
 
 
@@ -121,7 +127,7 @@ def test_defend_construct_same_duty(tmp_path, sched_path):
     out = tmp_path / "d"
     assert main(["defend", "construct", "--mode", "same-duty",
                  "--schedule", sched_path, "--out", str(out)]) == 0
-    ps = load_policy_set(out / "policies.json")
+    ps = PolicySet.from_dict(read_json(out / "policies.json"))
     assert ps.period == 27
     assert [(f.n, f.d) for f in ps.factors] == [(1, 3)] * 3
 
@@ -183,6 +189,140 @@ def test_malformed_policy_factors_exit_3(tmp_path, capsys, systems_path,
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+_ROUND_ROBIN_ROWS = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+_SCHEDULE_COMMANDS = {
+    "verify": ["defend", "verify", "--schedule"],
+    "cost": ["cost", "--systems", "bundled:three-sensor-study", "--schedule"],
+    "construct": ["defend", "construct", "--mode", "same-duty", "--schedule"],
+}
+
+
+@pytest.mark.parametrize("command, doc", [
+    *[(command, doc) for doc in (
+        {"T": 3, "rows": 5},
+        {"T": "x", "rows": _ROUND_ROBIN_ROWS},
+        {"T": 3.0, "rows": _ROUND_ROBIN_ROWS},
+        {"T": 3, "rows": [[0, 0, True]] + _ROUND_ROBIN_ROWS[1:]},
+    ) for command in _SCHEDULE_COMMANDS],
+    ("attack", {"taus": 5}),
+    ("attack", {"taus": [1.7, 0, 0]}),
+])
+def test_malformed_schedule_and_shift_documents_exit_3(tmp_path, capsys,
+                                                       command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if command == "attack":
+        sched = tmp_path / "schedule.json"
+        sched.write_text(json.dumps({"T": 3, "rows": _ROUND_ROBIN_ROWS}))
+        argv = _SCHEDULE_COMMANDS["cost"] + [str(sched), "--attack", str(path)]
+    else:
+        argv = _SCHEDULE_COMMANDS[command] + [str(path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [b"{", b"\xff\xfe{}",
+                                  b"[" * 100_000 + b"]" * 100_000])
+def test_unreadable_document_exit_3(tmp_path, capsys, text):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    assert main(_SCHEDULE_COMMANDS["verify"] + [str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [("A", math.nan), ("A", math.inf),
+                                          ("C", math.nan)])
+def test_non_finite_system_entries_exit_3(tmp_path, capsys, field, value):
+    entry = {"A": [[1.5]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]],
+             "Pi": [[1.0]]}
+    entry[field] = [[value]]
+    path = tmp_path / "systems.json"
+    path.write_text(json.dumps([entry]))  # written as NaN / Infinity
+    assert main(["steady-state", "--systems", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: system 0 field '{field}': entries must be finite\n"
+
+
+_junk = (st.none() | st.booleans() | st.integers(-2, 8) | st.floats()
+         | st.text(max_size=2))
+_json_values = st.recursive(
+    _junk, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["T", "rows", "taus", "factors", "n", "d"]), inner,
+        max_size=3), max_leaves=6)
+_FACTOR_SETS = [[(1, 2)], [(1, 3)], [(2, 3)], [(1, 2), (1, 2)],
+                [(1, 2), (1, 3)], [(2, 3), (1, 2)]]
+
+
+@st.composite
+def _near_valid(draw, kind, n, T):
+    """A schedule, shift or policy document for n sensors and period T:
+    as generated, with one field or entry at any depth replaced by an
+    arbitrary JSON value, or replaced whole."""
+    if kind == "policy":
+        doc = construct_shift_invariant(
+            draw(st.sampled_from(_FACTOR_SETS))).to_dict()
+    elif kind == "shift":
+        doc = {"taus": draw(st.lists(st.integers(0, T - 1), min_size=n,
+                                     max_size=n))}
+    else:  # exclusive: one transmitter per slot
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=T, max_size=T))
+        doc = {"T": T, "rows": [[int(c == i) for c in cols] for i in range(n)]}
+    damage = draw(st.sampled_from(["none", "none", "entry", "whole"]))
+    if damage == "whole":
+        return draw(_json_values)
+    if damage == "entry":
+        node, key = doc, draw(st.sampled_from(sorted(doc)))
+        while node[key] and isinstance(node[key], (list, dict)) \
+                and draw(st.booleans()):
+            node = node[key]
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+        node[key] = draw(_json_values)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       command=st.sampled_from(["verify", "verify-policies", "cost",
+                                "cost-attack", "isolate"]))
+def test_cli_contract_under_fuzzed_documents(fuzz_dir, data, command):
+    """Any schedule, shift or policy document gives exit 0, 3, 4 or 5 and
+    never a traceback."""
+    # three sensors, as in the bundled study, half of the time
+    n = data.draw(st.just(3) | st.integers(1, 4))
+    T = data.draw(st.integers(1, 6))
+
+    def document(kind):
+        path = fuzz_dir / f"{kind}.json"
+        path.write_text(json.dumps(data.draw(_near_valid(kind, n, T))))
+        return str(path)
+
+    if command == "verify-policies":
+        argv = ["defend", "verify", "--policies", document("policy")]
+    elif command == "isolate":
+        argv = ["attack", "isolate", "--schedule", document("schedule"),
+                "--target", str(data.draw(st.integers(0, 4)))]
+    else:
+        argv = _SCHEDULE_COMMANDS[command.split("-")[0]] + [
+            document("schedule")]
+        if command == "cost-attack":
+            argv += ["--attack", document("shift")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3, 4, 5), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
 def test_simulate_with_attack_and_trials(tmp_path, systems_path, sched_path):
     attack = tmp_path / "attack.json"
     attack.write_text(json.dumps({"taus": [0, 0, 2]}))
@@ -242,10 +382,10 @@ def test_reproduce_paper_pipeline(tmp_path, monkeypatch):
     assert report["spoofed_count"] == 1
     assert report["blocking"] and report["blocked_sensors"]
     assert report["brute_force_agrees"]
-    sched = load_schedule(out / "schedule.json")
+    sched = Schedule.from_dict(read_json(out / "schedule.json"))
     assert sched.period == 3 and sched.is_exclusive
-    same = load_policy_set(out / "defense_same_duty.json")
-    short = load_policy_set(out / "defense_shortest.json")
+    same = PolicySet.from_dict(read_json(out / "defense_same_duty.json"))
+    short = PolicySet.from_dict(read_json(out / "defense_shortest.json"))
     assert same.period == 27 and short.period == 8
     bounds_doc = json.loads((out / "bounds.json").read_text())
     assert (bounds_doc["shortest_period"]["lower"]

@@ -190,6 +190,10 @@ def test_load_systems_names_offending_field(tmp_path):
                                  "R": [[1.0]]}]))
     with pytest.raises(ValidationError, match="system 0.*'Pi'"):
         load_systems(str(path))
+    good = {"A": [[1.1]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]],
+            "Pi": [[1.0]]}
+    with pytest.raises(ValidationError, match="system 1 field 'A': expected a 2-D"):
+        load_systems([good, {**good, "A": [1.1]}])
     with pytest.raises(ValidationError, match="array"):
         load_systems({"A": [[1.0]]})
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 from fractions import Fraction
@@ -13,9 +14,9 @@ from schedsec.errors import BudgetError, ValidationError
 from schedsec.protocol_sequences import (PolicySet, RationalDutyFactor,
                                          bounds, construct_shift_invariant,
                                          hamming_cross_correlation,
-                                         is_shift_invariant, load_policy_set,
-                                         save_policy_set,
+                                         is_shift_invariant,
                                          shortest_period_policies, throughput)
+from schedsec.scheduling import Schedule
 
 REFERENCE_POLICY_ROWS = [
     [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
@@ -46,11 +47,10 @@ def test_policy_set_validation():
         PolicySet(period=6, rows=((1, 0, 0),), factors=((1, 3),))
 
 
-def test_policy_set_roundtrip(tmp_path):
+def test_policy_set_roundtrip():
     ps = construct_shift_invariant([(1, 2), (1, 3)])
-    path = tmp_path / "policies.json"
-    save_policy_set(ps, path)
-    assert load_policy_set(path) == ps
+    assert PolicySet.from_dict(json.loads(json.dumps(ps.to_dict()))) == ps
+    assert isinstance(ps, Schedule)
 
 
 def test_reference_construction_bit_exact():
@@ -208,18 +208,17 @@ def test_reception_counts_fixed_under_all_shifts():
     # the attack-independent reception guarantee, checked exhaustively on
     # small families: whatever the shifts, sensor i receives exactly
     # n_i * prod_{j != i} (d_j - n_j) slots per period
-    from schedsec.attack import ShiftTuple, attacked_reception
+    from schedsec.scheduling import ShiftTuple, reception
     for factors in [[(1, 2), (1, 3)], [(1, 2), (1, 2), (1, 2)],
                     [(1, 3), (2, 3)], [(1, 4), (1, 3)]]:
         ps = construct_shift_invariant(factors)
-        sched = ps.to_schedule()
         D = ps.period
         expect = [f.n * math.prod(g.d - g.n for j, g in enumerate(ps.factors)
                                   if j != i)
                   for i, f in enumerate(ps.factors)]
         for taus in itertools.product(range(D), repeat=len(factors) - 1):
             attack = ShiftTuple(taus=(0,) + taus)
-            rec = attacked_reception(sched, attack)
+            rec = reception(ps, attack)
             got = [sum(r) for r in rec]
             assert got == expect, (factors, attack.taus)
 

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schedsec.errors import BudgetError, ValidationError
+from schedsec.errors import BudgetError, ValidationError, read_json
 from schedsec.scheduling import (CostReport, GapHistogram, Schedule,
-                                 average_cost, duty_factor, gap_histogram,
-                                 load_schedule, optimal_schedule_search,
-                                 reception_from_schedule, save_schedule)
+                                 ShiftTuple, average_cost, duty_factor,
+                                 gap_histogram, optimal_schedule_search,
+                                 reception)
 
 GOLDEN_ROUND_ROBIN_COST = 2.0250433575300404
 
@@ -84,8 +85,10 @@ def test_schedule_validation():
 
 def test_schedule_roundtrip(tmp_path, round_robin):
     path = tmp_path / "sched.json"
-    save_schedule(round_robin, path)
-    assert load_schedule(path) == round_robin
+    path.write_text(json.dumps(round_robin.to_dict()))
+    assert Schedule.from_dict(read_json(path)) == round_robin
+    with open(path, encoding="utf-8") as fh:
+        assert Schedule.from_dict(read_json(fh)) == round_robin
 
 
 @settings(max_examples=50, deadline=None)
@@ -98,7 +101,7 @@ def test_schedule_roundtrip_property(tmp_path_factory, seed, n, T):
 
 
 def test_average_cost_golden(round_robin, study_ladders):
-    report = average_cost(reception_from_schedule(round_robin), study_ladders)
+    report = average_cost(reception(round_robin), study_ladders)
     assert report.total == pytest.approx(GOLDEN_ROUND_ROBIN_COST, rel=1e-8)
     assert not report.any_divergent
 
@@ -132,7 +135,25 @@ def test_cost_report_csv(tmp_path, study_ladders):
 
 def test_reception_drops_collisions():
     sched = Schedule(period=2, rows=((1, 1), (0, 1)))
-    assert reception_from_schedule(sched) == [[1, 0], [0, 0]]
+    assert reception(sched) == [[1, 0], [0, 0]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), T=st.integers(1, 6))
+def test_reception_matches_pairwise_rule(data, n, T):
+    # reference: compare every shifted row with every other, slot by slot
+    rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=T,
+                                       max_size=T), min_size=n, max_size=n))
+    taus = data.draw(st.lists(st.integers(0, T - 1), min_size=n, max_size=n))
+    shifted = [[row[(k + t) % T] for k in range(T)]
+               for row, t in zip(rows, taus)]
+    want = [[int(shifted[i][k] == 1 and not any(
+        shifted[j][k] for j in range(n) if j != i)) for k in range(T)]
+        for i in range(n)]
+    sched = Schedule(period=T, rows=tuple(map(tuple, rows)))
+    assert reception(sched, ShiftTuple(tuple(taus))) == want
+    if not any(taus):
+        assert reception(sched) == want
 
 
 def test_optimal_schedule_search_study_instance(study_systems, study_ladders):
@@ -175,7 +196,7 @@ def test_search_beats_every_explicit_candidate(study_systems, study_ladders):
     best, report = optimal_schedule_search(study_systems, [4],
                                            ladders=study_ladders)
     for cand in all_exclusive_schedules(3, 4):
-        cost = average_cost(reception_from_schedule(cand), study_ladders).total
+        cost = average_cost(reception(cand), study_ladders).total
         assert report.total <= cost + 1e-12
 
 

@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from schedsec.attack import ShiftTuple, attacked_reception
 from schedsec.errors import ValidationError
 from schedsec.lti_estimation import LinearSystem, lyapunov_step, steady_state
 from schedsec.protocol_sequences import (construct_shift_invariant,
                                          shortest_period_policies)
-from schedsec.scheduling import (Schedule, average_cost,
-                                 reception_from_schedule)
+from schedsec.scheduling import (Schedule, ShiftTuple, average_cost,
+                                 reception)
 from schedsec.simulation import (OVERFLOW_TRACE, SimConfig,
                                  exact_covariance_series,
                                  monte_carlo_expected_cost,
@@ -29,7 +28,7 @@ def test_series_matches_histogram_cost(study_systems, study_ladders,
     series = exact_covariance_series(study_systems, round_robin, horizon=30,
                                      ladders=study_ladders)
     pa = series.periodic_average()
-    ref = average_cost(reception_from_schedule(round_robin), study_ladders)
+    ref = average_cost(reception(round_robin), study_ladders)
     assert pa.total == pytest.approx(ref.total, abs=1e-9)
 
 
@@ -42,7 +41,7 @@ def test_series_matches_histogram_on_random_schedules(study_systems,
         sched = random_exclusive_schedule(rng, 3, T, full_coverage=True)
         series = exact_covariance_series(study_systems, sched, horizon=4 * T,
                                          ladders=study_ladders)
-        ref = average_cost(reception_from_schedule(sched), study_ladders)
+        ref = average_cost(reception(sched), study_ladders)
         assert series.periodic_average().total == pytest.approx(
             ref.total, abs=1e-9)
 
@@ -152,7 +151,7 @@ def test_mc_fixed_attack_model(study_systems, study_ladders):
     mc = monte_carlo_expected_cost(study_systems, sd, cfg,
                                    attack_model=attack, ladders=study_ladders)
     assert mc.std == pytest.approx(0.0, abs=1e-12)
-    ref = average_cost(attacked_reception(sd.to_schedule(), attack),
+    ref = average_cost(reception(sd, attack),
                        study_ladders)
     assert mc.mean == pytest.approx(ref.total, rel=1e-12)
 
@@ -165,8 +164,9 @@ def test_mc_randomized_interleaving(study_systems, study_ladders):
                                    ladders=study_ladders)
     assert mc.n_divergent == 0
     assert 3.0 < mc.mean < 6.0
+    plain = Schedule(sd.period, sd.rows)  # the same rows, no duty factors
     with pytest.raises(ValidationError):
-        monte_carlo_expected_cost(study_systems, sd.to_schedule(), cfg,
+        monte_carlo_expected_cost(study_systems, plain, cfg,
                                   randomize_interleaving=True,
                                   ladders=study_ladders)
 
