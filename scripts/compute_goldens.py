@@ -6,10 +6,16 @@ Output is deterministic, one labelled value per line.
 """
 
 import argparse
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from schedsec.attack import bnb_optimal_attack, brute_force_optimal_attack
+from schedsec.cli import main as cli_main
 from schedsec.lti_estimation import bundled_systems, steady_state
 from schedsec.protocol_sequences import bounds, construct_shift_invariant
 from schedsec.scheduling import (average_cost, optimal_schedule_search,
@@ -53,6 +59,15 @@ def main():
         nominal = average_cost(reception(ps), states).total
         print(f"{label}: period {ps.period}, lower = {br.lower!r}, "
               f"upper = {br.upper!r}, zero-shift cost = {nominal!r}")
+
+    print("\n# reproduce-paper output hashes (default arguments)")
+    for fmt in ("csv", "json"):
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli_main(["reproduce-paper", "--format", fmt, "--out", tmp])
+            manifest = json.loads((Path(tmp) / "run_manifest.json").read_text())
+        for name, digest in manifest["outputs"].items():
+            print(f"{fmt}: {name} = {digest}")
 
 
 if __name__ == "__main__":

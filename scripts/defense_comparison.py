@@ -12,7 +12,7 @@ import argparse
 
 from schedsec.lti_estimation import bundled_systems, steady_state
 from schedsec.protocol_sequences import bounds, construct_shift_invariant
-from schedsec.simulation import SimConfig, monte_carlo_expected_cost
+from schedsec.simulation import monte_carlo_expected_cost
 
 
 def main():
@@ -28,7 +28,6 @@ def main():
     systems = bundled_systems()
     states = [steady_state(sys) for sys in systems]
     n = len(systems)
-    cfg = SimConfig(horizon=1, seed=args.seed, trials=args.trials)
 
     print(f"{args.trials} uniform random attack tuples, seed {args.seed}")
     for label, factors in ((f"same-duty (1/{args.denominator})^{n}",
@@ -37,7 +36,7 @@ def main():
         ps = construct_shift_invariant(factors)
         br = bounds(ps, states)
         mc = monte_carlo_expected_cost(
-            systems, ps, cfg,
+            systems, ps, args.trials, args.seed,
             randomize_interleaving=args.randomize_interleaving,
             ladders=states)
         print(f"\n{label}  (period {ps.period})")

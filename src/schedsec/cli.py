@@ -3,8 +3,10 @@
 Subcommands cover the full pipeline: steady-state analysis, optimal
 schedule search, cost evaluation, attack synthesis, defense construction
 and verification, covariance simulation, and a one-shot reproduction of
-the bundled three-sensor study.  All outputs are deterministic: fixed
-seeds give byte-identical files, and every output directory carries a
+the bundled three-sensor study.  Every output format (JSON documents, the
+cost and covariance-series CSV tables) is rendered here, from the library's
+result objects.  All outputs are deterministic: fixed seeds give
+byte-identical files, and every output directory carries a
 run_manifest.json recording inputs, parameters, and versions (never
 timestamps).
 
@@ -15,11 +17,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import sys
-from fractions import Fraction
 from importlib import metadata
 from pathlib import Path
 
@@ -34,8 +34,7 @@ from .protocol_sequences import (PolicySet, bounds, construct_shift_invariant,
                                  is_shift_invariant, shortest_period_policies)
 from .scheduling import (Schedule, ShiftTuple, average_cost,
                          optimal_schedule_search, reception)
-from .simulation import (SimConfig, exact_covariance_series,
-                         monte_carlo_expected_cost)
+from .simulation import exact_covariance_series, monte_carlo_expected_cost
 
 _BUNDLED_SYSTEMS = "bundled:three-sensor-study"
 
@@ -113,6 +112,7 @@ class _Run:
 
 
 def _load_systems_arg(run: _Run, path):
+    run.parameters["systems"] = path or _BUNDLED_SYSTEMS
     if path is None or path == _BUNDLED_SYSTEMS:
         run.inputs["systems"] = _BUNDLED_SYSTEMS
         return bundled_systems()
@@ -127,6 +127,29 @@ def _load_arg(run: _Run, label: str, path, cls):
     return obj
 
 
+def _load_rows_arg(run: _Run, args):
+    """The policy set or plain schedule named by exactly one of --policies
+    and --schedule."""
+    if bool(args.policies) == bool(args.schedule):
+        raise ValidationError("pass exactly one of --policies or --schedule")
+    if args.policies:
+        return _load_arg(run, "policies", args.policies, PolicySet)
+    return _load_arg(run, "schedule", args.schedule, Schedule)
+
+
+# -- renderers ------------------------------------------------------------
+
+
+def _steady_state_doc(states, extra=()) -> dict:
+    """P_bar and its trace per sensor, plus the SteadyState attributes
+    named in `extra`."""
+    return {"systems": [{"index": i,
+                         "P_bar": [[float(v) for v in row] for row in st.P_bar],
+                         "trace": float(np.trace(st.P_bar)),
+                         **{name: getattr(st, name) for name in extra}}
+                        for i, st in enumerate(states)]}
+
+
 def _cost_doc(report) -> dict:
     return {
         "sensors": [{"index": i,
@@ -139,9 +162,11 @@ def _cost_doc(report) -> dict:
 
 
 def _cost_csv(report) -> str:
-    buf = io.StringIO()
-    report.write_csv(buf)
-    return buf.getvalue()
+    # the csv module's dialect: \r\n line ends, flags as True/False
+    lines = ["sensor_index,average_trace,divergent"]
+    lines += [f"{i},{'' if math.isinf(v) else repr(v)},{math.isinf(v)}"
+              for i, v in enumerate(report.per_sensor)]
+    return "\r\n".join(lines) + "\r\n"
 
 
 def _emit_cost(run: _Run, report, stem: str) -> str:
@@ -169,13 +194,52 @@ def _attack_doc(result, extra: dict | None = None) -> dict:
     return doc
 
 
+def _bounds_doc(br) -> dict:
+    return {"lower": br.lower, "upper": br.upper, "period": br.period,
+            "per_sensor_receptions": list(br.per_sensor_receptions)}
+
+
+def _series_csv(series) -> str:
+    """One line per slot and sensor, floats as repr, Unix line ends."""
+    traces = series.traces.tolist()
+    means = series.running_means.tolist()
+    flags = [int(d) for d in series.divergent]
+    lines = ["k,sensor,trace,running_mean,divergent_flag"]
+    lines += [f"{k},{i},{traces[i][k]!r},{means[i][k]!r},{flags[i]}"
+              for k in range(series.horizon) for i in range(series.n_sensors)]
+    return "\n".join(lines) + "\n"
+
+
+def _summary_doc(series) -> dict:
+    doc = {"period": series.period, "horizon": series.horizon,
+           "sensors": [{"index": i,
+                        "final_trace": float(series.traces[i, -1]),
+                        "mean_trace": float(series.running_means[i, -1]),
+                        "divergent": bool(series.divergent[i]),
+                        "overflow_at": series.overflow_at[i]}
+                       for i in range(series.n_sensors)]}
+    periodic = series.periodic_average()
+    if periodic is not None:
+        doc["periodic_average"] = {
+            "per_sensor": [None if math.isinf(v) else v
+                           for v in periodic.per_sensor],
+            "total": None if math.isinf(periodic.total) else periodic.total,
+        }
+    return doc
+
+
+def _mc_doc(stats) -> dict:
+    return {"mean": _finite(stats.mean), "std": _finite(stats.std),
+            "halfwidth": _finite(stats.halfwidth),
+            "n_divergent": stats.n_divergent}
+
+
 # -- subcommands --------------------------------------------------------
 
 
 def _cmd_steady_state(args) -> int:
     run = _Run(args, "steady-state")
     systems = _load_systems_arg(run, args.systems)
-    run.parameters = {"systems": args.systems or _BUNDLED_SYSTEMS}
     states = [steady_state(sys) for sys in systems]
     if args.format == "csv":
         lines = ["sensor_index,trace,residual,iterations"]
@@ -183,13 +247,8 @@ def _cmd_steady_state(args) -> int:
             lines.append(f"{i},{float(np.trace(st.P_bar))!r},{st.residual!r},{st.iterations}")
         run.add_text("steady_state.csv", "\n".join(lines) + "\n")
         return run.finish("steady_state.csv")
-    doc = {"systems": [{"index": i,
-                        "P_bar": [[float(v) for v in row] for row in st.P_bar],
-                        "trace": float(np.trace(st.P_bar)),
-                        "residual": st.residual,
-                        "iterations": st.iterations}
-                       for i, st in enumerate(states)]}
-    run.add_json("steady_state.json", doc)
+    run.add_json("steady_state.json",
+                 _steady_state_doc(states, ("residual", "iterations")))
     return run.finish("steady_state.json")
 
 
@@ -207,8 +266,7 @@ def _cmd_schedule(args) -> int:
     run = _Run(args, "schedule")
     systems = _load_systems_arg(run, args.systems)
     periods = _parse_periods(args.periods)
-    run.parameters = {"systems": args.systems or _BUNDLED_SYSTEMS,
-                      "periods": list(periods)}
+    run.parameters["periods"] = list(periods)
     sched, report = optimal_schedule_search(systems, periods)
     run.add_json("schedule.json", sched.to_dict())
     _emit_cost(run, report, "schedule_cost")
@@ -219,8 +277,7 @@ def _cmd_cost(args) -> int:
     run = _Run(args, "cost")
     systems = _load_systems_arg(run, args.systems)
     sched = _load_arg(run, "schedule", args.schedule, Schedule)
-    run.parameters = {"systems": args.systems or _BUNDLED_SYSTEMS,
-                      "schedule": args.schedule, "attack": args.attack}
+    run.parameters.update(schedule=args.schedule, attack=args.attack)
     attack = (_load_arg(run, "attack", args.attack, ShiftTuple)
               if args.attack else None)
     receptions = reception(sched, attack)
@@ -304,27 +361,16 @@ def _cmd_defend_bounds(args) -> int:
     run = _Run(args, "defend bounds")
     systems = _load_systems_arg(run, args.systems)
     ps = _load_arg(run, "policies", args.policies, PolicySet)
-    run.parameters = {"systems": args.systems or _BUNDLED_SYSTEMS,
-                      "policies": args.policies}
+    run.parameters["policies"] = args.policies
     ladders = [steady_state(sys) for sys in systems]
-    br = bounds(ps, ladders)
-    doc = {"lower": br.lower, "upper": br.upper, "period": br.period,
-           "per_sensor_receptions": list(br.per_sensor_receptions)}
-    run.add_json("bounds.json", doc)
+    run.add_json("bounds.json", _bounds_doc(bounds(ps, ladders)))
     return run.finish("bounds.json")
 
 
 def _cmd_defend_verify(args) -> int:
     run = _Run(args, "defend verify")
-    if bool(args.policies) == bool(args.schedule):
-        raise ValidationError("pass exactly one of --policies or --schedule")
-    if args.policies:
-        rows = _load_arg(run, "policies", args.policies, PolicySet)
-        source = args.policies
-    else:
-        rows = _load_arg(run, "schedule", args.schedule, Schedule)
-        source = args.schedule
-    run.parameters = {"source": source}
+    rows = _load_rows_arg(run, args)
+    run.parameters = {"source": args.policies or args.schedule}
     report = is_shift_invariant(rows)
     doc = {"invariant": report.invariant, "exhaustive": report.exhaustive,
            "witness": None if report.witness is None else
@@ -334,45 +380,27 @@ def _cmd_defend_verify(args) -> int:
     return run.finish("invariance.json")
 
 
-def _series_csv(series) -> str:
-    buf = io.StringIO()
-    series.write_csv(buf)
-    return buf.getvalue()
-
-
 def _cmd_simulate(args) -> int:
     run = _Run(args, "simulate")
     systems = _load_systems_arg(run, args.systems)
-    if bool(args.policies) == bool(args.schedule):
-        raise ValidationError("pass exactly one of --policies or --schedule")
-    if args.policies:
-        policies = _load_arg(run, "policies", args.policies, PolicySet)
-    else:
-        policies = _load_arg(run, "schedule", args.schedule, Schedule)
+    policies = _load_rows_arg(run, args)
     attack = (_load_arg(run, "attack", args.attack, ShiftTuple)
               if args.attack else None)
-    run.parameters = {"systems": args.systems or _BUNDLED_SYSTEMS,
-                      "schedule": args.schedule, "policies": args.policies,
-                      "attack": args.attack, "horizon": args.horizon,
-                      "trials": args.trials, "seed": args.seed}
+    run.parameters.update(schedule=args.schedule, policies=args.policies,
+                          attack=args.attack, horizon=args.horizon,
+                          trials=args.trials, seed=args.seed)
     ladders = [steady_state(sys) for sys in systems]
     series = exact_covariance_series(systems, policies, attack=attack,
                                      horizon=args.horizon, ladders=ladders)
     run.add_text("series.csv", _series_csv(series))
-    run.add_json("summary.json", series.summary())
+    run.add_json("summary.json", _summary_doc(series))
     if args.trials > 1:
-        cfg = SimConfig(horizon=args.horizon, seed=args.seed,
-                        trials=args.trials)
         mc = monte_carlo_expected_cost(
-            systems, policies, cfg,
+            systems, policies, args.trials, args.seed,
             attack_model=attack if attack is not None else "uniform",
             ladders=ladders)
-        run.add_json("mc.json", {
-            "trials": args.trials, "seed": args.seed,
-            "mean": _finite(mc.mean), "std": _finite(mc.std),
-            "halfwidth": _finite(mc.halfwidth),
-            "n_divergent": mc.n_divergent,
-        })
+        run.add_json("mc.json", {"trials": args.trials, "seed": args.seed,
+                                 **_mc_doc(mc)})
     return run.finish("summary.json")
 
 
@@ -380,15 +408,10 @@ def _cmd_reproduce(args) -> int:
     run = _Run(args, "reproduce-paper")
     systems = _load_systems_arg(run, args.systems)
     periods = _parse_periods(args.periods)
-    run.parameters = {"systems": args.systems or _BUNDLED_SYSTEMS,
-                      "periods": list(periods), "horizon": args.horizon,
-                      "trials": args.trials, "seed": args.seed}
+    run.parameters.update(periods=list(periods), horizon=args.horizon,
+                          trials=args.trials, seed=args.seed)
     ladders = [steady_state(sys) for sys in systems]
-    run.add_json("steady_state.json", {
-        "systems": [{"index": i,
-                     "P_bar": [[float(v) for v in row] for row in st.P_bar],
-                     "trace": float(np.trace(st.P_bar))}
-                    for i, st in enumerate(ladders)]})
+    run.add_json("steady_state.json", _steady_state_doc(ladders))
 
     sched, sched_report = optimal_schedule_search(systems, periods,
                                                   ladders=ladders)
@@ -430,21 +453,13 @@ def _cmd_reproduce(args) -> int:
                                          ladders=ladders)
         run.add_text(name, _series_csv(series))
 
-    cfg = SimConfig(horizon=K, seed=args.seed, trials=args.trials)
-    mc = {}
-    for label, ps in (("same_duty", same_duty), ("shortest_period", shortest)):
-        stats = monte_carlo_expected_cost(systems, ps, cfg, ladders=ladders)
-        mc[label] = {"mean": _finite(stats.mean), "std": _finite(stats.std),
-                     "halfwidth": _finite(stats.halfwidth),
-                     "n_divergent": stats.n_divergent}
+    mc = {label: _mc_doc(monte_carlo_expected_cost(
+              systems, ps, args.trials, args.seed, ladders=ladders))
+          for label, ps in (("same_duty", same_duty),
+                            ("shortest_period", shortest))}
     run.add_json("mc.json", {"trials": args.trials, "seed": args.seed,
                              "defenses": mc})
     return run.finish("attack_report.json")
-
-
-def _bounds_doc(br) -> dict:
-    return {"lower": br.lower, "upper": br.upper, "period": br.period,
-            "per_sensor_receptions": list(br.per_sensor_receptions)}
 
 
 def _wrap_attack(attack: ShiftTuple, period: int) -> ShiftTuple:

@@ -13,11 +13,13 @@ and the measurement-update step
 Their composition has a unique positive semidefinite fixed point P_bar (the
 steady-state estimation error covariance) whenever (A, C) is detectable and
 (A, sqrt(Q)) is stabilizable.  The trace ladder t -> Tr[h^t(P_bar)] prices
-the cost of going t slots without a packet.
+the cost of going t slots without a packet.  `load_systems` reads the JSON
+systems document, whose matrix entries must be finite JSON numbers.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -219,12 +221,13 @@ class SteadyState:
 
 
 def steady_state(sys: LinearSystem, tol: float = 1e-10,
-                 max_iter: int = 100_000, prefill: int = 0) -> SteadyState:
+                 max_iter: int = 100_000) -> SteadyState:
     """Fixed-point iteration of the combined predict+update covariance map.
 
     Starts from Pi and iterates X <- riccati_step(lyapunov_step(X)) until the
     Frobenius change drops below `tol`.  Raises ConvergenceError (carrying
-    the last residual) if `max_iter` is exhausted.
+    the last residual) if `max_iter` is exhausted or an iterate overflows to
+    a non-finite matrix.
     """
     if tol <= 0:
         raise ValidationError(f"tol must be positive, got {tol}")
@@ -232,75 +235,46 @@ def steady_state(sys: LinearSystem, tol: float = 1e-10,
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     X = sys.Pi.copy()
     delta = np.inf
-    for it in range(int(max_iter)):
-        X_next = riccati_step(sys, lyapunov_step(sys, X))
-        delta = float(np.linalg.norm(X_next - X, "fro"))
-        X = X_next
-        if delta <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"{sys.name}: steady-state iteration did not converge in "
-            f"{max_iter} steps (last change {delta:.3g})", residual=delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(int(max_iter)):
+            X_next = riccati_step(sys, lyapunov_step(sys, X))
+            delta = float(np.linalg.norm(X_next - X, "fro"))
+            if not math.isfinite(delta) and not np.isfinite(X_next).all():
+                raise ConvergenceError(
+                    f"{sys.name}: steady-state iteration overflowed to a "
+                    f"non-finite covariance at step {it + 1}", residual=delta)
+            X = X_next
+            if delta <= tol:
+                break
+        else:
+            raise ConvergenceError(
+                f"{sys.name}: steady-state iteration did not converge in "
+                f"{max_iter} steps (last change {delta:.3g})", residual=delta)
     residual = float(np.linalg.norm(riccati_step(sys, lyapunov_step(sys, X)) - X, "fro"))
     if residual > RESIDUAL_TOL:
         raise ConvergenceError(
             f"{sys.name}: converged point violates the fixed-point residual "
             f"bound ({residual:.3g} > {RESIDUAL_TOL})", residual=residual)
-    ss = SteadyState(sys, X, residual, iterations=it + 1)
-    if prefill > 0:
-        ss.trace(prefill)
-    return ss
+    return SteadyState(sys, X, residual, iterations=it + 1)
 
 
-def _steady_state_doubling(sys: LinearSystem, iters: int = 100) -> np.ndarray:
-    """Structured doubling iteration for the same fixed point.
-
-    Kept as an independent cross-check of steady_state: squares the closed
-    loop each step, so it converges quadratically.  Returns P_bar.
-    """
-    n = sys.n
-    Ak = sys.A.T.copy()
-    Gk = sys.C.T @ np.linalg.solve(sys.R, sys.C)
-    Hk = sys.Q.copy()
-    for _ in range(iters):
-        M = np.linalg.inv(np.eye(n) + Gk @ Hk)
-        A_next = Ak @ M @ Ak
-        G_next = Gk + Ak @ M @ Gk @ Ak.T
-        H_next = _symmetrize(Hk + Ak.T @ Hk @ M @ Ak)
-        if np.linalg.norm(H_next - Hk, "fro") <= 1e-14 * (1.0 + np.linalg.norm(H_next, "fro")):
-            Hk = H_next
-            break
-        Ak, Gk, Hk = A_next, G_next, H_next
-    # Hk is the pre-measurement fixed point; one update maps it to P_bar.
-    return riccati_step(sys, Hk)
-
-
-def local_kalman_update(sys: LinearSystem, x_prev, P_prev, y):
-    """One step of the sensor-side Kalman filter.
-
-    Returns (x_hat, P): the posterior state estimate and its error
-    covariance after predicting through the dynamics and fusing the
-    measurement y.
-    """
-    x_prev = np.asarray(x_prev, dtype=float).reshape(sys.n)
-    y = np.asarray(y, dtype=float).reshape(sys.m)
-    x_pred = sys.A @ x_prev
-    P_pred = lyapunov_step(sys, P_prev)
-    S = sys.C @ P_pred @ sys.C.T + sys.R
-    try:
-        K = np.linalg.solve(S.T, (P_pred @ sys.C.T).T).T
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            f"{sys.name}: innovation covariance is singular") from None
-    x_hat = x_pred + K @ (y - sys.C @ x_pred)
-    P = riccati_step(sys, P_pred)
-    return x_hat, P
+def _check_numbers(value, where: str):
+    """Every leaf of a nested JSON array must be a JSON number; strings,
+    booleans, nulls and objects are refused rather than coerced."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            got = "an object" if isinstance(v, dict) else repr(v)
+            raise ValidationError(
+                f"{where}: entries must be JSON numbers, got {got}")
 
 
 def load_systems(source) -> list[LinearSystem]:
     """Load sensor models from a JSON array of objects with keys
-    "A", "C", "Q", "R", "Pi" (row-major nested arrays).
+    "A", "C", "Q", "R", "Pi" (row-major nested arrays of JSON numbers).
 
     `source` may be a path, an open text file or an already parsed array.
     Validation errors name the offending system index and field.
@@ -320,6 +294,7 @@ def load_systems(source) -> list[LinearSystem]:
         for key in ("A", "C", "Q", "R", "Pi"):
             if key not in entry:
                 raise ValidationError(f"system {i} field '{key}': missing")
+            _check_numbers(entry[key], f"system {i} field '{key}'")
         out.append(LinearSystem(A=entry["A"], C=entry["C"], Q=entry["Q"],
                                 R=entry["R"], Pi=entry["Pi"], name=f"system {i}"))
     return out

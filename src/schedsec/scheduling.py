@@ -7,14 +7,13 @@ sensor's slot clock, so it transmits a cyclic shift of its row; `reception`
 applies the collision rule to shifted and unshifted rows alike.  The
 long-run estimation cost of a reception pattern depends only on the cyclic
 gap structure between receptions: a sensor that last received t slots ago
-carries covariance h^t(P_bar), so the per-period cost is the gap histogram
-weighted by the trace ladder.
+carries covariance h^t(P_bar), so the per-period cost is the count of slots
+at each gap t weighted by the trace ladder.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isinf
@@ -30,10 +29,14 @@ def _check_binary_rows(rows, period, context="schedule"):
         if len(row) != period:
             raise ValidationError(
                 f"{context}: row {i} has length {len(row)}, expected {period}")
-        for k, v in enumerate(row):
-            if v not in (0, 1):
-                raise ValidationError(
-                    f"{context}: row {i} slot {k} is {v!r}, expected 0 or 1")
+        try:
+            binary = set(row) <= {0, 1}
+        except TypeError:  # an unhashable entry is not 0 or 1 either
+            binary = False
+        if not binary:
+            k, v = next((k, v) for k, v in enumerate(row) if v not in (0, 1))
+            raise ValidationError(
+                f"{context}: row {i} slot {k} is {v!r}, expected 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,8 @@ class Schedule:
                 "(exactly one transmitter per slot)")
 
     def duty_factors(self) -> list[Fraction]:
-        return [duty_factor(row) for row in self.rows]
+        """Fraction of slots each row transmits in, in lowest terms."""
+        return [Fraction(sum(row), self.period) for row in self.rows]
 
     def to_dict(self) -> dict:
         return {"T": self.period, "rows": [list(row) for row in self.rows]}
@@ -156,76 +160,24 @@ def reception(sched: Schedule,
     return [[v if b == 1 else 0 for v, b in zip(row, busy)] for row in rows]
 
 
-def duty_factor(row: Sequence[int]) -> Fraction:
-    """Fraction of slots used by one policy row, in lowest terms."""
-    if len(row) == 0:
-        raise ValidationError("duty factor of an empty row is undefined")
-    ones = sum(1 for v in row if v == 1)
-    if ones + sum(1 for v in row if v == 0) != len(row):
-        raise ValidationError("policy rows must be 0/1 valued")
-    return Fraction(ones, len(row))
-
-
-class GapHistogram:
-    """Cyclic reception-gap counts for one sensor.
-
-    counts[t] is the number of slots whose most recent reception lies t
-    slots in the past (t = 0 marks the reception slots themselves).  The
-    all-idle row maps to the distinguished never-received histogram, which
-    has no counts at all.
-    """
-
-    def __init__(self, counts: Sequence[int], period: int):
-        self.counts = tuple(int(c) for c in counts)
-        self.period = int(period)
-        if self.counts:
-            if sum(self.counts) != self.period:
-                raise ValidationError(
-                    f"gap counts sum to {sum(self.counts)}, expected {self.period}")
-            for t in range(1, len(self.counts)):
-                if self.counts[t] > self.counts[t - 1]:
-                    raise ValidationError("gap counts must be nonincreasing")
-
-    @property
-    def received(self) -> int:
-        return self.counts[0] if self.counts else 0
-
-    @property
-    def never_received(self) -> bool:
-        return not self.counts
-
-    def count(self, t: int) -> int:
-        return self.counts[t] if 0 <= t < len(self.counts) else 0
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __eq__(self, other):
-        return (isinstance(other, GapHistogram)
-                and self.counts == other.counts and self.period == other.period)
-
-    def __repr__(self):
-        if self.never_received:
-            return f"GapHistogram(never received, period={self.period})"
-        return f"GapHistogram({list(self.counts)}, period={self.period})"
-
-
-def gap_histogram(reception_row: Sequence[int]) -> GapHistogram:
-    """Histogram of cyclic distances to the most recent reception."""
+def _gap_counts(reception_row: Sequence[int]) -> list[int]:
+    """Cyclic reception-gap counts of one sensor: entry t is the number of
+    slots whose most recent reception lies t slots in the past (t = 0 marks
+    the reception slots themselves).  A row that never receives has none."""
     T = len(reception_row)
     if T == 0:
         raise ValidationError("reception row must be nonempty")
     _check_binary_rows([reception_row], T, context="reception row")
-    row = [int(v) for v in reception_row]
-    if not any(row):
-        return GapHistogram((), T)
-    counts: dict[int, int] = {}
-    for k in range(T):
-        t = 0
-        while row[(k - t) % T] == 0:
-            t += 1
-        counts[t] = counts.get(t, 0) + 1
-    return GapHistogram([counts.get(t, 0) for t in range(max(counts) + 1)], T)
+    hits = [k for k, v in enumerate(reception_row) if v]
+    if not hits:
+        return []
+    # the run from one reception up to the next adds one to gaps 0 .. len-1
+    runs = [b - a for a, b in zip(hits, hits[1:] + [hits[0] + T])]
+    counts = [0] * max(runs)
+    for run in runs:
+        for t in range(run):
+            counts[t] += 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -251,25 +203,6 @@ class CostReport:
     def any_divergent(self) -> bool:
         return any(self.divergent)
 
-    def to_rows(self) -> list[dict]:
-        return [{"sensor_index": i,
-                 "average_trace": "" if isinf(v) else repr(v),
-                 "divergent": bool(isinf(v))}
-                for i, v in enumerate(self.per_sensor)]
-
-    def write_csv(self, target):
-        import csv
-        own = isinstance(target, (str, os.PathLike))
-        fh = open(target, "w", newline="", encoding="utf-8") if own else target
-        try:
-            w = csv.DictWriter(fh, fieldnames=["sensor_index", "average_trace", "divergent"])
-            w.writeheader()
-            for row in self.to_rows():
-                w.writerow(row)
-        finally:
-            if own:
-                fh.close()
-
 
 def average_cost(receptions: Sequence[Sequence[int]],
                  ladders: Sequence[SteadyState]) -> CostReport:
@@ -284,15 +217,14 @@ def average_cost(receptions: Sequence[Sequence[int]],
             f"got {len(receptions)} reception rows for {len(ladders)} ladders")
     per = []
     for row, lad in zip(receptions, ladders):
-        hist = gap_histogram(row)
-        if hist.never_received:
+        counts = _gap_counts(row)
+        if not counts:
             per.append(inf)
             continue
         total = 0.0
-        for t, c in enumerate(hist.counts):
-            if c:
-                total += c * lad.trace(t)
-        per.append(total / hist.period)
+        for t, c in enumerate(counts):
+            total += c * lad.trace(t)
+        per.append(total / len(row))
     return CostReport(tuple(per))
 
 
@@ -356,11 +288,12 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
             if key in seen:
                 continue
             seen.add(key)
-            sched = Schedule(period=T, rows=tuple(
-                tuple(1 if canon[k] == i else 0 for k in range(T)) for i in range(N)))
-            report = average_cost(reception(sched), ladders)
+            # an exclusive schedule's reception is its own rows
+            rows = tuple(tuple(1 if canon[k] == i else 0 for k in range(T))
+                         for i in range(N))
+            report = average_cost(rows, ladders)
             entry = (report.total, key, T)
             if best is None or entry < best[:3]:
-                best = (*entry, sched, report)
+                best = (*entry, rows, report)
     assert best is not None
-    return best[3], best[4]
+    return Schedule(period=best[2], rows=best[3]), best[4]

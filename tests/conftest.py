@@ -1,11 +1,13 @@
 import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from schedsec.lti_estimation import LinearSystem, steady_state
+from schedsec.lti_estimation import (LinearSystem, _psd_sqrt, lyapunov_step,
+                                     riccati_step, steady_state)
 from schedsec.protocol_sequences import hamming_cross_correlation
-from schedsec.scheduling import Schedule
+from schedsec.scheduling import Schedule, reception
 
 
 def study_system_matrices():
@@ -105,3 +107,101 @@ def enumerated_invariance(policies):
             if hamming_cross_correlation(policies, U, shifts) != reference:
                 return False, (U, shifts)
     return True, None
+
+
+def steady_state_doubling(sys: LinearSystem, iters: int = 100) -> np.ndarray:
+    """Reference steady state by structured doubling.
+
+    An independent cross-check of steady_state's fixed-point iteration: it
+    squares the closed loop each step, so it converges quadratically.
+    Returns P_bar.
+    """
+    n = sys.n
+    Ak = sys.A.T.copy()
+    Gk = sys.C.T @ np.linalg.solve(sys.R, sys.C)
+    Hk = sys.Q.copy()
+    for _ in range(iters):
+        M = np.linalg.inv(np.eye(n) + Gk @ Hk)
+        A_next = Ak @ M @ Ak
+        G_next = Gk + Ak @ M @ Gk @ Ak.T
+        H_next = Hk + Ak.T @ Hk @ M @ Ak
+        H_next = (H_next + H_next.T) / 2.0
+        if np.linalg.norm(H_next - Hk, "fro") <= 1e-14 * (1.0 + np.linalg.norm(H_next, "fro")):
+            Hk = H_next
+            break
+        Ak, Gk, Hk = A_next, G_next, H_next
+    # Hk is the pre-measurement fixed point; one update maps it to P_bar.
+    return riccati_step(sys, Hk)
+
+
+@dataclass
+class TrajectoryBatch:
+    """Noisy sample paths for every sensor, vectorized over trials.
+
+    Per sensor i the arrays have shapes states (trials, K, n), measurements
+    (trials, K, m), local_estimates and remote_estimates (trials, K, n).
+    """
+
+    receptions: tuple[tuple[int, ...], ...]
+    states: list = field(default_factory=list)
+    measurements: list = field(default_factory=list)
+    local_estimates: list = field(default_factory=list)
+    remote_estimates: list = field(default_factory=list)
+
+    def empirical_remote_covariance(self, sensor: int, k: int) -> np.ndarray:
+        err = (self.states[sensor] - self.remote_estimates[sensor])[:, k, :]
+        return err.T @ err / err.shape[0]
+
+
+def state_trajectory_sim(systems, sched, attack, horizon, trials, seed,
+                         ladders) -> TrajectoryBatch:
+    """Sampling oracle for exact_covariance_series.
+
+    Simulates states, measurements and both estimators under a (possibly
+    attacked) reception pattern.  The local filter runs at its steady-state
+    gain with its error started in its stationary law, and the remote
+    estimator counts a virtual reception at slot -1, so the empirical
+    remote error covariance at slot k tends to the deterministic series
+    value for k's gap.  Noise is drawn per sensor from an independent
+    SeedSequence child, in the fixed order initial error, then per slot
+    process noise then measurement noise, so a fixed seed is bit-identical.
+    """
+    receptions = tuple(tuple(r) for r in reception(sched, attack))
+    children = np.random.SeedSequence(seed).spawn(len(systems))
+    batch = TrajectoryBatch(receptions=receptions)
+    for i, sys in enumerate(systems):
+        rng = np.random.default_rng(children[i])
+        n, m = sys.n, sys.m
+        P_bar = ladders[i].P_bar
+        P_pred = lyapunov_step(sys, P_bar)
+        # steady posterior gain: P_pred C^T (C P_pred C^T + R)^-1
+        S = sys.C @ P_pred @ sys.C.T + sys.R
+        K_gain = np.linalg.solve(S.T, (P_pred @ sys.C.T).T).T
+        sqrtQ, sqrtR, sqrtP = _psd_sqrt(sys.Q), _psd_sqrt(sys.R), _psd_sqrt(P_bar)
+        states = np.empty((trials, horizon, n))
+        measurements = np.empty((trials, horizon, m))
+        local = np.empty((trials, horizon, n))
+        remote = np.empty((trials, horizon, n))
+        x = np.zeros((trials, n))
+        x_loc = x - rng.standard_normal((trials, n)) @ sqrtP.T
+        x_rem = x_loc.copy()  # virtual reception at slot -1
+        for k in range(horizon):
+            w = rng.standard_normal((trials, n)) @ sqrtQ.T
+            v = rng.standard_normal((trials, m)) @ sqrtR.T
+            x = x @ sys.A.T + w
+            y = x @ sys.C.T + v
+            pred = x_loc @ sys.A.T
+            x_loc = pred + (y - pred @ sys.C.T) @ K_gain.T
+            if receptions[i][k % sched.period]:
+                x_rem = x_loc.copy()
+            else:
+                x_rem = x_rem @ sys.A.T
+            states[:, k, :] = x
+            measurements[:, k, :] = y
+            local[:, k, :] = x_loc
+            remote[:, k, :] = x_rem
+        batch.states.append(states)
+        batch.measurements.append(measurements)
+        batch.local_estimates.append(local)
+        batch.remote_estimates.append(remote)
+    return batch

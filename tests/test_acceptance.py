@@ -22,7 +22,7 @@ from schedsec.protocol_sequences import (bounds, construct_shift_invariant,
                                          is_shift_invariant, throughput)
 from schedsec.scheduling import (ShiftTuple, average_cost,
                                  optimal_schedule_search, reception)
-from schedsec.simulation import (SimConfig, exact_covariance_series,
+from schedsec.simulation import (exact_covariance_series,
                                  monte_carlo_expected_cost)
 
 REFERENCE_ROWS = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
@@ -226,10 +226,11 @@ def test_criterion_10_defense_comparison(announce, study_systems,
         t0 = time.monotonic()
         same = construct_shift_invariant([(1, 3)] * 3)
         short = construct_shift_invariant([(1, 2)] * 3)
-        cfg = SimConfig(horizon=1, seed=20240823, trials=200)
-        mc_same = monte_carlo_expected_cost(study_systems, same, cfg,
+        mc_same = monte_carlo_expected_cost(study_systems, same, trials=200,
+                                            seed=20240823,
                                             ladders=study_ladders)
-        mc_short = monte_carlo_expected_cost(study_systems, short, cfg,
+        mc_short = monte_carlo_expected_cost(study_systems, short, trials=200,
+                                             seed=20240823,
                                              ladders=study_ladders)
         assert mc_same.n_divergent == 0 and mc_short.n_divergent == 0
         gap = mc_same.mean - mc_short.mean

@@ -1,14 +1,17 @@
 import contextlib
+import copy
 import io
 import json
 import math
+import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schedsec.cli import main
-from schedsec.errors import read_json
+from schedsec.errors import StabilityWarning, read_json
 from schedsec.protocol_sequences import (PolicySet, construct_shift_invariant,
                                          shortest_period_policies)
 from schedsec.scheduling import Schedule
@@ -234,7 +237,8 @@ def test_unreadable_document_exit_3(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("field, value", [("A", math.nan), ("A", math.inf),
-                                          ("C", math.nan)])
+                                          ("C", math.nan), ("A", "1.5"),
+                                          ("C", True)])
 def test_non_finite_system_entries_exit_3(tmp_path, capsys, field, value):
     entry = {"A": [[1.5]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]],
              "Pi": [[1.0]]}
@@ -242,26 +246,60 @@ def test_non_finite_system_entries_exit_3(tmp_path, capsys, field, value):
     path = tmp_path / "systems.json"
     path.write_text(json.dumps([entry]))  # written as NaN / Infinity
     assert main(["steady-state", "--systems", str(path)]) == 3
+    # every entry must be a JSON number (no string or boolean coerced to
+    # one), and a finite one
+    problem = ("entries must be finite" if isinstance(value, float) else
+               f"entries must be JSON numbers, got {value!r}")
     err = capsys.readouterr().err
-    assert err == f"error: system 0 field '{field}': entries must be finite\n"
+    assert err == f"error: system 0 field '{field}': {problem}\n"
+
+
+def test_steady_state_overflow_exits_3_at_once(tmp_path, capsys):
+    # the first prediction step overflows (A Pi A' = 1e400)
+    path = tmp_path / "systems.json"
+    path.write_text(json.dumps([{"A": [[1e200]], "C": [[1]], "Q": [[1]],
+                                 "R": [[1]], "Pi": [[1]]}]))
+    t0 = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["steady-state", "--systems", str(path)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err == (
+        "error: system 0: steady-state iteration overflowed to a non-finite "
+        "covariance at step 1\n")
 
 
 _junk = (st.none() | st.booleans() | st.integers(-2, 8) | st.floats()
          | st.text(max_size=2))
 _json_values = st.recursive(
     _junk, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
-        st.sampled_from(["T", "rows", "taus", "factors", "n", "d"]), inner,
+        st.sampled_from(["T", "rows", "taus", "factors", "n", "d",
+                         "A", "C", "Q", "R", "Pi"]), inner,
         max_size=3), max_leaves=6)
 _FACTOR_SETS = [[(1, 2)], [(1, 3)], [(2, 3)], [(1, 2), (1, 2)],
                 [(1, 2), (1, 3)], [(2, 3), (1, 2)]]
+_SYSTEMS = [
+    {"A": [[1.5]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]], "Pi": [[1.0]]},
+    {"A": [[1.01, 0.5], [0.0, 0.2]], "C": [[1.0, 1.0]],
+     "Q": [[0.2, 0.0], [0.0, 0.2]], "R": [[1.0]],
+     "Pi": [[1.0, 0.0], [0.0, 1.0]]},
+]
+
+
+def _keys(node):
+    return sorted(node) if isinstance(node, dict) else range(len(node))
 
 
 @st.composite
 def _near_valid(draw, kind, n, T):
-    """A schedule, shift or policy document for n sensors and period T:
-    as generated, with one field or entry at any depth replaced by an
-    arbitrary JSON value, or replaced whole."""
-    if kind == "policy":
+    """A schedule, shift, policy or systems document for n sensors and
+    period T: as generated, with one field or entry at any depth replaced
+    by an arbitrary JSON value, or replaced whole."""
+    if kind == "systems":
+        doc = [copy.deepcopy(draw(st.sampled_from(_SYSTEMS)))
+               for _ in range(n)]
+    elif kind == "policy":
         doc = construct_shift_invariant(
             draw(st.sampled_from(_FACTOR_SETS))).to_dict()
     elif kind == "shift":
@@ -274,12 +312,11 @@ def _near_valid(draw, kind, n, T):
     if damage == "whole":
         return draw(_json_values)
     if damage == "entry":
-        node, key = doc, draw(st.sampled_from(sorted(doc)))
+        node, key = doc, draw(st.sampled_from(_keys(doc)))
         while node[key] and isinstance(node[key], (list, dict)) \
                 and draw(st.booleans()):
             node = node[key]
-            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
-                                       else range(len(node))))
+            key = draw(st.sampled_from(_keys(node)))
         node[key] = draw(_json_values)
     return doc
 
@@ -289,13 +326,13 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(data=st.data(),
        command=st.sampled_from(["verify", "verify-policies", "cost",
-                                "cost-attack", "isolate"]))
+                                "cost-attack", "isolate", "steady-state"]))
 def test_cli_contract_under_fuzzed_documents(fuzz_dir, data, command):
-    """Any schedule, shift or policy document gives exit 0, 3, 4 or 5 and
-    never a traceback."""
+    """Any schedule, shift, policy or systems document gives exit 0, 3, 4
+    or 5 and never a traceback."""
     # three sensors, as in the bundled study, half of the time
     n = data.draw(st.just(3) | st.integers(1, 4))
     T = data.draw(st.integers(1, 6))
@@ -305,7 +342,9 @@ def test_cli_contract_under_fuzzed_documents(fuzz_dir, data, command):
         path.write_text(json.dumps(data.draw(_near_valid(kind, n, T))))
         return str(path)
 
-    if command == "verify-policies":
+    if command == "steady-state":
+        argv = ["steady-state", "--systems", document("systems")]
+    elif command == "verify-policies":
         argv = ["defend", "verify", "--policies", document("policy")]
     elif command == "isolate":
         argv = ["attack", "isolate", "--schedule", document("schedule"),
@@ -317,7 +356,8 @@ def test_cli_contract_under_fuzzed_documents(fuzz_dir, data, command):
             argv += ["--attack", document("shift")]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
         code = main(argv)
     assert code in (0, 3, 4, 5), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
@@ -403,6 +443,60 @@ def test_reproduce_paper_pipeline(tmp_path, monkeypatch):
                  "--horizon", "54"]) == 0
     for p in sorted(out.iterdir()):
         assert (out2 / p.name).read_bytes() == p.read_bytes(), p.name
+
+
+# Output hashes of the default `schedsec reproduce-paper` in both table
+# flavors; `scripts/compute_goldens.py` prints them.  The csv set equals the
+# one in perfbench/expected.json.
+_REPRODUCE_HASHES = {
+    "attack.json":
+        "sha256:cab8b52e30f365d79253f254720b6e60e62471798b0d22c42f7c16ea882a14d6",
+    "attack_report.json":
+        "sha256:8194da9f749fa49b67d71751cb0bb61a48e4ba579eecc6bcb833765179a2ff31",
+    "bounds.json":
+        "sha256:0942737111716f8aac0f28b5e95948be1686dea49c492fea5e41277f15e3e042",
+    "defense_same_duty.json":
+        "sha256:3e07af58803cc7bbc5cb629b88ae4833f1ec2c2ecce1077e06e0d813776c1a0b",
+    "defense_shortest.json":
+        "sha256:b0872792247b8a95e7dac76b6e30d120f3ebd4e79614371b1cb4202569e0ef97",
+    "mc.json":
+        "sha256:b7cd2bb0446c488af286f5f4f897092e26951edf00f805328846109fff7b9904",
+    "schedule.json":
+        "sha256:35b4615d77b108c5f1aa3b1cee383fb5de48aed360fd785f4d64041933e2d49a",
+    "series_attacked.csv":
+        "sha256:d179ee5cb052248df9b78fbd2bc1904f1e73698de21224be0b06968f58935b40",
+    "series_same_duty.csv":
+        "sha256:792e4f25ea17a588b3ce6235c0dc4b772237958ccbd51e0349f0722927dd77d3",
+    "series_schedule.csv":
+        "sha256:c11ef7a4e64baa3f83e44ed0fbbcaca4d61ea4d5dc2ba7499800cb04ddb9f4aa",
+    "series_shortest.csv":
+        "sha256:580f554b3aa04ae96235f5ac3ad7fa8fc6519763b2094e8d8945d354f0d0530e",
+    "steady_state.json":
+        "sha256:ba2efef7ca443309d3df13a2584877a49775e0fd11ab4f1c27d22cca4a5b358e",
+}
+_REPRODUCE_FLAVOR_HASHES = {
+    "csv": {
+        "attack_cost.csv":
+            "sha256:fe3b027e80923e2c4922b7c6d5faa076996b8059a4348fae3e45b4ce2cc95010",
+        "schedule_cost.csv":
+            "sha256:b5e8db9b5cf0b4be434c207cdb07c3eaebdfc326fb4c896899584832029f90b9",
+    },
+    "json": {
+        "attack_cost.json":
+            "sha256:ac06a46bb66eeeef39629b518853602bbce26f2bd883d141638ebe4f9564c021",
+        "schedule_cost.json":
+            "sha256:b7c6bdd4fa7b242e10e7ed0825d698dd8123236fc5d1a98ee5f4610f695a50de",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_reproduce_paper_output_hashes(tmp_path, fmt):
+    out = tmp_path / fmt
+    assert main(["reproduce-paper", "--format", fmt, "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["outputs"] == {**_REPRODUCE_HASHES,
+                                   **_REPRODUCE_FLAVOR_HASHES[fmt]}
 
 
 def test_manifest_hashes_match_contents(tmp_path, systems_path, sched_path):

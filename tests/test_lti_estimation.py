@@ -6,10 +6,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import steady_state_doubling
 from schedsec.errors import ConvergenceError, StabilityWarning, ValidationError
-from schedsec.lti_estimation import (LinearSystem, _steady_state_doubling,
-                                     load_systems, local_kalman_update,
-                                     lyapunov_step, riccati_step, steady_state)
+from schedsec.lti_estimation import (LinearSystem, load_systems, lyapunov_step,
+                                     riccati_step, steady_state)
 
 # frozen from an offline computation that agreed with scipy's DARE solver
 # and a long plain simulation to ~1e-15
@@ -46,7 +46,7 @@ def test_scipy_dare_oracle_on_study_systems(study_systems, study_ladders):
 
 def test_doubling_cross_check_on_study_systems(study_systems, study_ladders):
     for sys, lad in zip(study_systems, study_ladders):
-        assert np.allclose(lad.P_bar, _steady_state_doubling(sys), atol=1e-9)
+        assert np.allclose(lad.P_bar, steady_state_doubling(sys), atol=1e-9)
 
 
 def test_scipy_dare_oracle_on_random_systems():
@@ -57,7 +57,7 @@ def test_scipy_dare_oracle_on_random_systems():
         lad = steady_state(sys)
         assert np.allclose(lad.P_bar, dare_steady_state(sys),
                            atol=1e-7, rtol=1e-7)
-        assert np.allclose(lad.P_bar, _steady_state_doubling(sys),
+        assert np.allclose(lad.P_bar, steady_state_doubling(sys),
                            atol=1e-7, rtol=1e-7)
 
 
@@ -122,19 +122,6 @@ def test_fixed_point_property(study_systems, study_ladders):
         assert np.linalg.norm(again - lad.P_bar) <= 1e-8
 
 
-def test_local_kalman_update_covariance_matches_recursion(study_systems):
-    sys = study_systems[0]
-    P_prev = np.eye(2)
-    x_prev = np.array([1.0, -2.0])
-    x_hat, P = local_kalman_update(sys, x_prev, P_prev, np.array([0.5]))
-    assert np.allclose(P, riccati_step(sys, lyapunov_step(sys, P_prev)))
-    # zero innovation leaves the prediction untouched
-    x_pred = sys.A @ x_prev
-    y_exact = sys.C @ x_pred
-    x_hat2, _ = local_kalman_update(sys, x_prev, P_prev, y_exact)
-    assert np.allclose(x_hat2, x_pred)
-
-
 def test_validation_rejects_bad_shapes():
     with pytest.raises(ValidationError, match="square"):
         LinearSystem(A=[[1.0, 0.0]], C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]],
@@ -196,6 +183,12 @@ def test_load_systems_names_offending_field(tmp_path):
         load_systems([good, {**good, "A": [1.1]}])
     with pytest.raises(ValidationError, match="array"):
         load_systems({"A": [[1.0]]})
+    for bad, shown in (("1.5", "'1.5'"), (True, "True"), (None, "None"),
+                       ({}, "an object")):
+        with pytest.raises(ValidationError, match=(
+                f"system 1 field 'Q': entries must be JSON numbers, "
+                f"got {shown}")):
+            load_systems([good, {**good, "Q": [[bad]]}])
 
 
 @settings(max_examples=40, deadline=None)

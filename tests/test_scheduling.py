@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schedsec.cli import _cost_csv
 from schedsec.errors import BudgetError, ValidationError, read_json
-from schedsec.scheduling import (CostReport, GapHistogram, Schedule,
-                                 ShiftTuple, average_cost, duty_factor,
-                                 gap_histogram, optimal_schedule_search,
+from schedsec.scheduling import (Schedule, ShiftTuple, _gap_counts,
+                                 average_cost, optimal_schedule_search,
                                  reception)
 
 GOLDEN_ROUND_ROBIN_COST = 2.0250433575300404
@@ -19,55 +19,62 @@ binary_row = st.lists(st.integers(0, 1), min_size=1, max_size=12)
 
 
 def test_gap_histogram_hand_values():
-    assert gap_histogram([1, 0, 0]).counts == (1, 1, 1)
-    assert gap_histogram([1, 0, 1, 0]).counts == (2, 2)
-    assert gap_histogram([1, 1, 1]).counts == (3,)
-    assert gap_histogram([0, 1, 0, 0, 0]).counts == (1, 1, 1, 1, 1)
-    h = gap_histogram([0, 0, 0])
-    assert h.never_received
-    assert h.counts == ()
+    assert _gap_counts([1, 0, 0]) == [1, 1, 1]
+    assert _gap_counts([1, 0, 1, 0]) == [2, 2]
+    assert _gap_counts([1, 1, 1]) == [3]
+    assert _gap_counts([0, 1, 0, 0, 0]) == [1, 1, 1, 1, 1]
+    assert _gap_counts((1, 0, 0, 1, 0)) == [2, 2, 1]
+    assert _gap_counts([0, 0, 0]) == []   # never received
 
 
 def test_gap_histogram_wraps_cyclically():
     # last reception before slot 0 is slot 3 of the previous period
-    h = gap_histogram([0, 0, 0, 1])
-    assert h.counts == (1, 1, 1, 1)
-    assert h.count(0) == 1
-    assert h.count(7) == 0
+    assert _gap_counts([0, 0, 0, 1]) == [1, 1, 1, 1]
+    assert _gap_counts([0, 1, 0, 0, 1, 0]) == [2, 2, 2]
 
 
 def test_gap_histogram_rejects_non_binary():
-    with pytest.raises(ValidationError):
-        gap_histogram([0, 2, 0])
-    with pytest.raises(ValidationError):
-        gap_histogram([0.5, 0.5])
+    with pytest.raises(ValidationError, match="row 0 slot 1 is 2"):
+        _gap_counts([0, 2, 0])
+    with pytest.raises(ValidationError, match="slot 0 is 0.5"):
+        _gap_counts([0.5, 0.5])
+    with pytest.raises(ValidationError, match="nonempty"):
+        _gap_counts([])
+    # an average_cost caller gets the same check
+    with pytest.raises(ValidationError, match="reception row"):
+        average_cost([[1, 0, 3]], [None])
 
 
 @settings(max_examples=200, deadline=None)
 @given(row=binary_row)
 def test_gap_histogram_invariants(row):
-    h = gap_histogram(row)
+    counts = _gap_counts(row)
     T = len(row)
     if not any(row):
-        assert h.never_received
+        assert counts == []
         return
-    assert sum(h.counts) == T
-    assert h.received == sum(row)
-    for t in range(1, len(h.counts)):
-        assert h.counts[t] <= h.counts[t - 1]
+    assert sum(counts) == T
+    assert counts[0] == sum(row)
+    for t in range(1, len(counts)):
+        assert 0 < counts[t] <= counts[t - 1]
+    # counts[t] is the number of slots whose latest reception is t back
+    back = [next(t for t in range(T) if row[(k - t) % T]) for k in range(T)]
+    assert counts == [back.count(t) for t in range(max(back) + 1)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(row=binary_row, r=st.integers(0, 11))
 def test_gap_histogram_rotation_invariant(row, r):
     rot = [row[(k + r) % len(row)] for k in range(len(row))]
-    assert gap_histogram(rot) == gap_histogram(row)
+    assert _gap_counts(rot) == _gap_counts(row)
 
 
 def test_duty_factor_reduces():
-    assert duty_factor([1, 0, 1, 0]) == Fraction(1, 2)
-    assert duty_factor([0, 0, 1]) == Fraction(1, 3)
-    assert duty_factor([0, 0]) == Fraction(0)
+    sched = Schedule(period=4, rows=((1, 0, 1, 0), (0, 0, 0, 1),
+                                     (0, 0, 0, 0), (1, 1, 1, 1)))
+    assert sched.duty_factors() == [Fraction(1, 2), Fraction(1, 4),
+                                    Fraction(0), Fraction(1)]
+    assert sched.duty_factors()[0].denominator == 2
 
 
 def test_schedule_validation():
@@ -77,6 +84,8 @@ def test_schedule_validation():
         Schedule(period=2, rows=((0.5, 0.5),))
     with pytest.raises(ValidationError):
         Schedule(period=3, rows=((0, 1), (1, 0)))
+    with pytest.raises(ValidationError, match="row 1 slot 1 is \\[1\\]"):
+        Schedule(period=2, rows=((0, 1), (0, [1])))   # unhashable entry
     s = Schedule(period=2, rows=((1, 1), (0, 1)))
     assert not s.is_exclusive
     with pytest.raises(ValidationError):
@@ -122,15 +131,15 @@ def test_average_cost_divergent_flags(study_ladders):
     assert report.any_divergent
 
 
-def test_cost_report_csv(tmp_path, study_ladders):
+def test_cost_report_csv(study_ladders):
+    # rendered by the command line, in the csv module's dialect
     report = average_cost([[0, 0], [1, 0]], study_ladders[:2])
-    path = tmp_path / "cost.csv"
-    report.write_csv(path)
-    lines = path.read_text().strip().splitlines()
+    text = _cost_csv(report)
+    lines = text.split("\r\n")
     assert lines[0] == "sensor_index,average_trace,divergent"
     assert lines[1] == "0,,True"
-    val = float(lines[2].split(",")[1])
-    assert val == pytest.approx(report.per_sensor[1], rel=1e-15)
+    assert lines[2] == f"1,{report.per_sensor[1]!r},False"
+    assert lines[3:] == [""]   # every line ends in \r\n
 
 
 def test_reception_drops_collisions():
@@ -200,19 +209,12 @@ def test_search_beats_every_explicit_candidate(study_systems, study_ladders):
         assert report.total <= cost + 1e-12
 
 
-def test_gap_histogram_repr_and_count():
-    h = GapHistogram(counts=(2, 1, 1), period=4)
-    assert h.count(0) == 2
-    assert h.count(2) == 1
-    assert h.count(9) == 0
-    assert "GapHistogram" in repr(h)
-
-
 def test_histogram_sum_rule_matches_cost_definition(study_ladders):
     # cost assembled by hand from the histogram equals average_cost
     lad = study_ladders[2]
     row = [1, 0, 0, 1, 0]
-    h = gap_histogram(row)
-    manual = sum(h.count(t) * lad.trace(t) for t in range(5)) / 5
+    counts = _gap_counts(row)
+    assert counts == [2, 2, 1]
+    manual = sum(c * lad.trace(t) for t, c in enumerate(counts)) / 5
     report = average_cost([row], [lad])
     assert report.per_sensor[0] == pytest.approx(manual, rel=1e-12)

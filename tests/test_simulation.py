@@ -1,26 +1,32 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
+from conftest import state_trajectory_sim
+from schedsec.cli import _series_csv, _summary_doc
 from schedsec.errors import ValidationError
-from schedsec.lti_estimation import LinearSystem, lyapunov_step, steady_state
+from schedsec.lti_estimation import lyapunov_step
 from schedsec.protocol_sequences import (construct_shift_invariant,
                                          shortest_period_policies)
 from schedsec.scheduling import (Schedule, ShiftTuple, average_cost,
                                  reception)
-from schedsec.simulation import (OVERFLOW_TRACE, SimConfig,
-                                 exact_covariance_series,
-                                 monte_carlo_expected_cost,
-                                 state_trajectory_sim)
+from schedsec.simulation import (OVERFLOW_TRACE, exact_covariance_series,
+                                 monte_carlo_expected_cost)
 
 
-def test_sim_config_validation():
-    with pytest.raises(ValidationError):
-        SimConfig(horizon=0)
-    with pytest.raises(ValidationError):
-        SimConfig(horizon=10, trials=0)
+def test_sim_config_validation(study_systems, study_ladders, round_robin):
+    # the simulators' own knobs: a series needs a horizon, Monte Carlo a trial
+    for horizon in (0, -1):
+        with pytest.raises(ValidationError, match="horizon must be >= 1"):
+            exact_covariance_series(study_systems, round_robin,
+                                    horizon=horizon, ladders=study_ladders)
+    with pytest.raises(ValidationError, match="trials must be >= 1"):
+        monte_carlo_expected_cost(study_systems, round_robin, trials=0, seed=0,
+                                  ladders=study_ladders)
+    one = exact_covariance_series(study_systems, round_robin, horizon=1,
+                                  ladders=study_ladders)
+    assert one.traces.shape == (3, 1) and one.periodic_average() is None
 
 
 def test_series_matches_histogram_cost(study_systems, study_ladders,
@@ -74,16 +80,6 @@ def test_overflow_freezes_series(study_systems, study_ladders, round_robin):
     assert series.overflow_at[0] is None
 
 
-def test_custom_initial_matrices(study_systems, study_ladders, round_robin):
-    init = [10.0 * np.eye(2) for _ in range(3)]
-    series = exact_covariance_series(study_systems, round_robin, horizon=6,
-                                     initial=init, ladders=study_ladders)
-    # sensor 2 receives at slot 0 and resets; sensor 0 predicts from init
-    assert series.traces[2, 0] == pytest.approx(study_ladders[2].trace(0))
-    expect = float(np.trace(lyapunov_step(study_systems[0], init[0])))
-    assert series.traces[0, 0] == pytest.approx(expect)
-
-
 def test_periodic_average_requires_two_periods(study_systems, study_ladders,
                                                round_robin):
     series = exact_covariance_series(study_systems, round_robin, horizon=5,
@@ -91,22 +87,13 @@ def test_periodic_average_requires_two_periods(study_systems, study_ladders,
     assert series.periodic_average() is None
 
 
-def test_growth_factors_shape(study_systems, study_ladders, round_robin):
-    series = exact_covariance_series(study_systems, round_robin, horizon=12,
-                                     ladders=study_ladders)
-    g = series.growth_factors(0)
-    assert g.shape == (9,)
-    # periodic sensor: every full-period ratio is exactly 1
-    assert np.allclose(g[3:], 1.0)
-
-
 def test_series_csv_shape_and_values(study_systems, study_ladders,
                                      round_robin):
     series = exact_covariance_series(study_systems, round_robin, horizon=4,
                                      ladders=study_ladders)
-    buf = io.StringIO()
-    series.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
+    text = _series_csv(series)
+    assert "\r" not in text and text.endswith("\n")
+    lines = text.strip().splitlines()
     assert lines[0] == "k,sensor,trace,running_mean,divergent_flag"
     assert len(lines) == 1 + 4 * 3
     k, sensor, trace, running, flag = lines[1].split(",")
@@ -119,7 +106,7 @@ def test_series_csv_shape_and_values(study_systems, study_ladders,
 def test_summary_document(study_systems, study_ladders, round_robin):
     series = exact_covariance_series(study_systems, round_robin, horizon=12,
                                      ladders=study_ladders)
-    doc = series.summary()
+    doc = _summary_doc(series)
     assert doc["period"] == 3 and doc["horizon"] == 12
     assert len(doc["sensors"]) == 3
     assert doc["periodic_average"]["total"] == pytest.approx(
@@ -129,26 +116,22 @@ def test_summary_document(study_systems, study_ladders, round_robin):
 def test_mc_deterministic_and_ordered(study_systems, study_ladders):
     sd = construct_shift_invariant([(1, 3)] * 3)
     sp = shortest_period_policies(3)
-    cfg = SimConfig(horizon=1, seed=11, trials=120)
-    a = monte_carlo_expected_cost(study_systems, sd, cfg,
+    a = monte_carlo_expected_cost(study_systems, sd, trials=120, seed=11,
                                   ladders=study_ladders)
-    b = monte_carlo_expected_cost(study_systems, sd, cfg,
+    b = monte_carlo_expected_cost(study_systems, sd, trials=120, seed=11,
                                   ladders=study_ladders)
     assert a.samples == b.samples
-    c = monte_carlo_expected_cost(study_systems, sp, cfg,
+    assert len(a.samples) == 120
+    c = monte_carlo_expected_cost(study_systems, sp, trials=120, seed=11,
                                   ladders=study_ladders)
     assert c.std < 1e-12           # invariant cost has zero spread
     assert a.mean - a.halfwidth > c.mean + c.halfwidth
-    assert len(a.running_mean) == 120
-    assert a.running_mean[-1] == pytest.approx(a.mean, rel=1e-9)
-    assert math.isinf(a.running_halfwidth[0])
 
 
 def test_mc_fixed_attack_model(study_systems, study_ladders):
     sd = construct_shift_invariant([(1, 3)] * 3)
     attack = ShiftTuple(taus=(0, 5, 11))
-    cfg = SimConfig(horizon=1, seed=3, trials=10)
-    mc = monte_carlo_expected_cost(study_systems, sd, cfg,
+    mc = monte_carlo_expected_cost(study_systems, sd, trials=10, seed=3,
                                    attack_model=attack, ladders=study_ladders)
     assert mc.std == pytest.approx(0.0, abs=1e-12)
     ref = average_cost(reception(sd, attack),
@@ -158,15 +141,14 @@ def test_mc_fixed_attack_model(study_systems, study_ladders):
 
 def test_mc_randomized_interleaving(study_systems, study_ladders):
     sd = construct_shift_invariant([(1, 3)] * 3)
-    cfg = SimConfig(horizon=1, seed=13, trials=60)
-    mc = monte_carlo_expected_cost(study_systems, sd, cfg,
+    mc = monte_carlo_expected_cost(study_systems, sd, trials=60, seed=13,
                                    randomize_interleaving=True,
                                    ladders=study_ladders)
     assert mc.n_divergent == 0
     assert 3.0 < mc.mean < 6.0
     plain = Schedule(sd.period, sd.rows)  # the same rows, no duty factors
     with pytest.raises(ValidationError):
-        monte_carlo_expected_cost(study_systems, plain, cfg,
+        monte_carlo_expected_cost(study_systems, plain, trials=60, seed=13,
                                   randomize_interleaving=True,
                                   ladders=study_ladders)
 
@@ -175,29 +157,26 @@ def test_mc_divergent_trials_reported(study_systems, study_ladders,
                                       round_robin):
     # exclusive schedules are attackable outright, so uniform attacks will
     # starve sensors in some trials and the aggregate must go infinite
-    cfg = SimConfig(horizon=1, seed=0, trials=40)
-    mc = monte_carlo_expected_cost(study_systems, round_robin, cfg,
-                                   ladders=study_ladders)
+    mc = monte_carlo_expected_cost(study_systems, round_robin, trials=40,
+                                   seed=0, ladders=study_ladders)
     assert mc.n_divergent > 0
     assert math.isinf(mc.mean)
 
 
 def test_mc_rejects_bad_attack_model(study_systems, study_ladders,
                                      round_robin):
-    cfg = SimConfig(horizon=1, seed=0, trials=2)
     with pytest.raises(ValidationError):
-        monte_carlo_expected_cost(study_systems, round_robin, cfg,
+        monte_carlo_expected_cost(study_systems, round_robin, trials=2, seed=0,
                                   attack_model="gauss",
                                   ladders=study_ladders)
 
 
 def test_trajectory_bit_reproducible(study_systems, study_ladders,
                                      round_robin):
-    cfg = SimConfig(horizon=12, seed=5, trials=8)
-    a = state_trajectory_sim(study_systems, round_robin, None, cfg,
-                             ladders=study_ladders)
-    b = state_trajectory_sim(study_systems, round_robin, None, cfg,
-                             ladders=study_ladders)
+    a = state_trajectory_sim(study_systems, round_robin, None, horizon=12,
+                             trials=8, seed=5, ladders=study_ladders)
+    b = state_trajectory_sim(study_systems, round_robin, None, horizon=12,
+                             trials=8, seed=5, ladders=study_ladders)
     for i in range(3):
         assert np.array_equal(a.states[i], b.states[i])
         assert np.array_equal(a.remote_estimates[i], b.remote_estimates[i])
@@ -205,9 +184,8 @@ def test_trajectory_bit_reproducible(study_systems, study_ladders,
 
 def test_trajectory_empirical_covariance(study_systems, study_ladders,
                                          round_robin):
-    cfg = SimConfig(horizon=9, seed=7, trials=150_000)
-    batch = state_trajectory_sim(study_systems, round_robin, None, cfg,
-                                 ladders=study_ladders)
+    batch = state_trajectory_sim(study_systems, round_robin, None, horizon=9,
+                                 trials=150_000, seed=7, ladders=study_ladders)
     for i in range(3):
         rec = batch.receptions[i]
         for k in (0, 2, 5, 8):
@@ -226,13 +204,14 @@ def test_trajectory_empirical_covariance(study_systems, study_ladders,
 
 def test_trajectory_local_error_is_stationary(study_systems, study_ladders):
     sched = Schedule(period=2, rows=((1, 0), (0, 1)))
-    cfg = SimConfig(horizon=6, seed=9, trials=120_000)
-    batch = state_trajectory_sim(study_systems[:2], sched, None, cfg,
+    trials = 120_000
+    batch = state_trajectory_sim(study_systems[:2], sched, None, horizon=6,
+                                 trials=trials, seed=9,
                                  ladders=study_ladders[:2])
     for i in range(2):
         err = batch.states[i] - batch.local_estimates[i]
         for k in (0, 3, 5):
-            emp = err[:, k, :].T @ err[:, k, :] / cfg.trials
+            emp = err[:, k, :].T @ err[:, k, :] / trials
             rel = (np.linalg.norm(emp - study_ladders[i].P_bar)
                    / np.linalg.norm(study_ladders[i].P_bar))
             assert rel < 0.02, (i, k, rel)
@@ -240,9 +219,8 @@ def test_trajectory_local_error_is_stationary(study_systems, study_ladders):
 
 def test_trajectory_measurement_consistency(study_systems, study_ladders,
                                             round_robin):
-    cfg = SimConfig(horizon=5, seed=1, trials=4)
-    batch = state_trajectory_sim(study_systems, round_robin, None, cfg,
-                                 ladders=study_ladders)
+    batch = state_trajectory_sim(study_systems, round_robin, None, horizon=5,
+                                 trials=4, seed=1, ladders=study_ladders)
     # measurements live in the sensor's output space and differ from Cx by
     # the measurement noise, which has unit variance here
     for i in range(3):
