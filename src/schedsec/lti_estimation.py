@@ -225,16 +225,23 @@ def steady_state(sys: LinearSystem, tol: float = 1e-10,
     """Fixed-point iteration of the combined predict+update covariance map.
 
     Starts from Pi and iterates X <- riccati_step(lyapunov_step(X)) until the
-    Frobenius change drops below `tol`.  Raises ConvergenceError (carrying
-    the last residual) if `max_iter` is exhausted or an iterate overflows to
-    a non-finite matrix.
+    Frobenius change is at most max(`tol`, 4 eps ||X||_F), eps being the
+    float64 machine epsilon: a large covariance cannot move by less than a
+    few ulps per step.  The fixed-point residual of the result must be at
+    most max(RESIDUAL_TOL, 8 eps ||X||_F).  Raises ConvergenceError
+    (carrying the last residual) if `max_iter` is exhausted, an iterate
+    overflows to a non-finite matrix or the residual bound fails.
     """
     if tol <= 0:
         raise ValidationError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+    eps = np.finfo(float).eps
     X = sys.Pi.copy()
     delta = np.inf
+    # bound >= ||X||_F by the triangle inequality; the norm itself is taken
+    # only once a step is small next to it
+    bound = float(np.linalg.norm(X, "fro"))
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(int(max_iter)):
             X_next = riccati_step(sys, lyapunov_step(sys, X))
@@ -244,17 +251,20 @@ def steady_state(sys: LinearSystem, tol: float = 1e-10,
                     f"{sys.name}: steady-state iteration overflowed to a "
                     f"non-finite covariance at step {it + 1}", residual=delta)
             X = X_next
-            if delta <= tol:
+            bound += delta
+            if delta <= tol or (delta <= 8 * eps * bound and delta <= 4 * eps
+                                * float(np.linalg.norm(X, "fro"))):
                 break
         else:
             raise ConvergenceError(
                 f"{sys.name}: steady-state iteration did not converge in "
                 f"{max_iter} steps (last change {delta:.3g})", residual=delta)
     residual = float(np.linalg.norm(riccati_step(sys, lyapunov_step(sys, X)) - X, "fro"))
-    if residual > RESIDUAL_TOL:
+    residual_tol = max(RESIDUAL_TOL, 8 * eps * float(np.linalg.norm(X, "fro")))
+    if residual > residual_tol:
         raise ConvergenceError(
             f"{sys.name}: converged point violates the fixed-point residual "
-            f"bound ({residual:.3g} > {RESIDUAL_TOL})", residual=residual)
+            f"bound ({residual:.3g} > {residual_tol:.3g})", residual=residual)
     return SteadyState(sys, X, residual, iterations=it + 1)
 
 

@@ -13,7 +13,6 @@ at each gap t weighted by the trace ladder.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isinf
@@ -228,6 +227,29 @@ def average_cost(receptions: Sequence[Sequence[int]],
     return CostReport(tuple(per))
 
 
+def _necklaces(n_symbols: int, length: int):
+    """Every length-`length` necklace over range(n_symbols) exactly once, as
+    its lexicographically smallest rotation, in lexicographic order.
+
+    Iterative FKM prenecklace walk (Fredricksen, Kessler & Maiorana; Ruskey,
+    Savage & Wang, J. Algorithms 1992): a prenecklace is a necklace iff the
+    length of its longest Lyndon prefix divides `length`.
+    """
+    a = [0] * length
+    yield tuple(a)
+    while True:
+        i = length - 1
+        while i >= 0 and a[i] == n_symbols - 1:
+            i -= 1
+        if i < 0:
+            return
+        a[i] += 1
+        for j in range(i + 1, length):
+            a[j] = a[j - i - 1]
+        if length % (i + 1) == 0:
+            yield tuple(a)
+
+
 def _flat_key(cols: tuple[int, ...], n_sensors: int) -> bytes:
     """Row-major flattened 0/1 matrix of a columnwise assignment, as bytes
     (lexicographic comparison on bytes matches the flattened-matrix order)."""
@@ -249,18 +271,32 @@ def _canonical_rotation(cols: tuple[int, ...], n_sensors: int):
     return best_key, best
 
 
+def _exclusive_rows(cols: tuple[int, ...], n_sensors: int):
+    """0/1 rows of a columnwise assignment; an exclusive schedule's
+    reception is its own rows."""
+    return tuple(tuple(1 if c == i else 0 for c in cols)
+                 for i in range(n_sensors))
+
+
 def optimal_schedule_search(systems: Sequence[LinearSystem],
                             T_candidates: Sequence[int],
                             ladders: Sequence[SteadyState] | None = None,
                             budget: int | None = None) -> tuple[Schedule, CostReport]:
-    """Exhaustive search for the cost-minimizing exclusive schedule.
+    """Search for the cost-minimizing exclusive schedule over necklaces.
 
-    Enumerates all columnwise transmitter assignments for each candidate
-    period (N^T of them, deduplicated up to cyclic rotation), scores each by
-    average_cost, and returns the minimum.  Ties break toward the
-    lexicographically smallest flattened policy matrix, then the smallest
-    period.  The total enumeration size is capped by the budget
-    (SCHEDSEC_BUDGET); exceeding it raises BudgetError.
+    The cost depends only on each sensor's cyclic reception gaps, so every
+    cyclic rotation of a columnwise transmitter assignment costs the same,
+    to the bit.  The search therefore walks one assignment per rotation
+    class (the necklaces, generated once each by FKM) for each candidate
+    period and scores it with average_cost.  A necklace that leaves a
+    sensor without a slot costs inf and is priced only if no schedule that
+    serves every sensor has a finite cost.  Each class is represented by
+    its rotation with the lexicographically smallest row-major flattened
+    0/1 matrix, and the winner is the minimum of (total, that matrix,
+    period): ties break toward the smallest flattened matrix, then the
+    smallest period.  The budget (SCHEDSEC_BUDGET) caps the N^T column assignments
+    the candidate periods span, summed over periods; exceeding it raises
+    BudgetError.
     """
     N = len(systems)
     if N < 1:
@@ -280,20 +316,25 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
             f"drop the largest periods or raise SCHEDSEC_BUDGET")
     if ladders is None:
         ladders = [steady_state(s) for s in systems]
-    best = None  # (total, flat_key, T, schedule, report)
-    for T in cands:
-        seen = set()
-        for cols in itertools.product(range(N), repeat=T):
-            key, canon = _canonical_rotation(cols, N)
-            if key in seen:
-                continue
-            seen.add(key)
-            # an exclusive schedule's reception is its own rows
-            rows = tuple(tuple(1 if canon[k] == i else 0 for k in range(T))
-                         for i in range(N))
-            report = average_cost(rows, ladders)
-            entry = (report.total, key, T)
-            if best is None or entry < best[:3]:
-                best = (*entry, rows, report)
+    best = None  # (total, flat_key, T, rows, report)
+    # A NaN total never wins.  Necklaces that starve a sensor (total inf)
+    # are walked only when nothing that serves every sensor is finite.
+    for starving in (False, True):
+        if best is not None and best[0] < inf:
+            break
+        for T in cands:
+            for cols in _necklaces(N, T):
+                if (len(set(cols)) < N) != starving:
+                    continue
+                report = average_cost(_exclusive_rows(cols, N), ladders)
+                total = report.total
+                if not total <= (inf if best is None else best[0]):
+                    continue
+                # every rotation prices the same, so only a contender
+                # needs its canonical rotation for the tie-break
+                key, canon = _canonical_rotation(cols, N)
+                entry = (total, key, T)
+                if best is None or entry < best[:3]:
+                    best = (*entry, _exclusive_rows(canon, N), report)
     assert best is not None
     return Schedule(period=best[2], rows=best[3]), best[4]

@@ -7,7 +7,7 @@ import pytest
 from schedsec.lti_estimation import (LinearSystem, _psd_sqrt, lyapunov_step,
                                      riccati_step, steady_state)
 from schedsec.protocol_sequences import hamming_cross_correlation
-from schedsec.scheduling import Schedule, reception
+from schedsec.scheduling import Schedule, average_cost, reception
 
 
 def study_system_matrices():
@@ -107,6 +107,36 @@ def enumerated_invariance(policies):
             if hamming_cross_correlation(policies, U, shifts) != reference:
                 return False, (U, shifts)
     return True, None
+
+
+def enumerated_schedule_search(n_sensors, periods, ladders):
+    """Reference optimal-schedule search by enumeration.
+
+    Walks all N^T columnwise transmitter assignments of each period in
+    lexicographic order, rotates each to the rotation with the smallest
+    row-major flattened 0/1 matrix, skips rotation classes already seen,
+    prices the rest with average_cost and keeps the first minimum of
+    (total, flattened matrix, period).  Returns (Schedule, CostReport).
+    """
+    N = n_sensors
+    best = None  # (total, flat_key, T, rows, report)
+    for T in sorted(set(periods)):
+        seen = set()
+        for cols in itertools.product(range(N), repeat=T):
+            rotations = []
+            for r in range(T):
+                rows = tuple(tuple(1 if cols[(k + r) % T] == i else 0
+                                   for k in range(T)) for i in range(N))
+                rotations.append((bytes(v for row in rows for v in row), rows))
+            key, rows = min(rotations)
+            if key in seen:
+                continue
+            seen.add(key)
+            report = average_cost(rows, ladders)
+            entry = (report.total, key, T)
+            if best is None or entry < best[:3]:
+                best = (*entry, rows, report)
+    return Schedule(period=best[2], rows=best[3]), best[4]
 
 
 def steady_state_doubling(sys: LinearSystem, iters: int = 100) -> np.ndarray:

@@ -6,6 +6,7 @@ import math
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -268,6 +269,23 @@ def test_steady_state_overflow_exits_3_at_once(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: system 0: steady-state iteration overflowed to a non-finite "
         "covariance at step 1\n")
+
+
+def test_steady_state_with_large_covariance_converges(tmp_path, capsys):
+    # P_bar is about 5.6e7, where one ulp is 7.5e-9: an absolute step of
+    # 1e-10 is below float resolution, so the stop must scale with ||X||
+    import scipy.linalg
+    entry = {"A": [[1.5]], "C": [[1]], "Q": [[1]], "R": [[1e8]], "Pi": [[1]]}
+    path = tmp_path / "systems.json"
+    path.write_text(json.dumps([entry]))
+    t0 = time.perf_counter()
+    assert main(["steady-state", "--systems", str(path)]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    P_bar = json.loads(capsys.readouterr().out)["systems"][0]["P_bar"][0][0]
+    A, C, Q, R = (np.array(entry[k], dtype=float) for k in "ACQR")
+    prior = scipy.linalg.solve_discrete_are(A.T, C.T, Q, R)[0, 0]
+    posterior = prior - prior ** 2 / (prior + R[0, 0])
+    assert P_bar == pytest.approx(posterior, rel=1e-8)
 
 
 _junk = (st.none() | st.booleans() | st.integers(-2, 8) | st.floats()

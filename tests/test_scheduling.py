@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import enumerated_schedule_search, random_unstable_system
+from schedsec import scheduling
 from schedsec.cli import _cost_csv
 from schedsec.errors import BudgetError, ValidationError, read_json
+from schedsec.lti_estimation import steady_state
 from schedsec.scheduling import (Schedule, ShiftTuple, _gap_counts,
-                                 average_cost, optimal_schedule_search,
-                                 reception)
+                                 _necklaces, average_cost,
+                                 optimal_schedule_search, reception)
 
 GOLDEN_ROUND_ROBIN_COST = 2.0250433575300404
 
@@ -218,3 +221,93 @@ def test_histogram_sum_rule_matches_cost_definition(study_ladders):
     manual = sum(c * lad.trace(t) for t, c in enumerate(counts)) / 5
     report = average_cost([row], [lad])
     assert report.per_sensor[0] == pytest.approx(manual, rel=1e-12)
+
+
+def _n_necklaces(n_symbols, length):
+    """(1/T) sum over d | T of phi(d) N^(T/d)."""
+    def phi(d):
+        return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+    return sum(phi(d) * n_symbols ** (length // d)
+               for d in range(1, length + 1) if length % d == 0) // length
+
+
+@pytest.mark.parametrize("n_symbols", [1, 2, 3, 4])
+@pytest.mark.parametrize("length", range(1, 9))
+def test_necklaces_one_per_rotation_class(n_symbols, length):
+    necklaces = list(_necklaces(n_symbols, length))
+    assert len(necklaces) == _n_necklaces(n_symbols, length)
+    classes = set()
+    for neck in necklaces:
+        rotations = {neck[r:] + neck[:r] for r in range(length)}
+        assert neck == min(rotations)
+        classes.add(frozenset(rotations))
+    assert len(classes) == len(necklaces)
+
+
+def test_search_prices_only_necklaces_serving_every_sensor(
+        monkeypatch, study_systems, study_ladders):
+    # over {0, 1, 2} at T = 3 only 012 and 021 give every sensor a slot
+    calls = []
+    monkeypatch.setattr(scheduling, "average_cost",
+                        lambda *args: calls.append(args) or average_cost(*args))
+    sched, _ = optimal_schedule_search(study_systems, [3],
+                                       ladders=study_ladders)
+    assert sched.rows == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert len(calls) == 2
+    calls.clear()
+    optimal_schedule_search(study_systems, [3, 4, 5], ladders=study_ladders)
+    assert len(calls) == sum(1 for T in (3, 4, 5)
+                             for neck in _necklaces(3, T) if len(set(neck)) == 3)
+
+
+def _random_search_instance(rng):
+    n = int(rng.integers(2, 5))
+    systems = [random_unstable_system(rng, name=f"sensor {i}")
+               for i in range(n)]
+    fits = [T for T in range(n, 13) if n ** T <= 4096]
+    periods = rng.choice(fits, size=int(rng.integers(1, min(3, len(fits)) + 1)),
+                         replace=False)
+    return systems, [int(T) for T in periods]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_search_matches_enumeration_oracle(seed):
+    rng = np.random.default_rng(seed)
+    systems, periods = _random_search_instance(rng)
+    ladders = [steady_state(s) for s in systems]
+    got = optimal_schedule_search(systems, periods, ladders=ladders)
+    want = enumerated_schedule_search(len(systems), periods, ladders)
+    assert got[0] == want[0]
+    assert got[1].per_sensor == want[1].per_sensor  # bit-identical floats
+
+
+@pytest.mark.parametrize("periods", [[3], [3, 4], [3, 4, 5, 6]])
+def test_search_matches_enumeration_oracle_on_study(periods, study_systems,
+                                                    study_ladders):
+    got = optimal_schedule_search(study_systems, periods, ladders=study_ladders)
+    want = enumerated_schedule_search(3, periods, study_ladders)
+    assert got[0] == want[0]
+    assert got[1].per_sensor == want[1].per_sensor
+
+
+class _OverflowLadder:
+    """Finite traces up to a gap, then inf, as a ladder that overflows."""
+
+    def __init__(self, *traces):
+        self.traces = traces
+
+    def trace(self, t):
+        return self.traces[t] if t < len(self.traces) else math.inf
+
+
+@pytest.mark.parametrize("traces", [(1.0,), (1.0, 2.0), (1.0, math.nan)])
+def test_search_matches_oracle_when_no_schedule_is_finite(traces,
+                                                          study_systems):
+    # every schedule costs inf or NaN, so a necklace that starves a sensor
+    # can win the tie-break, exactly as when all assignments were priced
+    ladders = [_OverflowLadder(1.0)] + [_OverflowLadder(*traces)] * 2
+    for periods in ([3], [3, 4, 5]):
+        got = optimal_schedule_search(study_systems, periods, ladders=ladders)
+        want = enumerated_schedule_search(3, periods, ladders)
+        assert got[0] == want[0]
+        assert repr(got[1].per_sensor) == repr(want[1].per_sensor)
