@@ -9,21 +9,24 @@ shifts starves a chosen sensor of every packet.
 Finding the cheapest such tuple (fewest spoofed clocks) is a binary
 covering program per target: pick at most one nonzero shift per other
 sensor so that the shifted rows jointly cover every slot the target
-transmits in.  `bnb_optimal_attack` solves it by depth-first
-branch-and-bound over LP relaxations; `brute_force_optimal_attack` is the
+transmits in.  One private search, `_cheapest_block`, solves it by
+depth-first branch-and-bound over LP relaxations (`simplex.py`).
+`bnb_optimal_attack` runs it for every target and keeps the cheapest;
+`isolate_sensor_attack` runs it for one target when shifting every other
+clock by one slot does not starve it.  `brute_force_optimal_attack` is the
 independent exhaustive oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BudgetError, InfeasibleError, ValidationError,
                      resolve_budget)
-from .scheduling import Schedule, ShiftTuple, apply_shift, reception
+from .scheduling import Schedule, ShiftTuple, reception
 from .simplex import solve_bounded_lp
 
 INTEGRALITY_TOL = 1e-6
@@ -35,15 +38,14 @@ def blocks_sensor(sched: Schedule, attack: ShiftTuple, target: int) -> bool:
     return not any(reception(sched, attack)[target])
 
 
-def isolate_sensor_attack(sched: Schedule, target: int,
-                          budget: int | None = None) -> ShiftTuple:
+def isolate_sensor_attack(sched: Schedule, target: int) -> ShiftTuple:
     """Blocking attack against one sensor of an exclusive schedule.
 
     Tries the one-slot collective shift first (every other clock offset by
     1), which provably starves the target whenever its duty factor is at
-    most 1/2 and its slots are spread out.  Otherwise falls back to an
-    exhaustive search over shift tuples that keep the target's clock
-    honest, and raises InfeasibleError when no tuple blocks the target.
+    most 1/2 and its slots are spread out.  Otherwise returns the
+    fewest-spoof tuple that keeps the target's clock honest, and raises
+    InfeasibleError when no such tuple blocks the target.
     """
     sched.require_exclusive()
     N = sched.n_sensors
@@ -54,22 +56,10 @@ def isolate_sensor_attack(sched: Schedule, target: int,
         primary = ShiftTuple((0,) * N)
     if blocks_sensor(sched, primary, target):
         return primary
-    T = sched.period
-    limit = resolve_budget(budget)
-    space = T ** (N - 1)
-    if space > limit:
-        raise BudgetError(
-            f"fallback search over {space} shift tuples exceeds the budget "
-            f"{limit}; raise SCHEDSEC_BUDGET to allow it")
-    others = [j for j in range(N) if j != target]
-    for combo in itertools.product(range(T), repeat=N - 1):
-        taus = [0] * N
-        for j, t in zip(others, combo):
-            taus[j] = t
-        cand = ShiftTuple(tuple(taus))
-        if blocks_sensor(sched, cand, target):
-            return cand
-    raise InfeasibleError(f"no blocking attack exists for sensor {target}")
+    _, taus, _ = _cheapest_block(sched, target)
+    if taus is None:
+        raise InfeasibleError(f"no blocking attack exists for sensor {target}")
+    return taus
 
 
 def random_attack(period: int, n_sensors: int, seed: int) -> ShiftTuple:
@@ -80,109 +70,6 @@ def random_attack(period: int, n_sensors: int, seed: int) -> ShiftTuple:
         raise ValidationError(f"need at least one sensor, got {n_sensors}")
     rng = np.random.default_rng(seed)
     return ShiftTuple(tuple(int(t) for t in rng.integers(0, period, size=n_sensors)))
-
-
-@dataclass
-class MipInstance:
-    """Binary covering program for blocking one target sensor.
-
-    Columns enumerate the candidate spoofs: for every other sensor(in
-    ascending order) and every nonzero shift 1..T-1, the column holds that
-    sensor's shifted policy row.  A binary selection vector must pick at
-    most one column per sensor block and cover every slot of the target's
-    row.  The selection's weight is the number of spoofed sensors.
-    """
-
-    target: int
-    period: int
-    target_row: tuple[int, ...]
-    block_sensors: tuple[int, ...]
-    columns: np.ndarray            # shape (T, (T-1) * (N-1)), 0/1
-    column_sensor: tuple[int, ...]
-    column_shift: tuple[int, ...]
-    selection: np.ndarray | None = None
-
-    @property
-    def n_columns(self) -> int:
-        return self.columns.shape[1]
-
-    @property
-    def shifts_per_block(self) -> int:
-        return self.period - 1
-
-    def block_slice(self, sensor: int) -> slice:
-        b = self.block_sensors.index(sensor)
-        w = self.shifts_per_block
-        return slice(b * w, (b + 1) * w)
-
-    def block_matrix(self) -> np.ndarray:
-        """0/1 selector matrix with one row per block: row b sums block b."""
-        E = np.zeros((len(self.block_sensors), self.n_columns))
-        for b in range(len(self.block_sensors)):
-            w = self.shifts_per_block
-            E[b, b * w:(b + 1) * w] = 1.0
-        return E
-
-    def is_feasible(self, selection) -> bool:
-        sel = np.asarray(selection, dtype=float)
-        if sel.shape != (self.n_columns,):
-            return False
-        if np.any(np.abs(sel - np.round(sel)) > INTEGRALITY_TOL):
-            return False
-        sel = np.round(sel)
-        if np.any((sel < 0) | (sel > 1)):
-            return False
-        for j in self.block_sensors:
-            if sel[self.block_slice(j)].sum() > 1:
-                return False
-        return bool(np.all(self.columns @ sel >= np.array(self.target_row) - 0.5))
-
-    def decode(self, selection) -> ShiftTuple:
-        """Selection vector -> full shift tuple (target stays at 0)."""
-        sel = np.round(np.asarray(selection, dtype=float)).astype(int)
-        n = len(self.block_sensors) + 1
-        taus = [0] * n
-        for c in np.nonzero(sel)[0]:
-            taus[self.column_sensor[c]] = self.column_shift[c]
-        return ShiftTuple(tuple(taus))
-
-    def encode(self, attack: ShiftTuple) -> np.ndarray:
-        """Shift tuple (target unshifted) -> selection vector."""
-        if attack.taus[self.target] != 0:
-            raise ValidationError("the target sensor is never shifted")
-        sel = np.zeros(self.n_columns)
-        for j in self.block_sensors:
-            t = attack.taus[j]
-            if t:
-                w = self.shifts_per_block
-                b = self.block_sensors.index(j)
-                sel[b * w + (t - 1)] = 1.0
-        return sel
-
-
-def build_mip(sched: Schedule, target: int) -> MipInstance:
-    """Covering-program instance for starving one sensor of an exclusive
-    schedule, columns ordered by sensor then shift."""
-    sched.require_exclusive()
-    N = sched.n_sensors
-    T = sched.period
-    if not 0 <= target < N:
-        raise ValidationError(f"target {target} out of range for {N} sensors")
-    others = tuple(j for j in range(N) if j != target)
-    cols = []
-    col_sensor = []
-    col_shift = []
-    for j in others:
-        for t in range(1, T):
-            cols.append(apply_shift(sched.rows[j], t))
-            col_sensor.append(j)
-            col_shift.append(t)
-    columns = (np.array(cols, dtype=int).T if cols
-               else np.zeros((T, 0), dtype=int))
-    return MipInstance(target=target, period=T, target_row=sched.rows[target],
-                       block_sensors=others, columns=columns,
-                       column_sensor=tuple(col_sensor),
-                       column_shift=tuple(col_shift))
 
 
 @dataclass
@@ -203,15 +90,14 @@ class AttackSearchResult:
     nodes_explored: int = 0
 
 
-def brute_force_optimal_attack(sched: Schedule, budget: int | None = None,
-                               allow_shifted_target: bool = False) -> AttackSearchResult:
+def brute_force_optimal_attack(sched: Schedule,
+                               budget: int | None = None) -> AttackSearchResult:
     """Exhaustive oracle over all T^N shift tuples.
 
     A tuple qualifies when some sensor receives nothing in a period while
-    its own clock stays honest (pass allow_shifted_target=True to drop that
-    requirement and search the unrestricted space).  Among qualifying
-    tuples the lexicographically smallest one of minimum spoofed count
-    wins.  Returns an explicit non-blocking result when nothing qualifies.
+    its own clock stays honest.  Among qualifying tuples the
+    lexicographically smallest one of minimum spoofed count wins.  Returns
+    an explicit non-blocking result when nothing qualifies.
     """
     N = sched.n_sensors
     T = sched.period
@@ -227,10 +113,7 @@ def brute_force_optimal_attack(sched: Schedule, budget: int | None = None,
         if best_count is not None and cand.spoofed_count >= best_count:
             continue
         rec = reception(sched, cand)
-        starved = [i for i in range(N) if not any(rec[i])]
-        if not allow_shifted_target:
-            starved = [i for i in starved if combo[i] == 0]
-        if starved:
+        if any(combo[i] == 0 and not any(rec[i]) for i in range(N)):
             best, best_count = cand, cand.spoofed_count
             if best_count == 0:
                 break
@@ -242,91 +125,81 @@ def brute_force_optimal_attack(sched: Schedule, budget: int | None = None,
                               blocked_sensors=blocked)
 
 
-@dataclass
-class BnbState:
-    """Search state for one target: which sensor blocks are still free,
-    the pinned choices so far, and the best integral objective found."""
+def _cheapest_block(sched: Schedule, target: int):
+    """Fewest spoofed clocks that starve `target` of an exclusive schedule.
 
-    live: tuple[int, ...]
-    fixed: dict[int, int] = field(default_factory=dict)
-    incumbent: float = float("inf")
-    best_selection: np.ndarray | None = None
-    nodes: int = 0
+    A binary covering program: column (j, t) is the row of another sensor
+    j shifted by t = 1..T-1, ordered by sensor then shift.  At most one
+    column per sensor block may be picked, and the picks must cover every
+    slot the target transmits in.  Depth-first branch-and-bound over LP
+    relaxations: a node whose bound cannot beat the incumbent is pruned, an
+    integral relaxation becomes the incumbent, and otherwise the most
+    fractional live block (ties to the smallest sensor) is pinned to each of
+    its T choices in turn, 0 meaning that sensor's clock stays honest.
 
-
-def lp_relaxation(inst: MipInstance, state: BnbState):
-    """Relaxed covering program at a node: live blocks range over [0, 1],
-    fixed blocks are pinned to their chosen columns.
-
-    Returns (selection, objective) or None when the node is infeasible.
-    The objective lower-bounds every integral completion of the node.
+    Returns (cost, taus, nodes); cost and taus are None when no tuple with
+    an honest target clock starves the target.
     """
-    K = inst.n_columns
-    lower = np.zeros(K)
-    upper = np.ones(K)
-    for j, choice in state.fixed.items():
-        sl = inst.block_slice(j)
-        upper[sl] = 0.0
-        if choice:
-            col = sl.start + (choice - 1)
-            lower[col] = upper[col] = 1.0
-    A = np.vstack([-inst.columns.astype(float), inst.block_matrix()])
-    b = np.concatenate([-np.array(inst.target_row, dtype=float),
-                        np.ones(len(inst.block_sensors))])
-    res = solve_bounded_lp(np.ones(K), A, b, lower, upper, tol=LP_TOL)
-    if res.status != "optimal":
-        return None
-    return res.x, res.objective
-
-
-def _branch_block(inst: MipInstance, state: BnbState, selection) -> int:
-    """Most-fractional live block; ties go to the smallest sensor index."""
-    best_j = -1
-    best_mass = -1.0
-    for j in sorted(state.live):
-        part = selection[inst.block_slice(j)]
-        mass = float(np.minimum(part, 1.0 - part).sum())
-        if mass > best_mass + 1e-12:
-            best_j, best_mass = j, mass
-    return best_j
-
-
-def _bnb_single_target(inst: MipInstance) -> BnbState:
-    state = BnbState(live=inst.block_sensors)
+    T = sched.period
+    others = [j for j in range(sched.n_sensors) if j != target]
+    w = T - 1
+    K = len(others) * w
+    # column b*w + t-1 is the row of sensor others[b] shifted by t
+    shifted = (np.arange(T) + np.arange(1, T)[:, None]) % T
+    cols =np.array(sched.rows, dtype=int)[others][:, shifted].reshape(K, T).T
+    A = np.vstack([-cols.astype(float),
+                   np.repeat(np.eye(len(others)), w, axis=1)])
+    b = np.concatenate([-np.array(sched.rows[target], dtype=float),
+                        np.ones(len(others))])
+    fixed: dict[int, int] = {}
+    incumbent = float("inf")
+    best = None
+    nodes = 0
 
     def visit():
-        state.nodes += 1
-        res = lp_relaxation(inst, state)
-        if res is None:
+        nonlocal incumbent, best, nodes
+        nodes += 1
+        lower = np.zeros(K)
+        upper = np.ones(K)
+        for blk, choice in fixed.items():
+            upper[blk * w:(blk + 1) * w] = 0.0
+            if choice:
+                lower[blk * w + choice - 1] = upper[blk * w + choice - 1] = 1.0
+        res = solve_bounded_lp(np.ones(K), A, b, lower, upper, tol=LP_TOL)
+        if res.status != "optimal" or res.objective >= incumbent - LP_TOL:
             return
-        selection, objective = res
-        if objective >= state.incumbent - LP_TOL:
+        x = res.x
+        rounded = np.round(x)
+        if np.all(np.abs(x - rounded) <= INTEGRALITY_TOL):
+            incumbent, best = float(rounded.sum()), rounded
             return
-        if np.all(np.abs(selection - np.round(selection)) <= INTEGRALITY_TOL):
-            rounded = np.round(selection)
-            state.incumbent = float(rounded.sum())
-            state.best_selection = rounded
-            return
-        j = _branch_block(inst, state, selection)
-        state.live = tuple(s for s in state.live if s != j)
-        for choice in range(inst.period):
-            state.fixed[j] = choice
+        frac = np.minimum(x, 1.0 - x)
+        pick, mass = -1, -1.0
+        for blk in range(len(others)):
+            if blk in fixed:
+                continue
+            m = float(frac[blk * w:(blk + 1) * w].sum())
+            if m > mass + 1e-12:
+                pick, mass = blk, m
+        for choice in range(T):
+            fixed[pick] = choice
             visit()
-        del state.fixed[j]
-        state.live = tuple(sorted(state.live + (j,)))
+        del fixed[pick]
 
     visit()
-    return state
+    if best is None:
+        return None, None, nodes
+    taus = [0] * sched.n_sensors
+    for c in np.nonzero(best)[0]:
+        taus[others[c // w]] = int(c % w) + 1
+    return int(round(incumbent)), ShiftTuple(tuple(taus)), nodes
 
 
 def bnb_optimal_attack(sched: Schedule) -> AttackSearchResult:
-    """Depth-first branch-and-bound for the minimum-spoof blocking attack.
-
-    Solves the covering program once per target sensor (LP relaxations
-    pruned against a per-target incumbent, fractional nodes branched over
-    the T alternatives of the most fractional sensor block) and returns the
-    cheapest blocking attack over all targets.  The result's
-    per_target_costs records each target's optimum.
+    """Minimum-spoof blocking attack: the per-target search for every
+    sensor, keeping the cheapest (ties to the smaller target).  The
+    result's per_target_costs records each target's optimum and
+    nodes_explored sums the search nodes of all targets.
     """
     sched.require_exclusive()
     N = sched.n_sensors
@@ -335,17 +208,11 @@ def bnb_optimal_attack(sched: Schedule) -> AttackSearchResult:
     best_cost = None
     nodes = 0
     for target in range(N):
-        inst = build_mip(sched, target)
-        state = _bnb_single_target(inst)
-        nodes += state.nodes
-        if state.best_selection is None:
-            per_target.append(None)
-            continue
-        cost = int(round(state.incumbent))
+        cost, taus, n = _cheapest_block(sched, target)
+        nodes += n
         per_target.append(cost)
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_taus = inst.decode(state.best_selection)
+        if cost is not None and (best_cost is None or cost < best_cost):
+            best_cost, best_taus = cost, taus
     if best_taus is None:
         return AttackSearchResult(blocking=False, taus=None, spoofed_count=None,
                                   per_target_costs=tuple(per_target),

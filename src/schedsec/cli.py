@@ -27,8 +27,8 @@ import numpy as np
 
 from .attack import (bnb_optimal_attack, brute_force_optimal_attack,
                      isolate_sensor_attack, random_attack)
-from .errors import (BudgetError, ConvergenceError, InfeasibleError,
-                     NumericalError, SchedSecError, ValidationError, read_json)
+from .errors import (BudgetError, InfeasibleError, SchedSecError,
+                     ValidationError, read_json)
 from .lti_estimation import bundled_systems, load_systems, steady_state
 from .protocol_sequences import (PolicySet, bounds, construct_shift_invariant,
                                  is_shift_invariant, shortest_period_policies)
@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     out_format(p)
     p.set_defaults(func=_cmd_steady_state)
 
-    p = sub.add_parser("schedule", help="exhaustive optimal schedule search")
+    p = sub.add_parser("schedule", help="optimal schedule search over rotation classes")
     systems_arg(p)
     p.add_argument("--periods", required=True,
                    help="comma-separated candidate periods, e.g. 3,4,5")
@@ -597,13 +597,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValidationError, ConvergenceError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SchedSecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (SchedSecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (BudgetError, SchedSecError, ValidationError, json_int,
                      json_list, json_object, resolve_budget)
-from .scheduling import Schedule, ShiftTuple, reception
+from .scheduling import Schedule, ShiftTuple, apply_shift, reception
 
 
 @dataclass(frozen=True)
@@ -344,11 +344,6 @@ def is_shift_invariant(policies, budget: int | None = None) -> InvarianceReport:
     raise SchedSecError("no witness for a failed invariance check; this is a bug")
 
 
-def _rotate(vec, r):
-    d = len(vec)
-    return [vec[(k + r) % d] for k in range(d)]
-
-
 def construct_shift_invariant(factors, interleavings=None,
                               verify: bool = True) -> PolicySet:
     """Build a shift-invariant policy set with the given duty factors.
@@ -370,7 +365,7 @@ def construct_shift_invariant(factors, interleavings=None,
     for i, f in enumerate(fs):
         if interleavings is None:
             base = [0] * (f.d - f.n) + [1] * f.n
-            vecs = [_rotate(base, j % f.d) for j in range(D_prev)]
+            vecs = [apply_shift(base, j) for j in range(D_prev)]
         else:
             vecs = [list(v) for v in interleavings[i]]
             if len(vecs) != D_prev:

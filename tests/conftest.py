@@ -7,7 +7,8 @@ import pytest
 from schedsec.lti_estimation import (LinearSystem, _psd_sqrt, lyapunov_step,
                                      riccati_step, steady_state)
 from schedsec.protocol_sequences import hamming_cross_correlation
-from schedsec.scheduling import Schedule, average_cost, reception
+from schedsec.scheduling import (Schedule, ShiftTuple, average_cost,
+                                 reception)
 
 
 def study_system_matrices():
@@ -137,6 +138,22 @@ def enumerated_schedule_search(n_sensors, periods, ladders):
             if best is None or entry < best[:3]:
                 best = (*entry, rows, report)
     return Schedule(period=best[2], rows=best[3]), best[4]
+
+
+def unrestricted_min_spoof(sched):
+    """Fewest spoofed clocks over all T^N shift tuples that starve some
+    sensor, the starved sensor's own clock shifted or not; None when no
+    tuple starves anyone."""
+    N = sched.n_sensors
+    best = None
+    for combo in itertools.product(range(sched.period), repeat=N):
+        count = sum(1 for t in combo if t)
+        if best is not None and count >= best:
+            continue
+        rec = reception(sched, ShiftTuple(combo))
+        if any(not any(rec[i]) for i in range(N)):
+            best = count
+    return best
 
 
 def steady_state_doubling(sys: LinearSystem, iters: int = 100) -> np.ndarray:

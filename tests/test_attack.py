@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schedsec.attack import (blocks_sensor, bnb_optimal_attack,
-                             brute_force_optimal_attack, build_mip,
-                             isolate_sensor_attack, lp_relaxation,
+                             brute_force_optimal_attack, isolate_sensor_attack,
                              random_attack)
 from schedsec.errors import BudgetError, InfeasibleError, ValidationError
 from schedsec.scheduling import Schedule, ShiftTuple, apply_shift, reception
@@ -90,6 +89,33 @@ def test_isolate_shift_one_construction():
     assert blocks_sensor(sched, attack, 0)
 
 
+def test_isolate_fallback_spoofs_fewest_clocks():
+    # where the one-slot collective shift fails, isolate keeps the target
+    # honest and spoofs exactly as many clocks as the optimal search needs
+    from conftest import random_exclusive_schedule
+    rng = np.random.default_rng(31)
+    fallbacks = 0
+    for _ in range(60):
+        sched = random_exclusive_schedule(rng, int(rng.integers(2, 6)),
+                                          int(rng.integers(2, 9)))
+        costs = bnb_optimal_attack(sched).per_target_costs
+        for target in range(sched.n_sensors):
+            shift_one = ShiftTuple(tuple(0 if j == target else 1
+                                         for j in range(sched.n_sensors)))
+            if blocks_sensor(sched, shift_one, target):
+                continue
+            fallbacks += 1
+            if costs[target] is None:
+                with pytest.raises(InfeasibleError):
+                    isolate_sensor_attack(sched, target)
+                continue
+            attack = isolate_sensor_attack(sched, target)
+            assert attack.taus[target] == 0
+            assert blocks_sensor(sched, attack, target)
+            assert attack.spoofed_count == costs[target]
+    assert fallbacks >= 20
+
+
 def test_bnb_study_instance(round_robin):
     result = bnb_optimal_attack(round_robin)
     assert result.blocking
@@ -134,17 +160,17 @@ def test_bnb_matches_brute_force_on_random_schedules():
 
 
 def test_restricted_equals_unrestricted_brute_force():
-    from conftest import random_exclusive_schedule
+    from conftest import random_exclusive_schedule, unrestricted_min_spoof
     rng = np.random.default_rng(5)
     for _ in range(30):
         N = int(rng.integers(2, 4))
         T = int(rng.integers(2, 6))
         sched = random_exclusive_schedule(rng, N, T)
         r = brute_force_optimal_attack(sched)
-        u = brute_force_optimal_attack(sched, allow_shifted_target=True)
-        assert r.blocking == u.blocking
+        u = unrestricted_min_spoof(sched)
+        assert r.blocking == (u is not None)
         if r.blocking:
-            assert r.spoofed_count == u.spoofed_count
+            assert r.spoofed_count == u
 
 
 def test_brute_force_budget():
@@ -163,49 +189,12 @@ def test_single_sensor_cannot_be_blocked():
     assert a.per_target_costs == (None,)
 
 
-def test_build_mip_requires_exclusive():
+def test_attack_search_requires_exclusive():
     sched = Schedule(period=2, rows=((1, 1), (0, 1)))
     with pytest.raises(ValidationError):
-        build_mip(sched, 0)
-
-
-def test_mip_encode_decode_roundtrip(round_robin):
-    inst = build_mip(round_robin, 0)
-    attack = ShiftTuple(taus=(0, 1, 2))
-    sel = inst.encode(attack)
-    assert inst.decode(sel) == attack
+        bnb_optimal_attack(sched)
     with pytest.raises(ValidationError):
-        inst.encode(ShiftTuple(taus=(1, 0, 0)))  # target must stay unshifted
-
-
-def test_mip_feasibility_matches_blocking(round_robin):
-    inst = build_mip(round_robin, 1)
-    for taus in [(0, 0, 0), (1, 0, 1), (2, 0, 0), (1, 0, 2), (0, 0, 2)]:
-        attack = ShiftTuple(taus=(taus[0], 0, taus[2]))
-        sel = inst.encode(attack)
-        assert inst.is_feasible(sel) == blocks_sensor(round_robin, attack, 1)
-
-
-def test_mip_column_layout(round_robin):
-    inst = build_mip(round_robin, 2)
-    assert inst.block_sensors == (0, 1)
-    assert inst.n_columns == 4
-    assert inst.column_sensor == (0, 0, 1, 1)
-    assert inst.column_shift == (1, 2, 1, 2)
-    # column for sensor 0 shift 1 is its shifted transmission row
-    np.testing.assert_array_equal(inst.columns[:, 0],
-                                  apply_shift(round_robin.rows[0], 1))
-
-
-def test_lp_relaxation_lower_bounds_integer_optimum(round_robin):
-    from schedsec.attack import BnbState
-    for target in range(3):
-        inst = build_mip(round_robin, target)
-        state = BnbState(live=set(inst.block_sensors), fixed={})
-        got = lp_relaxation(inst, state)
-        assert got is not None
-        _, obj = got
-        assert obj <= 1 + 1e-9  # integer optimum is 1 spoof
+        isolate_sensor_attack(sched, 0)
 
 
 @settings(max_examples=60, deadline=None)

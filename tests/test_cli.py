@@ -422,6 +422,27 @@ def test_exit_code_budget(tmp_path, systems_path, monkeypatch):
                  "--periods", "3"]) == 5
 
 
+def test_isolate_fallback_ignores_the_work_budget(tmp_path, monkeypatch):
+    # shifting both other clocks by one covers only slot 1 of sensor 0, so
+    # isolate needs the optimal search; it used to enumerate 4^2 tuples
+    # against the budget and exit 5
+    from schedsec.attack import bnb_optimal_attack
+    from schedsec.scheduling import ShiftTuple, reception
+    rows = [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps({"T": 4, "rows": rows}))
+    monkeypatch.setenv("SCHEDSEC_BUDGET", "10")
+    out = tmp_path / "iso"
+    assert main(["attack", "isolate", "--schedule", str(path),
+                 "--target", "0", "--out", str(out)]) == 0
+    taus = json.loads((out / "attack.json").read_text())["taus"]
+    sched = Schedule(period=4, rows=tuple(map(tuple, rows)))
+    assert taus[0] == 0
+    assert not any(reception(sched, ShiftTuple(tuple(taus)))[0])
+    assert (sum(1 for t in taus if t)
+            == bnb_optimal_attack(sched).per_target_costs[0])
+
+
 def test_exit_code_usage():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
