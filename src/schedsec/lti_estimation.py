@@ -23,6 +23,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -33,10 +34,15 @@ from .errors import (ConvergenceError, NumericalError, StabilityWarning,
 PSD_TOL = 1e-9
 INSTABILITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
+# Tr(C X C' + R) above this multiple of Tr(R) makes the update's
+# subtraction X - X C' S^-1 C X cancel to noise, so riccati_step switches
+# to the Joseph form
+CANCELLATION_RATIO = 1e8
 
 
 def _as_matrix(value, rows=None, cols=None):
-    M = np.array(value, dtype=float)
+    # no copy of a float array: no caller writes into the matrix it gets
+    M = np.asarray(value, dtype=float)
     if M.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got shape {M.shape}")
     if rows is not None and M.shape[0] != rows:
@@ -169,6 +175,10 @@ class LinearSystem:
     def is_unstable(self) -> bool:
         return self.spectral_radius > 1.0 + INSTABILITY_TOL
 
+    @cached_property
+    def _cancellation_bound(self) -> float:
+        return CANCELLATION_RATIO * float(np.trace(self.R))
+
 
 def lyapunov_step(sys: LinearSystem, X) -> np.ndarray:
     """One open-loop covariance prediction: A X A' + Q, symmetrized."""
@@ -177,10 +187,24 @@ def lyapunov_step(sys: LinearSystem, X) -> np.ndarray:
 
 
 def riccati_step(sys: LinearSystem, X) -> np.ndarray:
-    """One measurement update: X - X C' (C X C' + R)^{-1} C X, symmetrized."""
+    """One measurement update: X - X C' (C X C' + R)^{-1} C X, symmetrized.
+
+    When C X C' dwarfs R (the trace of S = C X C' + R exceeds
+    CANCELLATION_RATIO times the trace of R) the subtraction loses every
+    significant digit, and the step returns the equal Joseph form
+    (I - K C) X (I - K C)' + K R K' with K = X C' S^{-1}, a sum of two
+    PSD terms, instead.  Any other input takes the subtraction form, at the
+    cost of one comparison.  (The information form (I + X C' R^{-1} C)^{-1}
+    X is exact too, but I + X C' R^{-1} C loses its identity part to
+    rounding once X is large, and is then numerically singular.)
+    """
     X = _as_matrix(X, rows=sys.n, cols=sys.n)
     S = sys.C @ X @ sys.C.T + sys.R
     try:
+        if sum(S.diagonal().tolist()) > sys._cancellation_bound:
+            K = np.linalg.solve(S, sys.C @ X).T
+            I_KC = np.eye(sys.n) - K @ sys.C
+            return _symmetrize(I_KC @ X @ I_KC.T + K @ sys.R @ K.T)
         gain = np.linalg.solve(S, sys.C @ X)
     except np.linalg.LinAlgError:
         raise NumericalError(

@@ -159,24 +159,66 @@ def reception(sched: Schedule,
     return [[v if b == 1 else 0 for v, b in zip(row, busy)] for row in rows]
 
 
-def _gap_counts(reception_row: Sequence[int]) -> list[int]:
-    """Cyclic reception-gap counts of one sensor: entry t is the number of
-    slots whose most recent reception lies t slots in the past (t = 0 marks
-    the reception slots themselves).  A row that never receives has none."""
+def _cyclic_runs(hits: Sequence[int], period: int) -> tuple[int, ...]:
+    """A sensor's multiset of cyclic reception gaps: the sorted lengths of
+    the runs from each of its reception slots `hits` (ascending, within one
+    period) to the next.  A sensor that never receives has none."""
+    if not hits:
+        return ()
+    return tuple(sorted(b - a for a, b in
+                        zip(hits, [*hits[1:], hits[0] + period])))
+
+
+def _reception_runs(reception_row: Sequence[int]) -> tuple[int, ...]:
+    """`_cyclic_runs` of a 0/1 reception row, checked first."""
     T = len(reception_row)
     if T == 0:
         raise ValidationError("reception row must be nonempty")
     _check_binary_rows([reception_row], T, context="reception row")
-    hits = [k for k, v in enumerate(reception_row) if v]
-    if not hits:
-        return []
+    return _cyclic_runs([k for k, v in enumerate(reception_row) if v], T)
+
+
+def _gap_histogram(runs: Sequence[int]) -> list[int]:
+    """Gap counts of one sensor from its cyclic runs: entry t is the number
+    of slots whose most recent reception lies t slots in the past (t = 0
+    marks the reception slots themselves)."""
+    counts = [0] * max(runs, default=0)
     # the run from one reception up to the next adds one to gaps 0 .. len-1
-    runs = [b - a for a, b in zip(hits, hits[1:] + [hits[0] + T])]
-    counts = [0] * max(runs)
     for run in runs:
         for t in range(run):
             counts[t] += 1
     return counts
+
+
+def _gap_pricer(ladders: Sequence[SteadyState]):
+    """price(i, runs): sensor i's long-run average trace from its cyclic
+    runs, memoized on (i, runs).
+
+    The cost of a reception pattern depends only on its multiset of cyclic
+    gaps, so callers that meet the same pattern many times (rotations in
+    the schedule search, repeated Monte Carlo trials) price it once.  The
+    cost is the gap histogram weighted by the trace ladder, summed in gap
+    order and divided by the period; a memo hit returns the bits a fresh
+    computation would.  No runs (a sensor that never receives) costs inf.
+    """
+    memo = {}
+
+    def price(i: int, runs: tuple[int, ...]) -> float:
+        key = (i, runs)
+        cost = memo.get(key)
+        if cost is None:
+            if runs:
+                lad = ladders[i]
+                total = 0.0
+                for t, c in enumerate(_gap_histogram(runs)):
+                    total += c * lad.trace(t)
+                cost = total / sum(runs)  # the runs add up to the period
+            else:
+                cost = inf
+            memo[key] = cost
+        return cost
+
+    return price
 
 
 @dataclass(frozen=True)
@@ -214,17 +256,9 @@ def average_cost(receptions: Sequence[Sequence[int]],
     if len(receptions) != len(ladders):
         raise ValidationError(
             f"got {len(receptions)} reception rows for {len(ladders)} ladders")
-    per = []
-    for row, lad in zip(receptions, ladders):
-        counts = _gap_counts(row)
-        if not counts:
-            per.append(inf)
-            continue
-        total = 0.0
-        for t, c in enumerate(counts):
-            total += c * lad.trace(t)
-        per.append(total / len(row))
-    return CostReport(tuple(per))
+    price = _gap_pricer(ladders)
+    return CostReport(tuple(price(i, _reception_runs(row))
+                            for i, row in enumerate(receptions)))
 
 
 def _necklaces(n_symbols: int, length: int):
@@ -272,8 +306,7 @@ def _canonical_rotation(cols: tuple[int, ...], n_sensors: int):
 
 
 def _exclusive_rows(cols: tuple[int, ...], n_sensors: int):
-    """0/1 rows of a columnwise assignment; an exclusive schedule's
-    reception is its own rows."""
+    """0/1 rows of a columnwise assignment."""
     return tuple(tuple(1 if c == i else 0 for c in cols)
                  for i in range(n_sensors))
 
@@ -288,15 +321,16 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
     cyclic rotation of a columnwise transmitter assignment costs the same,
     to the bit.  The search therefore walks one assignment per rotation
     class (the necklaces, generated once each by FKM) for each candidate
-    period and scores it with average_cost.  A necklace that leaves a
-    sensor without a slot costs inf and is priced only if no schedule that
-    serves every sensor has a finite cost.  Each class is represented by
-    its rotation with the lexicographically smallest row-major flattened
-    0/1 matrix, and the winner is the minimum of (total, that matrix,
-    period): ties break toward the smallest flattened matrix, then the
-    smallest period.  The budget (SCHEDSEC_BUDGET) caps the N^T column assignments
-    the candidate periods span, summed over periods; exceeding it raises
-    BudgetError.
+    period.  It prices each sensor's gap multiset once, however many
+    necklaces share it, with the same float operations as average_cost.
+    A necklace that leaves a sensor without a slot costs inf and is priced
+    only if no schedule that serves every sensor has a finite cost.  Each
+    class is represented by its rotation with the lexicographically
+    smallest row-major flattened 0/1 matrix, and the winner is the minimum
+    of (total, that matrix, period): ties break toward the smallest
+    flattened matrix, then the smallest period.  The budget
+    (SCHEDSEC_BUDGET) caps the N^T column assignments the candidate periods
+    span, summed over periods; exceeding it raises BudgetError.
     """
     N = len(systems)
     if N < 1:
@@ -316,7 +350,8 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
             f"drop the largest periods or raise SCHEDSEC_BUDGET")
     if ladders is None:
         ladders = [steady_state(s) for s in systems]
-    best = None  # (total, flat_key, T, rows, report)
+    price = _gap_pricer(ladders)
+    best = None  # (total, flat_key, T, rows, per-sensor costs)
     # A NaN total never wins.  Necklaces that starve a sensor (total inf)
     # are walked only when nothing that serves every sensor is finite.
     for starving in (False, True):
@@ -326,8 +361,12 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
             for cols in _necklaces(N, T):
                 if (len(set(cols)) < N) != starving:
                     continue
-                report = average_cost(_exclusive_rows(cols, N), ladders)
-                total = report.total
+                hits = [[] for _ in range(N)]
+                for k, c in enumerate(cols):
+                    hits[c].append(k)
+                per = tuple(price(i, _cyclic_runs(h, T))
+                            for i, h in enumerate(hits))
+                total = sum(per)  # CostReport.total, to the bit
                 if not total <= (inf if best is None else best[0]):
                     continue
                 # every rotation prices the same, so only a contender
@@ -335,6 +374,6 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
                 key, canon = _canonical_rotation(cols, N)
                 entry = (total, key, T)
                 if best is None or entry < best[:3]:
-                    best = (*entry, _exclusive_rows(canon, N), report)
+                    best = (*entry, _exclusive_rows(canon, N), per)
     assert best is not None
-    return Schedule(period=best[2], rows=best[3]), best[4]
+    return Schedule(period=best[2], rows=best[3]), CostReport(best[4])

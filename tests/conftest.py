@@ -9,6 +9,7 @@ from schedsec.lti_estimation import (LinearSystem, _psd_sqrt, lyapunov_step,
 from schedsec.protocol_sequences import hamming_cross_correlation
 from schedsec.scheduling import (Schedule, ShiftTuple, average_cost,
                                  reception)
+from schedsec.simulation import OVERFLOW_TRACE
 
 
 def study_system_matrices():
@@ -179,6 +180,35 @@ def steady_state_doubling(sys: LinearSystem, iters: int = 100) -> np.ndarray:
         Ak, Gk, Hk = A_next, G_next, H_next
     # Hk is the pre-measurement fixed point; one update maps it to P_bar.
     return riccati_step(sys, Hk)
+
+
+def stepped_covariance_series(systems, sched, attack, horizon, ladders):
+    """Reference for exact_covariance_series: every sensor stepped slot by
+    slot over the whole horizon, with no use of periodicity.
+
+    A reception slot resets the covariance to P_bar, any other slot takes
+    one prediction step; once a trace passes OVERFLOW_TRACE it is frozen.
+    Returns (traces, running_means, overflow_at).
+    """
+    receptions = reception(sched, attack)
+    traces = np.empty((len(systems), horizon))
+    overflow_at = [None] * len(systems)
+    for i, sys in enumerate(systems):
+        P = ladders[i].P_bar.copy()
+        frozen = False
+        for k in range(horizon):
+            if not frozen:
+                if receptions[i][k % sched.period]:
+                    P = ladders[i].P_bar.copy()
+                else:
+                    P = lyapunov_step(sys, P)
+                tr = float(np.trace(P))
+                if tr > OVERFLOW_TRACE:
+                    overflow_at[i] = k
+                    frozen = True
+            traces[i, k] = tr
+    running = np.cumsum(traces, axis=1) / np.arange(1, horizon + 1)
+    return traces, running, tuple(overflow_at)
 
 
 @dataclass

@@ -288,6 +288,21 @@ def test_steady_state_with_large_covariance_converges(tmp_path, capsys):
     assert P_bar == pytest.approx(posterior, rel=1e-8)
 
 
+def test_steady_state_where_the_update_cancels(tmp_path, capsys):
+    # the prior is about 1e20 against R = 1: X - X C' S^-1 C X cancels to
+    # noise, so only the subtraction-free update converges
+    import scipy.linalg
+    entry = {"A": [[1e10]], "C": [[1]], "Q": [[1]], "R": [[1]], "Pi": [[1]]}
+    path = tmp_path / "systems.json"
+    path.write_text(json.dumps([entry]))
+    assert main(["steady-state", "--systems", str(path)]) == 0
+    P_bar = json.loads(capsys.readouterr().out)["systems"][0]["P_bar"][0][0]
+    A, C, Q, R = (np.array(entry[k], dtype=float) for k in "ACQR")
+    prior = scipy.linalg.solve_discrete_are(A.T, C.T, Q, R)[0, 0]
+    posterior = prior * R[0, 0] / (prior + R[0, 0])
+    assert P_bar == pytest.approx(posterior, rel=1e-8)
+
+
 _junk = (st.none() | st.booleans() | st.integers(-2, 8) | st.floats()
          | st.text(max_size=2))
 _json_values = st.recursive(

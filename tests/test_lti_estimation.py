@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,6 +94,38 @@ def test_lyapunov_and_riccati_steps_hand_checked():
     assert lyapunov_step(sys, X)[0, 0] == pytest.approx(13.0)
     # g(3) = 3 - 9/4
     assert riccati_step(sys, X)[0, 0] == pytest.approx(0.75)
+
+
+def exact_scalar_output_update(sys, X):
+    """X - X C' (C X C' + R)^-1 C X for one output, in Fractions."""
+    n = sys.n
+    X = [[Fraction(float(v)) for v in row] for row in X]
+    c = [Fraction(float(v)) for v in sys.C[0]]
+    xc = [sum(X[i][j] * c[j] for j in range(n)) for i in range(n)]  # X C'
+    s = sum(c[i] * xc[i] for i in range(n)) + Fraction(float(sys.R[0, 0]))
+    return np.array([[float(X[i][j] - xc[i] * xc[j] / s) for j in range(n)]
+                     for i in range(n)])
+
+
+def test_riccati_step_switches_form_only_where_it_cancels(study_systems):
+    sys = study_systems[0]
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        M = rng.normal(size=(2, 2))
+        X = M @ M.T + 0.1 * np.eye(2)
+        # ordinary scale: the subtraction form, to the bit
+        S = sys.C @ X @ sys.C.T + sys.R
+        plain = X - X @ sys.C.T @ np.linalg.solve(S, sys.C @ X)
+        assert riccati_step(sys, X).tobytes() == ((plain + plain.T) / 2).tobytes()
+        # C X C' ~ 1e12 R: against the update in exact rational arithmetic
+        big = 1e12 * X
+        got = riccati_step(sys, big)
+        exact = exact_scalar_output_update(sys, big)
+        assert np.linalg.norm(got - exact) <= 1e-9 * np.linalg.norm(exact)
+    # the posterior of a prior of 1e20 under unit noise is 1e20 / (1e20 + 1)
+    scalar = LinearSystem(A=[[1e10]], C=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                          Pi=[[1.0]])
+    assert riccati_step(scalar, [[1e20]])[0, 0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_steps_preserve_symmetry_and_psd(study_systems):

@@ -12,8 +12,8 @@ from schedsec import scheduling
 from schedsec.cli import _cost_csv
 from schedsec.errors import BudgetError, ValidationError, read_json
 from schedsec.lti_estimation import steady_state
-from schedsec.scheduling import (Schedule, ShiftTuple, _gap_counts,
-                                 _necklaces, average_cost,
+from schedsec.scheduling import (Schedule, ShiftTuple, _gap_histogram,
+                                 _necklaces, _reception_runs, average_cost,
                                  optimal_schedule_search, reception)
 
 GOLDEN_ROUND_ROBIN_COST = 2.0250433575300404
@@ -21,28 +21,34 @@ GOLDEN_ROUND_ROBIN_COST = 2.0250433575300404
 binary_row = st.lists(st.integers(0, 1), min_size=1, max_size=12)
 
 
+def gap_counts(row):
+    """Gap histogram of a reception row, through the row check that
+    average_cost applies."""
+    return _gap_histogram(_reception_runs(row))
+
+
 def test_gap_histogram_hand_values():
-    assert _gap_counts([1, 0, 0]) == [1, 1, 1]
-    assert _gap_counts([1, 0, 1, 0]) == [2, 2]
-    assert _gap_counts([1, 1, 1]) == [3]
-    assert _gap_counts([0, 1, 0, 0, 0]) == [1, 1, 1, 1, 1]
-    assert _gap_counts((1, 0, 0, 1, 0)) == [2, 2, 1]
-    assert _gap_counts([0, 0, 0]) == []   # never received
+    assert gap_counts([1, 0, 0]) == [1, 1, 1]
+    assert gap_counts([1, 0, 1, 0]) == [2, 2]
+    assert gap_counts([1, 1, 1]) == [3]
+    assert gap_counts([0, 1, 0, 0, 0]) == [1, 1, 1, 1, 1]
+    assert gap_counts((1, 0, 0, 1, 0)) == [2, 2, 1]
+    assert gap_counts([0, 0, 0]) == []   # never received
 
 
 def test_gap_histogram_wraps_cyclically():
     # last reception before slot 0 is slot 3 of the previous period
-    assert _gap_counts([0, 0, 0, 1]) == [1, 1, 1, 1]
-    assert _gap_counts([0, 1, 0, 0, 1, 0]) == [2, 2, 2]
+    assert gap_counts([0, 0, 0, 1]) == [1, 1, 1, 1]
+    assert gap_counts([0, 1, 0, 0, 1, 0]) == [2, 2, 2]
 
 
 def test_gap_histogram_rejects_non_binary():
     with pytest.raises(ValidationError, match="row 0 slot 1 is 2"):
-        _gap_counts([0, 2, 0])
+        gap_counts([0, 2, 0])
     with pytest.raises(ValidationError, match="slot 0 is 0.5"):
-        _gap_counts([0.5, 0.5])
+        gap_counts([0.5, 0.5])
     with pytest.raises(ValidationError, match="nonempty"):
-        _gap_counts([])
+        gap_counts([])
     # an average_cost caller gets the same check
     with pytest.raises(ValidationError, match="reception row"):
         average_cost([[1, 0, 3]], [None])
@@ -51,7 +57,7 @@ def test_gap_histogram_rejects_non_binary():
 @settings(max_examples=200, deadline=None)
 @given(row=binary_row)
 def test_gap_histogram_invariants(row):
-    counts = _gap_counts(row)
+    counts = gap_counts(row)
     T = len(row)
     if not any(row):
         assert counts == []
@@ -69,7 +75,7 @@ def test_gap_histogram_invariants(row):
 @given(row=binary_row, r=st.integers(0, 11))
 def test_gap_histogram_rotation_invariant(row, r):
     rot = [row[(k + r) % len(row)] for k in range(len(row))]
-    assert _gap_counts(rot) == _gap_counts(row)
+    assert gap_counts(rot) == gap_counts(row)
 
 
 def test_duty_factor_reduces():
@@ -216,7 +222,7 @@ def test_histogram_sum_rule_matches_cost_definition(study_ladders):
     # cost assembled by hand from the histogram equals average_cost
     lad = study_ladders[2]
     row = [1, 0, 0, 1, 0]
-    counts = _gap_counts(row)
+    counts = gap_counts(row)
     assert counts == [2, 2, 1]
     manual = sum(c * lad.trace(t) for t, c in enumerate(counts)) / 5
     report = average_cost([row], [lad])
@@ -246,18 +252,31 @@ def test_necklaces_one_per_rotation_class(n_symbols, length):
 
 def test_search_prices_only_necklaces_serving_every_sensor(
         monkeypatch, study_systems, study_ladders):
+    # every (sensor, cyclic runs) the search asks its pricer for; a
+    # necklace that starves a sensor would ask for empty runs
+    asked = []
+    real = scheduling._gap_pricer
+
+    def recording(ladders):
+        price = real(ladders)
+
+        def wrapped(i, runs):
+            asked.append((i, runs))
+            return price(i, runs)
+        return wrapped
+
+    monkeypatch.setattr(scheduling, "_gap_pricer", recording)
     # over {0, 1, 2} at T = 3 only 012 and 021 give every sensor a slot
-    calls = []
-    monkeypatch.setattr(scheduling, "average_cost",
-                        lambda *args: calls.append(args) or average_cost(*args))
     sched, _ = optimal_schedule_search(study_systems, [3],
                                        ladders=study_ladders)
     assert sched.rows == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-    assert len(calls) == 2
-    calls.clear()
+    assert asked == [(0, (3,)), (1, (3,)), (2, (3,))] * 2
+    asked.clear()
     optimal_schedule_search(study_systems, [3, 4, 5], ladders=study_ladders)
-    assert len(calls) == sum(1 for T in (3, 4, 5)
-                             for neck in _necklaces(3, T) if len(set(neck)) == 3)
+    assert all(runs for _, runs in asked)
+    assert len(asked) == 3 * sum(1 for T in (3, 4, 5)
+                                 for neck in _necklaces(3, T)
+                                 if len(set(neck)) == 3)
 
 
 def _random_search_instance(rng):

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import state_trajectory_sim
+from conftest import (random_exclusive_schedule, state_trajectory_sim,
+                      stepped_covariance_series)
+from schedsec import simulation
 from schedsec.cli import _series_csv, _summary_doc
-from schedsec.errors import ValidationError
-from schedsec.lti_estimation import lyapunov_step
-from schedsec.protocol_sequences import (construct_shift_invariant,
+from schedsec.errors import StabilityWarning, ValidationError
+from schedsec.lti_estimation import LinearSystem, lyapunov_step, steady_state
+from schedsec.protocol_sequences import (PolicySet, construct_shift_invariant,
                                          shortest_period_policies)
 from schedsec.scheduling import (Schedule, ShiftTuple, average_cost,
                                  reception)
@@ -78,6 +80,77 @@ def test_overflow_freezes_series(study_systems, study_ladders, round_robin):
     assert series.traces[2, k2] > OVERFLOW_TRACE
     assert np.all(series.traces[2, k2:] == series.traces[2, k2])
     assert series.overflow_at[0] is None
+
+
+def assert_series_is_stepped(systems, sched, attack, horizon, ladders):
+    series = exact_covariance_series(systems, sched, attack=attack,
+                                     horizon=horizon, ladders=ladders)
+    traces, running, overflow_at = stepped_covariance_series(
+        systems, sched, attack, horizon, ladders)
+    assert series.traces.tobytes() == traces.tobytes()
+    assert series.running_means.tobytes() == running.tobytes()
+    assert series.overflow_at == overflow_at
+    return series
+
+
+def scalar_system(a, name="scalar"):
+    return LinearSystem(A=[[a]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], Pi=[[1.0]],
+                        name=name)
+
+
+def test_periodic_series_starved_sensor_overflows(study_systems,
+                                                  study_ladders, round_robin):
+    series = assert_series_is_stepped(study_systems, round_robin,
+                                      ShiftTuple(taus=(0, 0, 2)), 900,
+                                      study_ladders)
+    assert series.overflow_at[2] is not None
+    assert series.divergent == (False, True, True)
+
+
+def test_periodic_series_overflow_before_first_reception():
+    # A = 1000 passes 1e12 at the third prediction step (slot 2), before the
+    # sensor's first reception at slot 3; the trace stays frozen after it
+    systems = [scalar_system(1e3)]
+    sched = Schedule(period=5, rows=((0, 0, 0, 1, 0),))
+    ladders = [steady_state(s) for s in systems]
+    series = assert_series_is_stepped(systems, sched, None, 20, ladders)
+    assert series.overflow_at == (2,)
+    assert np.all(series.traces[0, 2:] == series.traces[0, 2])
+    assert series.divergent == (False,)
+
+
+def test_periodic_series_stable_sensor_that_never_receives():
+    with pytest.warns(StabilityWarning):
+        systems = [scalar_system(0.5, "stable"), scalar_system(1.2)]
+    sched = Schedule(period=4, rows=((0, 0, 0, 0), (0, 1, 1, 0)))
+    ladders = [steady_state(s) for s in systems]
+    series = assert_series_is_stepped(systems, sched, None, 50, ladders)
+    assert series.divergent == (True, False)
+    assert series.overflow_at == (None, None)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 5, 8])
+def test_periodic_series_horizon_shorter_than_a_period_past_first(
+        horizon, study_systems, study_ladders):
+    # first receptions at slots 4, 1 and 2 of a period of 6
+    sched = Schedule(period=6, rows=((0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 1),
+                                     (1, 0, 1, 0, 0, 0)))
+    assert_series_is_stepped(study_systems, sched, None, horizon,
+                             study_ladders)
+    assert_series_is_stepped(study_systems, sched, ShiftTuple((1, 0, 3)),
+                             horizon, study_ladders)
+
+
+def test_periodic_series_matches_stepping_on_random_schedules(
+        study_systems, study_ladders):
+    rng = np.random.default_rng(20261018)
+    for _ in range(30):
+        T = int(rng.integers(1, 8))
+        sched = random_exclusive_schedule(rng, 3, T)
+        attack = ShiftTuple(tuple(int(t) for t in rng.integers(0, T, size=3)))
+        horizon = int(rng.integers(1, 5 * T + 10))
+        assert_series_is_stepped(study_systems, sched, attack, horizon,
+                                 study_ladders)
 
 
 def test_periodic_average_requires_two_periods(study_systems, study_ladders,
@@ -151,6 +224,72 @@ def test_mc_randomized_interleaving(study_systems, study_ladders):
         monte_carlo_expected_cost(study_systems, plain, trials=60, seed=13,
                                   randomize_interleaving=True,
                                   ladders=study_ladders)
+
+
+def child_rngs(seed, trials):
+    return [np.random.default_rng(child)
+            for child in np.random.SeedSequence(seed).spawn(trials)]
+
+
+def drawn_interleaving(factors, rng):
+    """The interleaving vectors monte_carlo_expected_cost draws for one
+    trial, in its order: factor by factor, one vector per earlier residue."""
+    interleavings = []
+    D_prev = 1
+    for f in factors:
+        vecs = []
+        for _ in range(D_prev):
+            vec = [0] * f.d
+            for pos in rng.choice(f.d, size=f.n, replace=False):
+                vec[int(pos)] = 1
+            vecs.append(vec)
+        interleavings.append(vecs)
+        D_prev *= f.d
+    return construct_shift_invariant(factors, interleavings=interleavings,
+                                     verify=False)
+
+
+@pytest.mark.parametrize("block", [None, 1, 100])
+def test_mc_samples_are_per_trial_average_costs(block, monkeypatch,
+                                                study_systems, study_ladders,
+                                                round_robin):
+    # block: the slots one gathered batch may hold (None keeps the default);
+    # 1 gathers trial by trial
+    if block is not None:
+        monkeypatch.setattr(simulation, "_MC_BLOCK_SLOTS", block)
+    sd = construct_shift_invariant([(1, 3)] * 3)
+    for sched in (sd, round_robin):  # the round robin starves some trials
+        mc = monte_carlo_expected_cost(study_systems, sched, trials=50,
+                                       seed=7, ladders=study_ladders)
+        want = tuple(average_cost(reception(sched, ShiftTuple(
+            rng.integers(0, sched.period, size=3))), study_ladders).total
+            for rng in child_rngs(7, 50))
+        assert mc.samples == want
+    assert mc.n_divergent > 0
+    fixed = ShiftTuple((0, 5, 11))
+    mc = monte_carlo_expected_cost(study_systems, sd, trials=9, seed=3,
+                                   attack_model=fixed, ladders=study_ladders)
+    assert mc.samples == (average_cost(reception(sd, fixed),
+                                       study_ladders).total,) * 9
+
+
+@pytest.mark.parametrize("repeats", [1, 2])
+def test_mc_randomized_interleaving_samples(repeats, study_systems,
+                                            study_ladders):
+    # a policy set may repeat its shortest period; the rebuilt sets do not
+    sd = construct_shift_invariant([(1, 3), (1, 2), (1, 3)])
+    ps = PolicySet(period=repeats * sd.period,
+                   rows=tuple(row * repeats for row in sd.rows),
+                   factors=sd.factors)
+    mc = monte_carlo_expected_cost(study_systems, ps, trials=40, seed=13,
+                                   randomize_interleaving=True,
+                                   ladders=study_ladders)
+    want = []
+    for rng in child_rngs(13, 40):
+        sched = drawn_interleaving(ps.factors, rng)
+        taus = ShiftTuple(rng.integers(0, sched.period, size=3))
+        want.append(average_cost(reception(sched, taus), study_ladders).total)
+    assert mc.samples == tuple(want)
 
 
 def test_mc_divergent_trials_reported(study_systems, study_ladders,
