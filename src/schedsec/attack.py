@@ -90,8 +90,7 @@ class AttackSearchResult:
     nodes_explored: int = 0
 
 
-def brute_force_optimal_attack(sched: Schedule,
-                               budget: int | None = None) -> AttackSearchResult:
+def brute_force_optimal_attack(sched: Schedule) -> AttackSearchResult:
     """Exhaustive oracle over all T^N shift tuples.
 
     A tuple qualifies when some sensor receives nothing in a period while
@@ -101,7 +100,7 @@ def brute_force_optimal_attack(sched: Schedule,
     """
     N = sched.n_sensors
     T = sched.period
-    limit = resolve_budget(budget)
+    limit = resolve_budget()
     if T ** N > limit:
         raise BudgetError(
             f"enumerating {T ** N} shift tuples exceeds the budget {limit}; "

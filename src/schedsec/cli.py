@@ -397,8 +397,7 @@ def _cmd_simulate(args) -> int:
     if args.trials > 1:
         mc = monte_carlo_expected_cost(
             systems, policies, args.trials, args.seed,
-            attack_model=attack if attack is not None else "uniform",
-            ladders=ladders)
+            attack=attack, ladders=ladders)
         run.add_json("mc.json", {"trials": args.trials, "seed": args.seed,
                                  **_mc_doc(mc)})
     return run.finish("summary.json")
@@ -525,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     asub = p.add_subparsers(dest="attack_command", required=True)
     pa = asub.add_parser("optimal", help="minimal-spoofing blocking attack")
     pa.add_argument("--schedule", required=True)
-    out_format(pa)
+    out_format(pa, fmt=False)
     pa.set_defaults(func=_cmd_attack_optimal)
     pa = asub.add_parser("random", help="uniform random shift tuple")
     pa.add_argument("--schedule", required=True)
@@ -551,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = dsub.add_parser("bounds", help="attack-independent cost bounds")
     systems_arg(pd)
     pd.add_argument("--policies", required=True, help="policy set JSON file")
-    out_format(pd)
+    out_format(pd, fmt=False)
     pd.set_defaults(func=_cmd_defend_bounds)
     pd = dsub.add_parser("verify", help="prove or refute shift invariance")
     pd.add_argument("--policies", help="policy set JSON file")
@@ -568,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_positive, default=1000)
     p.add_argument("--trials", type=_positive, default=1)
     p.add_argument("--seed", type=_nonnegative, default=0)
-    out_format(p)
+    out_format(p, fmt=False)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("reproduce-paper",

@@ -46,13 +46,9 @@ class StabilityWarning(UserWarning):
     """A process matrix is not strictly unstable; results may be degenerate."""
 
 
-def resolve_budget(budget: int | None = None) -> int:
-    """Effective enumeration budget: explicit argument, else the
-    SCHEDSEC_BUDGET environment variable, else the package default."""
-    if budget is not None:
-        if budget < 1:
-            raise ValidationError(f"budget must be positive, got {budget}")
-        return int(budget)
+def resolve_budget() -> int:
+    """Effective enumeration budget: the SCHEDSEC_BUDGET environment
+    variable, else the package default."""
     env = os.environ.get(BUDGET_ENV_VAR)
     if env is not None:
         try:

@@ -34,6 +34,9 @@ from .errors import (ConvergenceError, NumericalError, StabilityWarning,
 PSD_TOL = 1e-9
 INSTABILITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
+# steady_state stops once a step moves the iterate by at most this much
+# (or by a few ulps of a large iterate)
+STEP_TOL = 1e-10
 # Tr(C X C' + R) above this multiple of Tr(R) makes the update's
 # subtraction X - X C' S^-1 C X cancel to noise, so riccati_step switches
 # to the Joseph form
@@ -244,20 +247,17 @@ class SteadyState:
         return self._traces[: upto + 1]
 
 
-def steady_state(sys: LinearSystem, tol: float = 1e-10,
-                 max_iter: int = 100_000) -> SteadyState:
+def steady_state(sys: LinearSystem, max_iter: int = 100_000) -> SteadyState:
     """Fixed-point iteration of the combined predict+update covariance map.
 
     Starts from Pi and iterates X <- riccati_step(lyapunov_step(X)) until the
-    Frobenius change is at most max(`tol`, 4 eps ||X||_F), eps being the
+    Frobenius change is at most max(STEP_TOL, 4 eps ||X||_F), eps being the
     float64 machine epsilon: a large covariance cannot move by less than a
     few ulps per step.  The fixed-point residual of the result must be at
     most max(RESIDUAL_TOL, 8 eps ||X||_F).  Raises ConvergenceError
     (carrying the last residual) if `max_iter` is exhausted, an iterate
     overflows to a non-finite matrix or the residual bound fails.
     """
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     eps = np.finfo(float).eps
@@ -276,8 +276,9 @@ def steady_state(sys: LinearSystem, tol: float = 1e-10,
                     f"non-finite covariance at step {it + 1}", residual=delta)
             X = X_next
             bound += delta
-            if delta <= tol or (delta <= 8 * eps * bound and delta <= 4 * eps
-                                * float(np.linalg.norm(X, "fro"))):
+            if delta <= STEP_TOL or (
+                    delta <= 8 * eps * bound
+                    and delta <= 4 * eps * float(np.linalg.norm(X, "fro"))):
                 break
         else:
             raise ConvergenceError(

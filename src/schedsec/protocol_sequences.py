@@ -27,7 +27,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -186,8 +185,8 @@ class InvarianceReport:
 class _Work:
     """Counts a check's elementary steps against the work budget."""
 
-    def __init__(self, budget: int | None):
-        self.limit = resolve_budget(budget)
+    def __init__(self):
+        self.limit = resolve_budget()
         self.used = 0
 
     def charge(self, steps: int):
@@ -304,7 +303,7 @@ def _zero_sum(masks, period: int, work: _Work) -> bool:
     return False
 
 
-def is_shift_invariant(policies, budget: int | None = None) -> InvarianceReport:
+def is_shift_invariant(policies) -> InvarianceReport:
     """Check that every subset's cross-correlation ignores relative shifts.
 
     Exact at every size, by the Fourier criterion of Shum, Chen, Sung &
@@ -319,12 +318,13 @@ def is_shift_invariant(policies, budget: int | None = None) -> InvarianceReport:
     sorted order, whose own correlation depends on the shifts, with the
     first shift tuple, in lexicographic order and the first shift pinned
     to zero, at which the correlation differs from the all-zero shifts.
-    The budget caps the steps taken: one per cyclotomic remainder, one per
-    residue-set rotation and one per shift tuple walked for the witness.
+    The budget (SCHEDSEC_BUDGET) caps the steps taken: one per cyclotomic
+    remainder, one per residue-set rotation and one per shift tuple walked
+    for the witness.
     """
     sched = Schedule.coerce(policies)
     rows, period = sched.rows, sched.period
-    work = _Work(budget)
+    work = _Work()
     masks = _supports(rows, period, work)
     if not _zero_sum(masks, period, work):
         return InvarianceReport(True, None, True)

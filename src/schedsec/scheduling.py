@@ -3,8 +3,9 @@
 N sensors share one channel in slotted time.  A schedule fixes, for each slot
 of a period T, which sensors transmit; a packet gets through only when its
 sender is the sole transmitter in the slot.  A clock-shift attack offsets a
-sensor's slot clock, so it transmits a cyclic shift of its row; `reception`
-applies the collision rule to shifted and unshifted rows alike.  The
+sensor's slot clock, so it transmits a cyclic shift of its row.  One
+kernel, `_sole_receptions`, applies the collision rule to a batch of
+shifted schedules at once; `reception` is its one-trial case.  The
 long-run estimation cost of a reception pattern depends only on the cyclic
 gap structure between receptions: a sensor that last received t slots ago
 carries covariance h^t(P_bar), so the per-period cost is the count of slots
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isinf
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (BudgetError, ValidationError, json_int, json_list,
                      json_object, resolve_budget)
@@ -146,27 +149,63 @@ def apply_shift(row, tau: int):
     return tuple(row[(k + tau) % T] for k in range(T))
 
 
+def _sole_receptions(rows: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Collision-channel outcome of a batch of trials, in one gather.
+
+    rows is a boolean (S, N, T) stack holding one schedule per trial, or
+    one schedule for all (S = 1); taus is the (trials, N) array of clock
+    offsets.  Entry [j, i, k] of the result is True iff sensor i's row in
+    trial j, shifted by taus[j, i], transmits in slot k and no other
+    shifted row does.
+    """
+    N, T = rows.shape[1:]
+    slots = (np.arange(T) + taus[:, :, None]) % T
+    shifted = rows[np.arange(len(rows))[:, None, None], np.arange(N)[:, None],
+                   slots]
+    return shifted & (shifted.sum(axis=1, keepdims=True) == 1)
+
+
 def reception(sched: Schedule,
               attack: ShiftTuple | None = None) -> list[list[int]]:
     """Collision-channel outcome: sensor i receives in slot k iff its row,
     shifted by its clock offset under `attack`, transmits there and no
-    other shifted row does."""
-    rows = sched.rows
+    other shifted row does (the one-trial case of `_sole_receptions`)."""
+    taus = (0,) * sched.n_sensors
     if attack is not None:
         attack.validate_for(sched)
-        rows = [apply_shift(row, t) for row, t in zip(rows, attack.taus)]
-    busy = [sum(col) for col in zip(*rows)]
-    return [[v if b == 1 else 0 for v, b in zip(row, busy)] for row in rows]
+        taus = attack.taus
+    sole = _sole_receptions(np.array([sched.rows], dtype=bool),
+                            np.array([taus]))
+    return sole[0].astype(int).tolist()
 
 
 def _cyclic_runs(hits: Sequence[int], period: int) -> tuple[int, ...]:
     """A sensor's multiset of cyclic reception gaps: the sorted lengths of
     the runs from each of its reception slots `hits` (ascending, within one
-    period) to the next.  A sensor that never receives has none."""
+    period) to the next.  A sensor that never receives has none.  This
+    sorted tuple of ints, as `_row_runs` also gives it, is the memo key of
+    `_gap_pricer`."""
     if not hits:
         return ()
     return tuple(sorted(b - a for a, b in
                         zip(hits, [*hits[1:], hits[0] + period])))
+
+
+def _row_runs(sole: np.ndarray) -> list[tuple[int, ...]]:
+    """`_cyclic_runs` of every row of a boolean (R, T) reception array,
+    computed for all rows at once."""
+    R, T = sole.shape
+    r, k = np.nonzero(sole)              # every hit, row by row, in slot order
+    last = np.ones(len(r), dtype=bool)   # the last hit of its row
+    last[:-1] = r[1:] != r[:-1]
+    first = np.ones(len(r), dtype=bool)
+    first[1:] = last[:-1]
+    head = k[np.maximum.accumulate(np.where(first, np.arange(len(k)), 0))]
+    # each hit runs to the next one in its row; the last wraps to the first
+    runs = np.where(last, head + T, np.roll(k, -1)) - k
+    runs = runs[np.lexsort((runs, r))].tolist()
+    ends = np.cumsum(np.bincount(r, minlength=R)).tolist()
+    return [tuple(runs[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
 
 def _reception_runs(reception_row: Sequence[int]) -> tuple[int, ...]:
@@ -313,8 +352,8 @@ def _exclusive_rows(cols: tuple[int, ...], n_sensors: int):
 
 def optimal_schedule_search(systems: Sequence[LinearSystem],
                             T_candidates: Sequence[int],
-                            ladders: Sequence[SteadyState] | None = None,
-                            budget: int | None = None) -> tuple[Schedule, CostReport]:
+                            ladders: Sequence[SteadyState] | None = None
+                            ) -> tuple[Schedule, CostReport]:
     """Search for the cost-minimizing exclusive schedule over necklaces.
 
     The cost depends only on each sensor's cyclic reception gaps, so every
@@ -342,7 +381,7 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
         if T < N:
             raise ValidationError(
                 f"period {T} cannot give all {N} sensors a slot; use T >= {N}")
-    limit = resolve_budget(budget)
+    limit = resolve_budget()
     total_size = sum(N ** T for T in cands)
     if total_size > limit:
         raise BudgetError(

@@ -1,16 +1,15 @@
-"""Exact covariance recursions and Monte Carlo evaluation.
+"""Exact covariance series and Monte Carlo evaluation.
 
-`exact_covariance_series` iterates the remote estimator's error covariance
-matrix slot by slot, which gives a route to long-run costs that never
-touches the trace-ladder bookkeeping in `scheduling`: the two must agree,
-and tests hold them to that.  After a sensor's first reception its
-covariance repeats with the period, so the series steps each sensor up to
-one period past that reception and repeats the period from there.
+`exact_covariance_series` gives the remote estimator's error covariance
+trace slot by slot: a sensor whose last packet came g slots ago carries
+h^g(P_bar), whose trace the `SteadyState` trace ladder already holds, so
+the series reads each slot's trace off the ladder at that slot's gap.
 `monte_carlo_expected_cost` averages exact per-attack costs over random
-clock-shift attacks: it applies the collision rule to a whole batch of
-trials in one array gather and prices every reception pattern it meets
-once.  Rendering the results (the series CSV and summary document) is the
-command line's job.
+clock-shift attacks: it applies `scheduling`'s collision kernel to a whole
+batch of trials at once and prices every reception pattern it meets once.
+Neither keeps a covariance recursion or a collision rule of its own; the
+slot-by-slot stepping oracle lives in the tests.  Rendering the results
+(the series CSV and summary document) is the command line's job.
 """
 
 from __future__ import annotations
@@ -22,11 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lti_estimation import (LinearSystem, SteadyState, lyapunov_step,
-                             steady_state)
+from .lti_estimation import LinearSystem, SteadyState, steady_state
 from .protocol_sequences import PolicySet, construct_shift_invariant
 from .scheduling import (CostReport, Schedule, ShiftTuple, _gap_pricer,
-                         reception)
+                         _row_runs, _sole_receptions, reception)
 
 OVERFLOW_TRACE = 1e12
 # shifted slots gathered at once by the Monte Carlo kernel, bounding its
@@ -39,8 +37,8 @@ class CovarianceSeries:
     """Deterministic per-slot remote error covariance traces.
 
     traces[i][k] is sensor i's trace at slot k.  Once a trace passes
-    OVERFLOW_TRACE the matrix recursion is frozen and later slots repeat the
-    last value, with the crossing recorded in overflow_at; this keeps
+    OVERFLOW_TRACE the series is frozen and later slots repeat that
+    value, with the crossing recorded in overflow_at; this keeps
     running statistics finite while still witnessing divergence.
     divergent[i] is structural: sensor i gets no packet in a whole period.
     """
@@ -82,20 +80,17 @@ def exact_covariance_series(systems: Sequence[LinearSystem], policies,
                             horizon: int = 1000,
                             ladders: Sequence[SteadyState] | None = None
                             ) -> CovarianceSeries:
-    """Iterate each sensor's remote error covariance under a reception
-    pattern derived from (possibly attacked) transmission rows.
+    """Each sensor's remote error covariance trace, slot by slot, under a
+    reception pattern derived from (possibly attacked) transmission rows.
 
     A slot with a reception resets the covariance to the local filter's
-    steady state; any other slot applies one open-loop prediction step.
-    The virtual slot -1 counts as a reception, so the pre-first-packet
-    segment follows the prediction iterates of the steady state.
-
-    From a sensor's first reception on, its covariance repeats with the
-    period, so each sensor is stepped only up to one full period past its
-    first reception and the rest of the horizon repeats that period, to
-    the bit.  A sensor that never receives is stepped slot by slot.  The
-    steps are the series' own (it reads P_bar, never the trace ladder), so
-    the series stays an independent check on the ladder-based costs.
+    steady state P_bar and any other slot applies one open-loop prediction
+    step, so a sensor whose last packet came g slots ago carries h^g(P_bar)
+    and its trace is read off the trace ladder, `ladders[i].trace(g)`.  The
+    virtual slot -1 counts as a reception, so before the first packet the
+    gap at slot k is k + 1.  The ladder is read in the order its gaps first
+    occur, and extended no further than the largest gap the horizon needs
+    or the first gap whose trace exceeds OVERFLOW_TRACE.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
@@ -109,23 +104,28 @@ def exact_covariance_series(systems: Sequence[LinearSystem], policies,
     traces = np.empty((N, horizon))
     divergent = tuple(sum(row) == 0 for row in receptions)
     overflow_at: list[int | None] = [None] * N
-    for i, sys in enumerate(systems):
-        row = receptions[i]
-        first = row.index(1) if 1 in row else None
-        stop = horizon if first is None else min(horizon, first + T)
-        P = ladders[i].P_bar
-        for k in range(stop):
-            P = ladders[i].P_bar if row[k % T] else lyapunov_step(sys, P)
-            tr = float(np.trace(P))
-            traces[i, k] = tr
-            if tr > OVERFLOW_TRACE:
+    slots = np.arange(horizon)
+    phase = slots % T
+    for i, row in enumerate(receptions):
+        hit = np.array(row, dtype=bool)[phase]
+        gaps = slots - np.maximum.accumulate(np.where(hit, slots, -1))
+        # a gap first occurs where it is the largest so far, or, for gap 0,
+        # at the first reception; reading the ladder in the order of those
+        # slots makes the first overflowing gap read mark the first
+        # overflowing slot
+        peak = np.maximum.accumulate(gaps)
+        first = np.r_[True, peak[1:] > peak[:-1]]
+        f = np.argmax(hit)
+        first[f] |= hit[f]
+        ks = np.flatnonzero(first)
+        gap_traces = np.empty(peak[-1] + 1)
+        for k, g in zip(ks.tolist(), gaps[ks].tolist()):
+            gap_traces[g] = ladders[i].trace(g)
+            if gap_traces[g] > OVERFLOW_TRACE:
                 overflow_at[i] = k
-                traces[i, k:] = tr
+                gaps[k:] = g  # the series stays frozen from here on
                 break
-        else:
-            if stop < horizon:
-                later = np.arange(stop, horizon)
-                traces[i, stop:] = traces[i, first + (later - first) % T]
+        traces[i] = gap_traces[gaps]
     running = np.cumsum(traces, axis=1) / np.arange(1, horizon + 1)
     return CovarianceSeries(period=T, horizon=horizon,
                             receptions=receptions, traces=traces,
@@ -183,44 +183,9 @@ def _random_interleaving(factors, rng) -> PolicySet:
                                      verify=False)
 
 
-def _sole_receptions(rows: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Collision-channel outcome of a batch of trials, the rule of
-    `reception` in one gather.
-
-    rows is a boolean (S, N, T) stack holding one schedule per trial, or
-    one schedule for all (S = 1); taus is the (trials, N) array of clock
-    offsets.  Entry [j, i, k] of the result is True iff sensor i's row in
-    trial j, shifted by taus[j, i], transmits in slot k and no other
-    shifted row does.
-    """
-    N, T = rows.shape[1:]
-    slots = (np.arange(T) + taus[:, :, None]) % T
-    shifted = rows[np.arange(len(rows))[:, None, None], np.arange(N)[:, None],
-                   slots]
-    return shifted & (shifted.sum(axis=1, keepdims=True) == 1)
-
-
-def _row_runs(sole: np.ndarray) -> list[tuple[int, ...]]:
-    """The cyclic runs (as `scheduling._cyclic_runs` gives them) of every
-    row of a boolean (R, T) reception array, computed for all rows at
-    once."""
-    R, T = sole.shape
-    r, k = np.nonzero(sole)              # every hit, row by row, in slot order
-    last = np.ones(len(r), dtype=bool)   # the last hit of its row
-    last[:-1] = r[1:] != r[:-1]
-    first = np.ones(len(r), dtype=bool)
-    first[1:] = last[:-1]
-    head = k[np.maximum.accumulate(np.where(first, np.arange(len(k)), 0))]
-    # each hit runs to the next one in its row; the last wraps to the first
-    runs = np.where(last, head + T, np.roll(k, -1)) - k
-    runs = runs[np.lexsort((runs, r))].tolist()
-    ends = np.cumsum(np.bincount(r, minlength=R)).tolist()
-    return [tuple(runs[lo:hi]) for lo, hi in zip([0, *ends], ends)]
-
-
 def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
                               trials: int, seed: int,
-                              attack_model="uniform",
+                              attack: ShiftTuple | None = None,
                               randomize_interleaving: bool = False,
                               ladders: Sequence[SteadyState] | None = None
                               ) -> MonteCarloCost:
@@ -228,10 +193,10 @@ def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
 
     Each of the `trials` trials gets an independent child of `seed`
     (SeedSequence spawning), draws interleaving vectors first when
-    randomize_interleaving is set, then the shift tuple when attack_model
-    is "uniform"; a fixed ShiftTuple may be passed instead to pin the
-    attack.  randomize_interleaving requires a PolicySet so the duty factors
-    are known; the rebuilt sets skip the invariance recheck since the
+    randomize_interleaving is set, then a uniform random shift tuple unless
+    a fixed `attack` pins the shifts (None, the default, draws them).
+    randomize_interleaving requires a PolicySet so the duty factors are
+    known; the rebuilt sets skip the invariance recheck since the
     construction guarantees it.
     """
     if trials < 1:
@@ -243,11 +208,8 @@ def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
     N = base.n_sensors
     if len(systems) != N:
         raise ValidationError(f"{len(systems)} systems for {N} policy rows")
-    if isinstance(attack_model, ShiftTuple):
-        attack_model.validate_for(base)
-    elif attack_model != "uniform":
-        raise ValidationError(
-            f'attack_model must be "uniform" or a ShiftTuple, got {attack_model!r}')
+    if attack is not None:
+        attack.validate_for(base)
     if ladders is None:
         ladders = [steady_state(sys) for sys in systems]
     price = _gap_pricer(ladders)
@@ -263,10 +225,8 @@ def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
             rng = np.random.default_rng(child)
             if randomize_interleaving:
                 stack.append(_random_interleaving(policies.factors, rng).rows)
-            if isinstance(attack_model, ShiftTuple):
-                taus.append(attack_model.taus)
-            else:
-                taus.append(rng.integers(0, T, size=N))
+            taus.append(rng.integers(0, T, size=N) if attack is None
+                        else attack.taus)
         rows = np.array(stack if stack else [base.rows], dtype=bool)
         sole = _sole_receptions(rows, np.array(taus)).reshape(-1, T)
         per = [price(r % N, runs) for r, runs in enumerate(_row_runs(sole))]

@@ -173,11 +173,12 @@ def test_restricted_equals_unrestricted_brute_force():
             assert r.spoofed_count == u
 
 
-def test_brute_force_budget():
+def test_brute_force_budget(monkeypatch):
     sched = Schedule(period=6, rows=tuple(
         tuple(1 if k == i else 0 for k in range(6)) for i in range(6)))
+    monkeypatch.setenv("SCHEDSEC_BUDGET", "10")
     with pytest.raises(BudgetError):
-        brute_force_optimal_attack(sched, budget=10)
+        brute_force_optimal_attack(sched)
 
 
 def test_single_sensor_cannot_be_blocked():

@@ -467,6 +467,31 @@ def test_exit_code_usage():
     assert exc2.value.code == 2
 
 
+def test_format_flag_only_where_a_table_is_rendered(tmp_path, capsys,
+                                                    systems_path, sched_path):
+    # attack optimal, defend bounds and simulate write JSON documents and
+    # CSV series only, so they take no --format
+    policies = tmp_path / "policies.json"
+    policies.write_text(json.dumps(shortest_period_policies(3).to_dict()))
+    for argv in (["attack", "optimal", "--schedule", sched_path],
+                 ["defend", "bounds", "--systems", systems_path,
+                  "--policies", str(policies)],
+                 ["simulate", "--systems", systems_path,
+                  "--schedule", sched_path, "--horizon", "6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert main(argv) == 0
+    for argv in (["steady-state", "--systems", systems_path],
+                 ["schedule", "--systems", systems_path, "--periods", "3"],
+                 ["cost", "--systems", systems_path, "--schedule", sched_path],
+                 ["reproduce-paper", "--trials", "2"]):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
+        assert any(path.suffix == ".csv" for path in out.iterdir())
+
+
 def test_reproduce_paper_pipeline(tmp_path, monkeypatch):
     out = tmp_path / "repro"
     argv = ["reproduce-paper", "--out", str(out), "--trials", "30",

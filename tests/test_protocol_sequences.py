@@ -111,13 +111,15 @@ def test_invariance_rejects_plain_round_robin(round_robin):
     assert hamming_cross_correlation(round_robin.rows, U, shifts) != ref
 
 
-def test_invariance_proven_within_small_budget():
+def test_invariance_proven_within_small_budget(monkeypatch):
     # 35^2 shift tuples for the pair; the exact check needs a handful of steps
     ps = construct_shift_invariant([(1, 5), (1, 7)], verify=False)
-    rep = is_shift_invariant(ps, budget=100)
+    monkeypatch.setenv("SCHEDSEC_BUDGET", "100")
+    rep = is_shift_invariant(ps)
     assert rep.invariant and rep.exhaustive
+    monkeypatch.setenv("SCHEDSEC_BUDGET", "2")
     with pytest.raises(BudgetError, match="budget"):
-        is_shift_invariant(ps, budget=2)
+        is_shift_invariant(ps)
 
 
 def test_invariance_scales_to_period_256():

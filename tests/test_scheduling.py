@@ -203,10 +203,10 @@ def test_search_rejects_too_short_period(study_systems, study_ladders):
         optimal_schedule_search(study_systems, [2], ladders=study_ladders)
 
 
-def test_search_budget(study_systems, study_ladders):
+def test_search_budget(study_systems, study_ladders, monkeypatch):
+    monkeypatch.setenv("SCHEDSEC_BUDGET", "5")
     with pytest.raises(BudgetError, match="SCHEDSEC_BUDGET"):
-        optimal_schedule_search(study_systems, [3], ladders=study_ladders,
-                                budget=5)
+        optimal_schedule_search(study_systems, [3], ladders=study_ladders)
 
 
 def test_search_beats_every_explicit_candidate(study_systems, study_ladders):

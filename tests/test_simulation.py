@@ -119,6 +119,49 @@ def test_periodic_series_overflow_before_first_reception():
     assert series.divergent == (False,)
 
 
+def test_periodic_series_overflow_inside_the_period_after_first_reception():
+    # sensor 0 receives at slot 1 of a period of 8; its trace passes 1e12 at
+    # gap 3, so at slot 4, after that reception and inside the period
+    systems = [scalar_system(1e3), scalar_system(1.5, "mild")]
+    sched = Schedule(period=8, rows=((0, 1, 0, 0, 0, 0, 0, 0),
+                                     (1, 0, 1, 0, 1, 0, 1, 0)))
+    ladders = [steady_state(s) for s in systems]
+    series = assert_series_is_stepped(systems, sched, None, 30, ladders)
+    assert series.overflow_at == (4, None)
+    assert np.all(series.traces[0, 4:] == series.traces[0, 4])
+    # the ladder is read up to the overflowing gap and no further
+    assert len(ladders[0]._traces) == 4
+
+
+def test_periodic_series_overflow_from_the_steady_state_on():
+    # R = 1e14 puts Tr P_bar at 7.5e13, past OVERFLOW_TRACE at gap 0, but
+    # slot 0 (gap 1, before the first reception at slot 2) overflows first
+    systems = [LinearSystem(A=[[2.0]], C=[[1.0]], Q=[[1.0]], R=[[1e14]],
+                            Pi=[[1.0]])]
+    sched = Schedule(period=4, rows=((0, 0, 1, 0),))
+    ladders = [steady_state(s) for s in systems]
+    assert ladders[0].trace(0) > OVERFLOW_TRACE
+    series = assert_series_is_stepped(systems, sched, None, 10, ladders)
+    assert series.overflow_at == (0,)
+
+
+def test_series_same_whether_pricing_extended_the_ladders(study_systems):
+    sched = Schedule(period=7, rows=((1, 0, 0, 0, 0, 0, 0),
+                                     (0, 0, 1, 1, 0, 0, 0),
+                                     (0, 0, 0, 0, 0, 1, 0)))
+    attack = ShiftTuple((0, 3, 1))
+    ladders = [steady_state(s) for s in study_systems]
+    fresh = assert_series_is_stepped(study_systems, sched, attack, 40,
+                                     ladders)
+    # pricing a sparse pattern extends the same ladders past every gap the
+    # series reads
+    average_cost([[1] + [0] * 59] * 3, ladders)
+    extended = assert_series_is_stepped(study_systems, sched, attack, 40,
+                                        ladders)
+    assert extended.traces.tobytes() == fresh.traces.tobytes()
+    assert extended.running_means.tobytes() == fresh.running_means.tobytes()
+
+
 def test_periodic_series_stable_sensor_that_never_receives():
     with pytest.warns(StabilityWarning):
         systems = [scalar_system(0.5, "stable"), scalar_system(1.2)]
@@ -205,7 +248,7 @@ def test_mc_fixed_attack_model(study_systems, study_ladders):
     sd = construct_shift_invariant([(1, 3)] * 3)
     attack = ShiftTuple(taus=(0, 5, 11))
     mc = monte_carlo_expected_cost(study_systems, sd, trials=10, seed=3,
-                                   attack_model=attack, ladders=study_ladders)
+                                   attack=attack, ladders=study_ladders)
     assert mc.std == pytest.approx(0.0, abs=1e-12)
     ref = average_cost(reception(sd, attack),
                        study_ladders)
@@ -268,7 +311,7 @@ def test_mc_samples_are_per_trial_average_costs(block, monkeypatch,
     assert mc.n_divergent > 0
     fixed = ShiftTuple((0, 5, 11))
     mc = monte_carlo_expected_cost(study_systems, sd, trials=9, seed=3,
-                                   attack_model=fixed, ladders=study_ladders)
+                                   attack=fixed, ladders=study_ladders)
     assert mc.samples == (average_cost(reception(sd, fixed),
                                        study_ladders).total,) * 9
 
@@ -300,14 +343,6 @@ def test_mc_divergent_trials_reported(study_systems, study_ladders,
                                    seed=0, ladders=study_ladders)
     assert mc.n_divergent > 0
     assert math.isinf(mc.mean)
-
-
-def test_mc_rejects_bad_attack_model(study_systems, study_ladders,
-                                     round_robin):
-    with pytest.raises(ValidationError):
-        monte_carlo_expected_cost(study_systems, round_robin, trials=2, seed=0,
-                                  attack_model="gauss",
-                                  ladders=study_ladders)
 
 
 def test_trajectory_bit_reproducible(study_systems, study_ladders,
