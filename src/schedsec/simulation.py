@@ -1,15 +1,18 @@
-"""Exact covariance series and Monte Carlo evaluation.
+"""Exact covariance recursions and Monte Carlo evaluation.
 
-`exact_covariance_series` gives the remote estimator's error covariance
-trace slot by slot: a sensor whose last packet came g slots ago carries
-h^g(P_bar), whose trace the `SteadyState` trace ladder already holds, so
-the series reads each slot's trace off the ladder at that slot's gap.
+`exact_covariance_series` iterates the remote estimator's error covariance
+matrix slot by slot with `lyapunov_step`, starting from the ladder's P_bar.
+After a sensor's first reception its covariance repeats with the period,
+so the series steps each sensor up to one period past that reception and
+repeats the period from there.  Its steps are the float operations the
+trace ladder is built from, so each slot's trace equals the ladder's at
+that slot's gap to the bit and is no independent check of the
+ladder-based costs; the independent stepping oracle lives in the tests.
 `monte_carlo_expected_cost` averages exact per-attack costs over random
 clock-shift attacks: it applies `scheduling`'s collision kernel to a whole
-batch of trials at once and prices every reception pattern it meets once.
-Neither keeps a covariance recursion or a collision rule of its own; the
-slot-by-slot stepping oracle lives in the tests.  Rendering the results
-(the series CSV and summary document) is the command line's job.
+batch of trials at once and prices every reception pattern it meets once,
+keeping no collision rule of its own.  Rendering the results (the series
+CSV and summary document) is the command line's job.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lti_estimation import LinearSystem, SteadyState, steady_state
+from .lti_estimation import (LinearSystem, SteadyState, lyapunov_step,
+                             steady_state)
 from .protocol_sequences import PolicySet, construct_shift_invariant
 from .scheduling import (CostReport, Schedule, ShiftTuple, _gap_pricer,
                          _row_runs, _sole_receptions, reception)
@@ -37,8 +41,8 @@ class CovarianceSeries:
     """Deterministic per-slot remote error covariance traces.
 
     traces[i][k] is sensor i's trace at slot k.  Once a trace passes
-    OVERFLOW_TRACE the series is frozen and later slots repeat that
-    value, with the crossing recorded in overflow_at; this keeps
+    OVERFLOW_TRACE the matrix recursion is frozen and later slots repeat the
+    last value, with the crossing recorded in overflow_at; this keeps
     running statistics finite while still witnessing divergence.
     divergent[i] is structural: sensor i gets no packet in a whole period.
     """
@@ -80,17 +84,19 @@ def exact_covariance_series(systems: Sequence[LinearSystem], policies,
                             horizon: int = 1000,
                             ladders: Sequence[SteadyState] | None = None
                             ) -> CovarianceSeries:
-    """Each sensor's remote error covariance trace, slot by slot, under a
-    reception pattern derived from (possibly attacked) transmission rows.
+    """Iterate each sensor's remote error covariance under a reception
+    pattern derived from (possibly attacked) transmission rows.
 
     A slot with a reception resets the covariance to the local filter's
-    steady state P_bar and any other slot applies one open-loop prediction
-    step, so a sensor whose last packet came g slots ago carries h^g(P_bar)
-    and its trace is read off the trace ladder, `ladders[i].trace(g)`.  The
-    virtual slot -1 counts as a reception, so before the first packet the
-    gap at slot k is k + 1.  The ladder is read in the order its gaps first
-    occur, and extended no further than the largest gap the horizon needs
-    or the first gap whose trace exceeds OVERFLOW_TRACE.
+    steady state; any other slot applies one open-loop prediction step.
+    The virtual slot -1 counts as a reception, so the pre-first-packet
+    segment follows the prediction iterates of the steady state.
+
+    From a sensor's first reception on, its covariance repeats with the
+    period, so each sensor is stepped only up to one full period past its
+    first reception and the rest of the horizon repeats that period, to
+    the bit.  A sensor that never receives is stepped slot by slot.  Of
+    the ladder the series reads only P_bar.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
@@ -104,28 +110,23 @@ def exact_covariance_series(systems: Sequence[LinearSystem], policies,
     traces = np.empty((N, horizon))
     divergent = tuple(sum(row) == 0 for row in receptions)
     overflow_at: list[int | None] = [None] * N
-    slots = np.arange(horizon)
-    phase = slots % T
-    for i, row in enumerate(receptions):
-        hit = np.array(row, dtype=bool)[phase]
-        gaps = slots - np.maximum.accumulate(np.where(hit, slots, -1))
-        # a gap first occurs where it is the largest so far, or, for gap 0,
-        # at the first reception; reading the ladder in the order of those
-        # slots makes the first overflowing gap read mark the first
-        # overflowing slot
-        peak = np.maximum.accumulate(gaps)
-        first = np.r_[True, peak[1:] > peak[:-1]]
-        f = np.argmax(hit)
-        first[f] |= hit[f]
-        ks = np.flatnonzero(first)
-        gap_traces = np.empty(peak[-1] + 1)
-        for k, g in zip(ks.tolist(), gaps[ks].tolist()):
-            gap_traces[g] = ladders[i].trace(g)
-            if gap_traces[g] > OVERFLOW_TRACE:
+    for i, sys in enumerate(systems):
+        row = receptions[i]
+        first = row.index(1) if 1 in row else None
+        stop = horizon if first is None else min(horizon, first + T)
+        P = ladders[i].P_bar
+        for k in range(stop):
+            P = ladders[i].P_bar if row[k % T] else lyapunov_step(sys, P)
+            tr = float(np.trace(P))
+            traces[i, k] = tr
+            if tr > OVERFLOW_TRACE:
                 overflow_at[i] = k
-                gaps[k:] = g  # the series stays frozen from here on
+                traces[i, k:] = tr
                 break
-        traces[i] = gap_traces[gaps]
+        else:
+            if stop < horizon:
+                later = np.arange(stop, horizon)
+                traces[i, stop:] = traces[i, first + (later - first) % T]
     running = np.cumsum(traces, axis=1) / np.arange(1, horizon + 1)
     return CovarianceSeries(period=T, horizon=horizon,
                             receptions=receptions, traces=traces,

@@ -129,8 +129,6 @@ def test_periodic_series_overflow_inside_the_period_after_first_reception():
     series = assert_series_is_stepped(systems, sched, None, 30, ladders)
     assert series.overflow_at == (4, None)
     assert np.all(series.traces[0, 4:] == series.traces[0, 4])
-    # the ladder is read up to the overflowing gap and no further
-    assert len(ladders[0]._traces) == 4
 
 
 def test_periodic_series_overflow_from_the_steady_state_on():
