@@ -10,8 +10,7 @@ from .errors import (BudgetError, ConvergenceError, InfeasibleError,
 from .lti_estimation import (LinearSystem, SteadyState, bundled_systems,
                              load_systems, lyapunov_step, riccati_step,
                              steady_state)
-from .protocol_sequences import (BoundsReport, InvarianceReport, PolicySet,
-                                 RationalDutyFactor, bounds,
+from .protocol_sequences import (BoundsReport, InvarianceReport, bounds,
                                  construct_shift_invariant,
                                  hamming_cross_correlation, is_shift_invariant,
                                  shortest_period_policies, throughput)
@@ -25,8 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackSearchResult", "BoundsReport", "BudgetError", "ConvergenceError",
     "CostReport", "CovarianceSeries", "InfeasibleError", "InvarianceReport",
-    "LinearSystem", "MonteCarloCost", "NumericalError", "PolicySet",
-    "RationalDutyFactor", "SchedSecError", "Schedule", "ShiftTuple",
+    "LinearSystem", "MonteCarloCost", "NumericalError", "SchedSecError",
+    "Schedule", "ShiftTuple",
     "StabilityWarning", "SteadyState", "ValidationError", "apply_shift",
     "average_cost", "blocks_sensor", "bnb_optimal_attack", "bounds",
     "brute_force_optimal_attack", "bundled_systems",

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BudgetError, InfeasibleError, ValidationError,
-                     resolve_budget)
+from .errors import InfeasibleError, ValidationError, Work
 from .scheduling import Schedule, ShiftTuple, reception
 from .simplex import solve_bounded_lp
 
@@ -100,11 +99,7 @@ def brute_force_optimal_attack(sched: Schedule) -> AttackSearchResult:
     """
     N = sched.n_sensors
     T = sched.period
-    limit = resolve_budget()
-    if T ** N > limit:
-        raise BudgetError(
-            f"enumerating {T ** N} shift tuples exceeds the budget {limit}; "
-            f"raise SCHEDSEC_BUDGET to allow it")
+    Work(f"enumerating {T ** N} shift tuples").charge(T ** N)
     best: ShiftTuple | None = None
     best_count = None
     for combo in itertools.product(range(T), repeat=N):

@@ -30,8 +30,9 @@ from .attack import (bnb_optimal_attack, brute_force_optimal_attack,
 from .errors import (BudgetError, InfeasibleError, SchedSecError,
                      ValidationError, read_json)
 from .lti_estimation import bundled_systems, load_systems, steady_state
-from .protocol_sequences import (PolicySet, bounds, construct_shift_invariant,
-                                 is_shift_invariant, shortest_period_policies)
+from .protocol_sequences import (bounds, construct_shift_invariant,
+                                 is_shift_invariant, policies_from_dict,
+                                 policies_to_dict, shortest_period_policies)
 from .scheduling import (Schedule, ShiftTuple, average_cost,
                          optimal_schedule_search, reception)
 from .simulation import exact_covariance_series, monte_carlo_expected_cost
@@ -121,8 +122,8 @@ def _load_systems_arg(run: _Run, path):
     return systems
 
 
-def _load_arg(run: _Run, label: str, path, cls):
-    obj = cls.from_dict(read_json(path))
+def _load_arg(run: _Run, label: str, path, parse):
+    obj = parse(read_json(path))
     run.note_input(label, path)
     return obj
 
@@ -133,8 +134,8 @@ def _load_rows_arg(run: _Run, args):
     if bool(args.policies) == bool(args.schedule):
         raise ValidationError("pass exactly one of --policies or --schedule")
     if args.policies:
-        return _load_arg(run, "policies", args.policies, PolicySet)
-    return _load_arg(run, "schedule", args.schedule, Schedule)
+        return _load_arg(run, "policies", args.policies, policies_from_dict)
+    return _load_arg(run, "schedule", args.schedule, Schedule.from_dict)
 
 
 # -- renderers ------------------------------------------------------------
@@ -276,9 +277,9 @@ def _cmd_schedule(args) -> int:
 def _cmd_cost(args) -> int:
     run = _Run(args, "cost")
     systems = _load_systems_arg(run, args.systems)
-    sched = _load_arg(run, "schedule", args.schedule, Schedule)
+    sched = _load_arg(run, "schedule", args.schedule, Schedule.from_dict)
     run.parameters.update(schedule=args.schedule, attack=args.attack)
-    attack = (_load_arg(run, "attack", args.attack, ShiftTuple)
+    attack = (_load_arg(run, "attack", args.attack, ShiftTuple.from_dict)
               if args.attack else None)
     receptions = reception(sched, attack)
     ladders = [steady_state(sys) for sys in systems]
@@ -289,7 +290,7 @@ def _cmd_cost(args) -> int:
 
 def _cmd_attack_optimal(args) -> int:
     run = _Run(args, "attack optimal")
-    sched = _load_arg(run, "schedule", args.schedule, Schedule)
+    sched = _load_arg(run, "schedule", args.schedule, Schedule.from_dict)
     run.parameters = {"schedule": args.schedule}
     result = bnb_optimal_attack(sched)
     run.add_json("attack_report.json", _attack_doc(result))
@@ -300,7 +301,7 @@ def _cmd_attack_optimal(args) -> int:
 
 def _cmd_attack_random(args) -> int:
     run = _Run(args, "attack random")
-    sched = _load_arg(run, "schedule", args.schedule, Schedule)
+    sched = _load_arg(run, "schedule", args.schedule, Schedule.from_dict)
     run.parameters = {"schedule": args.schedule, "seed": args.seed}
     attack = random_attack(sched.period, sched.n_sensors, args.seed)
     run.add_json("attack.json", attack.to_dict())
@@ -309,24 +310,11 @@ def _cmd_attack_random(args) -> int:
 
 def _cmd_attack_isolate(args) -> int:
     run = _Run(args, "attack isolate")
-    sched = _load_arg(run, "schedule", args.schedule, Schedule)
+    sched = _load_arg(run, "schedule", args.schedule, Schedule.from_dict)
     run.parameters = {"schedule": args.schedule, "target": args.target}
     attack = isolate_sensor_attack(sched, args.target)
     run.add_json("attack.json", attack.to_dict())
     return run.finish("attack.json")
-
-
-def _duty_factors_of(sched: Schedule):
-    factors = []
-    for i, f in enumerate(sched.duty_factors()):
-        if f == 0:
-            raise ValidationError(
-                f"sensor {i} never transmits; no duty factor to preserve")
-        if f == 1:
-            raise ValidationError(
-                f"sensor {i} transmits every slot; duty factor must be < 1")
-        factors.append((f.numerator, f.denominator))
-    return factors
 
 
 def _cmd_defend_construct(args) -> int:
@@ -335,32 +323,32 @@ def _cmd_defend_construct(args) -> int:
         if args.n_sensors is not None:
             n = args.n_sensors
         elif args.schedule:
-            n = _load_arg(run, "schedule", args.schedule, Schedule).n_sensors
+            n = _load_arg(run, "schedule", args.schedule,
+                          Schedule.from_dict).n_sensors
         else:
             raise ValidationError(
                 "shortest-period mode needs -n or --schedule to fix the "
                 "sensor count")
         if n < 1:
             raise ValidationError(f"need at least one sensor, got {n}")
-        ps = shortest_period_policies(n)
+        doc = policies_to_dict(shortest_period_policies(n))
         run.parameters = {"mode": args.mode, "n_sensors": n}
     else:
         if not args.schedule:
             raise ValidationError(
                 "same-duty mode needs --schedule to read duty factors from")
-        sched = _load_arg(run, "schedule", args.schedule, Schedule)
-        factors = _duty_factors_of(sched)
-        ps = construct_shift_invariant(factors)
+        sched = _load_arg(run, "schedule", args.schedule, Schedule.from_dict)
+        doc = policies_to_dict(construct_shift_invariant(sched.duty_factors()))
         run.parameters = {"mode": args.mode, "schedule": args.schedule,
-                          "factors": [{"n": n, "d": d} for n, d in factors]}
-    run.add_json("policies.json", ps.to_dict())
+                          "factors": doc["factors"]}
+    run.add_json("policies.json", doc)
     return run.finish("policies.json")
 
 
 def _cmd_defend_bounds(args) -> int:
     run = _Run(args, "defend bounds")
     systems = _load_systems_arg(run, args.systems)
-    ps = _load_arg(run, "policies", args.policies, PolicySet)
+    ps = _load_arg(run, "policies", args.policies, policies_from_dict)
     run.parameters["policies"] = args.policies
     ladders = [steady_state(sys) for sys in systems]
     run.add_json("bounds.json", _bounds_doc(bounds(ps, ladders)))
@@ -384,7 +372,7 @@ def _cmd_simulate(args) -> int:
     run = _Run(args, "simulate")
     systems = _load_systems_arg(run, args.systems)
     policies = _load_rows_arg(run, args)
-    attack = (_load_arg(run, "attack", args.attack, ShiftTuple)
+    attack = (_load_arg(run, "attack", args.attack, ShiftTuple.from_dict)
               if args.attack else None)
     run.parameters.update(schedule=args.schedule, policies=args.policies,
                           attack=args.attack, horizon=args.horizon,
@@ -429,10 +417,10 @@ def _cmd_reproduce(args) -> int:
     attack_report = average_cost(reception(sched, result.taus), ladders)
     _emit_cost(run, attack_report, "attack_cost")
 
-    same_duty = construct_shift_invariant(_duty_factors_of(sched))
+    same_duty = construct_shift_invariant(sched.duty_factors())
     shortest = shortest_period_policies(sched.n_sensors)
-    run.add_json("defense_same_duty.json", same_duty.to_dict())
-    run.add_json("defense_shortest.json", shortest.to_dict())
+    run.add_json("defense_same_duty.json", policies_to_dict(same_duty))
+    run.add_json("defense_shortest.json", policies_to_dict(shortest))
     run.add_json("bounds.json", {
         "same_duty": _bounds_doc(bounds(same_duty, ladders)),
         "shortest_period": _bounds_doc(bounds(shortest, ladders)),

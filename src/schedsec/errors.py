@@ -1,4 +1,4 @@
-"""Error taxonomy, the shared enumeration budget and the JSON document reader.
+"""Error taxonomy, the shared work budget and the JSON document reader.
 
 Every error raised by this package derives from SchedSecError so callers can
 catch the whole family.  ValidationError doubles as ValueError because most
@@ -31,7 +31,7 @@ class ConvergenceError(SchedSecError, RuntimeError):
 
 
 class BudgetError(SchedSecError, RuntimeError):
-    """An enumeration would exceed the configured work budget."""
+    """A call would exceed the configured work budget."""
 
 
 class InfeasibleError(SchedSecError, RuntimeError):
@@ -47,8 +47,8 @@ class StabilityWarning(UserWarning):
 
 
 def resolve_budget() -> int:
-    """Effective enumeration budget: the SCHEDSEC_BUDGET environment
-    variable, else the package default."""
+    """Effective work budget: the SCHEDSEC_BUDGET environment variable,
+    else the package default."""
     env = os.environ.get(BUDGET_ENV_VAR)
     if env is not None:
         try:
@@ -60,6 +60,24 @@ def resolve_budget() -> int:
             raise ValidationError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
         return value
     return DEFAULT_BUDGET
+
+
+class Work:
+    """One public call's elementary steps, counted against the work budget
+    before or while they are taken, so an oversized request raises
+    BudgetError instead of exhausting time or memory."""
+
+    def __init__(self, what: str):
+        self.what = what
+        self.limit = resolve_budget()
+        self.used = 0
+
+    def charge(self, steps: int):
+        self.used += steps
+        if self.used > self.limit:
+            raise BudgetError(
+                f"{self.what} needs more than the budget of {self.limit} "
+                f"steps; raise {BUDGET_ENV_VAR} to allow it")
 
 
 def read_json(source):

@@ -37,6 +37,8 @@ RESIDUAL_TOL = 1e-8
 # steady_state stops once a step moves the iterate by at most this much
 # (or by a few ulps of a large iterate)
 STEP_TOL = 1e-10
+# steady_state gives up (ConvergenceError) after this many fixed-point steps
+MAX_ITER = 100_000
 # Tr(C X C' + R) above this multiple of Tr(R) makes the update's
 # subtraction X - X C' S^-1 C X cancel to noise, so riccati_step switches
 # to the Joseph form
@@ -247,7 +249,7 @@ class SteadyState:
         return self._traces[: upto + 1]
 
 
-def steady_state(sys: LinearSystem, max_iter: int = 100_000) -> SteadyState:
+def steady_state(sys: LinearSystem) -> SteadyState:
     """Fixed-point iteration of the combined predict+update covariance map.
 
     Starts from Pi and iterates X <- riccati_step(lyapunov_step(X)) until the
@@ -255,11 +257,9 @@ def steady_state(sys: LinearSystem, max_iter: int = 100_000) -> SteadyState:
     float64 machine epsilon: a large covariance cannot move by less than a
     few ulps per step.  The fixed-point residual of the result must be at
     most max(RESIDUAL_TOL, 8 eps ||X||_F).  Raises ConvergenceError
-    (carrying the last residual) if `max_iter` is exhausted, an iterate
+    (carrying the last residual) if MAX_ITER steps do not converge, an iterate
     overflows to a non-finite matrix or the residual bound fails.
     """
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     eps = np.finfo(float).eps
     X = sys.Pi.copy()
     delta = np.inf
@@ -267,7 +267,7 @@ def steady_state(sys: LinearSystem, max_iter: int = 100_000) -> SteadyState:
     # only once a step is small next to it
     bound = float(np.linalg.norm(X, "fro"))
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(int(max_iter)):
+        for it in range(MAX_ITER):
             X_next = riccati_step(sys, lyapunov_step(sys, X))
             delta = float(np.linalg.norm(X_next - X, "fro"))
             if not math.isfinite(delta) and not np.isfinite(X_next).all():
@@ -283,7 +283,7 @@ def steady_state(sys: LinearSystem, max_iter: int = 100_000) -> SteadyState:
         else:
             raise ConvergenceError(
                 f"{sys.name}: steady-state iteration did not converge in "
-                f"{max_iter} steps (last change {delta:.3g})", residual=delta)
+                f"{MAX_ITER} steps (last change {delta:.3g})", residual=delta)
     residual = float(np.linalg.norm(riccati_step(sys, lyapunov_step(sys, X)) - X, "fro"))
     residual_tol = max(RESIDUAL_TOL, 8 * eps * float(np.linalg.norm(X, "fro")))
     if residual > residual_tol:

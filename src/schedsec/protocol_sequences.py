@@ -18,6 +18,12 @@ Sets with prescribed rational duty factors n_i / d_i are built by
 interleaving: sensor i cycles through D_{i-1} = d_1 ... d_{i-1} short
 binary vectors of length d_i and weight n_i, writing one symbol of each in
 round-robin order.  The result has period exactly D = d_1 ... d_N.
+
+A defense is a plain `Schedule`.  Row i of a constructed set transmits in
+D * n_i / d_i slots, so its duty factors are `Schedule.duty_factors()` of
+its rows, exactly and in lowest terms; nothing stores them a second time.
+The policy-set document {"T", "rows", "factors"} spells them out for
+readers, and `policies_from_dict` checks them against the rows.
 """
 
 from __future__ import annotations
@@ -30,89 +36,78 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (BudgetError, SchedSecError, ValidationError, json_int,
-                     json_list, json_object, resolve_budget)
+from .errors import (SchedSecError, ValidationError, Work, json_int,
+                     json_list, json_object)
 from .scheduling import Schedule, ShiftTuple, apply_shift, reception
 
 
-@dataclass(frozen=True)
-class RationalDutyFactor:
-    """Reduced rational duty factor n/d with 0 < n < d."""
-
-    n: int
-    d: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "d", int(self.d))
-        if not 0 < self.n < self.d:
-            raise ValidationError(
-                f"duty factor needs 0 < n < d, got {self.n}/{self.d}")
-        if math.gcd(self.n, self.d) != 1:
-            raise ValidationError(
-                f"duty factor {self.n}/{self.d} is not in lowest terms")
-
-    @property
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.n, self.d)
-
-    @classmethod
-    def coerce(cls, value) -> "RationalDutyFactor":
-        if isinstance(value, RationalDutyFactor):
-            return value
-        if isinstance(value, Fraction):
-            return cls(value.numerator, value.denominator)
-        if isinstance(value, (tuple, list)) and len(value) == 2:
-            frac = Fraction(int(value[0]), int(value[1]))
-            return cls(frac.numerator, frac.denominator)
-        raise ValidationError(f"cannot interpret {value!r} as a duty factor")
+def _duty_factor(value, i: int) -> Fraction:
+    """Sensor i's duty factor, a Fraction or an (n, d) pair, as a Fraction
+    strictly between 0 and 1."""
+    if isinstance(value, (tuple, list)) and len(value) == 2 and value[1] != 0:
+        value = Fraction(int(value[0]), int(value[1]))
+    if not isinstance(value, Fraction):
+        raise ValidationError(
+            f"cannot interpret {value!r} as sensor {i}'s duty factor")
+    if not 0 < value < 1:
+        raise ValidationError(
+            f"sensor {i} has duty factor {value}; a defense needs "
+            f"0 < n/d < 1 for every sensor")
+    return value
 
 
-@dataclass(frozen=True)
-class PolicySet(Schedule):
-    """A schedule whose rows carry their design duty factors.
+def _design_factors(sched: Schedule) -> list[Fraction]:
+    """The duty factors a shift-invariant defense's rows carry.
 
-    Row i must use exactly period * n_i / d_i slots, and the period must be
-    a multiple of d_1 ... d_N (the minimum possible for a shift-invariant
-    set with these factors).
+    They are the rows' duty factors, each strictly between 0 and 1, and the
+    period must be a multiple of their denominators' product (the period
+    the construction gives them).
     """
+    factors = [_duty_factor(f, i) for i, f in enumerate(sched.duty_factors())]
+    product = math.prod(f.denominator for f in factors)
+    if sched.period % product != 0:
+        raise ValidationError(
+            f"period {sched.period} is not a multiple of the duty factors' "
+            f"denominator product {product}")
+    return factors
 
-    factors: tuple[RationalDutyFactor, ...]
 
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "factors",
-                           tuple(RationalDutyFactor.coerce(f) for f in self.factors))
-        if len(self.rows) != len(self.factors):
+def policies_to_dict(sched: Schedule) -> dict:
+    """The policy-set document {"T", "rows", "factors"} of a defense: its
+    schedule plus each row's duty factor in lowest terms."""
+    return {**sched.to_dict(),
+            "factors": [{"n": f.numerator, "d": f.denominator}
+                        for f in sched.duty_factors()]}
+
+
+def policies_from_dict(doc) -> Schedule:
+    """Parse a policy-set document strictly.
+
+    Every entry must be a JSON integer, factor i must be row i's duty
+    factor in lowest terms and strictly between 0 and 1, and the period a
+    multiple of the denominators' product; anything else raises
+    ValidationError.
+    """
+    json_object(doc, ("T", "rows", "factors"), "policy")
+    factors = json_list(doc["factors"], '"factors"')
+    for i, f in enumerate(factors):
+        if not (isinstance(f, dict) and "n" in f and "d" in f):
+            raise ValidationError(f'factor {i} needs keys "n" and "d"')
+    pairs = [(json_int(f["n"], f'factor {i} "n"'),
+              json_int(f["d"], f'factor {i} "d"'))
+             for i, f in enumerate(factors)]
+    sched = Schedule.from_dict(doc)
+    if len(pairs) != sched.n_sensors:
+        raise ValidationError(
+            f"{sched.n_sensors} rows for {len(pairs)} duty factors")
+    for i, ((n, d), f) in enumerate(zip(pairs, sched.duty_factors())):
+        if (n, d) != (f.numerator, f.denominator):
             raise ValidationError(
-                f"{len(self.rows)} rows for {len(self.factors)} duty factors")
-        denom_product = math.prod(f.d for f in self.factors)
-        if self.period % denom_product != 0:
-            raise ValidationError(
-                f"period {self.period} is not a multiple of the denominator "
-                f"product {denom_product}")
-        for i, (row, f) in enumerate(zip(self.rows, self.factors)):
-            want = self.period * f.n // f.d
-            if sum(row) != want:
-                raise ValidationError(
-                    f"row {i} has weight {sum(row)}, expected {want} "
-                    f"for duty factor {f.n}/{f.d}")
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(),
-                "factors": [{"n": f.n, "d": f.d} for f in self.factors]}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PolicySet":
-        json_object(doc, ("T", "rows", "factors"), "policy")
-        factors = json_list(doc["factors"], '"factors"')
-        for i, f in enumerate(factors):
-            if not (isinstance(f, dict) and "n" in f and "d" in f):
-                raise ValidationError(f'factor {i} needs keys "n" and "d"')
-        return super().from_dict(doc, factors=tuple(RationalDutyFactor(
-            json_int(f["n"], f'factor {i} "n"'),
-            json_int(f["d"], f'factor {i} "d"'))
-            for i, f in enumerate(factors)))
+                f"factor {i} is {n}/{d}, but row {i} transmits in "
+                f"{sum(sched.rows[i])} of {sched.period} slots: {f} in "
+                f"lowest terms")
+    _design_factors(sched)
+    return sched
 
 
 def _check_tuple(U, shifts, n_rows, period):
@@ -182,21 +177,6 @@ class InvarianceReport:
         return self.invariant
 
 
-class _Work:
-    """Counts a check's elementary steps against the work budget."""
-
-    def __init__(self):
-        self.limit = resolve_budget()
-        self.used = 0
-
-    def charge(self, steps: int):
-        self.used += steps
-        if self.used > self.limit:
-            raise BudgetError(
-                f"invariance check needs more than the budget of "
-                f"{self.limit} steps; raise SCHEDSEC_BUDGET to allow it")
-
-
 def _divisors(n: int) -> list[int]:
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     return sorted(set(small + [n // d for d in small]))
@@ -250,7 +230,7 @@ def _divisible(f: list[int], phi: tuple[int, ...]) -> bool:
     return not any(f[:deg])
 
 
-def _supports(rows, period: int, work: _Work) -> list[int]:
+def _supports(rows, period: int, work: Work) -> list[int]:
     """Each row's nonzero DFT support as a bitmask over Z_period, frequency 0
     left out.
 
@@ -275,7 +255,7 @@ def _supports(rows, period: int, work: _Work) -> list[int]:
     return masks
 
 
-def _sumset(a: int, b: int, period: int, work: _Work) -> int:
+def _sumset(a: int, b: int, period: int, work: Work) -> int:
     """{x + y mod period : x in a, y in b} for bitmasks a and b."""
     if a.bit_count() > b.bit_count():
         a, b = b, a
@@ -290,7 +270,7 @@ def _sumset(a: int, b: int, period: int, work: _Work) -> int:
     return out
 
 
-def _zero_sum(masks, period: int, work: _Work) -> bool:
+def _zero_sum(masks, period: int, work: Work) -> bool:
     """Whether two or more rows have support frequencies, one per row, that
     sum to 0 mod period: a reachability pass over Z_period."""
     one = two = 0  # sums reachable from exactly one / at least two rows
@@ -324,7 +304,7 @@ def is_shift_invariant(policies) -> InvarianceReport:
     """
     sched = Schedule.coerce(policies)
     rows, period = sched.rows, sched.period
-    work = _Work()
+    work = Work("invariance check")
     masks = _supports(rows, period, work)
     if not _zero_sum(masks, period, work):
         return InvarianceReport(True, None, True)
@@ -345,7 +325,7 @@ def is_shift_invariant(policies) -> InvarianceReport:
 
 
 def construct_shift_invariant(factors, interleavings=None,
-                              verify: bool = True) -> PolicySet:
+                              verify: bool = True) -> Schedule:
     """Build a shift-invariant policy set with the given duty factors.
 
     Sensor i's row interleaves D_{i-1} = d_1 ... d_{i-1} binary vectors of
@@ -353,18 +333,23 @@ def construct_shift_invariant(factors, interleavings=None,
     the common period D = d_1 ... d_N.  By default vector j is the cyclic
     rotation by (j - 1) of the base vector with ones in its last n_i
     positions; pass `interleavings` (one list of vectors per sensor) to
-    choose them explicitly.  With verify, the result is proven shift
+    choose them explicitly.  Each factor is a Fraction or an (n, d) pair
+    with 0 < n/d < 1, and row i's duty factor is factor i in lowest terms.
+    The budget (SCHEDSEC_BUDGET) is charged the N * D slots of the rows
+    before any is built.  With verify, the result is proven shift
     invariant by `is_shift_invariant` before it is returned.
     """
-    fs = tuple(RationalDutyFactor.coerce(f) for f in factors)
+    fs = [_duty_factor(f, i) for i, f in enumerate(factors)]
     if not fs:
         raise ValidationError("need at least one duty factor")
-    D = math.prod(f.d for f in fs)
+    D = math.prod(f.denominator for f in fs)
+    Work(f"building {len(fs)} rows of period {D}").charge(len(fs) * D)
     rows = []
     D_prev = 1
-    for i, f in enumerate(fs):
+    for i, frac in enumerate(fs):
+        n, d = frac.numerator, frac.denominator
         if interleavings is None:
-            base = [0] * (f.d - f.n) + [1] * f.n
+            base = [0] * (d - n) + [1] * n
             vecs = [apply_shift(base, j) for j in range(D_prev)]
         else:
             vecs = [list(v) for v in interleavings[i]]
@@ -373,39 +358,40 @@ def construct_shift_invariant(factors, interleavings=None,
                     f"sensor {i} needs {D_prev} interleaving vectors, "
                     f"got {len(vecs)}")
             for j, v in enumerate(vecs):
-                if len(v) != f.d:
+                if len(v) != d:
                     raise ValidationError(
                         f"sensor {i} vector {j} has length {len(v)}, "
-                        f"expected {f.d}")
+                        f"expected {d}")
                 if any(x not in (0, 1) for x in v):
                     raise ValidationError(
                         f"sensor {i} vector {j} is not binary")
-                if sum(v) != f.n:
+                if sum(v) != n:
                     raise ValidationError(
                         f"sensor {i} vector {j} has weight {sum(v)}, "
-                        f"expected {f.n}")
+                        f"expected {n}")
         short = []
-        for q in range(f.d):
+        for q in range(d):
             for r in range(D_prev):
                 short.append(vecs[r][q])
         reps = D // len(short)
         rows.append(tuple(short * reps))
-        D_prev *= f.d
-    ps = PolicySet(period=D, rows=tuple(rows), factors=fs)
+        D_prev *= d
+    sched = Schedule(period=D, rows=tuple(rows))
     if verify:
-        report = is_shift_invariant(ps)
+        report = is_shift_invariant(sched)
         if not report:
             raise SchedSecError(
                 f"constructed set failed its invariance check at witness "
                 f"{report.witness}; this is a bug")
-    return ps
+    return sched
 
 
-def shortest_period_policies(n_sensors: int, verify: bool = True) -> PolicySet:
-    """The shortest shift-invariant set: every duty factor 1/2, period 2^N."""
+def shortest_period_policies(n_sensors: int) -> Schedule:
+    """The shortest shift-invariant set: every duty factor 1/2, period 2^N,
+    proven shift invariant."""
     if n_sensors < 1:
         raise ValidationError(f"need at least one sensor, got {n_sensors}")
-    return construct_shift_invariant([(1, 2)] * n_sensors, verify=verify)
+    return construct_shift_invariant([(1, 2)] * n_sensors)
 
 
 @dataclass(frozen=True)
@@ -428,28 +414,26 @@ class BoundsReport:
                 f"lower bound {self.lower} exceeds upper bound {self.upper}")
 
 
-def bounds(factors, ladders) -> BoundsReport:
-    """Cost bounds for a constructed defense with the given duty factors.
+def bounds(policies, ladders) -> BoundsReport:
+    """Cost bounds for a constructed defense.
 
-    `factors` may be a PolicySet or a list of duty factors; `ladders` are
-    the per-sensor steady states.  Sensor i receives exactly
-    N_i = n_i * prod_{j != i} (d_j - n_j) packets per period D = prod d_j
-    under every shift tuple; the bounds price the extreme gap layouts of
-    those receptions.
+    `policies` is the defense's schedule; its duty factors n_i / d_i are
+    read from its rows.  `ladders` are the per-sensor steady states.
+    Sensor i receives exactly N_i = n_i * prod_{j != i} (d_j - n_j)
+    packets per period D = prod d_j under every shift tuple; the bounds
+    price the extreme gap layouts of those receptions.
     """
-    if isinstance(factors, PolicySet):
-        fs = factors.factors
-    else:
-        fs = tuple(RationalDutyFactor.coerce(f) for f in factors)
+    fs = _design_factors(Schedule.coerce(policies))
     if len(fs) != len(ladders):
         raise ValidationError(
             f"{len(fs)} duty factors for {len(ladders)} ladders")
-    D = math.prod(f.d for f in fs)
+    D = math.prod(f.denominator for f in fs)
     receptions = []
     lower = 0.0
     upper = 0.0
     for i, (f, lad) in enumerate(zip(fs, ladders)):
-        N_i = f.n * math.prod(g.d - g.n for j, g in enumerate(fs) if j != i)
+        N_i = f.numerator * math.prod(g.denominator - g.numerator
+                                      for j, g in enumerate(fs) if j != i)
         receptions.append(N_i)
         q, r = divmod(D, N_i)
         lower += N_i * sum(lad.trace(t) for t in range(q)) + r * lad.trace(q)

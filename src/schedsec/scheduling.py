@@ -21,8 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (BudgetError, ValidationError, json_int, json_list,
-                     json_object, resolve_budget)
+from .errors import ValidationError, Work, json_int, json_list, json_object
 from .lti_estimation import LinearSystem, SteadyState, steady_state
 
 
@@ -60,8 +59,8 @@ class Schedule:
 
     @classmethod
     def coerce(cls, value) -> "Schedule":
-        """A Schedule (a PolicySet included) as it is; plain 0/1 rows of one
-        common length become a Schedule with that period."""
+        """A Schedule as it is; plain 0/1 rows of one common length become
+        a Schedule with that period."""
         if isinstance(value, Schedule):
             return value
         rows = tuple(tuple(row) for row in value)
@@ -92,16 +91,15 @@ class Schedule:
         return {"T": self.period, "rows": [list(row) for row in self.rows]}
 
     @classmethod
-    def from_dict(cls, doc: dict, **fields) -> "Schedule":
+    def from_dict(cls, doc: dict) -> "Schedule":
         """Parse a {"T", "rows"} document strictly: every entry must be a
-        JSON integer.  Subclasses pass their own parsed fields through."""
+        JSON integer."""
         json_object(doc, ("T", "rows"), "schedule")
         rows = json_list(doc["rows"], '"rows"')
         return cls(period=json_int(doc["T"], '"T"'),
                    rows=tuple(tuple(json_int(v, f"row {i} entry")
                                     for v in json_list(row, f"row {i}"))
-                              for i, row in enumerate(rows)),
-                   **fields)
+                              for i, row in enumerate(rows)))
 
 
 @dataclass(frozen=True)
@@ -381,12 +379,8 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
         if T < N:
             raise ValidationError(
                 f"period {T} cannot give all {N} sensors a slot; use T >= {N}")
-    limit = resolve_budget()
     total_size = sum(N ** T for T in cands)
-    if total_size > limit:
-        raise BudgetError(
-            f"enumerating {total_size} assignments exceeds the budget {limit}; "
-            f"drop the largest periods or raise SCHEDSEC_BUDGET")
+    Work(f"enumerating {total_size} assignments").charge(total_size)
     if ladders is None:
         ladders = [steady_state(s) for s in systems]
     price = _gap_pricer(ladders)

@@ -11,8 +11,11 @@ ladder-based costs; the independent stepping oracle lives in the tests.
 `monte_carlo_expected_cost` averages exact per-attack costs over random
 clock-shift attacks: it applies `scheduling`'s collision kernel to a whole
 batch of trials at once and prices every reception pattern it meets once,
-keeping no collision rule of its own.  Rendering the results (the series
-CSV and summary document) is the command line's job.
+keeping no collision rule of its own.  To randomize a defense's
+interleaving it reads the duty factors off the defense's rows.  Both
+charge the slots they fill to the work budget before filling any.
+Rendering the results (the series CSV and summary document) is the
+command line's job.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, Work
 from .lti_estimation import (LinearSystem, SteadyState, lyapunov_step,
                              steady_state)
-from .protocol_sequences import PolicySet, construct_shift_invariant
+from .protocol_sequences import _design_factors, construct_shift_invariant
 from .scheduling import (CostReport, Schedule, ShiftTuple, _gap_pricer,
                          _row_runs, _sole_receptions, reception)
 
@@ -96,7 +99,8 @@ def exact_covariance_series(systems: Sequence[LinearSystem], policies,
     period, so each sensor is stepped only up to one full period past its
     first reception and the rest of the horizon repeats that period, to
     the bit.  A sensor that never receives is stepped slot by slot.  Of
-    the ladder the series reads only P_bar.
+    the ladder the series reads only P_bar.  The budget (SCHEDSEC_BUDGET)
+    is charged the N * horizon slots of the series before any is filled.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
@@ -104,6 +108,7 @@ def exact_covariance_series(systems: Sequence[LinearSystem], policies,
     N, T = sched.n_sensors, sched.period
     if len(systems) != N:
         raise ValidationError(f"{len(systems)} systems for {N} policy rows")
+    Work(f"a {horizon}-slot series of {N} sensors").charge(N * horizon)
     receptions = tuple(tuple(r) for r in reception(sched, attack))
     if ladders is None:
         ladders = [steady_state(sys) for sys in systems]
@@ -165,7 +170,7 @@ def _mc_statistics(samples: list[float]) -> MonteCarloCost:
                           n_divergent=0)
 
 
-def _random_interleaving(factors, rng) -> PolicySet:
+def _random_interleaving(factors, rng) -> Schedule:
     """The shift-invariant set of `factors` with random interleaving
     vectors, drawn factor by factor; the construction guarantees
     invariance, so it is not rechecked."""
@@ -174,12 +179,13 @@ def _random_interleaving(factors, rng) -> PolicySet:
     for f in factors:
         vecs = []
         for _ in range(D_prev):
-            vec = [0] * f.d
-            for pos in rng.choice(f.d, size=f.n, replace=False):
+            vec = [0] * f.denominator
+            for pos in rng.choice(f.denominator, size=f.numerator,
+                                  replace=False):
                 vec[int(pos)] = 1
             vecs.append(vec)
         interleavings.append(vecs)
-        D_prev *= f.d
+        D_prev *= f.denominator
     return construct_shift_invariant(factors, interleavings=interleavings,
                                      verify=False)
 
@@ -196,27 +202,31 @@ def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
     (SeedSequence spawning), draws interleaving vectors first when
     randomize_interleaving is set, then a uniform random shift tuple unless
     a fixed `attack` pins the shifts (None, the default, draws them).
-    randomize_interleaving requires a PolicySet so the duty factors are
-    known; the rebuilt sets skip the invariance recheck since the
-    construction guarantees it.
+    randomize_interleaving rebuilds the defense from the duty factors of
+    its rows, so its period must be a multiple of their denominators'
+    product, as a constructed defense's is; the rebuilt sets skip the
+    invariance recheck since the construction guarantees it.  The budget
+    (SCHEDSEC_BUDGET) is charged the trials * N * T slots the trials
+    gather before any trial is drawn.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    if randomize_interleaving and not isinstance(policies, PolicySet):
-        raise ValidationError(
-            "randomize_interleaving needs a PolicySet with duty factors")
     base = Schedule.coerce(policies)
     N = base.n_sensors
     if len(systems) != N:
         raise ValidationError(f"{len(systems)} systems for {N} policy rows")
     if attack is not None:
         attack.validate_for(base)
+    T = base.period
+    if randomize_interleaving:
+        factors = _design_factors(base)
+        # a rebuilt set has the shortest period its factors allow
+        T = math.prod(f.denominator for f in factors)
+    Work(f"Monte Carlo over {trials} trials of {N} rows of period {T}"
+         ).charge(trials * N * T)
     if ladders is None:
         ladders = [steady_state(sys) for sys in systems]
     price = _gap_pricer(ladders)
-    # a rebuilt set has the shortest period its factors allow
-    T = (math.prod(f.d for f in policies.factors) if randomize_interleaving
-         else base.period)
     children = np.random.SeedSequence(seed).spawn(trials)
     block = max(1, _MC_BLOCK_SLOTS // (N * T))
     samples = []
@@ -225,7 +235,7 @@ def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
         for child in children[lo:lo + block]:
             rng = np.random.default_rng(child)
             if randomize_interleaving:
-                stack.append(_random_interleaving(policies.factors, rng).rows)
+                stack.append(_random_interleaving(factors, rng).rows)
             taus.append(rng.integers(0, T, size=N) if attack is None
                         else attack.taus)
         rows = np.array(stack if stack else [base.rows], dtype=bool)

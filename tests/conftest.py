@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +88,23 @@ def is_uniform_row(row) -> bool:
     T = len(row)
     gaps = [(ones[(j + 1) % len(ones)] - ones[j]) % T for j in range(len(ones))]
     return max(gaps) - min(gaps) <= 1
+
+
+def factor_families(limit):
+    """Every list of reduced duty factors (n, d), 0 < n < d, whose
+    denominators multiply to at most `limit`, in depth-first order."""
+    out = []
+
+    def gen(prefix, room):
+        for d in range(2, room + 1):
+            for n in range(1, d):
+                if math.gcd(n, d) == 1:
+                    fam = prefix + [(n, d)]
+                    out.append(fam)
+                    gen(fam, room // d)
+
+    gen([], limit)
+    return out
 
 
 def enumerated_invariance(policies):

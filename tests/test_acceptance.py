@@ -13,8 +13,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (all_exclusive_schedules, is_uniform_row,
-                      random_exclusive_schedule, random_unstable_system)
+from conftest import (all_exclusive_schedules, factor_families,
+                      is_uniform_row, random_exclusive_schedule,
+                      random_unstable_system)
 from schedsec.attack import bnb_optimal_attack, brute_force_optimal_attack
 from schedsec.lti_estimation import steady_state
 from schedsec.protocol_sequences import (bounds, construct_shift_invariant,
@@ -152,25 +153,10 @@ def test_criterion_06_reference_construction(announce):
         assert list(ps.rows[1]) == [0, 0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 0]
 
 
-def _factor_families(limit):
-    out = []
-
-    def gen(prefix, room):
-        for d in range(2, room + 1):
-            for n in range(1, d):
-                if math.gcd(n, d) == 1:
-                    fam = prefix + [(n, d)]
-                    out.append(fam)
-                    gen(fam, room // d)
-
-    gen([], limit)
-    return out
-
-
 def test_criterion_07_throughput_rationals(announce):
     with criterion(announce, 7, "every constructed set with period <= 64 "
                                 "has the exact rational throughputs"):
-        families = _factor_families(64)
+        families = factor_families(64)
         assert len(families) > 4000
         for fam in families:
             ps = construct_shift_invariant(fam, verify=False)

@@ -5,6 +5,7 @@ import json
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from schedsec.cli import main
 from schedsec.errors import StabilityWarning, read_json
-from schedsec.protocol_sequences import (PolicySet, construct_shift_invariant,
+from schedsec.protocol_sequences import (construct_shift_invariant,
+                                         policies_from_dict, policies_to_dict,
                                          shortest_period_policies)
 from schedsec.scheduling import Schedule
 
@@ -123,7 +125,7 @@ def test_defend_construct_shortest(tmp_path):
     out = tmp_path / "d"
     assert main(["defend", "construct", "--mode", "shortest-period",
                  "-n", "3", "--out", str(out)]) == 0
-    ps = PolicySet.from_dict(read_json(out / "policies.json"))
+    ps = policies_from_dict(read_json(out / "policies.json"))
     assert ps.period == 8
 
 
@@ -131,9 +133,9 @@ def test_defend_construct_same_duty(tmp_path, sched_path):
     out = tmp_path / "d"
     assert main(["defend", "construct", "--mode", "same-duty",
                  "--schedule", sched_path, "--out", str(out)]) == 0
-    ps = PolicySet.from_dict(read_json(out / "policies.json"))
+    ps = policies_from_dict(read_json(out / "policies.json"))
     assert ps.period == 27
-    assert [(f.n, f.d) for f in ps.factors] == [(1, 3)] * 3
+    assert ps.duty_factors() == [Fraction(1, 3)] * 3
 
 
 def test_defend_construct_needs_inputs():
@@ -170,6 +172,9 @@ def test_defend_verify_positive_and_negative(tmp_path, sched_path):
     assert doc2["witness"] is not None
 
 
+_ROUND_ROBIN_ROWS = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+
+
 @pytest.mark.parametrize("factor", [
     {"n": 1},                        # missing "d"
     {"n": 1, "d": "x"},              # non-integer
@@ -177,12 +182,26 @@ def test_defend_verify_positive_and_negative(tmp_path, sched_path):
     {"n": 1.5, "d": 2},
     [1, 2],                          # not an object
     None,                            # "factors" itself not a list
+    # row 0 transmits half the time
+    pytest.param({"n": 2, "d": 4}, id="not-lowest-terms"),
+    # whole documents: the factors swap the rows' duty factors 1/2 and 1/4;
+    # the rows' factors 1/3 need a period of 27
+    pytest.param({"T": 8, "rows": [[1, 1, 1, 1, 0, 0, 0, 0],
+                                   [1, 1, 0, 0, 0, 0, 0, 0]],
+                  "factors": [{"n": 1, "d": 4}, {"n": 1, "d": 2}]},
+                 id="not-the-rows"),
+    pytest.param({"T": 3, "rows": _ROUND_ROBIN_ROWS,
+                  "factors": [{"n": 1, "d": 3}] * 3},
+                 id="period-not-a-multiple"),
 ])
 @pytest.mark.parametrize("command", ["verify", "bounds"])
 def test_malformed_policy_factors_exit_3(tmp_path, capsys, systems_path,
                                          factor, command):
-    doc = shortest_period_policies(3, verify=False).to_dict()
-    doc["factors"] = 5 if factor is None else [factor] + doc["factors"][1:]
+    doc = policies_to_dict(shortest_period_policies(3))
+    if isinstance(factor, dict) and "rows" in factor:
+        doc = factor
+    else:
+        doc["factors"] = 5 if factor is None else [factor] + doc["factors"][1:]
     path = tmp_path / "policies.json"
     path.write_text(json.dumps(doc))
     argv = ["defend", command, "--policies", str(path)]
@@ -190,10 +209,10 @@ def test_malformed_policy_factors_exit_3(tmp_path, capsys, systems_path,
         argv += ["--systems", systems_path]
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
-_ROUND_ROBIN_ROWS = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
 _SCHEDULE_COMMANDS = {
     "verify": ["defend", "verify", "--schedule"],
     "cost": ["cost", "--systems", "bundled:three-sensor-study", "--schedule"],
@@ -333,8 +352,8 @@ def _near_valid(draw, kind, n, T):
         doc = [copy.deepcopy(draw(st.sampled_from(_SYSTEMS)))
                for _ in range(n)]
     elif kind == "policy":
-        doc = construct_shift_invariant(
-            draw(st.sampled_from(_FACTOR_SETS))).to_dict()
+        doc = policies_to_dict(construct_shift_invariant(
+            draw(st.sampled_from(_FACTOR_SETS))))
     elif kind == "shift":
         doc = {"taus": draw(st.lists(st.integers(0, T - 1), min_size=n,
                                      max_size=n))}
@@ -437,6 +456,31 @@ def test_exit_code_budget(tmp_path, systems_path, monkeypatch):
                  "--periods", "3"]) == 5
 
 
+@pytest.mark.parametrize("argv", [
+    # 8 rows of period 256
+    ["defend", "construct", "--mode", "shortest-period", "-n", "8"],
+    # 3 rows of a 400-slot series
+    ["simulate", "--horizon", "400"],
+    # 50 trials of 3 rows of period 8
+    ["simulate", "--horizon", "10", "--trials", "50"],
+])
+def test_sizes_are_charged_to_the_budget(tmp_path, capsys, monkeypatch,
+                                         argv):
+    # each size a user picks is charged before the work it implies is
+    # done, so a large one exits 5 instead of exhausting time or memory
+    if argv[0] == "simulate":
+        policies = tmp_path / "policies.json"
+        policies.write_text(json.dumps(policies_to_dict(
+            shortest_period_policies(3))))
+        argv = argv + ["--systems", "bundled:three-sensor-study",
+                       "--policies", str(policies)]
+    monkeypatch.setenv("SCHEDSEC_BUDGET", "1000")
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "SCHEDSEC_BUDGET" in err
+
+
 def test_isolate_fallback_ignores_the_work_budget(tmp_path, monkeypatch):
     # shifting both other clocks by one covers only slot 1 of sensor 0, so
     # isolate needs the optimal search; it used to enumerate 4^2 tuples
@@ -472,7 +516,8 @@ def test_format_flag_only_where_a_table_is_rendered(tmp_path, capsys,
     # attack optimal, defend bounds and simulate write JSON documents and
     # CSV series only, so they take no --format
     policies = tmp_path / "policies.json"
-    policies.write_text(json.dumps(shortest_period_policies(3).to_dict()))
+    policies.write_text(json.dumps(policies_to_dict(
+        shortest_period_policies(3))))
     for argv in (["attack", "optimal", "--schedule", sched_path],
                  ["defend", "bounds", "--systems", systems_path,
                   "--policies", str(policies)],
@@ -503,8 +548,8 @@ def test_reproduce_paper_pipeline(tmp_path, monkeypatch):
     assert report["brute_force_agrees"]
     sched = Schedule.from_dict(read_json(out / "schedule.json"))
     assert sched.period == 3 and sched.is_exclusive
-    same = PolicySet.from_dict(read_json(out / "defense_same_duty.json"))
-    short = PolicySet.from_dict(read_json(out / "defense_shortest.json"))
+    same = policies_from_dict(read_json(out / "defense_same_duty.json"))
+    short = policies_from_dict(read_json(out / "defense_shortest.json"))
     assert same.period == 27 and short.period == 8
     bounds_doc = json.loads((out / "bounds.json").read_text())
     assert (bounds_doc["shortest_period"]["lower"]

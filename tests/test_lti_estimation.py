@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import steady_state_doubling
+from schedsec import lti_estimation
 from schedsec.errors import ConvergenceError, StabilityWarning, ValidationError
 from schedsec.lti_estimation import (LinearSystem, load_systems, lyapunov_step,
                                      riccati_step, steady_state)
@@ -185,9 +186,10 @@ def test_stable_system_warns_but_works():
     assert lad.P_bar[0, 0] > 0
 
 
-def test_convergence_error_carries_residual(study_systems):
+def test_convergence_error_carries_residual(study_systems, monkeypatch):
+    monkeypatch.setattr(lti_estimation, "MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as err:
-        steady_state(study_systems[0], max_iter=2)
+        steady_state(study_systems[0])
     assert err.value.residual > 0
 
 

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerated_invariance
+from conftest import enumerated_invariance, factor_families
 from schedsec.errors import BudgetError, ValidationError
-from schedsec.protocol_sequences import (PolicySet, RationalDutyFactor,
+from schedsec.protocol_sequences import (_design_factors, _duty_factor,
                                          bounds, construct_shift_invariant,
                                          hamming_cross_correlation,
                                          is_shift_invariant,
+                                         policies_from_dict, policies_to_dict,
                                          shortest_period_policies, throughput)
 from schedsec.scheduling import Schedule
 
@@ -26,31 +27,63 @@ REFERENCE_POLICY_ROWS = [
 
 
 def test_duty_factor_validation():
-    RationalDutyFactor(1, 3)
-    with pytest.raises(ValidationError):
-        RationalDutyFactor(0, 3)
-    with pytest.raises(ValidationError):
-        RationalDutyFactor(3, 3)
-    with pytest.raises(ValidationError):
-        RationalDutyFactor(2, 4)
-    assert RationalDutyFactor.coerce(Fraction(2, 6)) == RationalDutyFactor(1, 3)
-    assert RationalDutyFactor.coerce((1, 2)).as_fraction == Fraction(1, 2)
+    assert _duty_factor((1, 3), 0) == Fraction(1, 3)
+    assert _duty_factor(Fraction(2, 6), 0) == Fraction(1, 3)
+    assert _duty_factor((2, 4), 0) == Fraction(1, 2)
+    for bad in ((0, 3), (3, 3), (4, 3), (1, 0), Fraction(0), Fraction(1),
+                "1/2", 0.5):
+        with pytest.raises(ValidationError, match="sensor 2"):
+            _duty_factor(bad, 2)
+    # a row that never transmits or always transmits has no defense factor
+    for row in ((0, 0, 0), (1, 1, 1)):
+        with pytest.raises(ValidationError, match="sensor 1"):
+            _design_factors(Schedule(3, ((1, 0, 0), row)))
+    with pytest.raises(ValidationError, match="sensor 0"):
+        construct_shift_invariant([(0, 3)])
 
 
 def test_policy_set_validation():
-    with pytest.raises(ValidationError, match="weight"):
-        PolicySet(period=6, rows=((1, 1, 0, 0, 0, 0), (1, 0, 0, 1, 0, 0)),
-                  factors=((1, 2), (1, 3)))
+    def doc(T, rows, factors):
+        return {"T": T, "rows": [list(r) for r in rows],
+                "factors": [{"n": n, "d": d} for n, d in factors]}
+
+    # weight mismatch: row 1 transmits in 2 of 6 slots, not half of them
+    with pytest.raises(ValidationError, match="row 1 transmits in 2 of 6"):
+        policies_from_dict(doc(6, ((1, 1, 1, 0, 0, 0), (1, 0, 0, 1, 0, 0)),
+                               ((1, 2), (1, 2))))
+    with pytest.raises(ValidationError, match="is 3/6.*1/2 in lowest terms"):
+        policies_from_dict(doc(6, ((1, 1, 1, 0, 0, 0),), ((3, 6),)))
+    # the round robin's factors 1/3 need a period of 27
     with pytest.raises(ValidationError, match="multiple"):
-        PolicySet(period=4, rows=((1, 1, 0, 0),), factors=((1, 3),))
+        policies_from_dict(doc(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                               ((1, 3),) * 3))
+    with pytest.raises(ValidationError, match="multiple"):
+        bounds(Schedule(3, ((1, 0, 0), (0, 1, 0))), [None, None])
     with pytest.raises(ValidationError, match="length"):
-        PolicySet(period=6, rows=((1, 0, 0),), factors=((1, 3),))
+        policies_from_dict(doc(6, ((1, 0, 0),), ((1, 3),)))
+    with pytest.raises(ValidationError, match="duty factors"):
+        policies_from_dict(doc(2, ((1, 0),), ((1, 2), (1, 2))))
+    for row, factor in (((0, 0), (0, 1)), ((1, 1), (1, 1))):
+        with pytest.raises(ValidationError, match="sensor 0"):
+            policies_from_dict(doc(2, (row,), (factor,)))
 
 
 def test_policy_set_roundtrip():
     ps = construct_shift_invariant([(1, 2), (1, 3)])
-    assert PolicySet.from_dict(json.loads(json.dumps(ps.to_dict()))) == ps
-    assert isinstance(ps, Schedule)
+    doc = policies_to_dict(ps)
+    assert doc["factors"] == [{"n": 1, "d": 2}, {"n": 1, "d": 3}]
+    assert policies_from_dict(json.loads(json.dumps(doc))) == ps
+    assert type(ps) is Schedule
+
+
+def test_constructed_rows_carry_their_factors():
+    # the premise of reading a defense's duty factors off its rows: every
+    # constructed set's rows have exactly the reduced factors it was built
+    # from, and its policy document reads back as the same schedule
+    for fam in factor_families(64):
+        ps = construct_shift_invariant(fam, verify=False)
+        assert ps.duty_factors() == [Fraction(n, d) for n, d in fam], fam
+        assert policies_from_dict(policies_to_dict(ps)) == ps, fam
 
 
 def test_reference_construction_bit_exact():
@@ -123,7 +156,7 @@ def test_invariance_proven_within_small_budget(monkeypatch):
 
 
 def test_invariance_scales_to_period_256():
-    ps = shortest_period_policies(8, verify=False)
+    ps = shortest_period_policies(8)
     t0 = time.perf_counter()
     rep = is_shift_invariant(ps)
     elapsed = time.perf_counter() - t0
@@ -215,9 +248,9 @@ def test_reception_counts_fixed_under_all_shifts():
                     [(1, 3), (2, 3)], [(1, 4), (1, 3)]]:
         ps = construct_shift_invariant(factors)
         D = ps.period
-        expect = [f.n * math.prod(g.d - g.n for j, g in enumerate(ps.factors)
-                                  if j != i)
-                  for i, f in enumerate(ps.factors)]
+        expect = [n * math.prod(dd - nn for j, (nn, dd) in enumerate(factors)
+                                if j != i)
+                  for i, (n, _) in enumerate(factors)]
         for taus in itertools.product(range(D), repeat=len(factors) - 1):
             attack = ShiftTuple(taus=(0,) + taus)
             rec = reception(ps, attack)
@@ -244,7 +277,7 @@ def test_shortest_period_all_sizes():
 
 
 def test_bounds_golden_same_duty(study_ladders):
-    br = bounds([(1, 3)] * 3, study_ladders)
+    br = bounds(construct_shift_invariant([(1, 3)] * 3), study_ladders)
     assert br.per_sensor_receptions == (4, 4, 4)
     assert br.period == 27
     assert br.lower == pytest.approx(3.2785904784017763, rel=1e-8)
@@ -252,21 +285,25 @@ def test_bounds_golden_same_duty(study_ladders):
 
 
 def test_bounds_collapse_for_single_reception(study_ladders):
-    br = bounds([(1, 2)] * 3, study_ladders)
+    br = bounds(shortest_period_policies(3), study_ladders)
     assert br.per_sensor_receptions == (1, 1, 1)
     assert br.lower == pytest.approx(br.upper, rel=1e-12)
     assert br.lower == pytest.approx(3.7197966749819833, rel=1e-7)
 
 
 def test_bounds_accepts_policy_set(study_ladders):
+    # the factors are read off the rows, so any rows with them give the
+    # same bounds: plain rows, or a set repeated over twice its period
     ps = construct_shift_invariant([(1, 3)] * 3)
-    assert bounds(ps, study_ladders).lower == pytest.approx(
-        bounds([(1, 3)] * 3, study_ladders).lower)
+    want = bounds(ps, study_ladders)
+    assert bounds([list(row) for row in ps.rows], study_ladders) == want
+    twice = Schedule(2 * ps.period, tuple(row * 2 for row in ps.rows))
+    assert bounds(twice, study_ladders) == want
 
 
 def test_bounds_validates_ladder_count(study_ladders):
     with pytest.raises(ValidationError):
-        bounds([(1, 2)], study_ladders)
+        bounds(shortest_period_policies(1), study_ladders)
 
 
 @settings(max_examples=30, deadline=None)

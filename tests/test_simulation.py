@@ -9,7 +9,7 @@ from schedsec import simulation
 from schedsec.cli import _series_csv, _summary_doc
 from schedsec.errors import StabilityWarning, ValidationError
 from schedsec.lti_estimation import LinearSystem, lyapunov_step, steady_state
-from schedsec.protocol_sequences import (PolicySet, construct_shift_invariant,
+from schedsec.protocol_sequences import (construct_shift_invariant,
                                          shortest_period_policies)
 from schedsec.scheduling import (Schedule, ShiftTuple, average_cost,
                                  reception)
@@ -253,17 +253,19 @@ def test_mc_fixed_attack_model(study_systems, study_ladders):
     assert mc.mean == pytest.approx(ref.total, rel=1e-12)
 
 
-def test_mc_randomized_interleaving(study_systems, study_ladders):
+def test_mc_randomized_interleaving(study_systems, study_ladders,
+                                    round_robin):
     sd = construct_shift_invariant([(1, 3)] * 3)
     mc = monte_carlo_expected_cost(study_systems, sd, trials=60, seed=13,
                                    randomize_interleaving=True,
                                    ladders=study_ladders)
     assert mc.n_divergent == 0
     assert 3.0 < mc.mean < 6.0
-    plain = Schedule(sd.period, sd.rows)  # the same rows, no duty factors
-    with pytest.raises(ValidationError):
-        monte_carlo_expected_cost(study_systems, plain, trials=60, seed=13,
-                                  randomize_interleaving=True,
+    # the round robin's duty factors 1/3 need a period of 27, not 3: no
+    # construction gives its rows, so there is nothing to rebuild
+    with pytest.raises(ValidationError, match="multiple"):
+        monte_carlo_expected_cost(study_systems, round_robin, trials=60,
+                                  seed=13, randomize_interleaving=True,
                                   ladders=study_ladders)
 
 
@@ -280,12 +282,13 @@ def drawn_interleaving(factors, rng):
     for f in factors:
         vecs = []
         for _ in range(D_prev):
-            vec = [0] * f.d
-            for pos in rng.choice(f.d, size=f.n, replace=False):
+            vec = [0] * f.denominator
+            for pos in rng.choice(f.denominator, size=f.numerator,
+                                  replace=False):
                 vec[int(pos)] = 1
             vecs.append(vec)
         interleavings.append(vecs)
-        D_prev *= f.d
+        D_prev *= f.denominator
     return construct_shift_invariant(factors, interleavings=interleavings,
                                      verify=False)
 
@@ -319,15 +322,14 @@ def test_mc_randomized_interleaving_samples(repeats, study_systems,
                                             study_ladders):
     # a policy set may repeat its shortest period; the rebuilt sets do not
     sd = construct_shift_invariant([(1, 3), (1, 2), (1, 3)])
-    ps = PolicySet(period=repeats * sd.period,
-                   rows=tuple(row * repeats for row in sd.rows),
-                   factors=sd.factors)
+    ps = Schedule(period=repeats * sd.period,
+                  rows=tuple(row * repeats for row in sd.rows))
     mc = monte_carlo_expected_cost(study_systems, ps, trials=40, seed=13,
                                    randomize_interleaving=True,
                                    ladders=study_ladders)
     want = []
     for rng in child_rngs(13, 40):
-        sched = drawn_interleaving(ps.factors, rng)
+        sched = drawn_interleaving(ps.duty_factors(), rng)
         taus = ShiftTuple(rng.integers(0, sched.period, size=3))
         want.append(average_cost(reception(sched, taus), study_ladders).total)
     assert mc.samples == tuple(want)
