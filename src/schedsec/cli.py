@@ -58,13 +58,8 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _sha256_file(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return f"sha256:{hashlib.sha256(data).hexdigest()}"
 
 
 class _Run:
@@ -76,9 +71,6 @@ class _Run:
         self.artifacts: dict[str, str] = {}
         self.inputs: dict[str, str] = {}
         self.parameters: dict = {}
-
-    def note_input(self, label: str, path):
-        self.inputs[label] = f"sha256:{_sha256_file(path)}"
 
     def add_json(self, name: str, doc):
         self.artifacts[name] = _json_text(doc)
@@ -97,7 +89,7 @@ class _Run:
             "command": self.command,
             "parameters": self.parameters,
             "inputs": self.inputs,
-            "outputs": {name: f"sha256:{_sha256_text(text)}"
+            "outputs": {name: _sha256(text.encode("utf-8"))
                         for name, text in sorted(self.artifacts.items())},
             "versions": {
                 "schedsec": _package_version(),
@@ -117,15 +109,16 @@ def _load_systems_arg(run: _Run, path):
     if path is None or path == _BUNDLED_SYSTEMS:
         run.inputs["systems"] = _BUNDLED_SYSTEMS
         return bundled_systems()
-    systems = load_systems(path)
-    run.note_input("systems", path)
-    return systems
+    return _load_arg(run, "systems", path, load_systems)
 
 
 def _load_arg(run: _Run, label: str, path, parse):
-    obj = parse(read_json(path))
-    run.note_input(label, path)
-    return obj
+    """The one place an input file is opened: its bytes are read once, the
+    manifest records their SHA-256, and `parse` gets the decoded document,
+    so a pipe is hashed as read."""
+    data = Path(path).read_bytes()
+    run.inputs[label] = _sha256(data)
+    return parse(read_json(data))
 
 
 def _load_rows_arg(run: _Run, args):
@@ -383,9 +376,8 @@ def _cmd_simulate(args) -> int:
     run.add_text("series.csv", _series_csv(series))
     run.add_json("summary.json", _summary_doc(series))
     if args.trials > 1:
-        mc = monte_carlo_expected_cost(
-            systems, policies, args.trials, args.seed,
-            attack=attack, ladders=ladders)
+        mc = monte_carlo_expected_cost(systems, policies, args.trials,
+                                       args.seed, ladders=ladders)
         run.add_json("mc.json", {"trials": args.trials, "seed": args.seed,
                                  **_mc_doc(mc)})
     return run.finish("summary.json")
@@ -553,7 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", help="policy set JSON file")
     p.add_argument("--attack", help="shift tuple JSON file")
     p.add_argument("--horizon", type=_positive, default=1000)
-    p.add_argument("--trials", type=_positive, default=1)
+    p.add_argument("--trials", type=_positive, default=1,
+                   help="Monte Carlo trials over uniformly random shifts, "
+                        "whatever --attack is (default 1: none)")
     p.add_argument("--seed", type=_nonnegative, default=0)
     out_format(p, fmt=False)
     p.set_defaults(func=_cmd_simulate)

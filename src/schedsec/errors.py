@@ -1,8 +1,10 @@
-"""Error taxonomy, the shared work budget and the JSON document reader.
+"""Error taxonomy, the shared work budget and the JSON document decoder.
 
 Every error raised by this package derives from SchedSecError so callers can
 catch the whole family.  ValidationError doubles as ValueError because most
-of these conditions are plain bad arguments.
+of these conditions are plain bad arguments.  `read_json` decodes every
+input document's bytes; each document type's parser checks the shape
+through `json_object`, `json_list` and `json_int`.
 """
 
 from __future__ import annotations
@@ -80,15 +82,12 @@ class Work:
                 f"steps; raise {BUDGET_ENV_VAR} to allow it")
 
 
-def read_json(source):
-    """Parse one JSON document from a path or an open text file.  Text that
-    is not UTF-8 JSON, or nests deeper than the parser can follow, raises
-    ValidationError."""
+def read_json(data: bytes):
+    """Decode one JSON document from the bytes of a file; no I/O.  Bytes
+    that are not UTF-8 JSON, or nest deeper than the parser can follow,
+    raise ValidationError."""
     try:
-        if isinstance(source, (str, os.PathLike)):
-            with open(source, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        return json.load(source)
+        return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"not a JSON document: {exc}") from None
     except RecursionError:

@@ -13,14 +13,14 @@ and the measurement-update step
 Their composition has a unique positive semidefinite fixed point P_bar (the
 steady-state estimation error covariance) whenever (A, C) is detectable and
 (A, sqrt(Q)) is stabilizable.  The trace ladder t -> Tr[h^t(P_bar)] prices
-the cost of going t slots without a packet.  `load_systems` reads the JSON
-systems document, whose matrix entries must be finite JSON numbers.
+the cost of going t slots without a packet.  `load_systems` parses a decoded
+systems document, whose matrix entries must be finite JSON numbers; it does
+no I/O, so the caller that read the bytes also hashes them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,7 +29,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import (ConvergenceError, NumericalError, StabilityWarning,
-                     ValidationError, read_json)
+                     ValidationError, json_list, json_object, read_json)
 
 PSD_TOL = 1e-9
 INSTABILITY_TOL = 1e-12
@@ -293,6 +293,9 @@ def steady_state(sys: LinearSystem) -> SteadyState:
     return SteadyState(sys, X, residual, iterations=it + 1)
 
 
+_SYSTEM_KEYS = ("A", "C", "Q", "R", "Pi")
+
+
 def _check_numbers(value, where: str):
     """Every leaf of a nested JSON array must be a JSON number; strings,
     booleans, nulls and objects are refused rather than coerced."""
@@ -307,36 +310,24 @@ def _check_numbers(value, where: str):
                 f"{where}: entries must be JSON numbers, got {got}")
 
 
-def load_systems(source) -> list[LinearSystem]:
-    """Load sensor models from a JSON array of objects with keys
-    "A", "C", "Q", "R", "Pi" (row-major nested arrays of JSON numbers).
-
-    `source` may be a path, an open text file or an already parsed array.
-    Validation errors name the offending system index and field.
+def load_systems(doc) -> list[LinearSystem]:
+    """Sensor models from a parsed systems document: a nonempty JSON array
+    of objects with keys "A", "C", "Q", "R", "Pi" (row-major nested arrays
+    of JSON numbers).  Validation errors name the system index and field.
     """
-    if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
-        doc = read_json(source)
-    else:
-        doc = source
-    if not isinstance(doc, list):
-        raise ValidationError("systems document must be a JSON array")
-    if not doc:
+    if not json_list(doc, "systems document"):
         raise ValidationError("systems document is empty")
     out = []
     for i, entry in enumerate(doc):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"system {i}: expected an object, got {type(entry).__name__}")
-        for key in ("A", "C", "Q", "R", "Pi"):
-            if key not in entry:
-                raise ValidationError(f"system {i} field '{key}': missing")
+        json_object(entry, _SYSTEM_KEYS, f"system {i}")
+        for key in _SYSTEM_KEYS:
             _check_numbers(entry[key], f"system {i} field '{key}'")
-        out.append(LinearSystem(A=entry["A"], C=entry["C"], Q=entry["Q"],
-                                R=entry["R"], Pi=entry["Pi"], name=f"system {i}"))
+        out.append(LinearSystem(**{key: entry[key] for key in _SYSTEM_KEYS},
+                                name=f"system {i}"))
     return out
 
 
 def bundled_systems() -> list[LinearSystem]:
     """The packaged three-sensor study used by the paper's examples."""
     ref = resources.files("schedsec") / "data" / "three_sensor_study.json"
-    with ref.open("r", encoding="utf-8") as fh:
-        return load_systems(fh)
+    return load_systems(read_json(ref.read_bytes()))

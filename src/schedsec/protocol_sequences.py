@@ -91,8 +91,7 @@ def policies_from_dict(doc) -> Schedule:
     json_object(doc, ("T", "rows", "factors"), "policy")
     factors = json_list(doc["factors"], '"factors"')
     for i, f in enumerate(factors):
-        if not (isinstance(f, dict) and "n" in f and "d" in f):
-            raise ValidationError(f'factor {i} needs keys "n" and "d"')
+        json_object(f, ("n", "d"), f"factor {i}")
     pairs = [(json_int(f["n"], f'factor {i} "n"'),
               json_int(f["d"], f'factor {i} "d"'))
              for i, f in enumerate(factors)]

@@ -206,13 +206,15 @@ def _row_runs(sole: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(runs[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
 
-def _reception_runs(reception_row: Sequence[int]) -> tuple[int, ...]:
-    """`_cyclic_runs` of a 0/1 reception row, checked first."""
-    T = len(reception_row)
-    if T == 0:
+def _reception_array(receptions: Sequence[Sequence[int]]) -> np.ndarray:
+    """Reception rows as a boolean (N, T) array, checked first: nonempty
+    0/1 rows of one common length."""
+    N = len(receptions)
+    T = len(receptions[0]) if N else 0
+    if N and T == 0:
         raise ValidationError("reception row must be nonempty")
-    _check_binary_rows([reception_row], T, context="reception row")
-    return _cyclic_runs([k for k, v in enumerate(reception_row) if v], T)
+    _check_binary_rows(receptions, T, context="reception row")
+    return np.array(receptions, dtype=bool).reshape(N, T)
 
 
 def _gap_histogram(runs: Sequence[int]) -> list[int]:
@@ -287,15 +289,16 @@ def average_cost(receptions: Sequence[Sequence[int]],
     """Exact long-run average trace from cyclic reception patterns.
 
     receptions[i] is sensor i's per-slot reception indicator over one
-    period; ladders[i] prices gaps.  A sensor that never receives is
-    divergent (its covariance grows without bound for unstable dynamics).
+    period, the same for every sensor; ladders[i] prices gaps.  A sensor
+    that never receives is divergent (its covariance grows without bound
+    for unstable dynamics).
     """
     if len(receptions) != len(ladders):
         raise ValidationError(
             f"got {len(receptions)} reception rows for {len(ladders)} ladders")
     price = _gap_pricer(ladders)
-    return CostReport(tuple(price(i, _reception_runs(row))
-                            for i, row in enumerate(receptions)))
+    return CostReport(tuple(price(i, runs) for i, runs in
+                            enumerate(_row_runs(_reception_array(receptions)))))
 
 
 def _necklaces(n_symbols: int, length: int):

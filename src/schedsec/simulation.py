@@ -192,22 +192,21 @@ def _random_interleaving(factors, rng) -> Schedule:
 
 def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
                               trials: int, seed: int,
-                              attack: ShiftTuple | None = None,
                               randomize_interleaving: bool = False,
                               ladders: Sequence[SteadyState] | None = None
                               ) -> MonteCarloCost:
-    """Average the exact periodic cost over randomly drawn clock shifts.
+    """Average the exact periodic cost over uniformly random clock shifts.
 
     Each of the `trials` trials gets an independent child of `seed`
     (SeedSequence spawning), draws interleaving vectors first when
-    randomize_interleaving is set, then a uniform random shift tuple unless
-    a fixed `attack` pins the shifts (None, the default, draws them).
-    randomize_interleaving rebuilds the defense from the duty factors of
-    its rows, so its period must be a multiple of their denominators'
-    product, as a constructed defense's is; the rebuilt sets skip the
-    invariance recheck since the construction guarantees it.  The budget
-    (SCHEDSEC_BUDGET) is charged the trials * N * T slots the trials
-    gather before any trial is drawn.
+    randomize_interleaving is set, then a uniform random shift tuple (a
+    fixed attack has one cost, `average_cost` of its reception pattern,
+    with nothing to sample).  randomize_interleaving rebuilds the defense
+    from the duty factors of its rows, so its period must be a multiple of
+    their denominators' product, as a constructed defense's is; the
+    rebuilt sets skip the invariance recheck since the construction
+    guarantees it.  The budget (SCHEDSEC_BUDGET) is charged the
+    trials * N * T slots the trials gather before any trial is drawn.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -215,8 +214,6 @@ def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
     N = base.n_sensors
     if len(systems) != N:
         raise ValidationError(f"{len(systems)} systems for {N} policy rows")
-    if attack is not None:
-        attack.validate_for(base)
     T = base.period
     if randomize_interleaving:
         factors = _design_factors(base)
@@ -236,8 +233,7 @@ def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
             rng = np.random.default_rng(child)
             if randomize_interleaving:
                 stack.append(_random_interleaving(factors, rng).rows)
-            taus.append(rng.integers(0, T, size=N) if attack is None
-                        else attack.taus)
+            taus.append(rng.integers(0, T, size=N))
         rows = np.array(stack if stack else [base.rows], dtype=bool)
         sole = _sole_receptions(rows, np.array(taus)).reshape(-1, T)
         per = [price(r % N, runs) for r, runs in enumerate(_row_runs(sole))]

@@ -1,11 +1,16 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,10 @@ from schedsec.protocol_sequences import (construct_shift_invariant,
                                          policies_from_dict, policies_to_dict,
                                          shortest_period_policies)
 from schedsec.scheduling import Schedule
+
+
+def _read_doc(path):
+    return read_json(path.read_bytes())
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +47,7 @@ def test_schedule_command_reproduces_reference(tmp_path, systems_path):
     out = tmp_path / "s"
     assert main(["schedule", "--systems", systems_path, "--periods", "3",
                  "--out", str(out)]) == 0
-    sched = Schedule.from_dict(read_json(out / "schedule.json"))
+    sched = Schedule.from_dict(_read_doc(out / "schedule.json"))
     assert sched.rows == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     cost = json.loads((out / "schedule_cost.json").read_text())
     assert cost["total"] == pytest.approx(2.0250433575300404, rel=1e-8)
@@ -125,7 +134,7 @@ def test_defend_construct_shortest(tmp_path):
     out = tmp_path / "d"
     assert main(["defend", "construct", "--mode", "shortest-period",
                  "-n", "3", "--out", str(out)]) == 0
-    ps = policies_from_dict(read_json(out / "policies.json"))
+    ps = policies_from_dict(_read_doc(out / "policies.json"))
     assert ps.period == 8
 
 
@@ -133,7 +142,7 @@ def test_defend_construct_same_duty(tmp_path, sched_path):
     out = tmp_path / "d"
     assert main(["defend", "construct", "--mode", "same-duty",
                  "--schedule", sched_path, "--out", str(out)]) == 0
-    ps = policies_from_dict(read_json(out / "policies.json"))
+    ps = policies_from_dict(_read_doc(out / "policies.json"))
     assert ps.period == 27
     assert ps.duty_factors() == [Fraction(1, 3)] * 3
 
@@ -434,6 +443,61 @@ def test_simulate_with_attack_and_trials(tmp_path, systems_path, sched_path):
     assert (out2 / "mc.json").exists()
 
 
+def test_simulate_monte_carlo_is_over_random_shifts(tmp_path, systems_path):
+    # mc.json samples uniform random shifts whatever --attack is; the
+    # attack pins only the series and summary
+    policies = tmp_path / "policies.json"
+    policies.write_text(json.dumps(policies_to_dict(
+        construct_shift_invariant([(1, 3)] * 3))))
+    attack = tmp_path / "attack.json"
+    attack.write_text(json.dumps({"taus": [0, 5, 11]}))
+    argv = ["simulate", "--systems", systems_path, "--policies",
+            str(policies), "--horizon", "54", "--trials", "30", "--seed", "4"]
+    assert main(argv + ["--out", str(tmp_path / "random")]) == 0
+    assert main(argv + ["--attack", str(attack),
+                        "--out", str(tmp_path / "fixed")]) == 0
+    random, fixed = tmp_path / "random", tmp_path / "fixed"
+    assert (fixed / "mc.json").read_bytes() == (random / "mc.json").read_bytes()
+    assert _read_doc(random / "mc.json")["std"] > 0
+    assert ((fixed / "summary.json").read_bytes()
+            != (random / "summary.json").read_bytes())
+
+
+@pytest.mark.skipif(not os.path.lexists("/dev/stdin"),
+                    reason="the platform has no /dev/stdin")
+@pytest.mark.parametrize("argv, label", [
+    (["attack", "optimal", "--schedule"], "schedule"),
+    (["steady-state", "--systems"], "systems"),
+])
+def test_piped_input_is_hashed_as_read(tmp_path, systems_path, argv, label):
+    # a pipe can be read once: the manifest must hash the bytes that were
+    # parsed, and the outputs must match a run on the same bytes in a file
+    data = (json.dumps({"T": 3, "rows": _ROUND_ROBIN_ROWS}).encode()
+            if label == "schedule" else Path(systems_path).read_bytes())
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(source, out, stdin=None):
+        proc = subprocess.run(
+            [sys.executable, "-m", "schedsec.cli", *argv, source,
+             "--out", str(out)], input=stdin, capture_output=True, env=env,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads((out / "run_manifest.json").read_text())
+
+    piped = run("/dev/stdin", tmp_path / "piped", stdin=data)
+    filed = run(str(path), tmp_path / "filed")
+    assert piped["inputs"] == filed["inputs"] == {
+        label: f"sha256:{hashlib.sha256(data).hexdigest()}"}
+    assert piped["outputs"] == filed["outputs"]
+    for name in piped["outputs"]:
+        assert ((tmp_path / "piped" / name).read_bytes()
+                == (tmp_path / "filed" / name).read_bytes())
+
+
 def test_simulate_needs_exactly_one_source(systems_path, sched_path):
     assert main(["simulate", "--systems", systems_path]) == 3
 
@@ -546,10 +610,10 @@ def test_reproduce_paper_pipeline(tmp_path, monkeypatch):
     assert report["spoofed_count"] == 1
     assert report["blocking"] and report["blocked_sensors"]
     assert report["brute_force_agrees"]
-    sched = Schedule.from_dict(read_json(out / "schedule.json"))
+    sched = Schedule.from_dict(_read_doc(out / "schedule.json"))
     assert sched.period == 3 and sched.is_exclusive
-    same = policies_from_dict(read_json(out / "defense_same_duty.json"))
-    short = policies_from_dict(read_json(out / "defense_shortest.json"))
+    same = policies_from_dict(_read_doc(out / "defense_same_duty.json"))
+    short = policies_from_dict(_read_doc(out / "defense_shortest.json"))
     assert same.period == 27 and short.period == 8
     bounds_doc = json.loads((out / "bounds.json").read_text())
     assert (bounds_doc["shortest_period"]["lower"]
@@ -624,7 +688,6 @@ def test_reproduce_paper_output_hashes(tmp_path, fmt):
 
 
 def test_manifest_hashes_match_contents(tmp_path, systems_path, sched_path):
-    import hashlib
     out = tmp_path / "m"
     assert main(["cost", "--systems", systems_path, "--schedule", sched_path,
                  "--out", str(out)]) == 0

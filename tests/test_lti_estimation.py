@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import steady_state_doubling
 from schedsec import lti_estimation
-from schedsec.errors import ConvergenceError, StabilityWarning, ValidationError
+from schedsec.errors import (ConvergenceError, StabilityWarning,
+                             ValidationError, read_json)
 from schedsec.lti_estimation import (LinearSystem, load_systems, lyapunov_step,
                                      riccati_step, steady_state)
 
@@ -199,25 +200,30 @@ def test_load_systems_roundtrip(tmp_path, study_systems):
             "R": s.R.tolist(), "Pi": s.Pi.tolist()} for s in study_systems]
     path = tmp_path / "systems.json"
     path.write_text(json.dumps(doc))
-    loaded = load_systems(str(path))
+    loaded = load_systems(read_json(path.read_bytes()))
     assert len(loaded) == 3
     for got, want in zip(loaded, study_systems):
         assert np.allclose(got.A, want.A)
 
 
-def test_load_systems_names_offending_field(tmp_path):
-    import json
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps([{"A": [[1.1]], "C": [[1.0]], "Q": [[1.0]],
-                                 "R": [[1.0]]}]))
-    with pytest.raises(ValidationError, match="system 0.*'Pi'"):
-        load_systems(str(path))
+def test_load_systems_names_offending_field():
+    # shape errors use the shared document checks' wording, and every one
+    # names the system and the field
     good = {"A": [[1.1]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]],
             "Pi": [[1.0]]}
+    missing = {k: v for k, v in good.items() if k != "Pi"}
+    with pytest.raises(ValidationError, match='system 0 document needs key "Pi"'):
+        load_systems([missing])
     with pytest.raises(ValidationError, match="system 1 field 'A': expected a 2-D"):
         load_systems([good, {**good, "A": [1.1]}])
-    with pytest.raises(ValidationError, match="array"):
+    with pytest.raises(ValidationError,
+                       match="systems document must be a list, got dict"):
         load_systems({"A": [[1.0]]})
+    with pytest.raises(ValidationError, match="systems document is empty"):
+        load_systems([])
+    with pytest.raises(ValidationError,
+                       match="system 1 document must be a JSON object"):
+        load_systems([good, [good]])
     for bad, shown in (("1.5", "'1.5'"), (True, "True"), (None, "None"),
                        ({}, "an object")):
         with pytest.raises(ValidationError, match=(

@@ -12,9 +12,11 @@ from schedsec import scheduling
 from schedsec.cli import _cost_csv
 from schedsec.errors import BudgetError, ValidationError, read_json
 from schedsec.lti_estimation import steady_state
-from schedsec.scheduling import (Schedule, ShiftTuple, _gap_histogram,
-                                 _necklaces, _reception_runs, average_cost,
-                                 optimal_schedule_search, reception)
+from schedsec.scheduling import (Schedule, ShiftTuple, _cyclic_runs,
+                                 _gap_histogram, _necklaces,
+                                 _reception_array, _row_runs,
+                                 average_cost, optimal_schedule_search,
+                                 reception)
 
 GOLDEN_ROUND_ROBIN_COST = 2.0250433575300404
 
@@ -22,9 +24,9 @@ binary_row = st.lists(st.integers(0, 1), min_size=1, max_size=12)
 
 
 def gap_counts(row):
-    """Gap histogram of a reception row, through the row check that
-    average_cost applies."""
-    return _gap_histogram(_reception_runs(row))
+    """Gap histogram of a reception row, through the row check and the
+    batch runs that average_cost applies."""
+    return _gap_histogram(_row_runs(_reception_array([row]))[0])
 
 
 def test_gap_histogram_hand_values():
@@ -49,9 +51,12 @@ def test_gap_histogram_rejects_non_binary():
         gap_counts([0.5, 0.5])
     with pytest.raises(ValidationError, match="nonempty"):
         gap_counts([])
-    # an average_cost caller gets the same check
+    # an average_cost caller gets the same check, and its rows must share
+    # one period
     with pytest.raises(ValidationError, match="reception row"):
         average_cost([[1, 0, 3]], [None])
+    with pytest.raises(ValidationError, match="row 1 has length 2, expected 3"):
+        average_cost([[1, 0, 0], [0, 1]], [None, None])
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,12 +106,22 @@ def test_schedule_validation():
         s.require_exclusive()
 
 
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 12).flatmap(lambda T: st.lists(
+    st.lists(st.integers(0, 1), min_size=T, max_size=T),
+    min_size=1, max_size=4)))
+def test_row_runs_are_the_search_memo_keys(rows):
+    # average_cost's batch runs and the schedule search's runs from slot
+    # positions are the same sorted tuples, so they share memo entries
+    T = len(rows[0])
+    assert _row_runs(_reception_array(rows)) == [
+        _cyclic_runs([k for k, v in enumerate(row) if v], T) for row in rows]
+
+
 def test_schedule_roundtrip(tmp_path, round_robin):
     path = tmp_path / "sched.json"
     path.write_text(json.dumps(round_robin.to_dict()))
-    assert Schedule.from_dict(read_json(path)) == round_robin
-    with open(path, encoding="utf-8") as fh:
-        assert Schedule.from_dict(read_json(fh)) == round_robin
+    assert Schedule.from_dict(read_json(path.read_bytes())) == round_robin
 
 
 @settings(max_examples=50, deadline=None)

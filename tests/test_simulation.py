@@ -242,17 +242,6 @@ def test_mc_deterministic_and_ordered(study_systems, study_ladders):
     assert a.mean - a.halfwidth > c.mean + c.halfwidth
 
 
-def test_mc_fixed_attack_model(study_systems, study_ladders):
-    sd = construct_shift_invariant([(1, 3)] * 3)
-    attack = ShiftTuple(taus=(0, 5, 11))
-    mc = monte_carlo_expected_cost(study_systems, sd, trials=10, seed=3,
-                                   attack=attack, ladders=study_ladders)
-    assert mc.std == pytest.approx(0.0, abs=1e-12)
-    ref = average_cost(reception(sd, attack),
-                       study_ladders)
-    assert mc.mean == pytest.approx(ref.total, rel=1e-12)
-
-
 def test_mc_randomized_interleaving(study_systems, study_ladders,
                                     round_robin):
     sd = construct_shift_invariant([(1, 3)] * 3)
@@ -310,11 +299,6 @@ def test_mc_samples_are_per_trial_average_costs(block, monkeypatch,
             for rng in child_rngs(7, 50))
         assert mc.samples == want
     assert mc.n_divergent > 0
-    fixed = ShiftTuple((0, 5, 11))
-    mc = monte_carlo_expected_cost(study_systems, sd, trials=9, seed=3,
-                                   attack=fixed, ladders=study_ladders)
-    assert mc.samples == (average_cost(reception(sd, fixed),
-                                       study_ladders).total,) * 9
 
 
 @pytest.mark.parametrize("repeats", [1, 2])
