@@ -322,8 +322,6 @@ def _cmd_defend_construct(args) -> int:
             raise ValidationError(
                 "shortest-period mode needs -n or --schedule to fix the "
                 "sensor count")
-        if n < 1:
-            raise ValidationError(f"need at least one sensor, got {n}")
         doc = policies_to_dict(shortest_period_policies(n))
         run.parameters = {"mode": args.mode, "n_sensors": n}
     else:

@@ -76,23 +76,14 @@ def _psd_sqrt(M):
     return (V * np.sqrt(w)) @ V.T
 
 
-def _pbh_detectable(A, C):
-    """PBH test: every eigenvalue of A on or outside the unit circle must be
-    observable through C."""
+def _pbh(A, B, stack) -> bool:
+    """PBH test: stack([A - lam I, B]) has rank n at every eigenvalue lam of
+    A on or outside the unit circle.  np.vstack with B = C tests that
+    (A, C) is detectable, np.hstack that (A, B) is stabilizable."""
     n = A.shape[0]
     for lam in np.linalg.eigvals(A):
         if abs(lam) >= 1.0 - PSD_TOL:
-            M = np.vstack([A - lam * np.eye(n), C.astype(complex)])
-            if np.linalg.matrix_rank(M) < n:
-                return False
-    return True
-
-
-def _pbh_stabilizable(A, B):
-    n = A.shape[0]
-    for lam in np.linalg.eigvals(A):
-        if abs(lam) >= 1.0 - PSD_TOL:
-            M = np.hstack([A - lam * np.eye(n), B.astype(complex)])
+            M = stack([A - lam * np.eye(n), B.astype(complex)])
             if np.linalg.matrix_rank(M) < n:
                 return False
     return True
@@ -125,11 +116,11 @@ class LinearSystem:
         self.Q = self._cov("Q", self.Q, n, kind="psd")
         self.R = self._cov("R", self.R, m, kind="pd")
         self.Pi = self._cov("Pi", self.Pi, n, kind="psd")
-        if not _pbh_detectable(self.A, self.C):
+        if not _pbh(self.A, self.C, np.vstack):
             raise ValidationError(
                 f"{self.name}: (A, C) is not detectable; the steady-state "
                 f"error covariance does not exist")
-        if not _pbh_stabilizable(self.A, _psd_sqrt(self.Q)):
+        if not _pbh(self.A, _psd_sqrt(self.Q), np.hstack):
             raise ValidationError(
                 f"{self.name}: (A, sqrt(Q)) is not stabilizable; the "
                 f"steady-state error covariance is not defined")

@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,9 +43,11 @@ from .scheduling import Schedule, ShiftTuple, apply_shift, reception
 
 
 def _duty_factor(value, i: int) -> Fraction:
-    """Sensor i's duty factor, a Fraction or an (n, d) pair, as a Fraction
-    strictly between 0 and 1."""
-    if isinstance(value, (tuple, list)) and len(value) == 2 and value[1] != 0:
+    """Sensor i's duty factor, a Fraction or an (n, d) pair of integers, as
+    a Fraction strictly between 0 and 1."""
+    if (isinstance(value, (tuple, list)) and len(value) == 2
+            and all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                    for v in value) and value[1] != 0):
         value = Fraction(int(value[0]), int(value[1]))
     if not isinstance(value, Fraction):
         raise ValidationError(
@@ -323,8 +326,7 @@ def is_shift_invariant(policies) -> InvarianceReport:
     raise SchedSecError("no witness for a failed invariance check; this is a bug")
 
 
-def construct_shift_invariant(factors, interleavings=None,
-                              verify: bool = True) -> Schedule:
+def construct_shift_invariant(factors, interleavings=None) -> Schedule:
     """Build a shift-invariant policy set with the given duty factors.
 
     Sensor i's row interleaves D_{i-1} = d_1 ... d_{i-1} binary vectors of
@@ -333,10 +335,12 @@ def construct_shift_invariant(factors, interleavings=None,
     rotation by (j - 1) of the base vector with ones in its last n_i
     positions; pass `interleavings` (one list of vectors per sensor) to
     choose them explicitly.  Each factor is a Fraction or an (n, d) pair
-    with 0 < n/d < 1, and row i's duty factor is factor i in lowest terms.
-    The budget (SCHEDSEC_BUDGET) is charged the N * D slots of the rows
-    before any is built.  With verify, the result is proven shift
-    invariant by `is_shift_invariant` before it is returned.
+    of integers with 0 < n/d < 1, and row i's duty factor is factor i in
+    lowest terms.  Every such set is shift invariant by the theorem of
+    Shum, Chen, Sung & Wong (2009), whatever the interleaving vectors, so
+    the result is not checked again; `is_shift_invariant` decides it for
+    any rows.  The budget (SCHEDSEC_BUDGET) is charged the N * D slots of
+    the rows before any is built.
     """
     fs = [_duty_factor(f, i) for i, f in enumerate(factors)]
     if not fs:
@@ -375,19 +379,12 @@ def construct_shift_invariant(factors, interleavings=None,
         reps = D // len(short)
         rows.append(tuple(short * reps))
         D_prev *= d
-    sched = Schedule(period=D, rows=tuple(rows))
-    if verify:
-        report = is_shift_invariant(sched)
-        if not report:
-            raise SchedSecError(
-                f"constructed set failed its invariance check at witness "
-                f"{report.witness}; this is a bug")
-    return sched
+    return Schedule(period=D, rows=tuple(rows))
 
 
 def shortest_period_policies(n_sensors: int) -> Schedule:
     """The shortest shift-invariant set: every duty factor 1/2, period 2^N,
-    proven shift invariant."""
+    built by `construct_shift_invariant`."""
     if n_sensors < 1:
         raise ValidationError(f"need at least one sensor, got {n_sensors}")
     return construct_shift_invariant([(1, 2)] * n_sensors)

@@ -9,11 +9,14 @@ shifted schedules at once; `reception` is its one-trial case.  The
 long-run estimation cost of a reception pattern depends only on the cyclic
 gap structure between receptions: a sensor that last received t slots ago
 carries covariance h^t(P_bar), so the per-period cost is the count of slots
-at each gap t weighted by the trace ladder.
+at each gap t weighted by the trace ladder.  One kernel, `_row_runs`, reads
+those gaps off a batch of reception rows, for `average_cost`, the schedule
+search and Monte Carlo alike.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isinf
@@ -23,6 +26,10 @@ import numpy as np
 
 from .errors import ValidationError, Work, json_int, json_list, json_object
 from .lti_estimation import LinearSystem, SteadyState, steady_state
+
+# slots one batch of the search or of Monte Carlo stacks for the kernels,
+# bounding their memory whatever the number of necklaces or trials
+_BLOCK_SLOTS = 1 << 18
 
 
 def _check_binary_rows(rows, period, context="schedule"):
@@ -177,21 +184,12 @@ def reception(sched: Schedule,
     return sole[0].astype(int).tolist()
 
 
-def _cyclic_runs(hits: Sequence[int], period: int) -> tuple[int, ...]:
-    """A sensor's multiset of cyclic reception gaps: the sorted lengths of
-    the runs from each of its reception slots `hits` (ascending, within one
-    period) to the next.  A sensor that never receives has none.  This
-    sorted tuple of ints, as `_row_runs` also gives it, is the memo key of
-    `_gap_pricer`."""
-    if not hits:
-        return ()
-    return tuple(sorted(b - a for a, b in
-                        zip(hits, [*hits[1:], hits[0] + period])))
-
-
 def _row_runs(sole: np.ndarray) -> list[tuple[int, ...]]:
-    """`_cyclic_runs` of every row of a boolean (R, T) reception array,
-    computed for all rows at once."""
+    """Each row's multiset of cyclic reception gaps, for every row of a
+    boolean (R, T) reception array at once: the sorted lengths of the runs
+    from each reception slot to the next, wrapping round the period.  A
+    row that never receives has none.  These sorted tuples of ints are the
+    memo keys of `_gap_pricer`."""
     R, T = sole.shape
     r, k = np.nonzero(sole)              # every hit, row by row, in slot order
     last = np.ones(len(r), dtype=bool)   # the last hit of its row
@@ -361,16 +359,18 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
     cyclic rotation of a columnwise transmitter assignment costs the same,
     to the bit.  The search therefore walks one assignment per rotation
     class (the necklaces, generated once each by FKM) for each candidate
-    period.  It prices each sensor's gap multiset once, however many
-    necklaces share it, with the same float operations as average_cost.
-    A necklace that leaves a sensor without a slot costs inf and is priced
-    only if no schedule that serves every sensor has a finite cost.  Each
-    class is represented by its rotation with the lexicographically
-    smallest row-major flattened 0/1 matrix, and the winner is the minimum
-    of (total, that matrix, period): ties break toward the smallest
-    flattened matrix, then the smallest period.  The budget
-    (SCHEDSEC_BUDGET) caps the N^T column assignments the candidate periods
-    span, summed over periods; exceeding it raises BudgetError.
+    period.  An exclusive assignment's reception rows are its own rows, so
+    the gaps of a whole block of necklaces come from one `_row_runs` call,
+    and each sensor's gap multiset is priced once, however many necklaces
+    share it, with the same float operations as average_cost.  A necklace
+    that leaves a sensor without a slot costs inf and is priced only if no
+    schedule that serves every sensor has a finite cost.  Each class is
+    represented by its rotation with the lexicographically smallest
+    row-major flattened 0/1 matrix, and the winner is the minimum of
+    (total, that matrix, period): ties break toward the smallest flattened
+    matrix, then the smallest period.  The budget (SCHEDSEC_BUDGET) caps
+    the N^T column assignments the candidate periods span, summed over
+    periods; exceeding it raises BudgetError.
     """
     N = len(systems)
     if N < 1:
@@ -387,6 +387,7 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
     if ladders is None:
         ladders = [steady_state(s) for s in systems]
     price = _gap_pricer(ladders)
+    sensors = np.arange(N)[:, None]
     best = None  # (total, flat_key, T, rows, per-sensor costs)
     # A NaN total never wins.  Necklaces that starve a sensor (total inf)
     # are walked only when nothing that serves every sensor is finite.
@@ -394,22 +395,23 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
         if best is not None and best[0] < inf:
             break
         for T in cands:
-            for cols in _necklaces(N, T):
-                if (len(set(cols)) < N) != starving:
-                    continue
-                hits = [[] for _ in range(N)]
-                for k, c in enumerate(cols):
-                    hits[c].append(k)
-                per = tuple(price(i, _cyclic_runs(h, T))
-                            for i, h in enumerate(hits))
-                total = sum(per)  # CostReport.total, to the bit
-                if not total <= (inf if best is None else best[0]):
-                    continue
-                # every rotation prices the same, so only a contender
-                # needs its canonical rotation for the tie-break
-                key, canon = _canonical_rotation(cols, N)
-                entry = (total, key, T)
-                if best is None or entry < best[:3]:
-                    best = (*entry, _exclusive_rows(canon, N), per)
+            necklaces = (cols for cols in _necklaces(N, T)
+                         if (len(set(cols)) < N) == starving)
+            size = max(1, _BLOCK_SLOTS // (N * T))
+            while block := list(itertools.islice(necklaces, size)):
+                # (necklace, sensor) reception rows: sensor i owns cols == i
+                runs = _row_runs((np.array(block)[:, None] == sensors
+                                  ).reshape(-1, T))
+                for j, cols in enumerate(block):
+                    per = tuple(map(price, range(N), runs[j * N:j * N + N]))
+                    total = sum(per)  # CostReport.total, to the bit
+                    if not total <= (inf if best is None else best[0]):
+                        continue
+                    # every rotation prices the same, so only a contender
+                    # needs its canonical rotation for the tie-break
+                    key, canon = _canonical_rotation(cols, N)
+                    entry = (total, key, T)
+                    if best is None or entry < best[:3]:
+                        best = (*entry, _exclusive_rows(canon, N), per)
     assert best is not None
     return Schedule(period=best[2], rows=best[3]), CostReport(best[4])

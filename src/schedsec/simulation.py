@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import scheduling
 from .errors import ValidationError, Work
 from .lti_estimation import (LinearSystem, SteadyState, lyapunov_step,
                              steady_state)
@@ -34,9 +35,6 @@ from .scheduling import (CostReport, Schedule, ShiftTuple, _gap_pricer,
                          _row_runs, _sole_receptions, reception)
 
 OVERFLOW_TRACE = 1e12
-# shifted slots gathered at once by the Monte Carlo kernel, bounding its
-# memory whatever the number of trials
-_MC_BLOCK_SLOTS = 1 << 18
 
 
 @dataclass
@@ -172,8 +170,7 @@ def _mc_statistics(samples: list[float]) -> MonteCarloCost:
 
 def _random_interleaving(factors, rng) -> Schedule:
     """The shift-invariant set of `factors` with random interleaving
-    vectors, drawn factor by factor; the construction guarantees
-    invariance, so it is not rechecked."""
+    vectors, drawn factor by factor."""
     interleavings = []
     D_prev = 1
     for f in factors:
@@ -186,8 +183,7 @@ def _random_interleaving(factors, rng) -> Schedule:
             vecs.append(vec)
         interleavings.append(vecs)
         D_prev *= f.denominator
-    return construct_shift_invariant(factors, interleavings=interleavings,
-                                     verify=False)
+    return construct_shift_invariant(factors, interleavings=interleavings)
 
 
 def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
@@ -203,10 +199,9 @@ def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
     fixed attack has one cost, `average_cost` of its reception pattern,
     with nothing to sample).  randomize_interleaving rebuilds the defense
     from the duty factors of its rows, so its period must be a multiple of
-    their denominators' product, as a constructed defense's is; the
-    rebuilt sets skip the invariance recheck since the construction
-    guarantees it.  The budget (SCHEDSEC_BUDGET) is charged the
-    trials * N * T slots the trials gather before any trial is drawn.
+    their denominators' product, as a constructed defense's is.  The
+    budget (SCHEDSEC_BUDGET) is charged the trials * N * T slots the
+    trials gather before any trial is drawn.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -225,7 +220,7 @@ def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
         ladders = [steady_state(sys) for sys in systems]
     price = _gap_pricer(ladders)
     children = np.random.SeedSequence(seed).spawn(trials)
-    block = max(1, _MC_BLOCK_SLOTS // (N * T))
+    block = max(1, scheduling._BLOCK_SLOTS // (N * T))
     samples = []
     for lo in range(0, trials, block):
         stack, taus = [], []

@@ -159,7 +159,7 @@ def test_criterion_07_throughput_rationals(announce):
         families = factor_families(64)
         assert len(families) > 4000
         for fam in families:
-            ps = construct_shift_invariant(fam, verify=False)
+            ps = construct_shift_invariant(fam)
             D = math.prod(d for _, d in fam)
             assert ps.period == D
             U = tuple(range(len(fam)))

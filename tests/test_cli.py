@@ -573,6 +573,10 @@ def test_exit_code_usage():
     with pytest.raises(SystemExit) as exc2:
         main([])
     assert exc2.value.code == 2
+    # argparse rejects a sensor count below one before the command runs
+    with pytest.raises(SystemExit) as exc3:
+        main(["defend", "construct", "--mode", "shortest-period", "-n", "0"])
+    assert exc3.value.code == 2
 
 
 def test_format_flag_only_where_a_table_is_rendered(tmp_path, capsys,

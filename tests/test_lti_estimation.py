@@ -179,6 +179,13 @@ def test_validation_rejects_undetectable_pair():
                      R=[[1.0]], Pi=np.eye(2))
 
 
+def test_validation_rejects_unstabilizable_pair():
+    # C sees the unstable mode, but no process noise drives it
+    with pytest.raises(ValidationError, match="stabilizable"):
+        LinearSystem(A=np.diag([2.0, 0.5]), C=[[1.0, 1.0]],
+                     Q=np.diag([0.0, 1.0]), R=[[1.0]], Pi=np.eye(2))
+
+
 def test_stable_system_warns_but_works():
     with pytest.warns(StabilityWarning):
         sys = LinearSystem(A=[[0.5]], C=[[1.0]], Q=[[1.0]], R=[[1.0]],

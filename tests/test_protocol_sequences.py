@@ -31,15 +31,17 @@ def test_duty_factor_validation():
     assert _duty_factor(Fraction(2, 6), 0) == Fraction(1, 3)
     assert _duty_factor((2, 4), 0) == Fraction(1, 2)
     for bad in ((0, 3), (3, 3), (4, 3), (1, 0), Fraction(0), Fraction(1),
-                "1/2", 0.5):
+                "1/2", 0.5, (1.5, 2), (1, 2.0), ("1", "3"), (True, 3),
+                [1, False]):
         with pytest.raises(ValidationError, match="sensor 2"):
             _duty_factor(bad, 2)
     # a row that never transmits or always transmits has no defense factor
     for row in ((0, 0, 0), (1, 1, 1)):
         with pytest.raises(ValidationError, match="sensor 1"):
             _design_factors(Schedule(3, ((1, 0, 0), row)))
-    with pytest.raises(ValidationError, match="sensor 0"):
-        construct_shift_invariant([(0, 3)])
+    for bad in ((0, 3), (1.5, 2), ("1", "3")):
+        with pytest.raises(ValidationError, match="sensor 0"):
+            construct_shift_invariant([bad])
 
 
 def test_policy_set_validation():
@@ -79,11 +81,13 @@ def test_policy_set_roundtrip():
 def test_constructed_rows_carry_their_factors():
     # the premise of reading a defense's duty factors off its rows: every
     # constructed set's rows have exactly the reduced factors it was built
-    # from, and its policy document reads back as the same schedule
+    # from, its policy document reads back as the same schedule, and it is
+    # shift invariant, as the construction promises without checking
     for fam in factor_families(64):
-        ps = construct_shift_invariant(fam, verify=False)
+        ps = construct_shift_invariant(fam)
         assert ps.duty_factors() == [Fraction(n, d) for n, d in fam], fam
         assert policies_from_dict(policies_to_dict(ps)) == ps, fam
+        assert is_shift_invariant(ps), fam
 
 
 def test_reference_construction_bit_exact():
@@ -146,7 +150,7 @@ def test_invariance_rejects_plain_round_robin(round_robin):
 
 def test_invariance_proven_within_small_budget(monkeypatch):
     # 35^2 shift tuples for the pair; the exact check needs a handful of steps
-    ps = construct_shift_invariant([(1, 5), (1, 7)], verify=False)
+    ps = construct_shift_invariant([(1, 5), (1, 7)])
     monkeypatch.setenv("SCHEDSEC_BUDGET", "100")
     rep = is_shift_invariant(ps)
     assert rep.invariant and rep.exhaustive
@@ -233,10 +237,29 @@ def test_constructed_sets_are_invariant_seeded():
 def test_invariance_matches_enumeration_on_constructed_sets(factors):
     D = math.prod(d for _, d in factors)
     assume(D ** (len(factors) - 1) <= 10 ** 5)
-    ps = construct_shift_invariant(factors, verify=False)
+    ps = construct_shift_invariant(factors)
     rep = is_shift_invariant(ps)
     assert rep.exhaustive
     assert (rep.invariant, rep.witness) == enumerated_invariance(ps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_interleavings_are_invariant(data):
+    # the theorem the construction rests on holds for any interleaving
+    # vectors of the right length and weight, not only the default ones
+    factors = data.draw(st.lists(st.sampled_from(FACTOR_POOL), min_size=1,
+                                 max_size=4))
+    interleavings = []
+    D_prev = 1
+    for n, d in factors:
+        vec = st.permutations([1] * n + [0] * (d - n))
+        interleavings.append(data.draw(st.lists(vec, min_size=D_prev,
+                                                max_size=D_prev)))
+        D_prev *= d
+    ps = construct_shift_invariant(factors, interleavings=interleavings)
+    assert ps.duty_factors() == [Fraction(n, d) for n, d in factors]
+    assert is_shift_invariant(ps)
 
 
 def test_reception_counts_fixed_under_all_shifts():
@@ -269,7 +292,7 @@ def test_interleaving_vector_validation():
 
 
 def test_shortest_period_all_sizes():
-    for n in range(1, 5):
+    for n in range(1, 13):
         ps = shortest_period_policies(n)
         assert ps.period == 2 ** n
         assert all(sum(r) == 2 ** (n - 1) for r in ps.rows)
@@ -309,7 +332,7 @@ def test_bounds_validates_ladder_count(study_ladders):
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.sampled_from(FACTOR_POOL), min_size=1, max_size=3))
 def test_construction_weight_and_period_properties(factors):
-    ps = construct_shift_invariant(factors, verify=False)
+    ps = construct_shift_invariant(factors)
     D = math.prod(d for _, d in factors)
     assert ps.period == D
     for row, (n, d) in zip(ps.rows, factors):

@@ -12,8 +12,8 @@ from schedsec import scheduling
 from schedsec.cli import _cost_csv
 from schedsec.errors import BudgetError, ValidationError, read_json
 from schedsec.lti_estimation import steady_state
-from schedsec.scheduling import (Schedule, ShiftTuple, _cyclic_runs,
-                                 _gap_histogram, _necklaces,
+from schedsec.scheduling import (Schedule, ShiftTuple, _gap_histogram,
+                                 _necklaces,
                                  _reception_array, _row_runs,
                                  average_cost, optimal_schedule_search,
                                  reception)
@@ -111,11 +111,17 @@ def test_schedule_validation():
     st.lists(st.integers(0, 1), min_size=T, max_size=T),
     min_size=1, max_size=4)))
 def test_row_runs_are_the_search_memo_keys(rows):
-    # average_cost's batch runs and the schedule search's runs from slot
-    # positions are the same sorted tuples, so they share memo entries
-    T = len(rows[0])
-    assert _row_runs(_reception_array(rows)) == [
-        _cyclic_runs([k for k, v in enumerate(row) if v], T) for row in rows]
+    # the batch kernel gives each row's cyclic runs, from each reception
+    # to the next and wrapping round the period, as a sorted tuple of ints
+    def cyclic_runs(row):
+        hits = [k for k, v in enumerate(row) if v]
+        return tuple(sorted(b - a for a, b in
+                            zip(hits, [*hits[1:], hits[0] + len(row)])
+                            )) if hits else ()
+
+    got = _row_runs(_reception_array(rows))
+    assert got == [cyclic_runs(row) for row in rows]
+    assert all(type(r) is int for runs in got for r in runs)
 
 
 def test_schedule_roundtrip(tmp_path, round_robin):
@@ -322,6 +328,24 @@ def test_search_matches_enumeration_oracle_on_study(periods, study_systems,
     want = enumerated_schedule_search(3, periods, study_ladders)
     assert got[0] == want[0]
     assert got[1].per_sensor == want[1].per_sensor
+
+
+@pytest.mark.parametrize("block", [1, 100, 1000])
+def test_search_is_the_same_over_many_blocks(block, monkeypatch,
+                                             study_systems, study_ladders):
+    # the slots one batch holds change how the necklaces are stacked for
+    # the gap kernel, never the winner or the bits of its cost
+    rng = np.random.default_rng(4)
+    systems = [random_unstable_system(rng, name=f"sensor {i}")
+               for i in range(4)]
+    cases = [(study_systems, [8], study_ladders),
+             (systems, [4, 5, 6], [steady_state(s) for s in systems])]
+    want = [optimal_schedule_search(*case) for case in cases]
+    monkeypatch.setattr(scheduling, "_BLOCK_SLOTS", block)
+    for case, (sched, report) in zip(cases, want):
+        got = optimal_schedule_search(*case)
+        assert got[0] == sched
+        assert repr(got[1].per_sensor) == repr(report.per_sensor)
 
 
 class _OverflowLadder:

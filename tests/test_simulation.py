@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (random_exclusive_schedule, state_trajectory_sim,
                       stepped_covariance_series)
-from schedsec import simulation
+from schedsec import scheduling
 from schedsec.cli import _series_csv, _summary_doc
 from schedsec.errors import StabilityWarning, ValidationError
 from schedsec.lti_estimation import LinearSystem, lyapunov_step, steady_state
@@ -278,8 +278,7 @@ def drawn_interleaving(factors, rng):
             vecs.append(vec)
         interleavings.append(vecs)
         D_prev *= f.denominator
-    return construct_shift_invariant(factors, interleavings=interleavings,
-                                     verify=False)
+    return construct_shift_invariant(factors, interleavings=interleavings)
 
 
 @pytest.mark.parametrize("block", [None, 1, 100])
@@ -289,7 +288,7 @@ def test_mc_samples_are_per_trial_average_costs(block, monkeypatch,
     # block: the slots one gathered batch may hold (None keeps the default);
     # 1 gathers trial by trial
     if block is not None:
-        monkeypatch.setattr(simulation, "_MC_BLOCK_SLOTS", block)
+        monkeypatch.setattr(scheduling, "_BLOCK_SLOTS", block)
     sd = construct_shift_invariant([(1, 3)] * 3)
     for sched in (sd, round_robin):  # the round robin starves some trials
         mc = monte_carlo_expected_cost(study_systems, sched, trials=50,
