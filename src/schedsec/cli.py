@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -54,8 +55,39 @@ def _finite(v):
     return None if math.isinf(v) or math.isnan(v) else v
 
 
+# the two entries of a 0/1 row, as bytes(row) holds them, to their digits
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _rows_text(rows) -> str | None:
+    """A "rows" matrix of 0/1 integers as json.dumps(indent=2) renders it
+    under a top-level key, one entry per line; None for anything else."""
+    if (not isinstance(rows, list) or not rows
+            or not all(isinstance(row, list) and row for row in rows)
+            or set(map(type, itertools.chain.from_iterable(rows))) != {int}
+            or min(map(min, rows)) < 0 or max(map(max, rows)) > 1):
+        return None
+    inner = "\n    ],\n    [\n      ".join(
+        ",\n      ".join(bytes(row).translate(_BIT_DIGITS).decode("ascii"))
+        for row in rows)
+    return f"[\n    [\n      {inner}\n    ]\n  ]"
+
+
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """json.dumps(doc, indent=2, sort_keys=True) and a newline.
+
+    The indented encoder is pure Python, and a large defense's "rows"
+    matrix has millions of entries, so a 0/1 matrix under the top-level
+    key "rows" is rendered by `_rows_text` and spliced in where the
+    encoder put null.  A top-level key is the only line that starts with
+    two spaces and a quote, since a newline inside a JSON string is
+    escaped.
+    """
+    rows = _rows_text(doc.get("rows")) if isinstance(doc, dict) else None
+    if rows is None:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps({**doc, "rows": None}, indent=2, sort_keys=True)
+    return text.replace('\n  "rows": null', '\n  "rows": ' + rows, 1) + "\n"
 
 
 def _sha256(data: bytes) -> str:
@@ -194,14 +226,25 @@ def _bounds_doc(br) -> dict:
 
 
 def _series_csv(series) -> str:
-    """One line per slot and sensor, floats as repr, Unix line ends."""
-    traces = series.traces.tolist()
-    means = series.running_means.tolist()
-    flags = [int(d) for d in series.divergent]
-    lines = ["k,sensor,trace,running_mean,divergent_flag"]
-    lines += [f"{k},{i},{traces[i][k]!r},{means[i][k]!r},{flags[i]}"
-              for k in range(series.horizon) for i in range(series.n_sensors)]
-    return "\n".join(lines) + "\n"
+    """One line per slot and sensor, floats as repr, Unix line ends.
+
+    Rendered in one pass over the slot-major columns.  A periodic series
+    repeats its traces, so each distinct trace is rendered once, keyed by
+    its bits: 0.0 and -0.0 stay apart and every NaN renders as nan.  The
+    running means seldom repeat and are rendered one by one.  The "k,i,"
+    prefixes and the ",flag" line ends are built once per call.
+    """
+    N = series.n_sensors
+    bits, index = np.unique(series.traces.T.ravel().view(np.int64),
+                            return_inverse=True)
+    shown = np.array([repr(v) + "," for v in bits.view(float).tolist()],
+                     dtype=object)
+    heads = [f",{i}," for i in range(N)]
+    prefixes = [f"{k}{head}" for k in range(series.horizon) for head in heads]
+    ends = [f",{int(d)}\n" for d in series.divergent] * series.horizon
+    means = map(repr, series.running_means.T.ravel().tolist())
+    return "k,sensor,trace,running_mean,divergent_flag\n" + "".join(
+        map("".join, zip(prefixes, shown[index].tolist(), means, ends)))
 
 
 def _summary_doc(series) -> dict:

@@ -4,12 +4,14 @@ Every error raised by this package derives from SchedSecError so callers can
 catch the whole family.  ValidationError doubles as ValueError because most
 of these conditions are plain bad arguments.  `read_json` decodes every
 input document's bytes; each document type's parser checks the shape
-through `json_object`, `json_list` and `json_int`.
+through `json_object`, `json_list` and `strict_int`, the one integer
+check of the package.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 
 DEFAULT_BUDGET = 10_000_000
@@ -103,11 +105,19 @@ def json_object(doc, keys, what: str):
             raise ValidationError(f'{what} document needs key "{key}"')
 
 
-def json_int(value, what: str) -> int:
-    """A document entry, checked to be a JSON integer (not a bool or float)."""
-    if isinstance(value, bool) or not isinstance(value, int):
+def is_integer(value) -> bool:
+    """True for a Python or NumPy integer; a bool, a float or a string is
+    not one.  A plain int is let through before the slower ABC check."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
+
+
+def strict_int(value, what: str) -> int:
+    """`value` as an int, checked with `is_integer`: a document's bool or
+    float and a caller's float or string are refused, never truncated."""
+    if not is_integer(value):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def json_list(value, what: str) -> list:

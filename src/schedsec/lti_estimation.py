@@ -177,9 +177,16 @@ class LinearSystem:
 
 
 def lyapunov_step(sys: LinearSystem, X) -> np.ndarray:
-    """One open-loop covariance prediction: A X A' + Q, symmetrized."""
-    X = _as_matrix(X, rows=sys.n, cols=sys.n)
-    return _symmetrize(sys.A @ X @ sys.A.T + sys.Q)
+    """One open-loop covariance prediction: A X A' + Q, symmetrized.
+
+    The covariance series takes one step per slot, so the symmetrization
+    is written out here: the float operations of `_symmetrize`, without
+    its call.
+    """
+    n = sys.n
+    X = _as_matrix(X, rows=n, cols=n)
+    M = sys.A @ X @ sys.A.T + sys.Q
+    return (M + M.T) / 2.0
 
 
 def riccati_step(sys: LinearSystem, X) -> np.ndarray:

@@ -31,14 +31,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (SchedSecError, ValidationError, Work, json_int,
-                     json_list, json_object)
+from .errors import (SchedSecError, ValidationError, Work, is_integer,
+                     json_list, json_object, strict_int)
 from .scheduling import Schedule, ShiftTuple, apply_shift, reception
 
 
@@ -46,8 +45,7 @@ def _duty_factor(value, i: int) -> Fraction:
     """Sensor i's duty factor, a Fraction or an (n, d) pair of integers, as
     a Fraction strictly between 0 and 1."""
     if (isinstance(value, (tuple, list)) and len(value) == 2
-            and all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                    for v in value) and value[1] != 0):
+            and all(is_integer(v) for v in value) and value[1] != 0):
         value = Fraction(int(value[0]), int(value[1]))
     if not isinstance(value, Fraction):
         raise ValidationError(
@@ -95,8 +93,8 @@ def policies_from_dict(doc) -> Schedule:
     factors = json_list(doc["factors"], '"factors"')
     for i, f in enumerate(factors):
         json_object(f, ("n", "d"), f"factor {i}")
-    pairs = [(json_int(f["n"], f'factor {i} "n"'),
-              json_int(f["d"], f'factor {i} "d"'))
+    pairs = [(strict_int(f["n"], f'factor {i} "n"'),
+              strict_int(f["d"], f'factor {i} "d"'))
              for i, f in enumerate(factors)]
     sched = Schedule.from_dict(doc)
     if len(pairs) != sched.n_sensors:
@@ -113,14 +111,14 @@ def policies_from_dict(doc) -> Schedule:
 
 
 def _check_tuple(U, shifts, n_rows, period):
+    U = tuple(strict_int(i, "sensor tuple entry") for i in U)
     if not U:
         raise ValidationError("sensor tuple must be nonempty")
-    U = tuple(int(i) for i in U)
     if any(not 0 <= i < n_rows for i in U):
         raise ValidationError(f"sensor tuple {U} out of range for {n_rows} rows")
     if any(U[a] >= U[a + 1] for a in range(len(U) - 1)):
         raise ValidationError(f"sensor tuple {U} must be strictly ascending")
-    shifts = tuple(int(t) for t in shifts)
+    shifts = tuple(strict_int(t, "shift") for t in shifts)
     if len(shifts) != len(U):
         raise ValidationError(
             f"{len(shifts)} shifts for a {len(U)}-sensor tuple")

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, Work, json_int, json_list, json_object
+from .errors import ValidationError, Work, json_list, json_object, strict_int
 from .lti_estimation import LinearSystem, SteadyState, steady_state
 
 # slots one batch of the search or of Monte Carlo stacks for the kernels,
@@ -103,20 +103,22 @@ class Schedule:
         JSON integer."""
         json_object(doc, ("T", "rows"), "schedule")
         rows = json_list(doc["rows"], '"rows"')
-        return cls(period=json_int(doc["T"], '"T"'),
-                   rows=tuple(tuple(json_int(v, f"row {i} entry")
+        return cls(period=strict_int(doc["T"], '"T"'),
+                   rows=tuple(tuple(strict_int(v, f"row {i} entry")
                                     for v in json_list(row, f"row {i}"))
                               for i, row in enumerate(rows)))
 
 
 @dataclass(frozen=True)
 class ShiftTuple:
-    """Per-sensor clock offsets; entry 0 leaves that sensor untouched."""
+    """Per-sensor clock offsets; entry 0 leaves that sensor untouched.
+    Each offset must be a Python or NumPy integer."""
 
     taus: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "taus", tuple(int(t) for t in self.taus))
+        object.__setattr__(self, "taus", tuple(
+            strict_int(t, f"taus entry {i}") for i, t in enumerate(self.taus)))
         for i, t in enumerate(self.taus):
             if t < 0:
                 raise ValidationError(f"shift for sensor {i} must be >= 0, got {t}")
@@ -141,16 +143,16 @@ class ShiftTuple:
     @classmethod
     def from_dict(cls, doc: dict) -> "ShiftTuple":
         json_object(doc, ("taus",), "shift tuple")
-        return cls(taus=tuple(json_int(t, f"taus entry {i}") for i, t in
-                              enumerate(json_list(doc["taus"], '"taus"'))))
+        return cls(taus=tuple(json_list(doc["taus"], '"taus"')))
 
 
 def apply_shift(row, tau: int):
-    """Cyclic shift of a policy row: result[k] = row[(k + tau) % T]."""
+    """Cyclic shift of a policy row: result[k] = row[(k + tau) % T], for
+    an integer tau."""
     T = len(row)
     if T == 0:
         raise ValidationError("cannot shift an empty row")
-    tau = int(tau) % T
+    tau = strict_int(tau, "shift") % T
     return tuple(row[(k + tau) % T] for k in range(T))
 
 

@@ -8,12 +8,17 @@ repeats the period from there.  Its steps are the float operations the
 trace ladder is built from, so each slot's trace equals the ladder's at
 that slot's gap to the bit and is no independent check of the
 ladder-based costs; the independent stepping oracle lives in the tests.
+A stepped slot costs one `lyapunov_step` and one trace read.
 `monte_carlo_expected_cost` averages exact per-attack costs over random
 clock-shift attacks: it applies `scheduling`'s collision kernel to a whole
 batch of trials at once and prices every reception pattern it meets once,
-keeping no collision rule of its own.  To randomize a defense's
-interleaving it reads the duty factors off the defense's rows.  Both
-charge the slots they fill to the work budget before filling any.
+keeping no collision rule of its own.  Trial j draws from its own
+generator, `Generator(PCG64(child_j))` of the j-th SeedSequence child of
+the seed: the stream `default_rng(child_j)` gives, built without
+`default_rng`'s dispatch, and that order fixes the samples.  To randomize
+a defense's interleaving it reads the duty factors off the defense's
+rows.  Both charge the slots they fill to the work budget before filling
+any.
 Rendering the results (the series CSV and summary document) is the
 command line's job.
 """
@@ -117,10 +122,10 @@ def exact_covariance_series(systems: Sequence[LinearSystem], policies,
         row = receptions[i]
         first = row.index(1) if 1 in row else None
         stop = horizon if first is None else min(horizon, first + T)
-        P = ladders[i].P_bar
+        P = P_bar = ladders[i].P_bar
         for k in range(stop):
-            P = ladders[i].P_bar if row[k % T] else lyapunov_step(sys, P)
-            tr = float(np.trace(P))
+            P = P_bar if row[k % T] else lyapunov_step(sys, P)
+            tr = P.trace()
             traces[i, k] = tr
             if tr > OVERFLOW_TRACE:
                 overflow_at[i] = k
@@ -225,7 +230,7 @@ def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
     for lo in range(0, trials, block):
         stack, taus = [], []
         for child in children[lo:lo + block]:
-            rng = np.random.default_rng(child)
+            rng = np.random.Generator(np.random.PCG64(child))
             if randomize_interleaving:
                 stack.append(_random_interleaving(factors, rng).rows)
             taus.append(rng.integers(0, T, size=N))

@@ -229,6 +229,18 @@ def stepped_covariance_series(systems, sched, attack, horizon, ladders):
     return traces, running, tuple(overflow_at)
 
 
+def series_csv_reference(series) -> str:
+    """Reference for cli._series_csv: one f-string per line, every float
+    through repr, in slot-major order."""
+    traces = series.traces.tolist()
+    means = series.running_means.tolist()
+    flags = [int(d) for d in series.divergent]
+    lines = ["k,sensor,trace,running_mean,divergent_flag"]
+    lines += [f"{k},{i},{traces[i][k]!r},{means[i][k]!r},{flags[i]}"
+              for k in range(series.horizon) for i in range(series.n_sensors)]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class TrajectoryBatch:
     """Noisy sample paths for every sensor, vectorized over trials.

@@ -39,6 +39,22 @@ def test_shift_tuple_validation(round_robin):
     assert ShiftTuple(taus=(0, 2, 1)).spoofed_count == 2
 
 
+def test_shifts_must_be_integers():
+    # Python and NumPy integers pass and are stored as int; a float, a
+    # string or a bool is refused, not truncated
+    taus = ShiftTuple(np.array([2, 0, 1])).taus
+    assert taus == (2, 0, 1) and all(type(t) is int for t in taus)
+    assert ShiftTuple((np.int32(1), np.uint8(0))).taus == (1, 0)
+    assert apply_shift((1, 0, 0), np.int64(1)) == (0, 0, 1)
+    for bad in ((1.5, 0), ("2", True), (0, np.float64(1.0)),
+                (np.bool_(True), 0), (None, 0)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            ShiftTuple(bad)
+    for bad in (1.9, 1.0, "1", True, None):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            apply_shift((1, 0, 0), bad)
+
+
 def test_shift_tuple_roundtrip():
     t = ShiftTuple(taus=(0, 0, 2))
     assert ShiftTuple.from_dict(json.loads(json.dumps(t.to_dict()))) == t

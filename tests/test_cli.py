@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schedsec.cli import main
+from conftest import factor_families
+from schedsec.cli import _json_text, main
 from schedsec.errors import StabilityWarning, read_json
 from schedsec.protocol_sequences import (construct_shift_invariant,
                                          policies_from_dict, policies_to_dict,
@@ -701,3 +702,46 @@ def test_manifest_hashes_match_contents(tmp_path, systems_path, sched_path):
         assert tagged == f"sha256:{digest}"
     assert manifest["inputs"]["schedule"].startswith("sha256:")
     assert manifest["versions"]["schedsec"]
+
+
+def _dumps_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_text_is_json_dumps_for_schedules_and_policy_sets():
+    docs = [policies_to_dict(shortest_period_policies(n))
+            for n in range(1, 13)]
+    docs += [policies_to_dict(construct_shift_invariant(fam))
+             for fam in factor_families(64)[::53]]
+    for sched in (Schedule(period=1, rows=((1,),)),
+                  Schedule(period=5, rows=((1, 0, 1, 1, 0),)),
+                  Schedule(period=3, rows=((0, 0, 1), (0, 1, 0), (1, 0, 0))),
+                  shortest_period_policies(4)):
+        docs += [sched.to_dict()]
+    for doc in docs:
+        assert _json_text(doc) == _dumps_text(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"rows": []}, {"rows": [[]]}, {"rows": [[1, 0], []]}, {"rows": None},
+    {"rows": [[0, 2]]}, {"rows": [[-1, 0]]}, {"rows": [[True, False]]},
+    {"rows": [[0.0, 1.0]]}, {"rows": [[1, 0], "10"]}, {"rows": "[[1]]"},
+    {"rows": [(1, 0)]}, [[0, 1]], "rows",
+    # a nested "rows" and the splice marker's text inside a string
+    {"a": {"rows": None}, "b": '\n  "rows": null', "rows": [[0, 1], [1, 0]],
+     "s": {"rows": [[1]]}},
+])
+def test_json_text_is_json_dumps_for_other_documents(doc):
+    assert _json_text(doc) == _dumps_text(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 30).flatmap(lambda T: st.lists(
+           st.lists(st.integers(0, 1), min_size=T, max_size=T),
+           min_size=1, max_size=5)),
+       rest=st.dictionaries(st.text(max_size=6),
+                            st.one_of(st.none(), st.integers(), st.text(),
+                                      st.lists(st.integers(0, 1)))))
+def test_json_text_is_json_dumps_for_any_binary_rows(rows, rest):
+    doc = {**rest, "rows": rows}
+    assert _json_text(doc) == _dumps_text(doc)

@@ -141,6 +141,23 @@ def test_steps_preserve_symmetry_and_psd(study_systems):
             assert np.linalg.eigvalsh(Y).min() >= -1e-9
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_prediction_step_is_symmetrize_of_the_product(n):
+    # lyapunov_step writes out the symmetrization; its bits must stay those
+    # of _symmetrize(A X A' + Q), since the series and ladder bytes rest on
+    # them
+    rng = np.random.default_rng(40 + n)
+    A = rng.normal(size=(n, n))
+    A[0, 0] = 1.5
+    sys = LinearSystem(A=A, C=np.ones((1, n)), Q=np.eye(n), R=[[1.0]],
+                       Pi=np.eye(n))
+    for _ in range(50):
+        M = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-8, 9)
+        X = M @ M.T
+        want = lti_estimation._symmetrize(sys.A @ X @ sys.A.T + sys.Q)
+        assert lyapunov_step(sys, X).tobytes() == want.tobytes()
+
+
 def test_measurement_update_never_hurts(study_systems):
     rng = np.random.default_rng(11)
     sys = study_systems[2]

@@ -200,6 +200,19 @@ def test_tuple_validation():
         throughput(REFERENCE_POLICY_ROWS, (0, 1), (0, 0), 2)
 
 
+def test_tuple_entries_must_be_integers():
+    rows = [[1, 0], [1, 1]]
+    assert hamming_cross_correlation(rows, np.array([0, 1]),
+                                     (np.uint8(0), 1)) == 1
+    for U, shifts in (((0, 1.7), ("0", 1.2)), ((0, 1), (0, 1.0)),
+                      ((0, True), (0, 1)), ((0, 1), (False, 1)),
+                      (("0", 1), (0, 1)), ((0, 1), (0, "1"))):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            hamming_cross_correlation(rows, U, shifts)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            throughput(rows, U, shifts, 1)
+
+
 def test_throughput_reference_values():
     tp = [throughput(REFERENCE_POLICY_ROWS, (0, 1, 2), (0, 0, 0), p) for p in range(3)]
     assert tp[0] == Fraction(1, 2) * Fraction(1, 2) * Fraction(2, 3)

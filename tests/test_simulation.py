@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (random_exclusive_schedule, state_trajectory_sim,
-                      stepped_covariance_series)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import (random_exclusive_schedule, series_csv_reference,
+                      state_trajectory_sim, stepped_covariance_series)
 from schedsec import scheduling
 from schedsec.cli import _series_csv, _summary_doc
 from schedsec.errors import StabilityWarning, ValidationError
@@ -13,7 +16,8 @@ from schedsec.protocol_sequences import (construct_shift_invariant,
                                          shortest_period_policies)
 from schedsec.scheduling import (Schedule, ShiftTuple, average_cost,
                                  reception)
-from schedsec.simulation import (OVERFLOW_TRACE, exact_covariance_series,
+from schedsec.simulation import (OVERFLOW_TRACE, CovarianceSeries,
+                                 exact_covariance_series,
                                  monte_carlo_expected_cost)
 
 
@@ -194,6 +198,55 @@ def test_periodic_series_matches_stepping_on_random_schedules(
                                  study_ladders)
 
 
+def random_system(rng, n, name):
+    """A random unstable, detectable system of state dimension n with one
+    output; redrawn until it validates."""
+    while True:
+        A = np.triu(rng.uniform(-0.8, 0.8, size=(n, n)))
+        A[0, 0] = rng.uniform(1.05, 1.4)
+        try:
+            return LinearSystem(A=A, C=rng.uniform(0.3, 1.5, size=(1, n)),
+                                Q=np.diag(rng.uniform(0.05, 0.5, size=n)),
+                                R=[[rng.uniform(0.2, 2.0)]], Pi=np.eye(n),
+                                name=name)
+        except ValidationError:
+            continue
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_periodic_series_matches_stepping_in_other_state_dimensions(n):
+    # the study's states are 2-D; scalar and 3-D states take the same path
+    rng = np.random.default_rng(1000 + n)
+    systems = [random_system(rng, n, f"sensor {i}") for i in range(3)]
+    ladders = [steady_state(s) for s in systems]
+    for _ in range(12):
+        T = int(rng.integers(1, 8))
+        sched = random_exclusive_schedule(rng, 3, T)
+        attack = ShiftTuple(tuple(int(t) for t in rng.integers(0, T, size=3)))
+        horizon = int(rng.integers(1, 5 * T + 10))
+        assert_series_is_stepped(systems, sched, attack, horizon, ladders)
+
+
+def test_periodic_series_overflow_in_three_dimensions():
+    # sensor 0 (growth 40 per slot) passes OVERFLOW_TRACE inside its gap of
+    # 9 slots; sensor 1 never receives and overflows later; sensor 2 is fine
+    A = np.diag([40.0, 0.5, 0.3])
+    A[0, 1] = 1.0
+    fast = LinearSystem(A=A, C=[[1.0, 1.0, 1.0]], Q=np.eye(3), R=[[1.0]],
+                        Pi=np.eye(3), name="fast")
+    rng = np.random.default_rng(7)
+    systems = [fast, random_system(rng, 3, "starved"),
+               random_system(rng, 3, "served")]
+    ladders = [steady_state(s) for s in systems]
+    sched = Schedule(period=10, rows=((1,) + (0,) * 9, (0,) * 10,
+                                      (0,) + (1,) * 9))
+    series = assert_series_is_stepped(systems, sched, None, 400, ladders)
+    assert series.overflow_at[0] is not None and series.overflow_at[0] < 10
+    assert series.overflow_at[1] is not None
+    assert series.overflow_at[2] is None
+    assert series.divergent == (False, True, False)
+
+
 def test_periodic_average_requires_two_periods(study_systems, study_ladders,
                                                round_robin):
     series = exact_covariance_series(study_systems, round_robin, horizon=5,
@@ -215,6 +268,58 @@ def test_series_csv_shape_and_values(study_systems, study_ladders,
     assert float(trace) == pytest.approx(series.traces[0, 0], rel=1e-15)
     # repr round-trips exactly
     assert float(lines[5].split(",")[2]) == series.traces[1, 1]
+
+
+# the floats whose repr a memo could get wrong: every NaN is "nan" whatever
+# its sign or payload, and 0.0 and -0.0 compare equal but render apart
+NAN_PAYLOAD = float(np.array(0x7FF8000000000001, dtype=np.int64).view(float))
+SPECIAL_FLOATS = (math.nan, -math.nan, NAN_PAYLOAD, math.inf, -math.inf, 0.0,
+                  -0.0, 5e-324, -5e-324, 1e16, 1e12, 0.1, 2.0250433575300404)
+
+
+def series_from(traces, means, divergent):
+    traces = np.array(traces, dtype=float)
+    N, H = traces.shape
+    return CovarianceSeries(period=1, horizon=H, receptions=((1,),) * N,
+                            traces=traces,
+                            running_means=np.array(means, dtype=float),
+                            divergent=tuple(divergent),
+                            overflow_at=(None,) * N)
+
+
+@st.composite
+def arbitrary_series(draw):
+    N, H = draw(st.integers(1, 4)), draw(st.integers(1, 60))
+    value = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+    # traces drawn from a small pool repeat, as a periodic series' do
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    traces = draw(st.lists(st.lists(st.sampled_from(pool), min_size=H,
+                                    max_size=H), min_size=N, max_size=N))
+    means = draw(st.lists(st.lists(value, min_size=H, max_size=H),
+                          min_size=N, max_size=N))
+    divergent = draw(st.lists(st.booleans(), min_size=N, max_size=N))
+    return series_from(traces, means, divergent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arbitrary_series())
+@example(series_from([SPECIAL_FLOATS, SPECIAL_FLOATS[::-1]],
+                     [SPECIAL_FLOATS[::-1], SPECIAL_FLOATS], [False, True]))
+@example(series_from([[0.0, -0.0, -0.0, 0.0]], [[-0.0, 0.0, 0.0, -0.0]],
+                     [True]))
+def test_series_csv_is_the_reference_rendering(series):
+    assert _series_csv(series) == series_csv_reference(series)
+
+
+def test_series_csv_of_simulated_series_is_the_reference_rendering(
+        study_systems, study_ladders, round_robin):
+    sd = construct_shift_invariant([(1, 3)] * 3)
+    for sched, attack in ((round_robin, None),
+                          (round_robin, ShiftTuple((0, 0, 2))),
+                          (sd, ShiftTuple((0, 0, 2)))):
+        series = exact_covariance_series(study_systems, sched, attack=attack,
+                                         horizon=900, ladders=study_ladders)
+        assert _series_csv(series) == series_csv_reference(series)
 
 
 def test_summary_document(study_systems, study_ladders, round_robin):
@@ -259,6 +364,8 @@ def test_mc_randomized_interleaving(study_systems, study_ladders,
 
 
 def child_rngs(seed, trials):
+    """The reference per-trial streams: default_rng of each SeedSequence
+    child, one child per trial in order."""
     return [np.random.default_rng(child)
             for child in np.random.SeedSequence(seed).spawn(trials)]
 
