@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError, Work
-from .scheduling import Schedule, ShiftTuple, reception
+from .scheduling import Schedule, ShiftTuple, _shifted, reception
 from .simplex import solve_bounded_lp
 
 INTEGRALITY_TOL = 1e-6
@@ -139,8 +139,8 @@ def _cheapest_block(sched: Schedule, target: int):
     w = T - 1
     K = len(others) * w
     # column b*w + t-1 is the row of sensor others[b] shifted by t
-    shifted = (np.arange(T) + np.arange(1, T)[:, None]) % T
-    cols =np.array(sched.rows, dtype=int)[others][:, shifted].reshape(K, T).T
+    rows = np.array(sched.rows, dtype=int)[others]
+    cols = _shifted(rows[:, None], np.arange(1, T)).reshape(K, T).T
     A = np.vstack([-cols.astype(float),
                    np.repeat(np.eye(len(others)), w, axis=1)])
     b = np.concatenate([-np.array(sched.rows[target], dtype=float),

@@ -221,7 +221,8 @@ def _attack_doc(result, extra: dict | None = None) -> dict:
 
 
 def _bounds_doc(br) -> dict:
-    return {"lower": br.lower, "upper": br.upper, "period": br.period,
+    return {"lower": _finite(br.lower), "upper": _finite(br.upper),
+            "period": br.period,
             "per_sensor_receptions": list(br.per_sensor_receptions)}
 
 

@@ -220,7 +220,8 @@ class SteadyState:
 
     ladder entry t is Tr[h^t(P_bar)].  The ladder is an append-only cache;
     reading beyond the materialized prefix extends it in place, which is safe
-    to share across threads holding the GIL.
+    to share across threads holding the GIL.  From its first non-finite
+    trace on the ladder reads +inf, never NaN, and stops stepping.
     """
 
     def __init__(self, sys: LinearSystem, P_bar: np.ndarray, residual: float,
@@ -236,15 +237,17 @@ class SteadyState:
         """Tr[h^t(P_bar)]; extends the ladder on demand."""
         if t < 0:
             raise ValidationError(f"ladder index must be >= 0, got {t}")
-        while len(self._traces) <= t:
-            self._frontier = lyapunov_step(self.sys, self._frontier)
-            self._traces.append(float(np.trace(self._frontier)))
-        return self._traces[t]
+        if len(self._traces) <= t:
+            with np.errstate(over="ignore", invalid="ignore"):
+                while len(self._traces) <= t and self._traces[-1] < math.inf:
+                    self._frontier = lyapunov_step(self.sys, self._frontier)
+                    tr = float(np.trace(self._frontier))
+                    self._traces.append(tr if math.isfinite(tr) else math.inf)
+        return self._traces[min(t, len(self._traces) - 1)]
 
     def ladder(self, upto: int) -> list[float]:
         """Traces [Tr h^0(P_bar), ..., Tr h^upto(P_bar)]."""
-        self.trace(upto)
-        return self._traces[: upto + 1]
+        return [self.trace(t) for t in range(upto + 1)]
 
 
 def steady_state(sys: LinearSystem) -> SteadyState:

@@ -17,7 +17,8 @@ one per row, that sum to 0 mod D.
 Sets with prescribed rational duty factors n_i / d_i are built by
 interleaving: sensor i cycles through D_{i-1} = d_1 ... d_{i-1} short
 binary vectors of length d_i and weight n_i, writing one symbol of each in
-round-robin order.  The result has period exactly D = d_1 ... d_N.
+round-robin order.  The result has period exactly D = d_1 ... d_N, and
+each row is index arithmetic on its (D_{i-1}, d_i) array of vectors.
 
 A defense is a plain `Schedule`.  Row i of a constructed set transmits in
 D * n_i / d_i slots, so its duty factors are `Schedule.duty_factors()` of
@@ -38,7 +39,8 @@ import numpy as np
 
 from .errors import (SchedSecError, ValidationError, Work, is_integer,
                      json_list, json_object, strict_int)
-from .scheduling import Schedule, ShiftTuple, apply_shift, reception
+from .scheduling import (Schedule, ShiftTuple, _check_binary_rows,
+                         _shifted, reception)
 
 
 def _duty_factor(value, i: int) -> Fraction:
@@ -132,18 +134,13 @@ def hamming_cross_correlation(policies, U, shifts) -> int:
     own offset, transmits simultaneously."""
     sched = Schedule.coerce(policies)
     U, shifts = _check_tuple(U, shifts, sched.n_sensors, sched.period)
-    return _correlation(sched.rows, U, shifts, sched.period)
+    return _correlation(np.array(sched.rows, dtype=bool), U, shifts)
 
 
-def _correlation(rows, U, shifts, period) -> int:
-    total = 0
-    for k in range(period):
-        for i, t in zip(U, shifts):
-            if not rows[i][(k + t) % period]:
-                break
-        else:
-            total += 1
-    return total
+def _correlation(rows: np.ndarray, U, shifts) -> int:
+    """The all-transmit count of the rows U of a 0/1 (N, T) array, row U[a]
+    shifted by shifts[a]."""
+    return int(_shifted(rows[list(U)], shifts).all(axis=0).sum())
 
 
 def throughput(policies, U, shifts, position: int) -> Fraction:
@@ -232,14 +229,13 @@ def _divisible(f: list[int], phi: tuple[int, ...]) -> bool:
 
 def _supports(rows, period: int, work: Work) -> list[int]:
     """Each row's nonzero DFT support as a bitmask over Z_period, frequency 0
-    left out.
+    left out, for the rows of an integer (N, period) array.
 
     The DFT of row r at w is r(zeta^w), and zeta^w is a primitive m-th root
     of unity for m = period / gcd(w, period).  Its minimal polynomial is
     Phi_m, so the coefficient vanishes iff Phi_m divides r(x), a property of
     m alone; r is first folded mod x^m - 1, which Phi_m divides.
     """
-    arrays = [np.asarray(row, dtype=np.int64) for row in rows]
     masks = [0] * len(rows)
     for m in _divisors(period)[1:]:
         phi = _cyclotomic(m)
@@ -248,7 +244,7 @@ def _supports(rows, period: int, work: Work) -> list[int]:
         for j in range(1, m):
             if math.gcd(j, m) == 1:
                 order_m |= 1 << (step * j)
-        for i, a in enumerate(arrays):
+        for i, a in enumerate(rows):
             work.charge(1)
             if not _divisible(a.reshape(-1, m).sum(axis=0).tolist(), phi):
                 masks[i] |= order_m
@@ -259,7 +255,8 @@ def _sumset(a: int, b: int, period: int, work: Work) -> int:
     """{x + y mod period : x in a, y in b} for bitmasks a and b."""
     if a.bit_count() > b.bit_count():
         a, b = b, a
-    work.charge(a.bit_count())
+    # a rotation shifts a period-bit integer, one 64-bit word at a time
+    work.charge(a.bit_count() * -(-period // 64))
     full = (1 << period) - 1
     out = 0
     while a:
@@ -299,27 +296,31 @@ def is_shift_invariant(policies) -> InvarianceReport:
     first shift tuple, in lexicographic order and the first shift pinned
     to zero, at which the correlation differs from the all-zero shifts.
     The budget (SCHEDSEC_BUDGET) caps the steps taken: one per cyclotomic
-    remainder, one per residue-set rotation and one per shift tuple walked
-    for the witness.
+    remainder, ceil(D / 64) per residue-set rotation, and one per sensor
+    tuple and per shift tuple walked, lazily, for the witness.
     """
     sched = Schedule.coerce(policies)
-    rows, period = sched.rows, sched.period
+    rows, period = np.array(sched.rows, dtype=np.int64), sched.period
     work = Work("invariance check")
     masks = _supports(rows, period, work)
     if not _zero_sum(masks, period, work):
         return InvarianceReport(True, None, True)
-    subsets = sorted(itertools.chain.from_iterable(
-        itertools.combinations(range(len(rows)), size)
-        for size in range(2, len(rows) + 1)))
-    for U in subsets:
-        # an all-zero member pins the correlation at 0
-        if (all(any(rows[i]) for i in U)
-                and _zero_sum([masks[i] for i in U], period, work)):
-            reference = _correlation(rows, U, (0,) * len(U), period)
+    # the sorted tuples of two or more rows, depth first, leaving out the
+    # all-zero rows (such a member pins the correlation at 0)
+    live = np.flatnonzero(rows.any(axis=1)).tolist()
+    stack = [(i,) for i in reversed(live)]
+    while stack:
+        U = stack.pop()
+        stack += [U + (j,) for j in reversed(live) if j > U[-1]]
+        if len(U) < 2:
+            continue
+        work.charge(1)
+        if _zero_sum([masks[i] for i in U], period, work):
+            reference = _correlation(rows, U, (0,) * len(U))
             for rest in itertools.product(range(period), repeat=len(U) - 1):
                 work.charge(1)
                 shifts = (0,) + rest
-                if _correlation(rows, U, shifts, period) != reference:
+                if _correlation(rows, U, shifts) != reference:
                     return InvarianceReport(False, (U, shifts), True)
     raise SchedSecError("no witness for a failed invariance check; this is a bug")
 
@@ -329,55 +330,45 @@ def construct_shift_invariant(factors, interleavings=None) -> Schedule:
 
     Sensor i's row interleaves D_{i-1} = d_1 ... d_{i-1} binary vectors of
     length d_i and weight n_i, one symbol from each in turn, then repeats to
-    the common period D = d_1 ... d_N.  By default vector j is the cyclic
-    rotation by (j - 1) of the base vector with ones in its last n_i
-    positions; pass `interleavings` (one list of vectors per sensor) to
-    choose them explicitly.  Each factor is a Fraction or an (n, d) pair
-    of integers with 0 < n/d < 1, and row i's duty factor is factor i in
-    lowest terms.  Every such set is shift invariant by the theorem of
-    Shum, Chen, Sung & Wong (2009), whatever the interleaving vectors, so
-    the result is not checked again; `is_shift_invariant` decides it for
-    any rows.  The budget (SCHEDSEC_BUDGET) is charged the N * D slots of
-    the rows before any is built.
+    the common period D = d_1 ... d_N: slot k reads V[k % D_{i-1},
+    (k // D_{i-1}) % d_i] of the (D_{i-1}, d_i) vector array V.  By
+    default vector j is the cyclic shift by j of the base vector with ones
+    in its last n_i positions; pass `interleavings` (one list of vectors
+    per sensor) to choose them explicitly.  Each factor is a Fraction or an
+    (n, d) pair of integers with 0 < n/d < 1, and row i's duty factor is
+    factor i in lowest terms.  Every such set is shift invariant by the
+    theorem of Shum, Chen, Sung & Wong (2009), whatever the interleaving
+    vectors, so the result is not checked again; `is_shift_invariant`
+    decides it for any rows.  The budget (SCHEDSEC_BUDGET) is charged the
+    N * D slots of the rows before any is built.
     """
     fs = [_duty_factor(f, i) for i, f in enumerate(factors)]
     if not fs:
         raise ValidationError("need at least one duty factor")
     D = math.prod(f.denominator for f in fs)
     Work(f"building {len(fs)} rows of period {D}").charge(len(fs) * D)
+    k = np.arange(D)
     rows = []
     D_prev = 1
     for i, frac in enumerate(fs):
         n, d = frac.numerator, frac.denominator
         if interleavings is None:
-            base = [0] * (d - n) + [1] * n
-            vecs = [apply_shift(base, j) for j in range(D_prev)]
+            V = _shifted([0] * (d - n) + [1] * n, np.arange(D_prev))
         else:
-            vecs = [list(v) for v in interleavings[i]]
-            if len(vecs) != D_prev:
+            if len(interleavings[i]) != D_prev:
                 raise ValidationError(
                     f"sensor {i} needs {D_prev} interleaving vectors, "
-                    f"got {len(vecs)}")
-            for j, v in enumerate(vecs):
-                if len(v) != d:
+                    f"got {len(interleavings[i])}")
+            _check_binary_rows(interleavings[i], d,
+                               context=f"sensor {i} interleaving vectors")
+            V = np.array(interleavings[i], dtype=np.int8)
+            for j, w in enumerate(V.sum(axis=1).tolist()):
+                if w != n:
                     raise ValidationError(
-                        f"sensor {i} vector {j} has length {len(v)}, "
-                        f"expected {d}")
-                if any(x not in (0, 1) for x in v):
-                    raise ValidationError(
-                        f"sensor {i} vector {j} is not binary")
-                if sum(v) != n:
-                    raise ValidationError(
-                        f"sensor {i} vector {j} has weight {sum(v)}, "
-                        f"expected {n}")
-        short = []
-        for q in range(d):
-            for r in range(D_prev):
-                short.append(vecs[r][q])
-        reps = D // len(short)
-        rows.append(tuple(short * reps))
+                        f"sensor {i} vector {j} has weight {w}, expected {n}")
+        rows.append(V[k % D_prev, k // D_prev % d].tolist())
         D_prev *= d
-    return Schedule(period=D, rows=tuple(rows))
+    return Schedule(period=D, rows=tuple(map(tuple, rows)))
 
 
 def shortest_period_policies(n_sensors: int) -> Schedule:
@@ -430,7 +421,9 @@ def bounds(policies, ladders) -> BoundsReport:
                                       for j, g in enumerate(fs) if j != i)
         receptions.append(N_i)
         q, r = divmod(D, N_i)
-        lower += N_i * sum(lad.trace(t) for t in range(q)) + r * lad.trace(q)
+        # no r = 0 term: 0 * trace is NaN once the ladder reads inf
+        lower += N_i * sum(lad.trace(t) for t in range(q)) + (
+            r * lad.trace(q) if r else 0.0)
         upper += N_i * lad.trace(0) + sum(lad.trace(t) for t in range(1, D - N_i + 1))
     return BoundsReport(lower=lower / D, upper=upper / D,
                         per_sensor_receptions=tuple(receptions), period=D)

@@ -3,7 +3,9 @@
 N sensors share one channel in slotted time.  A schedule fixes, for each slot
 of a period T, which sensors transmit; a packet gets through only when its
 sender is the sole transmitter in the slot.  A clock-shift attack offsets a
-sensor's slot clock, so it transmits a cyclic shift of its row.  One
+sensor's slot clock, so it transmits row[(k + tau) % T].  One gather,
+`_shifted`, computes that index for the whole package: collisions, attack
+columns, correlations, canonical rotations and interleaved defenses.  One
 kernel, `_sole_receptions`, applies the collision rule to a batch of
 shifted schedules at once; `reception` is its one-trial case.  The
 long-run estimation cost of a reception pattern depends only on the cyclic
@@ -146,14 +148,27 @@ class ShiftTuple:
         return cls(taus=tuple(json_list(doc["taus"], '"taus"')))
 
 
+def _shifted(rows, taus) -> np.ndarray:
+    """Every row cyclically shifted by its own offset, in one gather:
+    out[..., k] = rows[..., (k + taus[...]) % T], for rows of shape
+    (..., T) and offsets shaped like its batch axes.  The batch axes of
+    the two broadcast as NumPy arrays do."""
+    rows = np.asarray(rows)
+    T = rows.shape[-1]
+    slots = (np.arange(T) + np.asarray(taus)[..., None]) % T
+    # one index per batch axis (cheaper here than np.take_along_axis)
+    batch = [np.arange(n).reshape((n,) + (1,) * (rows.ndim - 1 - a))
+             for a, n in enumerate(rows.shape[:-1])]
+    return rows[(*batch, slots)]
+
+
 def apply_shift(row, tau: int):
     """Cyclic shift of a policy row: result[k] = row[(k + tau) % T], for
     an integer tau."""
     T = len(row)
     if T == 0:
         raise ValidationError("cannot shift an empty row")
-    tau = strict_int(tau, "shift") % T
-    return tuple(row[(k + tau) % T] for k in range(T))
+    return tuple(_shifted(row, strict_int(tau, "shift") % T).tolist())
 
 
 def _sole_receptions(rows: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -165,10 +180,7 @@ def _sole_receptions(rows: np.ndarray, taus: np.ndarray) -> np.ndarray:
     trial j, shifted by taus[j, i], transmits in slot k and no other
     shifted row does.
     """
-    N, T = rows.shape[1:]
-    slots = (np.arange(T) + taus[:, :, None]) % T
-    shifted = rows[np.arange(len(rows))[:, None, None], np.arange(N)[:, None],
-                   slots]
+    shifted = _shifted(rows, taus)
     return shifted & (shifted.sum(axis=1, keepdims=True) == 1)
 
 
@@ -324,31 +336,15 @@ def _necklaces(n_symbols: int, length: int):
             yield tuple(a)
 
 
-def _flat_key(cols: tuple[int, ...], n_sensors: int) -> bytes:
-    """Row-major flattened 0/1 matrix of a columnwise assignment, as bytes
-    (lexicographic comparison on bytes matches the flattened-matrix order)."""
-    T = len(cols)
-    return bytes(1 if cols[k] == i else 0 for i in range(n_sensors) for k in range(T))
-
-
 def _canonical_rotation(cols: tuple[int, ...], n_sensors: int):
-    """The cyclic rotation whose flattened matrix is lexicographically
-    smallest; returns (key, rotated assignment)."""
-    best_key = None
-    best = cols
+    """The cyclic rotation of a columnwise assignment whose row-major
+    flattened 0/1 matrix, as bytes, is smallest; returns (bytes, rows)."""
     T = len(cols)
-    for r in range(T):
-        rot = tuple(cols[(k + r) % T] for k in range(T))
-        key = _flat_key(rot, n_sensors)
-        if best_key is None or key < best_key:
-            best_key, best = key, rot
-    return best_key, best
-
-
-def _exclusive_rows(cols: tuple[int, ...], n_sensors: int):
-    """0/1 rows of a columnwise assignment."""
-    return tuple(tuple(1 if c == i else 0 for c in cols)
-                 for i in range(n_sensors))
+    onehot = np.arange(n_sensors)[:, None] == np.array(cols)
+    rotations = _shifted(onehot, np.arange(T)[:, None]).view(np.uint8)
+    keys = [rot.tobytes() for rot in rotations]
+    r = keys.index(min(keys))
+    return keys[r], tuple(map(tuple, rotations[r].tolist()))
 
 
 def optimal_schedule_search(systems: Sequence[LinearSystem],
@@ -411,9 +407,9 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
                         continue
                     # every rotation prices the same, so only a contender
                     # needs its canonical rotation for the tie-break
-                    key, canon = _canonical_rotation(cols, N)
+                    key, rows = _canonical_rotation(cols, N)
                     entry = (total, key, T)
                     if best is None or entry < best[:3]:
-                        best = (*entry, _exclusive_rows(canon, N), per)
+                        best = (*entry, rows, per)
     assert best is not None
     return Schedule(period=best[2], rows=best[3]), CostReport(best[4])

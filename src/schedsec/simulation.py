@@ -17,8 +17,9 @@ generator, `Generator(PCG64(child_j))` of the j-th SeedSequence child of
 the seed: the stream `default_rng(child_j)` gives, built without
 `default_rng`'s dispatch, and that order fixes the samples.  To randomize
 a defense's interleaving it reads the duty factors off the defense's
-rows.  Both charge the slots they fill to the work budget before filling
-any.
+rows and draws the vectors straight into the arrays the construction
+indexes.  Both charge the slots they fill to the work budget before
+filling any.
 Rendering the results (the series CSV and summary document) is the
 command line's job.
 """
@@ -175,17 +176,13 @@ def _mc_statistics(samples: list[float]) -> MonteCarloCost:
 
 def _random_interleaving(factors, rng) -> Schedule:
     """The shift-invariant set of `factors` with random interleaving
-    vectors, drawn factor by factor."""
+    vectors, drawn factor by factor into (D_{i-1}, d_i) arrays."""
     interleavings = []
     D_prev = 1
     for f in factors:
-        vecs = []
-        for _ in range(D_prev):
-            vec = [0] * f.denominator
-            for pos in rng.choice(f.denominator, size=f.numerator,
-                                  replace=False):
-                vec[int(pos)] = 1
-            vecs.append(vec)
+        vecs = np.zeros((D_prev, f.denominator), dtype=np.int8)
+        for vec in vecs:
+            vec[rng.choice(f.denominator, size=f.numerator, replace=False)] = 1
         interleavings.append(vecs)
         D_prev *= f.denominator
     return construct_shift_invariant(factors, interleavings=interleavings)

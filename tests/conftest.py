@@ -7,7 +7,6 @@ import pytest
 
 from schedsec.lti_estimation import (LinearSystem, _psd_sqrt, lyapunov_step,
                                      riccati_step, steady_state)
-from schedsec.protocol_sequences import hamming_cross_correlation
 from schedsec.scheduling import (Schedule, ShiftTuple, average_cost,
                                  reception)
 from schedsec.simulation import OVERFLOW_TRACE
@@ -107,6 +106,21 @@ def factor_families(limit):
     return out
 
 
+def slot_correlation(rows, U, shifts) -> int:
+    """Reference Hamming cross-correlation, slot by slot: the number of
+    slots k in which rows[i][(k + t) % D] is 1 for every member i of U
+    with its shift t.  Shares no code with the library's shift gather."""
+    D = len(rows[0])
+    total = 0
+    for k in range(D):
+        for i, t in zip(U, shifts):
+            if not rows[i][(k + t) % D]:
+                break
+        else:
+            total += 1
+    return total
+
+
 def enumerated_invariance(policies):
     """Reference shift-invariance check by enumeration.
 
@@ -121,12 +135,37 @@ def enumerated_invariance(policies):
     subsets = sorted(itertools.chain.from_iterable(
         itertools.combinations(range(N), size) for size in range(2, N + 1)))
     for U in subsets:
-        reference = hamming_cross_correlation(policies, U, (0,) * len(U))
+        reference = slot_correlation(rows, U, (0,) * len(U))
         for rest in itertools.product(range(D), repeat=len(U) - 1):
             shifts = (0,) + rest
-            if hamming_cross_correlation(policies, U, shifts) != reference:
+            if slot_correlation(rows, U, shifts) != reference:
                 return False, (U, shifts)
     return True, None
+
+
+def interleaved_rows(factors, interleavings=None):
+    """Reference for construct_shift_invariant, symbol by symbol: sensor i
+    writes symbol q of its vector r at slot q * D_{i-1} + r of its short
+    row, for q in range(d_i) and r in range(D_{i-1}), and repeats the short
+    row to the period D.  The default vector r has ones in its last n_i
+    positions, rotated left by r."""
+    D = math.prod(d for _, d in factors)
+    rows = []
+    D_prev = 1
+    for i, (n, d) in enumerate(factors):
+        if interleavings is None:
+            base = [0] * (d - n) + [1] * n
+            vecs = [[base[(q + r) % d] for q in range(d)]
+                    for r in range(D_prev)]
+        else:
+            vecs = interleavings[i]
+        short = [0] * (d * D_prev)
+        for q in range(d):
+            for r in range(D_prev):
+                short[q * D_prev + r] = int(vecs[r][q])
+        rows.append(tuple(short * (D // len(short))))
+        D_prev *= d
+    return tuple(rows)
 
 
 def enumerated_schedule_search(n_sensors, periods, ladders):

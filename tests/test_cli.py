@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -163,6 +164,51 @@ def test_defend_bounds(tmp_path, systems_path):
     doc = json.loads((out / "bounds.json").read_text())
     assert doc["lower"] == pytest.approx(doc["upper"], rel=1e-9)
     assert doc["per_sensor_receptions"] == [1, 1, 1]
+
+
+def test_defend_bounds_of_an_overflowing_ladder_is_json(tmp_path):
+    # eleven sensors with A = 1.3 under the shortest-period set: every
+    # ladder passes the float range before gap D = 2,048, so both bounds
+    # are +inf, written as null, with no numpy warning and no NaN
+    pol = tmp_path / "p"
+    assert main(["defend", "construct", "--mode", "shortest-period", "-n",
+                 "11", "--out", str(pol)]) == 0
+    systems = tmp_path / "systems.json"
+    systems.write_text(json.dumps([{"A": [[1.3]], "C": [[1]], "Q": [[1]],
+                                    "R": [[1]], "Pi": [[1]]}] * 11))
+    out = tmp_path / "b"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["defend", "bounds", "--systems", str(systems),
+                     "--policies", str(pol / "policies.json"),
+                     "--out", str(out)]) == 0
+
+    def reject(name):
+        raise AssertionError(f"non-JSON token {name}")
+
+    doc = json.loads((out / "bounds.json").read_text(),
+                     parse_constant=reject)
+    assert doc["lower"] is None and doc["upper"] is None
+    assert doc["per_sensor_receptions"] == [1] * 11
+
+
+def test_defend_verify_finds_an_early_witness_lazily(tmp_path):
+    # 26 rows [1, 0]: 2^26 - 27 sensor tuples, of which the first,
+    # (0, 1), already depends on the shifts; none of the rest is listed
+    sched = tmp_path / "schedule.json"
+    sched.write_text(json.dumps({"T": 2, "rows": [[1, 0]] * 26}))
+    out = tmp_path / "v"
+    tracemalloc.start()
+    try:
+        assert main(["defend", "verify", "--schedule", str(sched),
+                     "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    doc = json.loads((out / "invariance.json").read_text())
+    assert not doc["invariant"]
+    assert doc["witness"] == {"sensors": [0, 1], "shifts": [0, 1]}
+    assert peak < 5 * 2 ** 20
 
 
 def test_defend_verify_positive_and_negative(tmp_path, sched_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,26 @@ def test_trace_ladder_golden(study_ladders):
     for t, gold in enumerate(GOLDEN_LADDER_0):
         assert lad.trace(t) == pytest.approx(gold, rel=1e-8)
     assert lad.ladder(5) == [lad.trace(t) for t in range(6)]
+
+
+@pytest.mark.parametrize("A, C, first", [
+    # the (0, 0) entry passes the float range at gap 512, and the next step
+    # would multiply that inf by the zero entries of A (0 * inf = NaN)
+    ([[2.0, 0.0], [0.0, 0.0]], [[1.0, 1.0]], 512),
+    # the step out of the float range itself adds inf to -inf
+    ([[-1.0, 3.0], [0.0, -4.0]], [[1.0, 0.0]], 256),
+])
+def test_trace_ladder_saturates_at_inf(A, C, first):
+    # from its first non-finite trace on the ladder reads +inf, never NaN,
+    # without a numpy warning
+    sys = LinearSystem(A=A, C=C, Q=np.eye(2), R=[[1.0]], Pi=np.eye(2))
+    lad = steady_state(sys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traces = lad.ladder(600)
+    assert all(math.isfinite(v) for v in traces[:first])
+    assert traces[first:] == [math.inf] * (601 - first)
+    assert lad.trace(10_000) == math.inf
 
 
 def test_trace_ladder_is_lazy_and_consistent(study_systems, study_ladders):

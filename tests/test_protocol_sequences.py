@@ -9,14 +9,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerated_invariance, factor_families
-from schedsec.errors import BudgetError, ValidationError
+from conftest import (enumerated_invariance, factor_families,
+                      interleaved_rows, slot_correlation)
+from schedsec.errors import BUDGET_ENV_VAR, BudgetError, ValidationError
 from schedsec.protocol_sequences import (_design_factors, _duty_factor,
                                          bounds, construct_shift_invariant,
                                          hamming_cross_correlation,
                                          is_shift_invariant,
                                          policies_from_dict, policies_to_dict,
                                          shortest_period_policies, throughput)
+from schedsec.lti_estimation import LinearSystem, steady_state
 from schedsec.scheduling import Schedule
 
 REFERENCE_POLICY_ROWS = [
@@ -159,6 +161,28 @@ def test_invariance_proven_within_small_budget(monkeypatch):
         is_shift_invariant(ps)
 
 
+def test_invariance_budget_grows_with_the_period(monkeypatch):
+    # a residue-set rotation is charged one step per 64-bit word of the
+    # period, so the default budget proves the shortest-period sets up to
+    # n = 14 and stops n = 15 (D = 32,768) and up
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    assert is_shift_invariant(shortest_period_policies(14)).invariant
+    with pytest.raises(BudgetError, match="invariance check"):
+        is_shift_invariant(shortest_period_policies(15))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), T=st.integers(1, 9), N=st.integers(1, 4))
+def test_correlation_matches_slot_loop(data, T, N):
+    rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=T,
+                                       max_size=T), min_size=N, max_size=N))
+    U = tuple(sorted(data.draw(st.sets(st.integers(0, N - 1), min_size=1))))
+    shifts = data.draw(st.lists(st.integers(0, T - 1), min_size=len(U),
+                                max_size=len(U)))
+    assert (hamming_cross_correlation(rows, U, shifts)
+            == slot_correlation(rows, U, shifts))
+
+
 def test_invariance_scales_to_period_256():
     ps = shortest_period_policies(8)
     t0 = time.perf_counter()
@@ -275,6 +299,28 @@ def test_random_interleavings_are_invariant(data):
     assert is_shift_invariant(ps)
 
 
+def test_construction_matches_slot_reference_on_every_family():
+    for factors in factor_families(64):
+        assert (construct_shift_invariant(factors).rows
+                == interleaved_rows(factors)), factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_construction_matches_slot_reference_on_random_interleavings(data):
+    factors = data.draw(st.lists(st.sampled_from(FACTOR_POOL), min_size=1,
+                                 max_size=3))
+    interleavings = []
+    D_prev = 1
+    for n, d in factors:
+        vec = st.permutations([1] * n + [0] * (d - n))
+        interleavings.append(data.draw(st.lists(vec, min_size=D_prev,
+                                                max_size=D_prev)))
+        D_prev *= d
+    assert (construct_shift_invariant(factors, interleavings).rows
+            == interleaved_rows(factors, interleavings))
+
+
 def test_reception_counts_fixed_under_all_shifts():
     # the attack-independent reception guarantee, checked exhaustively on
     # small families: whatever the shifts, sensor i receives exactly
@@ -302,6 +348,9 @@ def test_interleaving_vector_validation():
         construct_shift_invariant([(1, 2)], interleavings=[[[1, 1]]])
     with pytest.raises(ValidationError, match="length"):
         construct_shift_invariant([(1, 2)], interleavings=[[[0, 1, 0]]])
+    # weight 1, but not a 0/1 vector
+    with pytest.raises(ValidationError, match="expected 0 or 1"):
+        construct_shift_invariant([(1, 2)], interleavings=[[[2, -1]]])
 
 
 def test_shortest_period_all_sizes():
@@ -325,6 +374,17 @@ def test_bounds_collapse_for_single_reception(study_ladders):
     assert br.per_sensor_receptions == (1, 1, 1)
     assert br.lower == pytest.approx(br.upper, rel=1e-12)
     assert br.lower == pytest.approx(3.7197966749819833, rel=1e-7)
+
+
+def test_bounds_of_an_overflowing_ladder_are_inf():
+    # A = 1.3 passes the float range before gap D = 2,048; one reception
+    # per period leaves no remainder term, so the lower bound is inf, not
+    # 0 * inf = NaN
+    sys = LinearSystem(A=[[1.3]], C=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                       Pi=[[1.0]])
+    br = bounds(shortest_period_policies(11), [steady_state(sys)] * 11)
+    assert br.per_sensor_receptions == (1,) * 11
+    assert br.lower == br.upper == math.inf
 
 
 def test_bounds_accepts_policy_set(study_ladders):

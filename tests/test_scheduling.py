@@ -195,6 +195,33 @@ def test_reception_matches_pairwise_rule(data, n, T):
         assert reception(sched) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), batch=st.sampled_from([(), (3,), (2, 3)]),
+       T=st.integers(1, 7))
+def test_shifted_matches_slot_loop(data, batch, T):
+    # stacks shaped (T,), (N, T) and (S, N, T), each row with its own
+    # offset, negative and beyond the period included
+    size = int(np.prod(batch, dtype=int))
+    flat = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=T,
+                                       max_size=T), min_size=size,
+                              max_size=size))
+    offsets = data.draw(st.lists(st.integers(-2 * T, 2 * T), min_size=size,
+                                 max_size=size))
+    want = [[row[(k + t) % T] for k in range(T)]
+            for row, t in zip(flat, offsets)]
+    rows = np.array(flat).reshape(batch + (T,))
+    taus = np.array(offsets).reshape(batch)
+    got = scheduling._shifted(rows, taus)
+    assert got.shape == batch + (T,)
+    assert got.reshape(size, T).tolist() == want
+    # a single offset broadcasts over every row, a stack of offsets over
+    # one row
+    assert scheduling._shifted(rows, offsets[0]).reshape(size, T).tolist() \
+        == [[row[(k + offsets[0]) % T] for k in range(T)] for row in flat]
+    assert scheduling._shifted(flat[0], taus).reshape(size, T).tolist() \
+        == [[flat[0][(k + t) % T] for k in range(T)] for t in offsets]
+
+
 def test_optimal_schedule_search_study_instance(study_systems, study_ladders):
     sched, report = optimal_schedule_search(study_systems, [3],
                                             ladders=study_ladders)
