@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError, Work
+from .errors import InfeasibleError, ValidationError, Work, strict_seed
 from .scheduling import Schedule, ShiftTuple, _shifted, reception
 from .simplex import solve_bounded_lp
 
@@ -62,12 +62,13 @@ def isolate_sensor_attack(sched: Schedule, target: int) -> ShiftTuple:
 
 
 def random_attack(period: int, n_sensors: int, seed: int) -> ShiftTuple:
-    """Independent uniform shift per sensor, deterministic in the seed."""
+    """Independent uniform shift per sensor, deterministic in the seed, a
+    nonnegative integer (a bool or a float is refused)."""
     if period < 1:
         raise ValidationError(f"period must be >= 1, got {period}")
     if n_sensors < 1:
         raise ValidationError(f"need at least one sensor, got {n_sensors}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(strict_seed(seed))
     return ShiftTuple(tuple(int(t) for t in rng.integers(0, period, size=n_sensors)))
 
 

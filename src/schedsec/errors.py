@@ -5,7 +5,7 @@ catch the whole family.  ValidationError doubles as ValueError because most
 of these conditions are plain bad arguments.  `read_json` decodes every
 input document's bytes; each document type's parser checks the shape
 through `json_object`, `json_list` and `strict_int`, the one integer
-check of the package.
+check of the package; `strict_seed` is that check for a random seed.
 """
 
 from __future__ import annotations
@@ -126,3 +126,12 @@ def json_list(value, what: str) -> list:
         raise ValidationError(
             f"{what} must be a list, got {type(value).__name__}")
     return value
+
+
+def strict_seed(value) -> int:
+    """A random seed as an int: a nonnegative integer by `strict_int`, the
+    entropy NumPy's SeedSequence splits into 32-bit words."""
+    seed = strict_int(value, "seed")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return seed

@@ -12,14 +12,16 @@ A stepped slot costs one `lyapunov_step` and one trace read.
 `monte_carlo_expected_cost` averages exact per-attack costs over random
 clock-shift attacks: it applies `scheduling`'s collision kernel to a whole
 batch of trials at once and prices every reception pattern it meets once,
-keeping no collision rule of its own.  Trial j draws from its own
-generator, `Generator(PCG64(child_j))` of the j-th SeedSequence child of
-the seed: the stream `default_rng(child_j)` gives, built without
-`default_rng`'s dispatch, and that order fixes the samples.  To randomize
-a defense's interleaving it reads the duty factors off the defense's
-rows and draws the vectors straight into the arrays the construction
-indexes.  Both charge the slots they fill to the work budget before
-filling any.
+keeping no collision rule of its own.  Trial j's shifts are the first N
+bounded draws of `Generator(PCG64(child_j))`, child_j the j-th
+SeedSequence child of the seed (the stream `default_rng(child_j)` gives),
+and that order fixes the samples.  `_trial_shifts` computes them for a
+block of trials at once, in uint64 array arithmetic that repeats NumPy's
+seeding, PCG64 and bounded-integer algorithms step for step, so no child
+or generator is built.  To randomize a defense's interleaving it builds
+each trial's generator, reads the duty factors off the defense's rows and
+draws the vectors straight into the arrays the construction indexes.
+Both charge the slots they fill to the work budget before filling any.
 Rendering the results (the series CSV and summary document) is the
 command line's job.
 """
@@ -33,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import scheduling
-from .errors import ValidationError, Work
+from .errors import ValidationError, Work, strict_seed
 from .lti_estimation import (LinearSystem, SteadyState, lyapunov_step,
                              steady_state)
 from .protocol_sequences import _design_factors, construct_shift_invariant
@@ -188,6 +190,149 @@ def _random_interleaving(factors, rng) -> Schedule:
     return construct_shift_invariant(factors, interleavings=interleavings)
 
 
+# SeedSequence's hash constants (NumPy's bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
+
+
+def _hashmix(value, const: int):
+    """SeedSequence's hashmix of a 32-bit word, an int or a uint64 array,
+    and the hash constant that follows `const`."""
+    value = value ^ const
+    const = const * _MULT_A & _M32
+    value = value * const & _M32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words, ints or uint64 arrays."""
+    z = (_MIX_L * x - _MIX_R * y) & _M32
+    return z ^ z >> 16
+
+
+def _mulhi(a, b):
+    """High 64 bits of the 128-bit products of uint64 arrays, from 32-bit
+    limbs."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    return a1 * b1 + (mid >> 32) + ((a0 * b1 + (mid & _M32)) >> 32)
+
+
+def _mul128(a, b):
+    """(hi, lo) uint64 halves of a * b mod 2^128, for (hi, lo) pairs."""
+    return _mulhi(a[1], b[1]) + a[1] * b[0] + a[0] * b[1], a[1] * b[1]
+
+
+def _add128(a, b):
+    """(hi, lo) uint64 halves of a + b mod 2^128, for (hi, lo) pairs."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < a[1]), lo
+
+
+def _lcg_jumps(k0: int, n: int):
+    """PCG64's jumps to outputs k0..k0+n-1 from its seeding: output k reads
+    the state (inc + initstate) M^(k+1) + inc (1 + M + ... + M^k) mod
+    2^128.  Both factors, as (hi, lo) pairs of uint64 arrays."""
+    mask, m, c, pairs = (1 << 128) - 1, _PCG_MULT ** 2, 1 + _PCG_MULT, []
+    for k in range(1, k0 + n):
+        if k >= k0:
+            pairs.append((m & mask, c & mask))
+        m, c = m * _PCG_MULT & mask, c + m
+    return [(np.array([v[f] >> 64 for v in pairs], dtype=np.uint64),
+             np.array([v[f] & _M64 for v in pairs], dtype=np.uint64))
+            for f in (0, 1)]
+
+
+def _trial_shifts(seed: int, lo: int, hi: int, N: int, T: int) -> np.ndarray:
+    """The shifts of trials lo..hi-1, computed for the whole window at once.
+
+    Row j is `Generator(PCG64(SeedSequence(seed).spawn(hi)[lo + j]))
+    .integers(0, T, size=N)`, to the bit, for 0 <= lo <= hi <= 2^64.  The
+    steps are NumPy's: SeedSequence's pool (what the seed alone fixes is
+    mixed once, in Python ints; the spawn-key words are mixed per trial),
+    `generate_state(4, uint64)`, PCG64's srandom, its XSL-RR outputs
+    (O'Neill 2014) split into `next_uint32`'s low then high halves, and
+    Lemire's bounded draws (ACM TOMACS 2019), on 64-bit words when
+    T > 2^32.  Whether a word is rejected does not depend on its place,
+    so a trial's draws are its first N accepted words; a trial short of
+    them steps its generator further.
+    """
+    out = np.zeros((hi - lo, N), dtype=np.int64)
+    if T == 1 or not out.size:
+        return out  # integers(0, 1) draws nothing
+    # the run entropy: the seed's 32-bit words, padded to the pool size
+    # because a spawn key follows
+    words = [seed >> b & _M32 for b in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    const, pool = _INIT_A, []
+    for w in words[:4]:
+        w, const = _hashmix(w, const)
+        pool.append(w)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                w, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], w)
+    for w in words[4:]:
+        for dst in range(4):
+            h, const = _hashmix(w, const)
+            pool[dst] = _mix(pool[dst], h)
+    # the spawn key (j,): one word below 2^32, two from there
+    j = np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64)
+    pool = [np.full(j.shape, w, dtype=np.uint64) for w in pool]
+    for key, sel in ((j & _M32, np.s_[:]), (j >> 32, j > _M32)):
+        key = key[sel]
+        for dst in range(4):
+            h, const = _hashmix(key, const)
+            pool[dst][sel] = _mix(pool[dst][sel], h)
+    const, state = _INIT_B, []
+    for i in range(8):
+        w = pool[i % 4] ^ const
+        const = const * _MULT_B & _M32
+        w = w * const & _M32
+        state.append(w ^ w >> 16)
+    s = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+    # srandom(initstate = s[0:2], initseq = s[2:4]), as (hi, lo) halves
+    inc = (s[2] << 1 | s[3] >> 63, s[3] << 1 | 1)
+    base = _add128(inc, (s[0], s[1]))
+    wide = T > 1 << 32
+    threshold = (1 << (64 if wide else 32)) % T
+    # an array, not a NumPy scalar: NumPy 1.x promotes a uint64 scalar
+    # combined with a Python int to float64
+    t = np.full(1, T, dtype=np.uint64)
+    got = np.zeros(hi - lo, dtype=np.int64)
+    todo = np.arange(hi - lo)
+    k0 = 1
+    while todo.size:
+        n_out = -(-int(N - got[todo].min()) // (1 if wide else 2))
+        power, total = _lcg_jumps(k0, n_out)
+        st = _add128(_mul128([h[todo, None] for h in base], power),
+                     _mul128([h[todo, None] for h in inc], total))
+        x, rot = st[0] ^ st[1], st[0] >> 58
+        x = x >> rot | x << ((64 - rot) & 63)
+        if wide:
+            left, value = x * t, _mulhi(x, t)
+        else:
+            # with T = 2^32 every word is accepted as it is: the plain
+            # next_uint32 draws
+            m = np.stack([x & _M32, x >> 32], axis=-1).reshape(
+                len(todo), -1) * t
+            left, value = m & _M32, m >> 32
+        accept = left >= threshold
+        rank = got[todo, None] + np.cumsum(accept, axis=1) - 1
+        take = accept & (rank < N)
+        r, c = np.nonzero(take)
+        out[todo[r], rank[r, c]] = value[r, c]
+        got[todo] += take.sum(axis=1)
+        todo = todo[got[todo] < N]
+        k0 += n_out
+    return out
+
+
 def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
                               trials: int, seed: int,
                               randomize_interleaving: bool = False,
@@ -195,18 +340,23 @@ def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
                               ) -> MonteCarloCost:
     """Average the exact periodic cost over uniformly random clock shifts.
 
-    Each of the `trials` trials gets an independent child of `seed`
-    (SeedSequence spawning), draws interleaving vectors first when
-    randomize_interleaving is set, then a uniform random shift tuple (a
-    fixed attack has one cost, `average_cost` of its reception pattern,
-    with nothing to sample).  randomize_interleaving rebuilds the defense
-    from the duty factors of its rows, so its period must be a multiple of
-    their denominators' product, as a constructed defense's is.  The
-    budget (SCHEDSEC_BUDGET) is charged the trials * N * T slots the
-    trials gather before any trial is drawn.
+    Trial j draws from `Generator(PCG64(child_j))`, child_j the j-th
+    SeedSequence child of `seed` (a nonnegative integer): interleaving
+    vectors first when randomize_interleaving is set, then a uniform
+    random shift tuple, its first N bounded draws (a fixed attack has one
+    cost, `average_cost` of its reception pattern, with nothing to
+    sample).  Without randomize_interleaving the shifts of a block of
+    trials are computed at once by `_trial_shifts`, with no child or
+    generator built; randomize_interleaving is the only path left that
+    builds a generator per trial, since its `choice` draws come first in
+    the same stream.  It rebuilds the defense from the duty factors of its
+    rows, so its period must be a multiple of their denominators' product,
+    as a constructed defense's is.  The budget (SCHEDSEC_BUDGET) is charged
+    the trials * N * T slots the trials gather before any trial is drawn.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    seed = strict_seed(seed)
     base = Schedule.coerce(policies)
     N = base.n_sensors
     if len(systems) != N:
@@ -218,21 +368,26 @@ def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
         T = math.prod(f.denominator for f in factors)
     Work(f"Monte Carlo over {trials} trials of {N} rows of period {T}"
          ).charge(trials * N * T)
+    # each block spawns its own children, the next ones in order
+    spawner = np.random.SeedSequence(seed) if randomize_interleaving else None
     if ladders is None:
         ladders = [steady_state(sys) for sys in systems]
     price = _gap_pricer(ladders)
-    children = np.random.SeedSequence(seed).spawn(trials)
+    rows = np.array([base.rows], dtype=bool)
     block = max(1, scheduling._BLOCK_SLOTS // (N * T))
     samples = []
     for lo in range(0, trials, block):
-        stack, taus = [], []
-        for child in children[lo:lo + block]:
-            rng = np.random.Generator(np.random.PCG64(child))
-            if randomize_interleaving:
+        hi = min(trials, lo + block)
+        if randomize_interleaving:
+            stack, taus = [], []
+            for child in spawner.spawn(hi - lo):
+                rng = np.random.Generator(np.random.PCG64(child))
                 stack.append(_random_interleaving(factors, rng).rows)
-            taus.append(rng.integers(0, T, size=N))
-        rows = np.array(stack if stack else [base.rows], dtype=bool)
-        sole = _sole_receptions(rows, np.array(taus)).reshape(-1, T)
+                taus.append(rng.integers(0, T, size=N))
+            rows, taus = np.array(stack, dtype=bool), np.array(taus)
+        else:
+            taus = _trial_shifts(seed, lo, hi, N, T)
+        sole = _sole_receptions(rows, taus).reshape(-1, T)
         per = [price(r % N, runs) for r, runs in enumerate(_row_runs(sole))]
         # a trial's cost is its sensors' costs summed in order, as in
         # CostReport.total

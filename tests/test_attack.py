@@ -82,6 +82,15 @@ def test_random_attack_deterministic(round_robin):
     a.validate_for(round_robin)
 
 
+def test_random_attack_seed_is_strict():
+    # a seed is a nonnegative integer: a bool is no longer taken as 1, and
+    # a float or a negative number is refused with ValidationError
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ValidationError, match="seed"):
+            random_attack(3, 3, seed=bad)
+    assert random_attack(5, 4, seed=np.int64(7)) == random_attack(5, 4, seed=7)
+
+
 def test_isolate_each_study_sensor(round_robin):
     for target in range(3):
         attack = isolate_sensor_attack(round_robin, target)

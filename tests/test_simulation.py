@@ -10,14 +10,14 @@ from conftest import (random_exclusive_schedule, series_csv_reference,
                       state_trajectory_sim, stepped_covariance_series)
 from schedsec import scheduling
 from schedsec.cli import _series_csv, _summary_doc
-from schedsec.errors import StabilityWarning, ValidationError
+from schedsec.errors import BudgetError, StabilityWarning, ValidationError
 from schedsec.lti_estimation import LinearSystem, lyapunov_step, steady_state
 from schedsec.protocol_sequences import (construct_shift_invariant,
                                          shortest_period_policies)
 from schedsec.scheduling import (Schedule, ShiftTuple, average_cost,
                                  reception)
 from schedsec.simulation import (OVERFLOW_TRACE, CovarianceSeries,
-                                 exact_covariance_series,
+                                 _trial_shifts, exact_covariance_series,
                                  monte_carlo_expected_cost)
 
 
@@ -407,6 +407,62 @@ def test_mc_samples_are_per_trial_average_costs(block, monkeypatch,
     assert mc.n_divergent > 0
 
 
+def child_shifts(seed, j, N, T):
+    """The shifts trial j draws: N bounded integers from the generator of
+    SeedSequence(seed)'s j-th child, which has the spawn key (j,)."""
+    child = np.random.SeedSequence(seed, spawn_key=(j,))
+    return np.random.Generator(np.random.PCG64(child)).integers(0, T, size=N)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 8, 27, 2**31 + 1, 2**32 - 1, 2**32,
+                               2**32 + 1, 2**40 + 3])
+def test_trial_shifts_match_child_generators(T):
+    # 2^31 + 1 rejects about half of Lemire's 32-bit words, 2^32 takes
+    # plain 32-bit draws and 2^32 + 1 and up take 64-bit words
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 3):
+        spawned = np.random.SeedSequence(seed).spawn(9)
+        for N in range(1, 7):
+            want = np.array([np.random.Generator(np.random.PCG64(c)).integers(
+                0, T, size=N) for c in spawned])
+            for lo, hi in ((0, 9), (0, 1), (2, 7), (8, 9), (4, 4)):
+                got = _trial_shifts(seed, lo, hi, N, T)
+                assert got.dtype == np.int64 and got.shape == (hi - lo, N)
+                assert np.array_equal(got, want[lo:hi])
+        # children whose spawn key takes one or two 32-bit words
+        for lo, hi in ((2**32 - 1, 2**32 + 1), (2**33 + 1, 2**33 + 2)):
+            want = [child_shifts(seed, j, 3, T) for j in range(lo, hi)]
+            assert np.array_equal(_trial_shifts(seed, lo, hi, 3, T), want)
+
+
+def test_mc_builds_no_generator_without_randomized_interleaving(
+        monkeypatch, study_systems, study_ladders):
+    sd = construct_shift_invariant([(1, 3)] * 3)
+    want = monte_carlo_expected_cost(study_systems, sd, trials=30, seed=5,
+                                     ladders=study_ladders).samples
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-trial SeedSequence or generator")
+
+    for name in ("SeedSequence", "PCG64", "Generator", "default_rng"):
+        monkeypatch.setattr(np.random, name, refuse)
+    got = monte_carlo_expected_cost(study_systems, sd, trials=30, seed=5,
+                                    ladders=study_ladders).samples
+    assert got == want
+
+
+def test_mc_seed_is_strict(study_systems, study_ladders, round_robin):
+    # a seed is a nonnegative integer: a bool is no longer taken as 1, and
+    # a float or a negative number is refused with ValidationError
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ValidationError, match="seed"):
+            monte_carlo_expected_cost(study_systems, round_robin, trials=4,
+                                      seed=bad, ladders=study_ladders)
+    mc = [monte_carlo_expected_cost(study_systems, round_robin, trials=20,
+                                    seed=seed, ladders=study_ladders)
+          for seed in (7, np.int64(7))]
+    assert mc[0].samples == mc[1].samples
+
+
 @pytest.mark.parametrize("repeats", [1, 2])
 def test_mc_randomized_interleaving_samples(repeats, study_systems,
                                             study_ladders):
@@ -423,6 +479,38 @@ def test_mc_randomized_interleaving_samples(repeats, study_systems,
         taus = ShiftTuple(rng.integers(0, sched.period, size=3))
         want.append(average_cost(reception(sched, taus), study_ladders).total)
     assert mc.samples == tuple(want)
+
+
+def test_mc_randomized_interleaving_spawns_per_block(monkeypatch,
+                                                   study_systems,
+                                                   study_ladders):
+    # blocks of one trial each spawn the same children as one block
+    sd = construct_shift_invariant([(1, 3), (1, 2), (1, 3)])
+    mc = [monte_carlo_expected_cost(study_systems, sd, trials=12, seed=13,
+                                    randomize_interleaving=True,
+                                    ladders=study_ladders).samples]
+    monkeypatch.setattr(scheduling, "_BLOCK_SLOTS", 1)
+    mc.append(monte_carlo_expected_cost(study_systems, sd, trials=12, seed=13,
+                                        randomize_interleaving=True,
+                                        ladders=study_ladders).samples)
+    assert mc[0] == mc[1]
+
+
+@pytest.mark.parametrize("randomize", [False, True])
+def test_mc_budget_refuses_before_drawing(randomize, monkeypatch,
+                                          study_systems, study_ladders):
+    # an oversized request is refused before any seed is spawned or drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before charging the budget")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr("schedsec.simulation._trial_shifts", refuse)
+    monkeypatch.setenv("SCHEDSEC_BUDGET", "1000")
+    sd = construct_shift_invariant([(1, 3), (1, 2), (1, 3)])
+    with pytest.raises(BudgetError):
+        monte_carlo_expected_cost(study_systems, sd, trials=10**12, seed=1,
+                                  randomize_interleaving=randomize,
+                                  ladders=study_ladders)
 
 
 def test_mc_divergent_trials_reported(study_systems, study_ladders,
