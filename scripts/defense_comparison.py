@@ -10,16 +10,53 @@ also redrawn per trial.
 
 import argparse
 
+import numpy as np
+
 from schedsec.lti_estimation import bundled_systems, steady_state
 from schedsec.protocol_sequences import bounds, construct_shift_invariant
-from schedsec.simulation import monte_carlo_expected_cost
+from schedsec.scheduling import ShiftTuple, average_cost, reception
+from schedsec.simulation import MonteCarloCost, monte_carlo_expected_cost
+
+
+def at_least(lo):
+    """An argparse type: an integer >= lo."""
+    def integer(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    return integer
+
+
+def randomized_interleaving_cost(factors, states, trials, seed):
+    """Monte Carlo cost with the interleaving vectors redrawn per trial.
+
+    Trial j draws from default_rng of SeedSequence(seed)'s j-th child:
+    first each sensor's interleaving vectors, factor by factor and one
+    vector per earlier residue, then its shift tuple over the rebuilt
+    set's period.  Its sample is that attack's exact average cost.
+    """
+    samples = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        interleavings, D_prev = [], 1
+        for n, d in factors:
+            vecs = np.zeros((D_prev, d), dtype=np.int8)
+            for vec in vecs:
+                vec[rng.choice(d, size=n, replace=False)] = 1
+            interleavings.append(vecs)
+            D_prev *= d
+        ps = construct_shift_invariant(factors, interleavings=interleavings)
+        taus = ShiftTuple(rng.integers(0, ps.period, size=len(factors)))
+        samples.append(average_cost(reception(ps, taus), states).total)
+    return MonteCarloCost.from_samples(samples)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--trials", type=int, default=200)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--denominator", type=int, default=3,
+    ap.add_argument("--trials", type=at_least(1), default=200)
+    ap.add_argument("--seed", type=at_least(0), default=0)
+    ap.add_argument("--denominator", type=at_least(2), default=3,
                     help="same-duty defense uses duty factor 1/D for all "
                          "sensors (default 3)")
     ap.add_argument("--randomize-interleaving", action="store_true")
@@ -35,10 +72,12 @@ def main():
                            (f"shortest-period (1/2)^{n}", [(1, 2)] * n)):
         ps = construct_shift_invariant(factors)
         br = bounds(ps, states)
-        mc = monte_carlo_expected_cost(
-            systems, ps, args.trials, args.seed,
-            randomize_interleaving=args.randomize_interleaving,
-            ladders=states)
+        if args.randomize_interleaving:
+            mc = randomized_interleaving_cost(factors, states, args.trials,
+                                              args.seed)
+        else:
+            mc = monte_carlo_expected_cost(systems, ps, args.trials,
+                                           args.seed, ladders=states)
         print(f"\n{label}  (period {ps.period})")
         print(f"  lower bound    {br.lower:.6f}")
         print(f"  mean cost      {mc.mean:.6f} +/- {mc.halfwidth:.6f}"

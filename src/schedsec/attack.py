@@ -96,11 +96,14 @@ def brute_force_optimal_attack(sched: Schedule) -> AttackSearchResult:
     A tuple qualifies when some sensor receives nothing in a period while
     its own clock stays honest.  Among qualifying tuples the
     lexicographically smallest one of minimum spoofed count wins.  Returns
-    an explicit non-blocking result when nothing qualifies.
+    an explicit non-blocking result when nothing qualifies.  The budget
+    (SCHEDSEC_BUDGET) is charged the T^N tuples, compared with it before
+    the power is raised in full.
     """
     N = sched.n_sensors
     T = sched.period
-    Work(f"enumerating {T ** N} shift tuples").charge(T ** N)
+    Work(f"enumerating the shift tuples of {N} sensors over period {T}"
+         ).charge_power(T, N)
     best: ShiftTuple | None = None
     best_count = None
     for combo in itertools.product(range(T), repeat=N):

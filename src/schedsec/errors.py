@@ -83,6 +83,12 @@ class Work:
                 f"{self.what} needs more than the budget of {self.limit} "
                 f"steps; raise {BUDGET_ENV_VAR} to allow it")
 
+    def charge_power(self, base: int, exp: int):
+        """Charge base ** exp for positive integers.  From 2 up, a base
+        raised to the limit's bit length is past the limit already, so the
+        power is never raised further."""
+        self.charge(base ** min(exp, self.limit.bit_length()))
+
 
 def read_json(data: bytes):
     """Decode one JSON document from the bytes of a file; no I/O.  Bytes

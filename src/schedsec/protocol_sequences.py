@@ -67,11 +67,15 @@ def _design_factors(sched: Schedule) -> list[Fraction]:
     the construction gives them).
     """
     factors = [_duty_factor(f, i) for i, f in enumerate(sched.duty_factors())]
-    product = math.prod(f.denominator for f in factors)
+    product = 1  # multiplied no further once it passes the period
+    for f in factors:
+        product *= f.denominator
+        if product > sched.period:
+            break
     if sched.period % product != 0:
         raise ValidationError(
             f"period {sched.period} is not a multiple of the duty factors' "
-            f"denominator product {product}")
+            f"denominator product")
     return factors
 
 
@@ -342,11 +346,20 @@ def construct_shift_invariant(factors, interleavings=None) -> Schedule:
     decides it for any rows.  The budget (SCHEDSEC_BUDGET) is charged the
     N * D slots of the rows before any is built.
     """
-    fs = [_duty_factor(f, i) for i, f in enumerate(factors)]
-    if not fs:
+    factors = list(factors)
+    if not factors:
         raise ValidationError("need at least one duty factor")
+    # the N * D slots, multiplied in as each factor passes its check and
+    # no further once they pass the budget
+    work = Work(f"building {len(factors)} shift-invariant rows")
+    fs, slots = [], len(factors)
+    for i, f in enumerate(factors):
+        fs.append(_duty_factor(f, i))
+        slots *= fs[-1].denominator
+        if slots > work.limit:
+            break
+    work.charge(slots)
     D = math.prod(f.denominator for f in fs)
-    Work(f"building {len(fs)} rows of period {D}").charge(len(fs) * D)
     k = np.arange(D)
     rows = []
     D_prev = 1

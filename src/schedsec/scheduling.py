@@ -368,7 +368,8 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
     (total, that matrix, period): ties break toward the smallest flattened
     matrix, then the smallest period.  The budget (SCHEDSEC_BUDGET) caps
     the N^T column assignments the candidate periods span, summed over
-    periods; exceeding it raises BudgetError.
+    periods and each compared with it before it is raised in full;
+    exceeding it raises BudgetError.
     """
     N = len(systems)
     if N < 1:
@@ -380,8 +381,9 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
         if T < N:
             raise ValidationError(
                 f"period {T} cannot give all {N} sensors a slot; use T >= {N}")
-    total_size = sum(N ** T for T in cands)
-    Work(f"enumerating {total_size} assignments").charge(total_size)
+    work = Work(f"enumerating the column assignments of {N} sensors")
+    for T in cands:
+        work.charge_power(N, T)
     if ladders is None:
         ladders = [steady_state(s) for s in systems]
     price = _gap_pricer(ladders)

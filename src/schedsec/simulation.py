@@ -12,16 +12,14 @@ A stepped slot costs one `lyapunov_step` and one trace read.
 `monte_carlo_expected_cost` averages exact per-attack costs over random
 clock-shift attacks: it applies `scheduling`'s collision kernel to a whole
 batch of trials at once and prices every reception pattern it meets once,
-keeping no collision rule of its own.  Trial j's shifts are the first N
-bounded draws of `Generator(PCG64(child_j))`, child_j the j-th
-SeedSequence child of the seed (the stream `default_rng(child_j)` gives),
-and that order fixes the samples.  `_trial_shifts` computes them for a
-block of trials at once, in uint64 array arithmetic that repeats NumPy's
-seeding, PCG64 and bounded-integer algorithms step for step, so no child
-or generator is built.  To randomize a defense's interleaving it builds
-each trial's generator, reads the duty factors off the defense's rows and
-draws the vectors straight into the arrays the construction indexes.
-Both charge the slots they fill to the work budget before filling any.
+keeping no collision rule of its own.  It has one stream contract: trial
+j's shifts are the first N bounded draws of `Generator(PCG64(child_j))`,
+child_j the j-th SeedSequence child of the seed (the stream
+`default_rng(child_j)` gives), and that order fixes the samples.
+`_trial_shifts` computes them for a block of trials at once, in uint64
+array arithmetic that repeats NumPy's seeding, PCG64 and bounded-integer
+algorithms step for step, so no child or generator is built.  The slots
+the trials fill are charged to the work budget before any is filled.
 Rendering the results (the series CSV and summary document) is the
 command line's job.
 """
@@ -38,7 +36,6 @@ from . import scheduling
 from .errors import ValidationError, Work, strict_seed
 from .lti_estimation import (LinearSystem, SteadyState, lyapunov_step,
                              steady_state)
-from .protocol_sequences import _design_factors, construct_shift_invariant
 from .scheduling import (CostReport, Schedule, ShiftTuple, _gap_pricer,
                          _row_runs, _sole_receptions, reception)
 
@@ -160,34 +157,20 @@ class MonteCarloCost:
     halfwidth: float
     n_divergent: int
 
-
-def _mc_statistics(samples: list[float]) -> MonteCarloCost:
-    x = np.asarray(samples, dtype=float)
-    n = len(x)
-    n_div = int(np.sum(np.isinf(x)))
-    if n_div:
-        return MonteCarloCost(samples=tuple(float(v) for v in x),
-                              mean=math.inf, std=math.inf, halfwidth=math.inf,
-                              n_divergent=n_div)
-    std = float(np.std(x, ddof=1)) if n > 1 else math.inf
-    half = 1.96 * std / math.sqrt(n) if n > 1 else math.inf
-    return MonteCarloCost(samples=tuple(float(v) for v in x),
-                          mean=float(np.mean(x)), std=std, halfwidth=half,
-                          n_divergent=0)
-
-
-def _random_interleaving(factors, rng) -> Schedule:
-    """The shift-invariant set of `factors` with random interleaving
-    vectors, drawn factor by factor into (D_{i-1}, d_i) arrays."""
-    interleavings = []
-    D_prev = 1
-    for f in factors:
-        vecs = np.zeros((D_prev, f.denominator), dtype=np.int8)
-        for vec in vecs:
-            vec[rng.choice(f.denominator, size=f.numerator, replace=False)] = 1
-        interleavings.append(vecs)
-        D_prev *= f.denominator
-    return construct_shift_invariant(factors, interleavings=interleavings)
+    @classmethod
+    def from_samples(cls, samples: Sequence[float]) -> MonteCarloCost:
+        """The statistics of per-trial costs, in trial order."""
+        x = np.asarray(samples, dtype=float)
+        n = len(x)
+        n_div = int(np.sum(np.isinf(x)))
+        if n_div:
+            return cls(samples=tuple(float(v) for v in x), mean=math.inf,
+                       std=math.inf, halfwidth=math.inf, n_divergent=n_div)
+        std = float(np.std(x, ddof=1)) if n > 1 else math.inf
+        half = 1.96 * std / math.sqrt(n) if n > 1 else math.inf
+        return cls(samples=tuple(float(v) for v in x),
+                   mean=float(np.mean(x)), std=std, halfwidth=half,
+                   n_divergent=0)
 
 
 # SeedSequence's hash constants (NumPy's bit_generator.pyx) and PCG64's
@@ -335,61 +318,38 @@ def _trial_shifts(seed: int, lo: int, hi: int, N: int, T: int) -> np.ndarray:
 
 def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
                               trials: int, seed: int,
-                              randomize_interleaving: bool = False,
                               ladders: Sequence[SteadyState] | None = None
                               ) -> MonteCarloCost:
     """Average the exact periodic cost over uniformly random clock shifts.
 
-    Trial j draws from `Generator(PCG64(child_j))`, child_j the j-th
-    SeedSequence child of `seed` (a nonnegative integer): interleaving
-    vectors first when randomize_interleaving is set, then a uniform
-    random shift tuple, its first N bounded draws (a fixed attack has one
-    cost, `average_cost` of its reception pattern, with nothing to
-    sample).  Without randomize_interleaving the shifts of a block of
-    trials are computed at once by `_trial_shifts`, with no child or
-    generator built; randomize_interleaving is the only path left that
-    builds a generator per trial, since its `choice` draws come first in
-    the same stream.  It rebuilds the defense from the duty factors of its
-    rows, so its period must be a multiple of their denominators' product,
-    as a constructed defense's is.  The budget (SCHEDSEC_BUDGET) is charged
-    the trials * N * T slots the trials gather before any trial is drawn.
+    Trial j's shift tuple is the first N bounded draws of
+    `Generator(PCG64(child_j))`, child_j the j-th SeedSequence child of
+    `seed` (a nonnegative integer), and its sample is `average_cost` of the
+    reception pattern that tuple gives.  The shifts of a block of trials
+    are computed at once by `_trial_shifts`, with no child or generator
+    built.  The budget (SCHEDSEC_BUDGET) is charged the trials * N * T
+    slots the trials gather before any trial is drawn.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     seed = strict_seed(seed)
-    base = Schedule.coerce(policies)
-    N = base.n_sensors
+    sched = Schedule.coerce(policies)
+    N, T = sched.n_sensors, sched.period
     if len(systems) != N:
         raise ValidationError(f"{len(systems)} systems for {N} policy rows")
-    T = base.period
-    if randomize_interleaving:
-        factors = _design_factors(base)
-        # a rebuilt set has the shortest period its factors allow
-        T = math.prod(f.denominator for f in factors)
     Work(f"Monte Carlo over {trials} trials of {N} rows of period {T}"
          ).charge(trials * N * T)
-    # each block spawns its own children, the next ones in order
-    spawner = np.random.SeedSequence(seed) if randomize_interleaving else None
     if ladders is None:
         ladders = [steady_state(sys) for sys in systems]
     price = _gap_pricer(ladders)
-    rows = np.array([base.rows], dtype=bool)
+    rows = np.array([sched.rows], dtype=bool)
     block = max(1, scheduling._BLOCK_SLOTS // (N * T))
     samples = []
     for lo in range(0, trials, block):
-        hi = min(trials, lo + block)
-        if randomize_interleaving:
-            stack, taus = [], []
-            for child in spawner.spawn(hi - lo):
-                rng = np.random.Generator(np.random.PCG64(child))
-                stack.append(_random_interleaving(factors, rng).rows)
-                taus.append(rng.integers(0, T, size=N))
-            rows, taus = np.array(stack, dtype=bool), np.array(taus)
-        else:
-            taus = _trial_shifts(seed, lo, hi, N, T)
+        taus = _trial_shifts(seed, lo, min(trials, lo + block), N, T)
         sole = _sole_receptions(rows, taus).reshape(-1, T)
         per = [price(r % N, runs) for r, runs in enumerate(_row_runs(sole))]
         # a trial's cost is its sensors' costs summed in order, as in
         # CostReport.total
         samples += [sum(per[j:j + N]) for j in range(0, len(per), N)]
-    return _mc_statistics(samples)
+    return MonteCarloCost.from_samples(samples)

@@ -40,6 +40,13 @@ def round_robin():
     return Schedule(period=3, rows=((0, 0, 1), (0, 1, 0), (1, 0, 0)))
 
 
+def child_rngs(seed, trials):
+    """The reference per-trial streams: default_rng of each SeedSequence
+    child, one child per trial in order."""
+    return [np.random.default_rng(child)
+            for child in np.random.SeedSequence(seed).spawn(trials)]
+
+
 def random_exclusive_schedule(rng, n_sensors, period,
                               full_coverage=False) -> Schedule:
     """Random columnwise transmitter assignment; with full_coverage the

@@ -206,6 +206,21 @@ def test_brute_force_budget(monkeypatch):
         brute_force_optimal_attack(sched)
 
 
+def test_brute_force_budget_is_compared_before_the_power(monkeypatch):
+    # 3^3 tuples fit a budget of 27 and not of 26; 2^4000 tuples are
+    # refused without being counted or printed
+    sched = Schedule(period=3, rows=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    monkeypatch.setenv("SCHEDSEC_BUDGET", "27")
+    brute_force_optimal_attack(sched)
+    monkeypatch.setenv("SCHEDSEC_BUDGET", "26")
+    with pytest.raises(BudgetError):
+        brute_force_optimal_attack(sched)
+    monkeypatch.delenv("SCHEDSEC_BUDGET")
+    with pytest.raises(BudgetError) as exc:
+        brute_force_optimal_attack(Schedule(period=2, rows=((1, 0),) * 4000))
+    assert len(str(exc.value)) < 200
+
+
 def test_single_sensor_cannot_be_blocked():
     sched = Schedule(period=3, rows=((1, 1, 1),))
     b = brute_force_optimal_attack(sched)

@@ -592,6 +592,36 @@ def test_sizes_are_charged_to_the_budget(tmp_path, capsys, monkeypatch,
     assert "SCHEDSEC_BUDGET" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # 3^9100 assignments: its digits exceed Python's int-to-str limit
+    ["schedule", "--periods", "9100"],
+    # 3^100000000 takes minutes to compute
+    ["schedule", "--periods", "100000000"],
+    # 20000 * 2^20000 slots: too many digits to print
+    ["defend", "construct", "--mode", "shortest-period", "-n", "20000"],
+    # a million factors take seconds to multiply, or to check
+    ["defend", "construct", "--mode", "shortest-period", "-n", "1000000"],
+])
+def test_oversized_sizes_are_refused_without_being_computed(
+        tmp_path, systems_path, monkeypatch, argv):
+    # the default budget, compared with each size before it is computed
+    monkeypatch.delenv("SCHEDSEC_BUDGET", raising=False)
+    if argv[0] == "schedule":
+        argv = argv + ["--systems", systems_path]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "schedsec.cli", *argv,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 5, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert len(proc.stderr) < 300
+    assert elapsed < 2.0
+
+
 def test_isolate_fallback_ignores_the_work_budget(tmp_path, monkeypatch):
     # shifting both other clocks by one covers only slot 1 of sensor 0, so
     # isolate needs the optimal search; it used to enumerate 4^2 tuples

@@ -171,6 +171,32 @@ def test_invariance_budget_grows_with_the_period(monkeypatch):
         is_shift_invariant(shortest_period_policies(15))
 
 
+def test_construction_budget_is_compared_before_the_period(monkeypatch):
+    # 4 rows of period 16 fit a budget of 64 and 5 rows of period 32 do
+    # not; each factor is checked before it is charged, and the period
+    # is not multiplied out once the slots pass the budget
+    monkeypatch.setenv(BUDGET_ENV_VAR, "64")
+    assert construct_shift_invariant([(1, 2)] * 4).period == 16
+    with pytest.raises(BudgetError):
+        construct_shift_invariant([(1, 2)] * 5)
+    monkeypatch.delenv(BUDGET_ENV_VAR)
+    with pytest.raises(ValidationError, match="sensor 0"):
+        construct_shift_invariant([(1, 1)] + [(1, 2)] * 10**6)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as exc:
+        construct_shift_invariant([(1, 2)] * 10**6)
+    assert time.perf_counter() - start < 1.0
+    assert len(str(exc.value)) < 200
+
+
+def test_design_factors_need_no_printed_product():
+    # 2^15000 has more digits than Python converts to a string
+    sched = Schedule(period=2, rows=((1, 0), (0, 1)) * 7500)
+    with pytest.raises(ValidationError, match="not a multiple") as exc:
+        _design_factors(sched)
+    assert len(str(exc.value)) < 200
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), T=st.integers(1, 9), N=st.integers(1, 4))
 def test_correlation_matches_slot_loop(data, T, N):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import enumerated_schedule_search, random_unstable_system
 from schedsec import scheduling
 from schedsec.cli import _cost_csv
-from schedsec.errors import BudgetError, ValidationError, read_json
+from schedsec.errors import BudgetError, ValidationError, Work, read_json
 from schedsec.lti_estimation import steady_state
 from schedsec.scheduling import (Schedule, ShiftTuple, _gap_histogram,
                                  _necklaces,
@@ -255,6 +255,36 @@ def test_search_budget(study_systems, study_ladders, monkeypatch):
     monkeypatch.setenv("SCHEDSEC_BUDGET", "5")
     with pytest.raises(BudgetError, match="SCHEDSEC_BUDGET"):
         optimal_schedule_search(study_systems, [3], ladders=study_ladders)
+
+
+def test_search_budget_counts_every_assignment(study_systems, study_ladders,
+                                              monkeypatch):
+    # 3^3 + 3^4 assignments fit a budget of 108 and not of 107; a power
+    # far past the budget is refused without being raised
+    monkeypatch.setenv("SCHEDSEC_BUDGET", "108")
+    optimal_schedule_search(study_systems, [3, 4], ladders=study_ladders)
+    monkeypatch.setenv("SCHEDSEC_BUDGET", "107")
+    with pytest.raises(BudgetError):
+        optimal_schedule_search(study_systems, [3, 4], ladders=study_ladders)
+    monkeypatch.delenv("SCHEDSEC_BUDGET")
+    with pytest.raises(BudgetError) as exc:
+        optimal_schedule_search(study_systems, [10**5],
+                                ladders=study_ladders)
+    assert len(str(exc.value)) < 200
+
+
+@pytest.mark.parametrize("limit", [1, 5, 64, 81, 10**7])
+def test_work_charges_a_power_exactly(monkeypatch, limit):
+    monkeypatch.setenv("SCHEDSEC_BUDGET", str(limit))
+    for base in range(1, 7):
+        for exp in range(40):
+            work = Work("a power")
+            if base ** exp > limit:
+                with pytest.raises(BudgetError):
+                    work.charge_power(base, exp)
+            else:
+                work.charge_power(base, exp)
+                assert work.used == base ** exp
 
 
 def test_search_beats_every_explicit_candidate(study_systems, study_ladders):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_exclusive_schedule, series_csv_reference,
-                      state_trajectory_sim, stepped_covariance_series)
+from conftest import (child_rngs, random_exclusive_schedule,
+                      series_csv_reference, state_trajectory_sim,
+                      stepped_covariance_series)
 from schedsec import scheduling
 from schedsec.cli import _series_csv, _summary_doc
 from schedsec.errors import BudgetError, StabilityWarning, ValidationError
@@ -347,47 +348,6 @@ def test_mc_deterministic_and_ordered(study_systems, study_ladders):
     assert a.mean - a.halfwidth > c.mean + c.halfwidth
 
 
-def test_mc_randomized_interleaving(study_systems, study_ladders,
-                                    round_robin):
-    sd = construct_shift_invariant([(1, 3)] * 3)
-    mc = monte_carlo_expected_cost(study_systems, sd, trials=60, seed=13,
-                                   randomize_interleaving=True,
-                                   ladders=study_ladders)
-    assert mc.n_divergent == 0
-    assert 3.0 < mc.mean < 6.0
-    # the round robin's duty factors 1/3 need a period of 27, not 3: no
-    # construction gives its rows, so there is nothing to rebuild
-    with pytest.raises(ValidationError, match="multiple"):
-        monte_carlo_expected_cost(study_systems, round_robin, trials=60,
-                                  seed=13, randomize_interleaving=True,
-                                  ladders=study_ladders)
-
-
-def child_rngs(seed, trials):
-    """The reference per-trial streams: default_rng of each SeedSequence
-    child, one child per trial in order."""
-    return [np.random.default_rng(child)
-            for child in np.random.SeedSequence(seed).spawn(trials)]
-
-
-def drawn_interleaving(factors, rng):
-    """The interleaving vectors monte_carlo_expected_cost draws for one
-    trial, in its order: factor by factor, one vector per earlier residue."""
-    interleavings = []
-    D_prev = 1
-    for f in factors:
-        vecs = []
-        for _ in range(D_prev):
-            vec = [0] * f.denominator
-            for pos in rng.choice(f.denominator, size=f.numerator,
-                                  replace=False):
-                vec[int(pos)] = 1
-            vecs.append(vec)
-        interleavings.append(vecs)
-        D_prev *= f.denominator
-    return construct_shift_invariant(factors, interleavings=interleavings)
-
-
 @pytest.mark.parametrize("block", [None, 1, 100])
 def test_mc_samples_are_per_trial_average_costs(block, monkeypatch,
                                                 study_systems, study_ladders,
@@ -434,8 +394,7 @@ def test_trial_shifts_match_child_generators(T):
             assert np.array_equal(_trial_shifts(seed, lo, hi, 3, T), want)
 
 
-def test_mc_builds_no_generator_without_randomized_interleaving(
-        monkeypatch, study_systems, study_ladders):
+def test_mc_builds_no_generator(monkeypatch, study_systems, study_ladders):
     sd = construct_shift_invariant([(1, 3)] * 3)
     want = monte_carlo_expected_cost(study_systems, sd, trials=30, seed=5,
                                      ladders=study_ladders).samples
@@ -463,53 +422,17 @@ def test_mc_seed_is_strict(study_systems, study_ladders, round_robin):
     assert mc[0].samples == mc[1].samples
 
 
-@pytest.mark.parametrize("repeats", [1, 2])
-def test_mc_randomized_interleaving_samples(repeats, study_systems,
-                                            study_ladders):
-    # a policy set may repeat its shortest period; the rebuilt sets do not
-    sd = construct_shift_invariant([(1, 3), (1, 2), (1, 3)])
-    ps = Schedule(period=repeats * sd.period,
-                  rows=tuple(row * repeats for row in sd.rows))
-    mc = monte_carlo_expected_cost(study_systems, ps, trials=40, seed=13,
-                                   randomize_interleaving=True,
-                                   ladders=study_ladders)
-    want = []
-    for rng in child_rngs(13, 40):
-        sched = drawn_interleaving(ps.duty_factors(), rng)
-        taus = ShiftTuple(rng.integers(0, sched.period, size=3))
-        want.append(average_cost(reception(sched, taus), study_ladders).total)
-    assert mc.samples == tuple(want)
-
-
-def test_mc_randomized_interleaving_spawns_per_block(monkeypatch,
-                                                   study_systems,
-                                                   study_ladders):
-    # blocks of one trial each spawn the same children as one block
-    sd = construct_shift_invariant([(1, 3), (1, 2), (1, 3)])
-    mc = [monte_carlo_expected_cost(study_systems, sd, trials=12, seed=13,
-                                    randomize_interleaving=True,
-                                    ladders=study_ladders).samples]
-    monkeypatch.setattr(scheduling, "_BLOCK_SLOTS", 1)
-    mc.append(monte_carlo_expected_cost(study_systems, sd, trials=12, seed=13,
-                                        randomize_interleaving=True,
-                                        ladders=study_ladders).samples)
-    assert mc[0] == mc[1]
-
-
-@pytest.mark.parametrize("randomize", [False, True])
-def test_mc_budget_refuses_before_drawing(randomize, monkeypatch,
-                                          study_systems, study_ladders):
-    # an oversized request is refused before any seed is spawned or drawn
+def test_mc_budget_refuses_before_drawing(monkeypatch, study_systems,
+                                          study_ladders):
+    # an oversized request is refused before any shift is drawn
     def refuse(*args, **kwargs):
         raise AssertionError("drew before charging the budget")
 
-    monkeypatch.setattr(np.random, "SeedSequence", refuse)
     monkeypatch.setattr("schedsec.simulation._trial_shifts", refuse)
     monkeypatch.setenv("SCHEDSEC_BUDGET", "1000")
     sd = construct_shift_invariant([(1, 3), (1, 2), (1, 3)])
     with pytest.raises(BudgetError):
         monte_carlo_expected_cost(study_systems, sd, trials=10**12, seed=1,
-                                  randomize_interleaving=randomize,
                                   ladders=study_ladders)
 
 
