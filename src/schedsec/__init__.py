@@ -1,6 +1,12 @@
 """Scheduling, clock-spoofing attacks, and shift-invariant defenses for
 multi-sensor remote state estimation over a shared collision channel."""
 
+# the one version literal: pyproject.toml reads it for the distribution's
+# metadata and run_manifest.json records it, so a source checkout and an
+# install report the same version.  It stays a plain string assignment above
+# the imports, where setuptools reads it without importing the package.
+__version__ = "0.1.0"
+
 from .attack import (AttackSearchResult, blocks_sensor, bnb_optimal_attack,
                      brute_force_optimal_attack, isolate_sensor_attack,
                      random_attack)
@@ -18,8 +24,6 @@ from .scheduling import (CostReport, Schedule, ShiftTuple, apply_shift,
                          average_cost, optimal_schedule_search, reception)
 from .simulation import (CovarianceSeries, MonteCarloCost,
                          exact_covariance_series, monte_carlo_expected_cost)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AttackSearchResult", "BoundsReport", "BudgetError", "ConvergenceError",

@@ -21,11 +21,11 @@ import itertools
 import json
 import math
 import sys
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .attack import (bnb_optimal_attack, brute_force_optimal_attack,
                      isolate_sensor_attack, random_attack)
 from .errors import (BudgetError, InfeasibleError, SchedSecError,
@@ -39,13 +39,6 @@ from .scheduling import (Schedule, ShiftTuple, average_cost,
 from .simulation import exact_covariance_series, monte_carlo_expected_cost
 
 _BUNDLED_SYSTEMS = "bundled:three-sensor-study"
-
-
-def _package_version() -> str:
-    try:
-        return metadata.version("schedsec")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def _finite(v):
@@ -117,22 +110,26 @@ class _Run:
             return 0
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
+        # each artifact is encoded once: the manifest hashes the bytes that
+        # are written, on every platform's line ends
+        data = {name: text.encode("utf-8")
+                for name, text in self.artifacts.items()}
         manifest = {
             "command": self.command,
             "parameters": self.parameters,
             "inputs": self.inputs,
-            "outputs": {name: _sha256(text.encode("utf-8"))
-                        for name, text in sorted(self.artifacts.items())},
+            "outputs": {name: _sha256(blob)
+                        for name, blob in sorted(data.items())},
             "versions": {
-                "schedsec": _package_version(),
+                "schedsec": __version__,
                 "numpy": np.__version__,
                 "python": "%d.%d.%d" % sys.version_info[:3],
             },
         }
-        self.artifacts["run_manifest.json"] = _json_text(manifest)
-        for name, text in self.artifacts.items():
-            (outdir / name).write_text(text, encoding="utf-8")
-        sys.stdout.write(f"wrote {len(self.artifacts)} files to {outdir}\n")
+        data["run_manifest.json"] = _json_text(manifest).encode("utf-8")
+        for name, blob in data.items():
+            (outdir / name).write_bytes(blob)
+        sys.stdout.write(f"wrote {len(data)} files to {outdir}\n")
         return 0
 
 
@@ -609,9 +606,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first `main` call, not at import: a process that runs many
+# commands (a test session, a benchmark loop) builds the tree once, and one
+# that only imports the module builds none
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except BudgetError as exc:

@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import factor_families
-from schedsec.cli import _json_text, main
+from schedsec import cli
+from schedsec.cli import _json_text, build_parser, main
 from schedsec.errors import StabilityWarning, read_json
 from schedsec.protocol_sequences import (construct_shift_invariant,
                                          policies_from_dict, policies_to_dict,
@@ -654,6 +655,63 @@ def test_exit_code_usage():
     with pytest.raises(SystemExit) as exc3:
         main(["defend", "construct", "--mode", "shortest-period", "-n", "0"])
     assert exc3.value.code == 2
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch,
+                                                   capsys, systems_path,
+                                                   sched_path):
+    # one process keeps the parser of its first main call; every later call,
+    # after a usage error too, must behave as a fresh interpreter does
+    built = []
+
+    def counting_build_parser():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    # argparse wraps its messages to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = [
+        ["reproduce-paper", "--out", "repro"],
+        ["cost", "--systems", systems_path, "--schedule", sched_path,
+         "--format", "xml"],
+        ["cost", "--systems", systems_path, "--schedule", sched_path,
+         "--format", "csv"],
+        # --format defaults to json here and to csv for reproduce-paper
+        ["steady-state", "--systems", systems_path],
+        ["reproduce-paper", "--out", "again"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    fresh.mkdir()
+    kept.mkdir()
+    monkeypatch.chdir(kept)
+    capsys.readouterr()  # what the fixtures printed
+    codes = []
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-m", "schedsec.cli", *argv],
+                              capture_output=True, env=env, cwd=fresh,
+                              timeout=120)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out.encode(), err.encode()) == (
+            proc.returncode, proc.stdout, proc.stderr), argv
+        codes.append(code)
+    assert codes == [0, 2, 0, 0, 0]
+    assert built == [None]
+    for name in ("repro", "again"):
+        files = sorted(path.name for path in (fresh / name).iterdir())
+        assert files == sorted(path.name for path in (kept / name).iterdir())
+        assert "run_manifest.json" in files
+        for file in files:
+            assert ((kept / name / file).read_bytes()
+                    == (fresh / name / file).read_bytes()), (name, file)
 
 
 def test_format_flag_only_where_a_table_is_rendered(tmp_path, capsys,
