@@ -143,11 +143,10 @@ def _cheapest_block(sched: Schedule, target: int):
     w = T - 1
     K = len(others) * w
     # column b*w + t-1 is the row of sensor others[b] shifted by t
-    rows = np.array(sched.rows, dtype=int)[others]
-    cols = _shifted(rows[:, None], np.arange(1, T)).reshape(K, T).T
+    cols = _shifted(sched.array[others, None], np.arange(1, T)).reshape(K, T).T
     A = np.vstack([-cols.astype(float),
                    np.repeat(np.eye(len(others)), w, axis=1)])
-    b = np.concatenate([-np.array(sched.rows[target], dtype=float),
+    b = np.concatenate([-sched.array[target].astype(float),
                         np.ones(len(others))])
     fixed: dict[int, int] = {}
     incumbent = float("inf")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -48,39 +47,22 @@ def _finite(v):
     return None if math.isinf(v) or math.isnan(v) else v
 
 
-# the two entries of a 0/1 row, as bytes(row) holds them, to their digits
-_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _rows_text(rows) -> str | None:
-    """A "rows" matrix of 0/1 integers as json.dumps(indent=2) renders it
-    under a top-level key, one entry per line; None for anything else."""
-    if (not isinstance(rows, list) or not rows
-            or not all(isinstance(row, list) and row for row in rows)
-            or set(map(type, itertools.chain.from_iterable(rows))) != {int}
-            or min(map(min, rows)) < 0 or max(map(max, rows)) > 1):
-        return None
-    inner = "\n    ],\n    [\n      ".join(
-        ",\n      ".join(bytes(row).translate(_BIT_DIGITS).decode("ascii"))
-        for row in rows)
-    return f"[\n    [\n      {inner}\n    ]\n  ]"
-
-
-def _json_text(doc) -> str:
+def _json_text(doc, sched: Schedule | None = None) -> str:
     """json.dumps(doc, indent=2, sort_keys=True) and a newline.
 
-    The indented encoder is pure Python, and a large defense's "rows"
-    matrix has millions of entries, so a 0/1 matrix under the top-level
-    key "rows" is rendered by `_rows_text` and spliced in where the
-    encoder put null.  A top-level key is the only line that starts with
-    two spaces and a quote, since a newline inside a JSON string is
-    escaped.
-    """
-    rows = _rows_text(doc.get("rows")) if isinstance(doc, dict) else None
-    if rows is None:
+    A defense can have millions of entries, too many for the pure-Python
+    indented encoder, so the top-level "rows" of a document written for
+    `sched` is rendered from its array's bytes and spliced in where the
+    encoder put null: a top-level key is the only line that starts with
+    two spaces and a quote, since JSON strings escape their newlines."""
+    if sched is None:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    text = json.dumps({**doc, "rows": None}, indent=2, sort_keys=True)
-    return text.replace('\n  "rows": null', '\n  "rows": ' + rows, 1) + "\n"
+    head, tail = json.dumps({**doc, "rows": None}, indent=2, sort_keys=True
+                            ).split('\n  "rows": null', 1)
+    rows = "\n    ],\n    [\n      ".join(  # 0x30 | bit: its ASCII digit
+        ",\n      ".join(row.tobytes().decode("ascii"))
+        for row in sched.array | 0x30)
+    return f'{head}\n  "rows": [\n    [\n      {rows}\n    ]\n  ]{tail}\n'
 
 
 def _sha256(data: bytes) -> str:
@@ -97,8 +79,8 @@ class _Run:
         self.inputs: dict[str, str] = {}
         self.parameters: dict = {}
 
-    def add_json(self, name: str, doc):
-        self.artifacts[name] = _json_text(doc)
+    def add_json(self, name: str, doc, sched: Schedule | None = None):
+        self.artifacts[name] = _json_text(doc, sched)
 
     def add_text(self, name: str, text: str):
         self.artifacts[name] = text
@@ -303,7 +285,7 @@ def _cmd_schedule(args) -> int:
     periods = _parse_periods(args.periods)
     run.parameters["periods"] = list(periods)
     sched, report = optimal_schedule_search(systems, periods)
-    run.add_json("schedule.json", sched.to_dict())
+    run.add_json("schedule.json", sched.to_dict(), sched)
     _emit_cost(run, report, "schedule_cost")
     return run.finish("schedule.json")
 
@@ -363,17 +345,18 @@ def _cmd_defend_construct(args) -> int:
             raise ValidationError(
                 "shortest-period mode needs -n or --schedule to fix the "
                 "sensor count")
-        doc = policies_to_dict(shortest_period_policies(n))
+        doc = policies_to_dict(ps := shortest_period_policies(n))
         run.parameters = {"mode": args.mode, "n_sensors": n}
     else:
         if not args.schedule:
             raise ValidationError(
                 "same-duty mode needs --schedule to read duty factors from")
         sched = _load_arg(run, "schedule", args.schedule, Schedule.from_dict)
-        doc = policies_to_dict(construct_shift_invariant(sched.duty_factors()))
+        ps = construct_shift_invariant(sched.duty_factors())
+        doc = policies_to_dict(ps)
         run.parameters = {"mode": args.mode, "schedule": args.schedule,
                           "factors": doc["factors"]}
-    run.add_json("policies.json", doc)
+    run.add_json("policies.json", doc, ps)
     return run.finish("policies.json")
 
 
@@ -433,7 +416,7 @@ def _cmd_reproduce(args) -> int:
 
     sched, sched_report = optimal_schedule_search(systems, periods,
                                                   ladders=ladders)
-    run.add_json("schedule.json", sched.to_dict())
+    run.add_json("schedule.json", sched.to_dict(), sched)
     _emit_cost(run, sched_report, "schedule_cost")
 
     result = bnb_optimal_attack(sched)
@@ -450,8 +433,9 @@ def _cmd_reproduce(args) -> int:
 
     same_duty = construct_shift_invariant(sched.duty_factors())
     shortest = shortest_period_policies(sched.n_sensors)
-    run.add_json("defense_same_duty.json", policies_to_dict(same_duty))
-    run.add_json("defense_shortest.json", policies_to_dict(shortest))
+    run.add_json("defense_same_duty.json", policies_to_dict(same_duty),
+                 same_duty)
+    run.add_json("defense_shortest.json", policies_to_dict(shortest), shortest)
     run.add_json("bounds.json", {
         "same_duty": _bounds_doc(bounds(same_duty, ladders)),
         "shortest_period": _bounds_doc(bounds(shortest, ladders)),

@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import (SchedSecError, ValidationError, Work, is_integer,
                      json_list, json_object, strict_int)
-from .scheduling import (Schedule, ShiftTuple, _check_binary_rows,
-                         _shifted, reception)
+from .scheduling import (Schedule, ShiftTuple, _binary_rows, _shifted,
+                         reception)
 
 
 def _duty_factor(value, i: int) -> Fraction:
@@ -110,7 +110,7 @@ def policies_from_dict(doc) -> Schedule:
         if (n, d) != (f.numerator, f.denominator):
             raise ValidationError(
                 f"factor {i} is {n}/{d}, but row {i} transmits in "
-                f"{sum(sched.rows[i])} of {sched.period} slots: {f} in "
+                f"{f * sched.period} of {sched.period} slots: {f} in "
                 f"lowest terms")
     _design_factors(sched)
     return sched
@@ -138,7 +138,7 @@ def hamming_cross_correlation(policies, U, shifts) -> int:
     own offset, transmits simultaneously."""
     sched = Schedule.coerce(policies)
     U, shifts = _check_tuple(U, shifts, sched.n_sensors, sched.period)
-    return _correlation(np.array(sched.rows, dtype=bool), U, shifts)
+    return _correlation(sched.array, U, shifts)
 
 
 def _correlation(rows: np.ndarray, U, shifts) -> int:
@@ -155,7 +155,7 @@ def throughput(policies, U, shifts, position: int) -> Fraction:
     if not 0 <= position < len(U):
         raise ValidationError(
             f"position {position} out of range for a {len(U)}-sensor tuple")
-    members = Schedule(sched.period, tuple(sched.rows[i] for i in U))
+    members = Schedule(sched.period, sched.array[list(U)])
     return Fraction(sum(reception(members, ShiftTuple(shifts))[position]),
                     sched.period)
 
@@ -304,7 +304,7 @@ def is_shift_invariant(policies) -> InvarianceReport:
     tuple and per shift tuple walked, lazily, for the witness.
     """
     sched = Schedule.coerce(policies)
-    rows, period = np.array(sched.rows, dtype=np.int64), sched.period
+    rows, period = sched.array, sched.period
     work = Work("invariance check")
     masks = _supports(rows, period, work)
     if not _zero_sum(masks, period, work):
@@ -366,22 +366,21 @@ def construct_shift_invariant(factors, interleavings=None) -> Schedule:
     for i, frac in enumerate(fs):
         n, d = frac.numerator, frac.denominator
         if interleavings is None:
-            V = _shifted([0] * (d - n) + [1] * n, np.arange(D_prev))
+            V = _shifted(np.uint8([0] * (d - n) + [1] * n), np.arange(D_prev))
         else:
             if len(interleavings[i]) != D_prev:
                 raise ValidationError(
                     f"sensor {i} needs {D_prev} interleaving vectors, "
                     f"got {len(interleavings[i])}")
-            _check_binary_rows(interleavings[i], d,
-                               context=f"sensor {i} interleaving vectors")
-            V = np.array(interleavings[i], dtype=np.int8)
+            V = _binary_rows(interleavings[i], d,
+                             f"sensor {i} interleaving vectors")
             for j, w in enumerate(V.sum(axis=1).tolist()):
                 if w != n:
                     raise ValidationError(
                         f"sensor {i} vector {j} has weight {w}, expected {n}")
-        rows.append(V[k % D_prev, k // D_prev % d].tolist())
+        rows.append(V[k % D_prev, k // D_prev % d])
         D_prev *= d
-    return Schedule(period=D, rows=tuple(map(tuple, rows)))
+    return Schedule(period=D, rows=np.array(rows))
 
 
 def shortest_period_policies(n_sensors: int) -> Schedule:

@@ -2,18 +2,20 @@
 
 N sensors share one channel in slotted time.  A schedule fixes, for each slot
 of a period T, which sensors transmit; a packet gets through only when its
-sender is the sole transmitter in the slot.  A clock-shift attack offsets a
-sensor's slot clock, so it transmits row[(k + tau) % T].  One gather,
-`_shifted`, computes that index for the whole package: collisions, attack
-columns, correlations, canonical rotations and interleaved defenses.  One
-kernel, `_sole_receptions`, applies the collision rule to a batch of
-shifted schedules at once; `reception` is its one-trial case.  The
-long-run estimation cost of a reception pattern depends only on the cyclic
-gap structure between receptions: a sensor that last received t slots ago
-carries covariance h^t(P_bar), so the per-period cost is the count of slots
-at each gap t weighted by the trace ladder.  One kernel, `_row_runs`, reads
-those gaps off a batch of reception rows, for `average_cost`, the schedule
-search and Monte Carlo alike.
+sender is the sole transmitter in the slot.  A `Schedule` stores that as one
+read-only (N, T) uint8 array, `sched.array`, checked once from 0/1 rows or an
+integer or bool array; `sched.rows` is a tuple view derived from it.  A
+clock-shift attack offsets a sensor's slot clock, so it transmits
+row[(k + tau) % T].  One gather, `_shifted`, computes that index for the
+whole package: collisions, attack columns, correlations, canonical rotations
+and interleaved defenses.  One kernel, `_sole_receptions`, applies the
+collision rule to a batch of shifted schedules at once; `reception` is its
+one-trial case.  The long-run estimation cost of a reception pattern depends
+only on the cyclic gap structure between receptions: a sensor that last
+received t slots ago carries covariance h^t(P_bar), so the per-period cost is
+the count of slots at each gap t weighted by the trace ladder.  One kernel,
+`_row_runs`, reads those gaps off a batch of reception rows, for
+`average_cost`, the schedule search and Monte Carlo alike.
 """
 
 from __future__ import annotations
@@ -34,57 +36,86 @@ from .lti_estimation import LinearSystem, SteadyState, steady_state
 _BLOCK_SLOTS = 1 << 18
 
 
-def _check_binary_rows(rows, period, context="schedule"):
-    for i, row in enumerate(rows):
-        if len(row) != period:
-            raise ValidationError(
-                f"{context}: row {i} has length {len(row)}, expected {period}")
-        try:
-            binary = set(row) <= {0, 1}
-        except TypeError:  # an unhashable entry is not 0 or 1 either
-            binary = False
-        if not binary:
-            k, v = next((k, v) for k, v in enumerate(row) if v not in (0, 1))
-            raise ValidationError(
-                f"{context}: row {i} slot {k} is {v!r}, expected 0 or 1")
+def _binary_rows(rows, period=None, context="schedule") -> np.ndarray:
+    """0/1 rows as a new (N, T) uint8 array, checked once (in one pass
+    for an integer or bool array), naming the first fault: rows of `period`
+    entries (the first row's count when None), bools or integers 0 or 1."""
+    rows = rows if isinstance(rows, np.ndarray) else list(rows)  # read once
+    if period is None:
+        period = len(rows[0]) if len(rows) else 0
+        if len(rows) and not period:
+            raise ValidationError(f"{context} must be nonempty")
+    try:
+        a = np.asarray(rows)
+    except ValueError:  # ragged rows: the loop below names the fault
+        a = np.asarray(None)
+    if (a.ndim != 2 or a.dtype.kind not in "biu" or a.shape[1] != period
+            or ((a < 0) | (a > 1)).any()):
+        for i, row in enumerate(rows):
+            if not hasattr(row, "__len__"):
+                row = row.item() if isinstance(row, np.generic) else row
+                raise ValidationError(f"{context}: row {i} is {row!r}, "
+                                      f"expected a row of {period} entries")
+            if len(row) != period:
+                raise ValidationError(f"{context}: row {i} has length "
+                                      f"{len(row)}, expected {period}")
+            for k, v in enumerate(row):
+                v = v.item() if isinstance(v, np.generic) else v
+                if type(v) not in (int, bool) or v not in (0, 1):
+                    raise ValidationError(f"{context}: row {i} slot {k} is "
+                                          f"{v!r}, expected 0 or 1")
+        a = np.asarray(rows, dtype=np.uint8).reshape(len(rows), period)
+    return a.astype(np.uint8)  # a copy, whatever the caller holds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Schedule:
-    """Binary transmission policies: rows[i][k] = 1 iff sensor i transmits
-    in slot k of the cyclic period."""
+    """Binary transmission policies: array[i, k] = 1 iff sensor i transmits
+    in slot k of the period; `rows` is a tuple view built on each read."""
 
     period: int
-    rows: tuple[tuple[int, ...], ...]
+    array: np.ndarray
 
-    def __post_init__(self):
-        if self.period < 1:
-            raise ValidationError(f"period must be >= 1, got {self.period}")
-        if not self.rows:
+    def __init__(self, period: int, rows):
+        period = strict_int(period, "period")
+        if period < 1:
+            raise ValidationError(f"period must be >= 1, got {period}")
+        array = _binary_rows(rows, period)
+        if not len(array):
             raise ValidationError("schedule needs at least one sensor row")
-        _check_binary_rows(self.rows, self.period)
-        object.__setattr__(self, "rows",
-                           tuple(tuple(int(v) for v in row) for row in self.rows))
+        array.flags.writeable = False
+        self.__dict__.update(period=period, array=array)  # frozen
+
+    def __reduce__(self):  # a copy or an unpickled one is checked and frozen
+        return Schedule, (self.period, self.array)
+
+    def __eq__(self, other):
+        return (isinstance(other, Schedule) and self.period == other.period
+                and np.array_equal(self.array, other.array))
+
+    def __hash__(self):
+        return hash((self.period, self.array.tobytes()))
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.array.tolist()))
 
     @classmethod
     def coerce(cls, value) -> "Schedule":
-        """A Schedule as it is; plain 0/1 rows of one common length become
-        a Schedule with that period."""
+        """A Schedule as it is; 0/1 rows of one length, as a Schedule."""
         if isinstance(value, Schedule):
             return value
-        rows = tuple(tuple(row) for row in value)
-        if not rows:
-            raise ValidationError("schedule needs at least one sensor row")
-        return cls(period=len(rows[0]), rows=rows)
+        rows = _binary_rows(value)
+        return cls(rows.shape[1] or 1, rows)  # no rows: Schedule says so
 
     @property
     def n_sensors(self) -> int:
-        return len(self.rows)
+        return len(self.array)
 
     @property
     def is_exclusive(self) -> bool:
         """True when every slot has exactly one transmitter."""
-        return all(sum(row[k] for row in self.rows) == 1 for k in range(self.period))
+        return bool((self.array.sum(axis=0) == 1).all())
 
     def require_exclusive(self):
         if not self.is_exclusive:
@@ -94,10 +125,10 @@ class Schedule:
 
     def duty_factors(self) -> list[Fraction]:
         """Fraction of slots each row transmits in, in lowest terms."""
-        return [Fraction(sum(row), self.period) for row in self.rows]
+        return [Fraction(w, self.period) for w in self.array.sum(1).tolist()]
 
     def to_dict(self) -> dict:
-        return {"T": self.period, "rows": [list(row) for row in self.rows]}
+        return {"T": self.period, "rows": self.array.tolist()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Schedule":
@@ -174,9 +205,9 @@ def apply_shift(row, tau: int):
 def _sole_receptions(rows: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Collision-channel outcome of a batch of trials, in one gather.
 
-    rows is a boolean (S, N, T) stack holding one schedule per trial, or
+    rows is a 0/1 uint8 (S, N, T) stack holding one schedule per trial, or
     one schedule for all (S = 1); taus is the (trials, N) array of clock
-    offsets.  Entry [j, i, k] of the result is True iff sensor i's row in
+    offsets.  Entry [j, i, k] of the result is 1 iff sensor i's row in
     trial j, shifted by taus[j, i], transmits in slot k and no other
     shifted row does.
     """
@@ -193,14 +224,12 @@ def reception(sched: Schedule,
     if attack is not None:
         attack.validate_for(sched)
         taus = attack.taus
-    sole = _sole_receptions(np.array([sched.rows], dtype=bool),
-                            np.array([taus]))
-    return sole[0].astype(int).tolist()
+    return _sole_receptions(sched.array[None], np.array([taus]))[0].tolist()
 
 
 def _row_runs(sole: np.ndarray) -> list[tuple[int, ...]]:
     """Each row's multiset of cyclic reception gaps, for every row of a
-    boolean (R, T) reception array at once: the sorted lengths of the runs
+    0/1 (R, T) reception array at once: the sorted lengths of the runs
     from each reception slot to the next, wrapping round the period.  A
     row that never receives has none.  These sorted tuples of ints are the
     memo keys of `_gap_pricer`."""
@@ -216,17 +245,6 @@ def _row_runs(sole: np.ndarray) -> list[tuple[int, ...]]:
     runs = runs[np.lexsort((runs, r))].tolist()
     ends = np.cumsum(np.bincount(r, minlength=R)).tolist()
     return [tuple(runs[lo:hi]) for lo, hi in zip([0, *ends], ends)]
-
-
-def _reception_array(receptions: Sequence[Sequence[int]]) -> np.ndarray:
-    """Reception rows as a boolean (N, T) array, checked first: nonempty
-    0/1 rows of one common length."""
-    N = len(receptions)
-    T = len(receptions[0]) if N else 0
-    if N and T == 0:
-        raise ValidationError("reception row must be nonempty")
-    _check_binary_rows(receptions, T, context="reception row")
-    return np.array(receptions, dtype=bool).reshape(N, T)
 
 
 def _gap_histogram(runs: Sequence[int]) -> list[int]:
@@ -310,7 +328,8 @@ def average_cost(receptions: Sequence[Sequence[int]],
             f"got {len(receptions)} reception rows for {len(ladders)} ladders")
     price = _gap_pricer(ladders)
     return CostReport(tuple(price(i, runs) for i, runs in
-                            enumerate(_row_runs(_reception_array(receptions)))))
+                            enumerate(_row_runs(_binary_rows(
+                                receptions, context="reception row")))))
 
 
 def _necklaces(n_symbols: int, length: int):
@@ -338,13 +357,13 @@ def _necklaces(n_symbols: int, length: int):
 
 def _canonical_rotation(cols: tuple[int, ...], n_sensors: int):
     """The cyclic rotation of a columnwise assignment whose row-major
-    flattened 0/1 matrix, as bytes, is smallest; returns (bytes, rows)."""
+    flattened 0/1 matrix, as bytes, is smallest; returns (bytes, array)."""
     T = len(cols)
     onehot = np.arange(n_sensors)[:, None] == np.array(cols)
     rotations = _shifted(onehot, np.arange(T)[:, None]).view(np.uint8)
     keys = [rot.tobytes() for rot in rotations]
     r = keys.index(min(keys))
-    return keys[r], tuple(map(tuple, rotations[r].tolist()))
+    return keys[r], rotations[r]
 
 
 def optimal_schedule_search(systems: Sequence[LinearSystem],
@@ -388,7 +407,7 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
         ladders = [steady_state(s) for s in systems]
     price = _gap_pricer(ladders)
     sensors = np.arange(N)[:, None]
-    best = None  # (total, flat_key, T, rows, per-sensor costs)
+    best = None  # (total, flat_key, T, uint8 rows, per-sensor costs)
     # A NaN total never wins.  Necklaces that starve a sensor (total inf)
     # are walked only when nothing that serves every sensor is finite.
     for starving in (False, True):

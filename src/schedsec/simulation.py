@@ -342,12 +342,11 @@ def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
     if ladders is None:
         ladders = [steady_state(sys) for sys in systems]
     price = _gap_pricer(ladders)
-    rows = np.array([sched.rows], dtype=bool)
     block = max(1, scheduling._BLOCK_SLOTS // (N * T))
     samples = []
     for lo in range(0, trials, block):
         taus = _trial_shifts(seed, lo, min(trials, lo + block), N, T)
-        sole = _sole_receptions(rows, taus).reshape(-1, T)
+        sole = _sole_receptions(sched.array[None], taus).reshape(-1, T)
         per = [price(r % N, runs) for r, runs in enumerate(_row_runs(sole))]
         # a trial's cost is its sensors' costs summed in order, as in
         # CostReport.total

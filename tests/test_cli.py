@@ -23,8 +23,9 @@ from schedsec import cli
 from schedsec.cli import _json_text, build_parser, main
 from schedsec.errors import StabilityWarning, read_json
 from schedsec.protocol_sequences import (construct_shift_invariant,
+                                         hamming_cross_correlation,
                                          policies_from_dict, policies_to_dict,
-                                         shortest_period_policies)
+                                         shortest_period_policies, throughput)
 from schedsec.scheduling import Schedule
 
 
@@ -657,6 +658,37 @@ def test_exit_code_usage():
     assert exc3.value.code == 2
 
 
+def test_no_command_reads_schedule_rows(tmp_path, monkeypatch):
+    # every layer reads a schedule's array; the tuple view is for callers
+    def unread(self):
+        raise AssertionError("Schedule.rows read inside the package")
+
+    monkeypatch.setattr(Schedule, "rows", property(unread))
+    rp, sys_ = tmp_path / "rp", "bundled:three-sensor-study"
+    sched, ps = str(rp / "schedule.json"), str(rp / "defense_same_duty.json")
+    commands = [
+        ["reproduce-paper", "--out", str(rp)],
+        ["schedule", "--systems", sys_, "--periods", "3,4"],
+        ["cost", "--systems", sys_, "--schedule", sched],
+        ["attack", "optimal", "--schedule", sched],
+        ["attack", "isolate", "--schedule", sched, "--target", "0"],
+        ["defend", "construct", "--mode", "same-duty", "--schedule", sched],
+        ["defend", "construct", "--mode", "shortest-period", "-n", "4"],
+        ["defend", "bounds", "--systems", sys_, "--policies", ps],
+        ["defend", "verify", "--policies", ps],
+        ["defend", "verify", "--schedule", sched],
+        ["simulate", "--systems", sys_, "--policies", ps, "--horizon", "30",
+         "--trials", "5"],
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    # nor do the library calls the commands leave out
+    ref = shortest_period_policies(3)
+    assert hamming_cross_correlation(ref, (0, 1), (0, 1)) == 2
+    assert throughput(ref, (0, 2), (1, 0), 0) == Fraction(1, 4)
+
+
 def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch,
                                                    capsys, systems_path,
                                                    sched_path):
@@ -843,17 +875,17 @@ def _dumps_text(doc):
 
 
 def test_json_text_is_json_dumps_for_schedules_and_policy_sets():
-    docs = [policies_to_dict(shortest_period_policies(n))
-            for n in range(1, 13)]
-    docs += [policies_to_dict(construct_shift_invariant(fam))
-             for fam in factor_families(64)[::53]]
+    # the "rows" of a document written for a schedule come from its array
+    sets = [shortest_period_policies(n) for n in range(1, 13)]
+    sets += [construct_shift_invariant(fam) for fam in factor_families(64)[::53]]
+    docs = [(policies_to_dict(ps), ps) for ps in sets]
     for sched in (Schedule(period=1, rows=((1,),)),
                   Schedule(period=5, rows=((1, 0, 1, 1, 0),)),
                   Schedule(period=3, rows=((0, 0, 1), (0, 1, 0), (1, 0, 0))),
                   shortest_period_policies(4)):
-        docs += [sched.to_dict()]
-    for doc in docs:
-        assert _json_text(doc) == _dumps_text(doc)
+        docs += [(sched.to_dict(), sched)]
+    for doc, sched in docs:
+        assert _json_text(doc, sched) == _json_text(doc) == _dumps_text(doc)
 
 
 @pytest.mark.parametrize("doc", [
@@ -869,6 +901,13 @@ def test_json_text_is_json_dumps_for_other_documents(doc):
     assert _json_text(doc) == _dumps_text(doc)
 
 
+def test_json_text_splices_only_the_top_level_rows():
+    # a nested "rows" and the splice marker's text inside a string
+    doc = {"a": {"rows": None}, "b": '\n  "rows": null',
+           "rows": [[0, 1], [1, 0]], "s": {"rows": [[1]]}}
+    assert _json_text(doc, Schedule.coerce(doc["rows"])) == _dumps_text(doc)
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=st.integers(1, 30).flatmap(lambda T: st.lists(
            st.lists(st.integers(0, 1), min_size=T, max_size=T),
@@ -877,5 +916,6 @@ def test_json_text_is_json_dumps_for_other_documents(doc):
                             st.one_of(st.none(), st.integers(), st.text(),
                                       st.lists(st.integers(0, 1)))))
 def test_json_text_is_json_dumps_for_any_binary_rows(rows, rest):
+    sched = Schedule.coerce(rows)
     doc = {**rest, "rows": rows}
-    assert _json_text(doc) == _dumps_text(doc)
+    assert _json_text(doc, sched) == _json_text(doc) == _dumps_text(doc)

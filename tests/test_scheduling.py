@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +14,8 @@ from schedsec import scheduling
 from schedsec.cli import _cost_csv
 from schedsec.errors import BudgetError, ValidationError, Work, read_json
 from schedsec.lti_estimation import steady_state
-from schedsec.scheduling import (Schedule, ShiftTuple, _gap_histogram,
-                                 _necklaces,
-                                 _reception_array, _row_runs,
+from schedsec.scheduling import (Schedule, ShiftTuple, _binary_rows,
+                                 _gap_histogram, _necklaces, _row_runs,
                                  average_cost, optimal_schedule_search,
                                  reception)
 
@@ -26,7 +27,8 @@ binary_row = st.lists(st.integers(0, 1), min_size=1, max_size=12)
 def gap_counts(row):
     """Gap histogram of a reception row, through the row check and the
     batch runs that average_cost applies."""
-    return _gap_histogram(_row_runs(_reception_array([row]))[0])
+    return _gap_histogram(
+        _row_runs(_binary_rows([row], context="reception row"))[0])
 
 
 def test_gap_histogram_hand_values():
@@ -106,6 +108,106 @@ def test_schedule_validation():
         s.require_exclusive()
 
 
+# every form a caller may give the same 0/1 rows in
+INPUT_FORMS = {
+    "tuples": lambda rows: tuple(map(tuple, rows)),
+    "lists": lambda rows: [list(row) for row in rows],
+    "generator": lambda rows: (tuple(row) for row in rows),
+    "uint8": lambda rows: np.array(rows, dtype=np.uint8),
+    "bool": lambda rows: np.array(rows, dtype=bool),
+    "int64": lambda rows: np.array(rows, dtype=np.int64),
+    "numpy rows": lambda rows: [np.array(row) for row in rows],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 9).flatmap(lambda T: st.lists(
+    st.lists(st.integers(0, 1), min_size=T, max_size=T),
+    min_size=1, max_size=4)))
+def test_one_schedule_from_any_input_form(rows):
+    T = len(rows[0])
+    scheds = [Schedule(T, form(rows)) for form in INPUT_FORMS.values()]
+    scheds += [Schedule(period=np.int64(T), rows=rows),
+               Schedule.coerce(np.array(rows, dtype=bool))]
+    for sched in scheds:
+        assert sched == scheds[0] and hash(sched) == hash(scheds[0])
+        assert type(sched.period) is int and sched.period == T
+        assert sched.rows == tuple(map(tuple, rows))
+        assert all(type(v) is int for row in sched.rows for v in row)
+        assert sched.to_dict() == {"T": T, "rows": rows}
+        assert json.dumps(sched.to_dict()) == json.dumps(scheds[0].to_dict())
+        assert sched.array.dtype == np.uint8 and sched.array.shape == (len(rows), T)
+        assert not sched.array.flags.writeable
+        with pytest.raises(ValueError):
+            sched.array[0, 0] = 1
+    assert len({*scheds}) == 1
+    assert scheds[0] != Schedule(T + 1, [row + [0] for row in rows])
+    assert scheds[0] != tuple(map(tuple, rows))
+
+
+def test_schedule_copies_a_callers_array():
+    given_rows = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+    sched = Schedule(2, given_rows)
+    given_rows[0, 0] = 0
+    assert given_rows.flags.writeable
+    assert sched.rows == ((1, 0), (0, 1))
+    # copies and unpickled schedules are rebuilt through the check, frozen
+    for other in (copy.copy(sched), copy.deepcopy(sched),
+                  pickle.loads(pickle.dumps(sched))):
+        assert other == sched and hash(other) == hash(sched)
+        assert not other.array.flags.writeable
+
+
+def test_schedule_reads_a_generator_once():
+    sched = Schedule(period=2, rows=(r for r in ((1, 0), (0, 1))))
+    assert sched.n_sensors == 2 and sched.rows == ((1, 0), (0, 1))
+    assert sched.is_exclusive
+
+
+@pytest.mark.parametrize("period, rows, message", [
+    (3.0, ((1, 0, 0),), "period must be an integer, got 3.0"),
+    ("3", ((1, 0, 0),), "period must be an integer, got '3'"),
+    (True, ((1,),), "period must be an integer, got True"),
+    (0, ((1,),), "period must be >= 1, got 0"),
+    (2, (), "schedule needs at least one sensor row"),
+    (2, np.zeros((0, 2), dtype=np.uint8), "schedule needs at least one sensor row"),
+    (2, (1, 0), "schedule: row 0 is 1, expected a row of 2 entries"),
+    (2, np.array([1, 0]), "schedule: row 0 is 1, expected a row of 2 entries"),
+    (2, ((1, 0), 1), "schedule: row 1 is 1, expected a row of 2 entries"),
+    (2, ((1 + 0j, 0),), "schedule: row 0 slot 0 is (1+0j), expected 0 or 1"),
+    (2, ((0, 1.0),), "schedule: row 0 slot 1 is 1.0, expected 0 or 1"),
+    (2, np.array([[0, 1.0]]), "schedule: row 0 slot 0 is 0.0, expected 0 or 1"),
+    (2, np.array([[2, 0]]), "schedule: row 0 slot 0 is 2, expected 0 or 1"),
+    (2, np.array([[0, 1], [0, -1]], dtype=np.int8),
+     "schedule: row 1 slot 1 is -1, expected 0 or 1"),
+    (2, ((0, 1), (np.int64(3), 0)),
+     "schedule: row 1 slot 0 is 3, expected 0 or 1"),
+    (2, ((0, 1), (0, "1")), "schedule: row 1 slot 1 is '1', expected 0 or 1"),
+    (2, ((0, 1), (0, [1])), "schedule: row 1 slot 1 is [1], expected 0 or 1"),
+    (3, ((1, 0, 0), (0, 1)), "schedule: row 1 has length 2, expected 3"),
+    (3, np.zeros((2, 2), dtype=int), "schedule: row 0 has length 2, expected 3"),
+])
+def test_schedule_rejects_each_bad_input(period, rows, message):
+    with pytest.raises(ValidationError) as info:
+        Schedule(period, rows)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: average_cost([[]], [None]), "reception row must be nonempty"),
+    (lambda: average_cost([[1, 0, 3]], [None]),
+     "reception row: row 0 slot 2 is 3, expected 0 or 1"),
+    (lambda: average_cost([[1, 0, 0], [0, 1]], [None, None]),
+     "reception row: row 1 has length 2, expected 3"),
+    (lambda: Schedule.coerce([[]]), "schedule must be nonempty"),
+    (lambda: Schedule.coerce([]), "schedule needs at least one sensor row"),
+])
+def test_reception_rows_and_coerce_share_the_row_check(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=st.integers(1, 12).flatmap(lambda T: st.lists(
     st.lists(st.integers(0, 1), min_size=T, max_size=T),
@@ -119,7 +221,7 @@ def test_row_runs_are_the_search_memo_keys(rows):
                             zip(hits, [*hits[1:], hits[0] + len(row)])
                             )) if hits else ()
 
-    got = _row_runs(_reception_array(rows))
+    got = _row_runs(_binary_rows(rows, context="reception row"))
     assert got == [cyclic_runs(row) for row in rows]
     assert all(type(r) is int for runs in got for r in runs)
 
