@@ -30,9 +30,10 @@ from .attack import (bnb_optimal_attack, brute_force_optimal_attack,
 from .errors import (BudgetError, InfeasibleError, SchedSecError,
                      ValidationError, read_json)
 from .lti_estimation import bundled_systems, load_systems, steady_state
-from .protocol_sequences import (bounds, construct_shift_invariant,
+from .protocol_sequences import (_factor_docs, bounds,
+                                 construct_shift_invariant,
                                  is_shift_invariant, policies_from_dict,
-                                 policies_to_dict, shortest_period_policies)
+                                 shortest_period_policies)
 from .scheduling import (Schedule, ShiftTuple, average_cost,
                          optimal_schedule_search, reception)
 from .simulation import exact_covariance_series, monte_carlo_expected_cost
@@ -54,7 +55,9 @@ def _json_text(doc, sched: Schedule | None = None) -> str:
     indented encoder, so the top-level "rows" of a document written for
     `sched` is rendered from its array's bytes and spliced in where the
     encoder put null: a top-level key is the only line that starts with
-    two spaces and a quote, since JSON strings escape their newlines."""
+    two spaces and a quote, since JSON strings escape their newlines.
+    Such a document's own "rows", if it has any, is never read, so its
+    writers pass only the other keys (`_head`)."""
     if sched is None:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     head, tail = json.dumps({**doc, "rows": None}, indent=2, sort_keys=True
@@ -63,6 +66,14 @@ def _json_text(doc, sched: Schedule | None = None) -> str:
         ",\n      ".join(row.tobytes().decode("ascii"))
         for row in sched.array | 0x30)
     return f'{head}\n  "rows": [\n    [\n      {rows}\n    ]\n  ]{tail}\n'
+
+
+def _head(sched: Schedule, factors: bool = False) -> dict:
+    """The keys of sched.to_dict(), or of policies_to_dict(sched) with
+    `factors`, but for "rows", which _json_text renders from the array."""
+    if factors:
+        return {"T": sched.period, "factors": _factor_docs(sched)}
+    return {"T": sched.period}
 
 
 def _sha256(data: bytes) -> str:
@@ -285,7 +296,7 @@ def _cmd_schedule(args) -> int:
     periods = _parse_periods(args.periods)
     run.parameters["periods"] = list(periods)
     sched, report = optimal_schedule_search(systems, periods)
-    run.add_json("schedule.json", sched.to_dict(), sched)
+    run.add_json("schedule.json", _head(sched), sched)
     _emit_cost(run, report, "schedule_cost")
     return run.finish("schedule.json")
 
@@ -345,7 +356,7 @@ def _cmd_defend_construct(args) -> int:
             raise ValidationError(
                 "shortest-period mode needs -n or --schedule to fix the "
                 "sensor count")
-        doc = policies_to_dict(ps := shortest_period_policies(n))
+        doc = _head(ps := shortest_period_policies(n), factors=True)
         run.parameters = {"mode": args.mode, "n_sensors": n}
     else:
         if not args.schedule:
@@ -353,7 +364,7 @@ def _cmd_defend_construct(args) -> int:
                 "same-duty mode needs --schedule to read duty factors from")
         sched = _load_arg(run, "schedule", args.schedule, Schedule.from_dict)
         ps = construct_shift_invariant(sched.duty_factors())
-        doc = policies_to_dict(ps)
+        doc = _head(ps, factors=True)
         run.parameters = {"mode": args.mode, "schedule": args.schedule,
                           "factors": doc["factors"]}
     run.add_json("policies.json", doc, ps)
@@ -416,7 +427,7 @@ def _cmd_reproduce(args) -> int:
 
     sched, sched_report = optimal_schedule_search(systems, periods,
                                                   ladders=ladders)
-    run.add_json("schedule.json", sched.to_dict(), sched)
+    run.add_json("schedule.json", _head(sched), sched)
     _emit_cost(run, sched_report, "schedule_cost")
 
     result = bnb_optimal_attack(sched)
@@ -433,9 +444,10 @@ def _cmd_reproduce(args) -> int:
 
     same_duty = construct_shift_invariant(sched.duty_factors())
     shortest = shortest_period_policies(sched.n_sensors)
-    run.add_json("defense_same_duty.json", policies_to_dict(same_duty),
+    run.add_json("defense_same_duty.json", _head(same_duty, factors=True),
                  same_duty)
-    run.add_json("defense_shortest.json", policies_to_dict(shortest), shortest)
+    run.add_json("defense_shortest.json", _head(shortest, factors=True),
+                 shortest)
     run.add_json("bounds.json", {
         "same_duty": _bounds_doc(bounds(same_duty, ladders)),
         "shortest_period": _bounds_doc(bounds(shortest, ladders)),

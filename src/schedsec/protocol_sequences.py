@@ -82,9 +82,12 @@ def _design_factors(sched: Schedule) -> list[Fraction]:
 def policies_to_dict(sched: Schedule) -> dict:
     """The policy-set document {"T", "rows", "factors"} of a defense: its
     schedule plus each row's duty factor in lowest terms."""
-    return {**sched.to_dict(),
-            "factors": [{"n": f.numerator, "d": f.denominator}
-                        for f in sched.duty_factors()]}
+    return {**sched.to_dict(), "factors": _factor_docs(sched)}
+
+
+def _factor_docs(sched: Schedule) -> list[dict]:
+    return [{"n": f.numerator, "d": f.denominator}
+            for f in sched.duty_factors()]
 
 
 def policies_from_dict(doc) -> Schedule:

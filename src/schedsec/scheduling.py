@@ -15,7 +15,10 @@ only on the cyclic gap structure between receptions: a sensor that last
 received t slots ago carries covariance h^t(P_bar), so the per-period cost is
 the count of slots at each gap t weighted by the trace ladder.  One kernel,
 `_row_runs`, reads those gaps off a batch of reception rows, for
-`average_cost`, the schedule search and Monte Carlo alike.
+`average_cost`, the schedule search and Monte Carlo alike.  The cost is a
+sum over sensors, so the search bounds each sensor's part by its slot count
+alone, takes the count vectors in ascending bound and walks, by content,
+only the necklaces of those whose bound can still reach the incumbent.
 """
 
 from __future__ import annotations
@@ -36,13 +39,27 @@ from .lti_estimation import LinearSystem, SteadyState, steady_state
 _BLOCK_SLOTS = 1 << 18
 
 
+def _scalar(v):
+    """A NumPy scalar as its Python value, for checks and messages."""
+    return v.item() if isinstance(v, np.generic) else v
+
+
 def _binary_rows(rows, period=None, context="schedule") -> np.ndarray:
     """0/1 rows as a new (N, T) uint8 array, checked once (in one pass
     for an integer or bool array), naming the first fault: rows of `period`
     entries (the first row's count when None), bools or integers 0 or 1."""
-    rows = rows if isinstance(rows, np.ndarray) else list(rows)  # read once
+    if not (isinstance(rows, np.ndarray) and rows.ndim):
+        try:
+            rows = list(rows)  # read once
+        except TypeError:
+            raise ValidationError(f"{context}: expected a sequence of rows, "
+                                  f"got {_scalar(rows)!r}") from None
     if period is None:
-        period = len(rows[0]) if len(rows) else 0
+        first = rows[0] if len(rows) else ()
+        if not hasattr(first, "__len__"):
+            raise ValidationError(f"{context}: row 0 is {_scalar(first)!r}, "
+                                  f"expected a row of 0/1 entries")
+        period = len(first)
         if len(rows) and not period:
             raise ValidationError(f"{context} must be nonempty")
     try:
@@ -53,14 +70,14 @@ def _binary_rows(rows, period=None, context="schedule") -> np.ndarray:
             or ((a < 0) | (a > 1)).any()):
         for i, row in enumerate(rows):
             if not hasattr(row, "__len__"):
-                row = row.item() if isinstance(row, np.generic) else row
-                raise ValidationError(f"{context}: row {i} is {row!r}, "
-                                      f"expected a row of {period} entries")
+                raise ValidationError(
+                    f"{context}: row {i} is {_scalar(row)!r}, "
+                    f"expected a row of {period} entries")
             if len(row) != period:
                 raise ValidationError(f"{context}: row {i} has length "
                                       f"{len(row)}, expected {period}")
             for k, v in enumerate(row):
-                v = v.item() if isinstance(v, np.generic) else v
+                v = _scalar(v)
                 if type(v) not in (int, bool) or v not in (0, 1):
                     raise ValidationError(f"{context}: row {i} slot {k} is "
                                           f"{v!r}, expected 0 or 1")
@@ -323,13 +340,13 @@ def average_cost(receptions: Sequence[Sequence[int]],
     that never receives is divergent (its covariance grows without bound
     for unstable dynamics).
     """
-    if len(receptions) != len(ladders):
+    rows = _binary_rows(receptions, context="reception row")  # read once
+    if len(rows) != len(ladders):
         raise ValidationError(
-            f"got {len(receptions)} reception rows for {len(ladders)} ladders")
+            f"got {len(rows)} reception rows for {len(ladders)} ladders")
     price = _gap_pricer(ladders)
-    return CostReport(tuple(price(i, runs) for i, runs in
-                            enumerate(_row_runs(_binary_rows(
-                                receptions, context="reception row")))))
+    return CostReport(tuple(price(i, runs)
+                            for i, runs in enumerate(_row_runs(rows))))
 
 
 def _necklaces(n_symbols: int, length: int):
@@ -355,6 +372,73 @@ def _necklaces(n_symbols: int, length: int):
             yield tuple(a)
 
 
+def _fixed_content_necklaces(counts: Sequence[int]):
+    """Every necklace with counts[s] copies of symbol s exactly once, as its
+    lexicographically smallest rotation, in lexicographic order.
+
+    The recursive FKM walk with each symbol drawn from what is left of the
+    content, run with an explicit stack: a prenecklace a[1..t-1] whose
+    longest Lyndon prefix has length p extends by any symbol j >= a[t-p]
+    still left, and a full word is a necklace iff p divides its length.
+    Only words of this content are visited, never the rest of FKM's.
+    """
+    T, K = sum(counts), len(counts)
+    left = list(counts)
+    first = next(s for s in range(K) if left[s])  # every necklace starts so
+    a = [first] * (T + 1)  # a[1..T]; a[0] is never read
+    p = [1] * (T + 2)      # p[t]: longest Lyndon prefix length of a[1..t-1]
+    left[first] -= 1
+    t, j = 2, first        # the slot to fill and the least symbol to try
+    while t > 1:
+        if t <= T:
+            while j < K and not left[j]:
+                j += 1
+            if j < K:
+                a[t] = j
+                left[j] -= 1
+                p[t + 1] = p[t] if j == a[t - p[t]] else t
+                t += 1
+                j = a[t - p[t]]
+                continue
+        elif T % p[t] == 0:
+            yield tuple(a[1:])
+        t -= 1  # back up: give slot t's symbol back and try the next one
+        left[a[t]] += 1
+        j = a[t] + 1
+
+
+def _count_bounds(ladders: Sequence[SteadyState], cands: Sequence[int]):
+    """bound[T][i][k]: a lower bound on sensor i's cost over every
+    period-T schedule that gives it k slots (entry 0 unused, inf).
+
+    Sensor i's k slots split the period into k cyclic runs, and a run of
+    r slots adds c(r) = sum_{t<r} trace(t) to the sum the cost divides by
+    T, so the bound is the least sum of c over the compositions of T into
+    k positive parts: a DP over (runs, slots used), O(T^3) per sensor,
+    with no convexity of the ladder assumed.  A NaN trace counts as +inf:
+    a NaN cost never wins, and NaN never reaches a comparison.
+    """
+    N, T_max = len(ladders), max(cands)
+    most = T_max - N + 1               # the most slots one sensor can hold
+    longest = T_max if N > 1 else 1    # a sensor's one slot runs all round
+    bound = {T: [[inf] for _ in range(N)] for T in cands}
+    for i, lad in enumerate(ladders):
+        c = [0.0]
+        for t in range(longest):
+            v = lad.trace(t)
+            c.append(c[-1] + (v if v == v else inf))
+        least = [0.0] + [inf] * T_max  # least[s]: s slots in k runs
+        for k in range(1, most + 1):
+            least = [inf] * k + [
+                min(least[s - r] + c[r]
+                    for r in range(1, min(s - k + 1, longest) + 1))
+                for s in range(k, T_max + 1)]
+            for T in cands:
+                if k <= T - N + 1:
+                    bound[T][i].append(least[T] / T)
+    return bound
+
+
 def _canonical_rotation(cols: tuple[int, ...], n_sensors: int):
     """The cyclic rotation of a columnwise assignment whose row-major
     flattened 0/1 matrix, as bytes, is smallest; returns (bytes, array)."""
@@ -370,25 +454,36 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
                             T_candidates: Sequence[int],
                             ladders: Sequence[SteadyState] | None = None
                             ) -> tuple[Schedule, CostReport]:
-    """Search for the cost-minimizing exclusive schedule over necklaces.
+    """Search for the cost-minimizing exclusive schedule: bound each count
+    vector first, then walk only the necklaces that can still win.
 
     The cost depends only on each sensor's cyclic reception gaps, so every
     cyclic rotation of a columnwise transmitter assignment costs the same,
-    to the bit.  The search therefore walks one assignment per rotation
-    class (the necklaces, generated once each by FKM) for each candidate
-    period.  An exclusive assignment's reception rows are its own rows, so
-    the gaps of a whole block of necklaces come from one `_row_runs` call,
-    and each sensor's gap multiset is priced once, however many necklaces
-    share it, with the same float operations as average_cost.  A necklace
-    that leaves a sensor without a slot costs inf and is priced only if no
-    schedule that serves every sensor has a finite cost.  Each class is
-    represented by its rotation with the lexicographically smallest
+    to the bit, and one assignment per rotation class (a necklace) stands
+    for all.  The cost is also a sum over sensors, and sensor i's part is
+    at least `_count_bounds`' bound for its slot count k_i, so every
+    necklace with count vector (k_1, ..., k_N) costs at least
+    LB = sum_i bound_i(k_i).  The search takes the compositions of each
+    candidate period T into N positive parts, C(T-1, N-1) of them, in
+    ascending (LB, T, counts), and stops at the first whose LB exceeds the
+    incumbent's total by more than a relative 1e-9 (the bound adds in
+    another order than the pricer); nothing is pruned while there is no
+    finite incumbent, and vectors that tie are still walked, so the result
+    does not depend on the walk order.  A vector's necklaces are generated
+    by content alone (`_fixed_content_necklaces`), and an exclusive
+    assignment's reception rows are its own rows, so the gaps of a block
+    of them come from one `_row_runs` call, and each sensor's gap multiset
+    is priced once, however many necklaces share it, with the same float
+    operations as average_cost.  A necklace that leaves a sensor without a
+    slot costs inf and is priced (all FKM necklaces of each period) only
+    if no schedule that serves every sensor has a finite cost.  Each class
+    is represented by its rotation with the lexicographically smallest
     row-major flattened 0/1 matrix, and the winner is the minimum of
     (total, that matrix, period): ties break toward the smallest flattened
     matrix, then the smallest period.  The budget (SCHEDSEC_BUDGET) caps
-    the N^T column assignments the candidate periods span, summed over
-    periods and each compared with it before it is raised in full;
-    exceeding it raises BudgetError.
+    the N^T column assignments the candidate periods span, whatever the
+    bound prunes, summed over periods and each compared with it before it
+    is raised in full; exceeding it raises BudgetError.
     """
     N = len(systems)
     if N < 1:
@@ -408,29 +503,42 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
     price = _gap_pricer(ladders)
     sensors = np.arange(N)[:, None]
     best = None  # (total, flat_key, T, uint8 rows, per-sensor costs)
-    # A NaN total never wins.  Necklaces that starve a sensor (total inf)
-    # are walked only when nothing that serves every sensor is finite.
-    for starving in (False, True):
-        if best is not None and best[0] < inf:
-            break
+
+    def walk(necklaces, T):
+        nonlocal best
+        size = max(1, _BLOCK_SLOTS // (N * T))
+        while block := list(itertools.islice(necklaces, size)):
+            # (necklace, sensor) reception rows: sensor i owns cols == i
+            runs = _row_runs((np.array(block)[:, None] == sensors
+                              ).reshape(-1, T))
+            for j, cols in enumerate(block):
+                per = tuple(map(price, range(N), runs[j * N:j * N + N]))
+                total = sum(per)  # CostReport.total, to the bit
+                # a NaN total never wins
+                if not total <= (inf if best is None else best[0]):
+                    continue
+                # every rotation prices the same, so only a contender
+                # needs its canonical rotation for the tie-break
+                key, rows = _canonical_rotation(cols, N)
+                entry = (total, key, T)
+                if best is None or entry < best[:3]:
+                    best = (*entry, rows, per)
+
+    bound = _count_bounds(ladders, cands)
+    vectors = []
+    for T in cands:
+        for cuts in itertools.combinations(range(1, T), N - 1):
+            counts = tuple(b - a for a, b in zip((0, *cuts), (*cuts, T)))
+            vectors.append((sum(bound[T][i][k] for i, k in enumerate(counts)),
+                            T, counts))
+    for lb, T, counts in sorted(vectors):
+        if best is not None and lb > best[0] + 1e-9 * abs(best[0]):
+            break  # every later vector's bound is at least as high
+        walk(_fixed_content_necklaces(counts), T)
+    # Necklaces that starve a sensor (total inf) are walked only when
+    # nothing that serves every sensor is finite.
+    if best is None or best[0] == inf:
         for T in cands:
-            necklaces = (cols for cols in _necklaces(N, T)
-                         if (len(set(cols)) < N) == starving)
-            size = max(1, _BLOCK_SLOTS // (N * T))
-            while block := list(itertools.islice(necklaces, size)):
-                # (necklace, sensor) reception rows: sensor i owns cols == i
-                runs = _row_runs((np.array(block)[:, None] == sensors
-                                  ).reshape(-1, T))
-                for j, cols in enumerate(block):
-                    per = tuple(map(price, range(N), runs[j * N:j * N + N]))
-                    total = sum(per)  # CostReport.total, to the bit
-                    if not total <= (inf if best is None else best[0]):
-                        continue
-                    # every rotation prices the same, so only a contender
-                    # needs its canonical rotation for the tie-break
-                    key, rows = _canonical_rotation(cols, N)
-                    entry = (total, key, T)
-                    if best is None or entry < best[:3]:
-                        best = (*entry, rows, per)
+            walk((cols for cols in _necklaces(N, T) if len(set(cols)) < N), T)
     assert best is not None
     return Schedule(period=best[2], rows=best[3]), CostReport(best[4])

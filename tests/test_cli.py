@@ -888,6 +888,16 @@ def test_json_text_is_json_dumps_for_schedules_and_policy_sets():
         assert _json_text(doc, sched) == _json_text(doc) == _dumps_text(doc)
 
 
+def test_json_text_of_a_head_is_the_whole_document():
+    # the CLI passes only the keys besides "rows", which come from the array
+    sets = [shortest_period_policies(n) for n in (1, 3, 5)]
+    sets += [construct_shift_invariant(fam) for fam in factor_families(64)[::53]]
+    for ps in sets:
+        assert (_json_text(cli._head(ps, factors=True), ps)
+                == _dumps_text(policies_to_dict(ps)))
+        assert _json_text(cli._head(ps), ps) == _dumps_text(ps.to_dict())
+
+
 @pytest.mark.parametrize("doc", [
     {"rows": []}, {"rows": [[]]}, {"rows": [[1, 0], []]}, {"rows": None},
     {"rows": [[0, 2]]}, {"rows": [[-1, 0]]}, {"rows": [[True, False]]},

@@ -1,4 +1,6 @@
 import copy
+import functools
+import itertools
 import json
 import math
 import pickle
@@ -15,9 +17,10 @@ from schedsec.cli import _cost_csv
 from schedsec.errors import BudgetError, ValidationError, Work, read_json
 from schedsec.lti_estimation import steady_state
 from schedsec.scheduling import (Schedule, ShiftTuple, _binary_rows,
-                                 _gap_histogram, _necklaces, _row_runs,
-                                 average_cost, optimal_schedule_search,
-                                 reception)
+                                 _count_bounds, _fixed_content_necklaces,
+                                 _gap_histogram, _gap_pricer, _necklaces,
+                                 _row_runs, average_cost,
+                                 optimal_schedule_search, reception)
 
 GOLDEN_ROUND_ROBIN_COST = 2.0250433575300404
 
@@ -199,13 +202,32 @@ def test_schedule_rejects_each_bad_input(period, rows, message):
      "reception row: row 0 slot 2 is 3, expected 0 or 1"),
     (lambda: average_cost([[1, 0, 0], [0, 1]], [None, None]),
      "reception row: row 1 has length 2, expected 3"),
+    (lambda: average_cost([1, 0], [None, None]),
+     "reception row: row 0 is 1, expected a row of 0/1 entries"),
+    (lambda: average_cost([[1, 0], 1], [None, None]),
+     "reception row: row 1 is 1, expected a row of 2 entries"),
+    (lambda: average_cost(5, [None]),
+     "reception row: expected a sequence of rows, got 5"),
+    (lambda: average_cost(np.int64(5), [None]),
+     "reception row: expected a sequence of rows, got 5"),
+    (lambda: average_cost(iter([[1, 0]]), [None, None]),
+     "got 1 reception rows for 2 ladders"),
     (lambda: Schedule.coerce([[]]), "schedule must be nonempty"),
     (lambda: Schedule.coerce([]), "schedule needs at least one sensor row"),
+    (lambda: Schedule.coerce(np.array([1, 0])),
+     "schedule: row 0 is 1, expected a row of 0/1 entries"),
 ])
 def test_reception_rows_and_coerce_share_the_row_check(call, message):
     with pytest.raises(ValidationError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_average_cost_reads_an_iterator_once(study_ladders):
+    rows = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    want = average_cost(rows, study_ladders)
+    assert average_cost(iter(rows), study_ladders) == want
+    assert average_cost((tuple(r) for r in rows), study_ladders) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -430,6 +452,72 @@ def test_necklaces_one_per_rotation_class(n_symbols, length):
     assert len(classes) == len(necklaces)
 
 
+def _compositions(total, parts):
+    """Every ordered way to write `total` as `parts` positive integers."""
+    return [c for c in itertools.product(range(1, total + 1), repeat=parts)
+            if sum(c) == total]
+
+
+@functools.lru_cache(maxsize=None)
+def _necklaces_by_content(n_symbols, length):
+    """FKM's necklaces grouped by content (the count of each symbol), each
+    group in FKM's order."""
+    groups = {}
+    for neck in _necklaces(n_symbols, length):
+        content = tuple(neck.count(s) for s in range(n_symbols))
+        groups.setdefault(content, []).append(neck)
+    return groups
+
+
+def _content_size(counts):
+    return len(_necklaces_by_content(len(counts), sum(counts))[counts])
+
+
+@pytest.mark.parametrize("n_symbols", [1, 2, 3, 4])
+@pytest.mark.parametrize("length", range(1, 9))
+def test_fixed_content_necklaces_are_fkm_by_content(n_symbols, length):
+    groups = _necklaces_by_content(n_symbols, length)
+    for counts in itertools.product(range(length + 1), repeat=n_symbols):
+        if sum(counts) == length:
+            assert list(_fixed_content_necklaces(counts)) == groups[counts]
+
+
+def _walked_vectors(asked, n_sensors):
+    """The (T, counts) of the necklaces a recording pricer saw, one entry
+    per run of consecutive necklaces with the same count vector."""
+    necklaces = [asked[j:j + n_sensors]
+                 for j in range(0, len(asked), n_sensors)]
+    return [key for key, _ in itertools.groupby(
+        (sum(neck[0][1]), tuple(len(runs) for _, runs in neck))
+        for neck in necklaces)]
+
+
+def _pruned_walk(ladders, periods, asked):
+    """The count vectors the search must walk, in order, given what it
+    priced: ascending (bound, T, counts), up to the first whose bound
+    exceeds the least total priced before it by a relative 1e-9."""
+    N = len(ladders)
+    cands = sorted(set(periods))
+    bound = _count_bounds(ladders, cands)
+    order = sorted((sum(bound[T][i][k] for i, k in enumerate(counts)),
+                    T, counts)
+                   for T in cands for counts in _compositions(T, N))
+    price = _gap_pricer(ladders)  # not the recording one a test installs
+    least = {}  # (T, counts): the least total priced among its necklaces
+    for j in range(0, len(asked), N):
+        neck = asked[j:j + N]
+        key = (sum(neck[0][1]), tuple(len(runs) for _, runs in neck))
+        total = sum(price(i, runs) for i, runs in neck)
+        least[key] = min(least.get(key, math.inf), total)  # NaN never wins
+    incumbent, walked = math.inf, []
+    for lb, T, counts in order:
+        if lb > incumbent + 1e-9 * abs(incumbent):
+            break
+        walked.append((T, counts))
+        incumbent = min(incumbent, least.get((T, counts), math.inf))
+    return walked
+
+
 def test_search_prices_only_necklaces_serving_every_sensor(
         monkeypatch, study_systems, study_ladders):
     # every (sensor, cyclic runs) the search asks its pricer for; a
@@ -454,9 +542,10 @@ def test_search_prices_only_necklaces_serving_every_sensor(
     asked.clear()
     optimal_schedule_search(study_systems, [3, 4, 5], ladders=study_ladders)
     assert all(runs for _, runs in asked)
-    assert len(asked) == 3 * sum(1 for T in (3, 4, 5)
-                                 for neck in _necklaces(3, T)
-                                 if len(set(neck)) == 3)
+    # only the count vectors the bound could not rule out are walked
+    walked = _walked_vectors(asked, 3)
+    assert walked == _pruned_walk(study_ladders, [3, 4, 5], asked)
+    assert len(asked) == 3 * sum(_content_size(k) for _, k in walked)
 
 
 def _random_search_instance(rng):
@@ -528,3 +617,117 @@ def test_search_matches_oracle_when_no_schedule_is_finite(traces,
         want = enumerated_schedule_search(3, periods, ladders)
         assert got[0] == want[0]
         assert repr(got[1].per_sensor) == repr(want[1].per_sensor)
+
+
+def test_count_bounds_read_nan_and_overflow_as_inf():
+    # a NaN trace must never reach a sort key or a comparison
+    ladders = [_OverflowLadder(1.0), _OverflowLadder(1.0, 2.0),
+               _OverflowLadder(1.0, math.nan)]
+    bound = _count_bounds(ladders, [3, 4, 6])
+    assert not any(math.isnan(v) for per in bound.values()
+                   for row in per for v in row)
+    # runs of one slot cost trace(0) = 1 each; any longer run is inf or
+    # NaN, except that the second ladder's runs of two cost 1 + 2
+    assert bound[4][1] == [math.inf, math.inf, 1.5]
+    assert bound[6][1] == [math.inf, math.inf, math.inf, 1.5, 8 / 6]
+    assert bound[6][0] == bound[6][2] == [math.inf] * 5
+    assert bound[3] == [[math.inf, math.inf]] * 3
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_count_bounds_are_the_least_composition_cost(seed):
+    # each bound is the cheapest way to split the period into that many
+    # runs, and no necklace with that many slots costs less
+    rng = np.random.default_rng(seed)
+    systems = [random_unstable_system(rng, name=f"sensor {i}")
+               for i in range(3)]
+    ladders = [steady_state(s) for s in systems]
+    bound = _count_bounds(ladders, [3, 5, 7])
+    for T in (3, 5, 7):
+        for i, lad in enumerate(ladders):
+            c = [sum(lad.trace(t) for t in range(r)) for r in range(T + 1)]
+            assert len(bound[T][i]) == T - 1
+            for k in range(1, T - 1):
+                want = min(sum(c[r] for r in runs)
+                           for runs in _compositions(T, k)) / T
+                assert bound[T][i][k] == pytest.approx(want, rel=1e-12)
+        for neck in _necklaces(3, T):
+            counts = [neck.count(i) for i in range(3)]
+            if all(counts):
+                rows = [[int(c == i) for c in neck] for i in range(3)]
+                per = average_cost(rows, ladders).per_sensor
+                for i, k in enumerate(counts):
+                    assert per[i] >= bound[T][i][k] * (1 - 1e-12)
+
+
+def _five_sensor_instance(seed):
+    rng = np.random.default_rng(seed)
+    systems = [random_unstable_system(rng, name=f"sensor {i}")
+               for i in range(5)]
+    return systems, [steady_state(s) for s in systems]
+
+
+@pytest.mark.parametrize("seed", [100, 101])
+def test_search_matches_enumeration_oracle_at_five_sensors(seed):
+    systems, ladders = _five_sensor_instance(seed)
+    got = optimal_schedule_search(systems, [5, 6], ladders=ladders)
+    want = enumerated_schedule_search(5, [5, 6], ladders)
+    assert got[0] == want[0]
+    assert got[1].per_sensor == want[1].per_sensor
+
+
+def _every_necklace_search(n_sensors, periods, ladders):
+    """Reference search over every FKM necklace of every period, whether
+    it serves every sensor or not: each priced with average_cost, keyed
+    by its rotation with the smallest row-major flattened 0/1 matrix, and
+    the first minimum of (total, key, T) kept; a NaN total never wins."""
+    best = None  # (total, flat_key, T, rows, report)
+    for T in sorted(set(periods)):
+        for cols in _necklaces(n_sensors, T):
+            rows = [[int(c == i) for c in cols] for i in range(n_sensors)]
+            report = average_cost(rows, ladders)
+            if not report.total <= (math.inf if best is None else best[0]):
+                continue
+            key, rows = min(
+                (bytes(v for row in rot for v in row), rot)
+                for rot in ([row[r:] + row[:r] for row in rows]
+                            for r in range(T)))
+            entry = (report.total, key, T)
+            if best is None or entry < best[:3]:
+                best = (*entry, rows, report)
+    return Schedule(period=best[2], rows=best[3]), best[4]
+
+
+def test_search_matches_every_necklace_walk_at_five_sensors():
+    systems, ladders = _five_sensor_instance(7)
+    got = optimal_schedule_search(systems, [6, 7, 8], ladders=ladders)
+    want = _every_necklace_search(5, [6, 7, 8], ladders)
+    assert got[0] == want[0]
+    assert got[1].per_sensor == want[1].per_sensor
+
+
+@pytest.mark.parametrize("n, periods", [(4, [4, 5, 6, 7]), (5, [7, 8])])
+def test_search_prices_no_necklace_of_a_pruned_vector(n, periods,
+                                                      monkeypatch):
+    rng = np.random.default_rng(n)
+    systems = [random_unstable_system(rng, name=f"sensor {i}")
+               for i in range(n)]
+    ladders = [steady_state(s) for s in systems]
+    asked = []
+    real = scheduling._gap_pricer
+
+    def recording(ladders):
+        price = real(ladders)
+
+        def wrapped(i, runs):
+            asked.append((i, runs))
+            return price(i, runs)
+        return wrapped
+
+    monkeypatch.setattr(scheduling, "_gap_pricer", recording)
+    optimal_schedule_search(systems, periods, ladders=ladders)
+    walked = _walked_vectors(asked, n)
+    # whole vectors, each once, exactly those the bound could not rule out
+    assert walked == _pruned_walk(ladders, periods, asked)
+    assert len(asked) == n * sum(_content_size(k) for _, k in walked)
+    assert len(walked) < sum(len(_compositions(T, n)) for T in periods)
