@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError, Work, strict_seed
+from .errors import (InfeasibleError, ValidationError, Work, strict_int,
+                     strict_seed)
 from .scheduling import Schedule, ShiftTuple, _shifted, reception
 from .simplex import solve_bounded_lp
 
@@ -63,7 +64,10 @@ def isolate_sensor_attack(sched: Schedule, target: int) -> ShiftTuple:
 
 def random_attack(period: int, n_sensors: int, seed: int) -> ShiftTuple:
     """Independent uniform shift per sensor, deterministic in the seed, a
-    nonnegative integer (a bool or a float is refused)."""
+    nonnegative integer; the sizes are integers too (a bool, a float or a
+    string is refused)."""
+    period = strict_int(period, "period")
+    n_sensors = strict_int(n_sensors, "n_sensors")
     if period < 1:
         raise ValidationError(f"period must be >= 1, got {period}")
     if n_sensors < 1:

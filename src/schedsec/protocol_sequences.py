@@ -389,6 +389,7 @@ def construct_shift_invariant(factors, interleavings=None) -> Schedule:
 def shortest_period_policies(n_sensors: int) -> Schedule:
     """The shortest shift-invariant set: every duty factor 1/2, period 2^N,
     built by `construct_shift_invariant`."""
+    n_sensors = strict_int(n_sensors, "n_sensors")
     if n_sensors < 1:
         raise ValidationError(f"need at least one sensor, got {n_sensors}")
     return construct_shift_invariant([(1, 2)] * n_sensors)

@@ -18,7 +18,9 @@ the count of slots at each gap t weighted by the trace ladder.  One kernel,
 `average_cost`, the schedule search and Monte Carlo alike.  The cost is a
 sum over sensors, so the search bounds each sensor's part by its slot count
 alone, takes the count vectors in ascending bound and walks, by content,
-only the necklaces of those whose bound can still reach the incumbent.
+only the necklaces of those whose bound can still reach the incumbent.  A
+vector that starves a sensor bounds at inf, so its necklaces come last, in
+the same walk, and are reached only while no schedule has a finite cost.
 """
 
 from __future__ import annotations
@@ -349,29 +351,6 @@ def average_cost(receptions: Sequence[Sequence[int]],
                             for i, runs in enumerate(_row_runs(rows))))
 
 
-def _necklaces(n_symbols: int, length: int):
-    """Every length-`length` necklace over range(n_symbols) exactly once, as
-    its lexicographically smallest rotation, in lexicographic order.
-
-    Iterative FKM prenecklace walk (Fredricksen, Kessler & Maiorana; Ruskey,
-    Savage & Wang, J. Algorithms 1992): a prenecklace is a necklace iff the
-    length of its longest Lyndon prefix divides `length`.
-    """
-    a = [0] * length
-    yield tuple(a)
-    while True:
-        i = length - 1
-        while i >= 0 and a[i] == n_symbols - 1:
-            i -= 1
-        if i < 0:
-            return
-        a[i] += 1
-        for j in range(i + 1, length):
-            a[j] = a[j - i - 1]
-        if length % (i + 1) == 0:
-            yield tuple(a)
-
-
 def _fixed_content_necklaces(counts: Sequence[int]):
     """Every necklace with counts[s] copies of symbol s exactly once, as its
     lexicographically smallest rotation, in lexicographic order.
@@ -439,6 +418,15 @@ def _count_bounds(ladders: Sequence[SteadyState], cands: Sequence[int]):
     return bound
 
 
+def _contents(T: int, N: int, least: int):
+    """Every count vector (k_1, ..., k_N) with sum T and each k_i >= least
+    (0 or 1), by stars and bars: adding 1 - least to each part makes all
+    N parts positive, and N - 1 cuts split their sum into them."""
+    S = T + N * (1 - least)
+    for cuts in itertools.combinations(range(1, S), N - 1):
+        yield tuple(b - a + least - 1 for a, b in zip((0, *cuts), (*cuts, S)))
+
+
 def _canonical_rotation(cols: tuple[int, ...], n_sensors: int):
     """The cyclic rotation of a columnwise assignment whose row-major
     flattened 0/1 matrix, as bytes, is smallest; returns (bytes, array)."""
@@ -465,30 +453,33 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
     necklace with count vector (k_1, ..., k_N) costs at least
     LB = sum_i bound_i(k_i).  The search takes the compositions of each
     candidate period T into N positive parts, C(T-1, N-1) of them, in
-    ascending (LB, T, counts), and stops at the first whose LB exceeds the
-    incumbent's total by more than a relative 1e-9 (the bound adds in
-    another order than the pricer); nothing is pruned while there is no
-    finite incumbent, and vectors that tie are still walked, so the result
-    does not depend on the walk order.  A vector's necklaces are generated
-    by content alone (`_fixed_content_necklaces`), and an exclusive
-    assignment's reception rows are its own rows, so the gaps of a block
-    of them come from one `_row_runs` call, and each sensor's gap multiset
-    is priced once, however many necklaces share it, with the same float
-    operations as average_cost.  A necklace that leaves a sensor without a
-    slot costs inf and is priced (all FKM necklaces of each period) only
-    if no schedule that serves every sensor has a finite cost.  Each class
-    is represented by its rotation with the lexicographically smallest
-    row-major flattened 0/1 matrix, and the winner is the minimum of
-    (total, that matrix, period): ties break toward the smallest flattened
-    matrix, then the smallest period.  The budget (SCHEDSEC_BUDGET) caps
-    the N^T column assignments the candidate periods span, whatever the
-    bound prunes, summed over periods and each compared with it before it
-    is raised in full; exceeding it raises BudgetError.
+    ascending (LB, T, counts), then the vectors with some k_i = 0, whose
+    LB is inf, built only when the walk reaches them; it stops at the
+    first vector whose LB exceeds the incumbent's total by more than a
+    relative 1e-9 (the bound adds in another order than the pricer).
+    Nothing is pruned while there is no finite incumbent, so a necklace
+    that leaves a sensor without a slot (total inf) is priced only if no
+    schedule that serves every sensor has a finite cost; vectors that tie
+    are still walked, so the result does not depend on the walk order.
+    Every vector's necklaces are generated by content alone
+    (`_fixed_content_necklaces`), and an exclusive assignment's reception
+    rows are its own rows, so the gaps of a block of them come from one
+    `_row_runs` call, and each sensor's gap multiset is priced once,
+    however many necklaces share it, with the same float operations as
+    average_cost.  Each class is represented by its rotation with the
+    lexicographically smallest row-major flattened 0/1 matrix, and the
+    winner is the minimum of (total, that matrix, period): ties break
+    toward the smallest flattened matrix, then the smallest period.  Each
+    candidate period must be an integer (`strict_int`).  The budget
+    (SCHEDSEC_BUDGET) caps the N^T column assignments the candidate
+    periods span, whatever the bound prunes, summed over periods and each
+    compared with it before it is raised in full; exceeding it raises
+    BudgetError.
     """
     N = len(systems)
     if N < 1:
         raise ValidationError("need at least one system")
-    cands = sorted(set(int(T) for T in T_candidates))
+    cands = sorted(set(strict_int(T, "period") for T in T_candidates))
     if not cands:
         raise ValidationError("T_candidates must be nonempty")
     for T in cands:
@@ -503,9 +494,18 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
     price = _gap_pricer(ladders)
     sensors = np.arange(N)[:, None]
     best = None  # (total, flat_key, T, uint8 rows, per-sensor costs)
-
-    def walk(necklaces, T):
-        nonlocal best
+    bound = _count_bounds(ladders, cands)
+    # a vector that starves a sensor bounds at inf (its entry 0), so all of
+    # them follow the positive ones, and none is built unless it is reached
+    vectors = itertools.chain(
+        sorted((sum(bound[T][i][k] for i, k in enumerate(counts)), T, counts)
+               for T in cands for counts in _contents(T, N, 1)),
+        ((inf, T, counts) for T in cands for counts in _contents(T, N, 0)
+         if 0 in counts))
+    for lb, T, counts in vectors:
+        if best is not None and lb > best[0] + 1e-9 * abs(best[0]):
+            break  # every later vector's bound is at least as high
+        necklaces = _fixed_content_necklaces(counts)
         size = max(1, _BLOCK_SLOTS // (N * T))
         while block := list(itertools.islice(necklaces, size)):
             # (necklace, sensor) reception rows: sensor i owns cols == i
@@ -523,22 +523,5 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
                 entry = (total, key, T)
                 if best is None or entry < best[:3]:
                     best = (*entry, rows, per)
-
-    bound = _count_bounds(ladders, cands)
-    vectors = []
-    for T in cands:
-        for cuts in itertools.combinations(range(1, T), N - 1):
-            counts = tuple(b - a for a, b in zip((0, *cuts), (*cuts, T)))
-            vectors.append((sum(bound[T][i][k] for i, k in enumerate(counts)),
-                            T, counts))
-    for lb, T, counts in sorted(vectors):
-        if best is not None and lb > best[0] + 1e-9 * abs(best[0]):
-            break  # every later vector's bound is at least as high
-        walk(_fixed_content_necklaces(counts), T)
-    # Necklaces that starve a sensor (total inf) are walked only when
-    # nothing that serves every sensor is finite.
-    if best is None or best[0] == inf:
-        for T in cands:
-            walk((cols for cols in _necklaces(N, T) if len(set(cols)) < N), T)
     assert best is not None
     return Schedule(period=best[2], rows=best[3]), CostReport(best[4])

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import scheduling
-from .errors import ValidationError, Work, strict_seed
+from .errors import ValidationError, Work, strict_int, strict_seed
 from .lti_estimation import (LinearSystem, SteadyState, lyapunov_step,
                              steady_state)
 from .scheduling import (CostReport, Schedule, ShiftTuple, _gap_pricer,
@@ -105,6 +105,7 @@ def exact_covariance_series(systems: Sequence[LinearSystem], policies,
     the ladder the series reads only P_bar.  The budget (SCHEDSEC_BUDGET)
     is charged the N * horizon slots of the series before any is filled.
     """
+    horizon = strict_int(horizon, "horizon")
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     sched = Schedule.coerce(policies)
@@ -330,6 +331,7 @@ def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
     built.  The budget (SCHEDSEC_BUDGET) is charged the trials * N * T
     slots the trials gather before any trial is drawn.
     """
+    trials = strict_int(trials, "trials")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     seed = strict_seed(seed)

@@ -175,6 +175,31 @@ def interleaved_rows(factors, interleavings=None):
     return tuple(rows)
 
 
+def fkm_necklaces(n_symbols, length):
+    """Every length-`length` necklace over range(n_symbols) exactly once, as
+    its lexicographically smallest rotation, in lexicographic order.
+
+    Iterative FKM prenecklace walk (Fredricksen, Kessler & Maiorana; Ruskey,
+    Savage & Wang, J. Algorithms 1992): a prenecklace is a necklace iff the
+    length of its longest Lyndon prefix divides `length`.  It walks every
+    content at once, so it checks the library's fixed-content generator
+    independently.
+    """
+    a = [0] * length
+    yield tuple(a)
+    while True:
+        i = length - 1
+        while i >= 0 and a[i] == n_symbols - 1:
+            i -= 1
+        if i < 0:
+            return
+        a[i] += 1
+        for j in range(i + 1, length):
+            a[j] = a[j - i - 1]
+        if length % (i + 1) == 0:
+            yield tuple(a)
+
+
 def enumerated_schedule_search(n_sensors, periods, ladders):
     """Reference optimal-schedule search by enumeration.
 
@@ -182,7 +207,8 @@ def enumerated_schedule_search(n_sensors, periods, ladders):
     lexicographic order, rotates each to the rotation with the smallest
     row-major flattened 0/1 matrix, skips rotation classes already seen,
     prices the rest with average_cost and keeps the first minimum of
-    (total, flattened matrix, period).  Returns (Schedule, CostReport).
+    (total, flattened matrix, period); a NaN total never wins.  Returns
+    (Schedule, CostReport).
     """
     N = n_sensors
     best = None  # (total, flat_key, T, rows, report)
@@ -199,6 +225,8 @@ def enumerated_schedule_search(n_sensors, periods, ladders):
                 continue
             seen.add(key)
             report = average_cost(rows, ladders)
+            if not report.total <= (math.inf if best is None else best[0]):
+                continue
             entry = (report.total, key, T)
             if best is None or entry < best[:3]:
                 best = (*entry, rows, report)

@@ -47,6 +47,29 @@ def sched_path(tmp_path, systems_path):
     return str(out / "schedule.json")
 
 
+def test_schedule_command_on_divergent_systems(tmp_path):
+    # with A = 1e150 a trace overflows two slots after a reception, and at
+    # T = 3 or 4 one of three sensors waits longer, so every schedule
+    # diverges and the search walks the necklaces that starve a sensor;
+    # the winner and both documents are pinned
+    out = tmp_path / "div"
+    systems = Path(__file__).parent / "data" / "divergent_systems.json"
+    assert main(["schedule", "--systems", str(systems), "--periods", "3,4",
+                 "--out", str(out)]) == 0
+    sched = Schedule.from_dict(_read_doc(out / "schedule.json"))
+    assert sched.to_dict() == {"T": 4, "rows": [[0, 0, 0, 0], [0, 0, 0, 0],
+                                                [1, 1, 1, 1]]}
+    cost = json.loads((out / "schedule_cost.json").read_text())
+    assert [s["divergent"] for s in cost["sensors"]] == [True, True, False]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["outputs"] == {
+        "schedule.json": "sha256:9cbd719c096f834f75449de1f28f4017"
+                         "a2edc8efe74e999ce86665cdda6c5d76",
+        "schedule_cost.json": "sha256:35d128177f7a8c71be550804e6a12075"
+                              "6fccdabccd6a231b4ef4affb32c9171e",
+    }
+
+
 def test_schedule_command_reproduces_reference(tmp_path, systems_path):
     out = tmp_path / "s"
     assert main(["schedule", "--systems", systems_path, "--periods", "3",

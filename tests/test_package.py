@@ -1,5 +1,6 @@
 """The package root's export list matches what the root imports, its
-version has one source, and importing it stays light."""
+version has one source, importing it stays light, and the public calls
+take their sizes as integers only."""
 
 import ast
 import json
@@ -8,8 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import schedsec
 from schedsec.cli import main
+from schedsec.errors import ValidationError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,3 +65,32 @@ def test_import_loads_no_distribution_metadata_reader():
     assert not [name for name in added
                 if name.split(".")[0] == "email"
                 or name.startswith("importlib.metadata")]
+
+
+# one call per size argument, each given a candidate value for it
+SIZED_CALLS = {
+    "search periods": lambda systems, sched, v: schedsec.optimal_schedule_search(
+        systems, [v]),
+    "series horizon": lambda systems, sched, v: schedsec.exact_covariance_series(
+        systems, sched, horizon=v),
+    "mc trials": lambda systems, sched, v: schedsec.monte_carlo_expected_cost(
+        systems, sched, trials=v, seed=0),
+    "attack period": lambda systems, sched, v: schedsec.random_attack(
+        period=v, n_sensors=3, seed=0),
+    "attack sensors": lambda systems, sched, v: schedsec.random_attack(
+        period=3, n_sensors=v, seed=0),
+    "shortest-period sensors": lambda systems, sched, v:
+        schedsec.shortest_period_policies(v),
+}
+
+
+@pytest.mark.parametrize("bad", [3.5, 3.0, "3", True],
+                         ids=["float", "whole-float", "str", "bool"])
+@pytest.mark.parametrize("call", sorted(SIZED_CALLS))
+def test_size_arguments_are_strict_integers(call, bad, study_systems,
+                                            round_robin):
+    # a float is never truncated, a string never parsed and a bool never
+    # read as 1; each is refused as the one integer check refuses it
+    with pytest.raises(ValidationError, match="must be an integer"):
+        SIZED_CALLS[call](study_systems, round_robin, bad)
+    SIZED_CALLS[call](study_systems, round_robin, 3)  # an int is taken

@@ -11,16 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerated_schedule_search, random_unstable_system
+from conftest import (enumerated_schedule_search, fkm_necklaces,
+                      random_unstable_system)
 from schedsec import scheduling
 from schedsec.cli import _cost_csv
 from schedsec.errors import BudgetError, ValidationError, Work, read_json
 from schedsec.lti_estimation import steady_state
 from schedsec.scheduling import (Schedule, ShiftTuple, _binary_rows,
                                  _count_bounds, _fixed_content_necklaces,
-                                 _gap_histogram, _gap_pricer, _necklaces,
-                                 _row_runs, average_cost,
-                                 optimal_schedule_search, reception)
+                                 _gap_histogram, _gap_pricer, _row_runs,
+                                 average_cost, optimal_schedule_search,
+                                 reception)
 
 GOLDEN_ROUND_ROBIN_COST = 2.0250433575300404
 
@@ -442,7 +443,7 @@ def _n_necklaces(n_symbols, length):
 @pytest.mark.parametrize("n_symbols", [1, 2, 3, 4])
 @pytest.mark.parametrize("length", range(1, 9))
 def test_necklaces_one_per_rotation_class(n_symbols, length):
-    necklaces = list(_necklaces(n_symbols, length))
+    necklaces = list(fkm_necklaces(n_symbols, length))
     assert len(necklaces) == _n_necklaces(n_symbols, length)
     classes = set()
     for neck in necklaces:
@@ -463,7 +464,7 @@ def _necklaces_by_content(n_symbols, length):
     """FKM's necklaces grouped by content (the count of each symbol), each
     group in FKM's order."""
     groups = {}
-    for neck in _necklaces(n_symbols, length):
+    for neck in fkm_necklaces(n_symbols, length):
         content = tuple(neck.count(s) for s in range(n_symbols))
         groups.setdefault(content, []).append(neck)
     return groups
@@ -606,17 +607,59 @@ class _OverflowLadder:
         return self.traces[t] if t < len(self.traces) else math.inf
 
 
-@pytest.mark.parametrize("traces", [(1.0,), (1.0, 2.0), (1.0, math.nan)])
+@pytest.mark.parametrize("traces", [
+    ((1.0,), (1.0,), (1.0,)),
+    ((1.0,), (1.0, 2.0), (1.0, 2.0)),
+    ((1.0,), (1.0, math.nan), (1.0, math.nan)),
+    # the first assignment of every period gives sensor 0 all the slots
+    # and prices NaN, which neither search may keep
+    ((math.nan,), (1.0,), (1.0,)),
+])
 def test_search_matches_oracle_when_no_schedule_is_finite(traces,
                                                           study_systems):
     # every schedule costs inf or NaN, so a necklace that starves a sensor
     # can win the tie-break, exactly as when all assignments were priced
-    ladders = [_OverflowLadder(1.0)] + [_OverflowLadder(*traces)] * 2
+    ladders = [_OverflowLadder(*t) for t in traces]
     for periods in ([3], [3, 4, 5]):
         got = optimal_schedule_search(study_systems, periods, ladders=ladders)
         want = enumerated_schedule_search(3, periods, ladders)
         assert got[0] == want[0]
         assert repr(got[1].per_sensor) == repr(want[1].per_sensor)
+
+
+def test_search_prices_every_necklace_once_when_no_schedule_is_finite(
+        monkeypatch, study_systems):
+    # with no finite incumbent nothing is pruned: the positive count
+    # vectors and then the starving ones are walked, each necklace of
+    # each period generated and priced once, none twice
+    walked, asked = [], []
+    real_pricer = scheduling._gap_pricer
+    real_necklaces = scheduling._fixed_content_necklaces
+
+    def recording_pricer(ladders):
+        price = real_pricer(ladders)
+
+        def wrapped(i, runs):
+            asked.append((i, runs))
+            return price(i, runs)
+        return wrapped
+
+    def recording_necklaces(counts):
+        for neck in real_necklaces(counts):
+            walked.append(neck)
+            yield neck
+
+    monkeypatch.setattr(scheduling, "_gap_pricer", recording_pricer)
+    monkeypatch.setattr(scheduling, "_fixed_content_necklaces",
+                        recording_necklaces)
+    ladders = [_OverflowLadder(1.0)] * 3  # only runs of one slot are finite
+    _, report = optimal_schedule_search(study_systems, [3, 4, 5],
+                                        ladders=ladders)
+    assert math.isinf(report.total)
+    every = [neck for T in (3, 4, 5) for neck in fkm_necklaces(3, T)]
+    assert len(set(walked)) == len(walked)
+    assert sorted(walked) == sorted(every)
+    assert len(asked) == 3 * len(every)
 
 
 def test_count_bounds_read_nan_and_overflow_as_inf():
@@ -651,7 +694,7 @@ def test_count_bounds_are_the_least_composition_cost(seed):
                 want = min(sum(c[r] for r in runs)
                            for runs in _compositions(T, k)) / T
                 assert bound[T][i][k] == pytest.approx(want, rel=1e-12)
-        for neck in _necklaces(3, T):
+        for neck in fkm_necklaces(3, T):
             counts = [neck.count(i) for i in range(3)]
             if all(counts):
                 rows = [[int(c == i) for c in neck] for i in range(3)]
@@ -683,7 +726,7 @@ def _every_necklace_search(n_sensors, periods, ladders):
     the first minimum of (total, key, T) kept; a NaN total never wins."""
     best = None  # (total, flat_key, T, rows, report)
     for T in sorted(set(periods)):
-        for cols in _necklaces(n_sensors, T):
+        for cols in fkm_necklaces(n_sensors, T):
             rows = [[int(c == i) for c in cols] for i in range(n_sensors)]
             report = average_cost(rows, ladders)
             if not report.total <= (math.inf if best is None else best[0]):
