@@ -216,22 +216,28 @@ def _bounds_doc(br) -> dict:
             "per_sensor_receptions": list(br.per_sensor_receptions)}
 
 
-def _series_csv(series) -> str:
+def _series_prefixes(n_sensors: int, horizon: int) -> list[str]:
+    """The "k,i," column of a series CSV, in slot-major order."""
+    heads = [f",{i}," for i in range(n_sensors)]
+    return [f"{k}{head}" for k in range(horizon) for head in heads]
+
+
+def _series_csv(series, prefixes: list[str] | None = None) -> str:
     """One line per slot and sensor, floats as repr, Unix line ends.
 
     Rendered in one pass over the slot-major columns.  A periodic series
     repeats its traces, so each distinct trace is rendered once, keyed by
     its bits: 0.0 and -0.0 stay apart and every NaN renders as nan.  The
-    running means seldom repeat and are rendered one by one.  The "k,i,"
-    prefixes and the ",flag" line ends are built once per call.
+    running means seldom repeat and are rendered one by one.  The ",flag"
+    line ends are built once per call; a caller that renders several
+    series of one shape passes their `_series_prefixes` column.
     """
-    N = series.n_sensors
     bits, index = np.unique(series.traces.T.ravel().view(np.int64),
                             return_inverse=True)
     shown = np.array([repr(v) + "," for v in bits.view(float).tolist()],
                      dtype=object)
-    heads = [f",{i}," for i in range(N)]
-    prefixes = [f"{k}{head}" for k in range(series.horizon) for head in heads]
+    if prefixes is None:
+        prefixes = _series_prefixes(series.n_sensors, series.horizon)
     ends = [f",{int(d)}\n" for d in series.divergent] * series.horizon
     means = map(repr, series.running_means.T.ravel().tolist())
     return "k,sensor,trace,running_mean,divergent_flag\n" + "".join(
@@ -462,10 +468,11 @@ def _cmd_reproduce(args) -> int:
         ("series_shortest.csv", shortest,
          _wrap_attack(result.taus, shortest.period)),
     ]
+    prefixes = _series_prefixes(sched.n_sensors, K)
     for name, pol, atk in scenarios:
         series = exact_covariance_series(systems, pol, attack=atk, horizon=K,
                                          ladders=ladders)
-        run.add_text(name, _series_csv(series))
+        run.add_text(name, _series_csv(series, prefixes))
 
     mc = {label: _mc_doc(monte_carlo_expected_cost(
               systems, ps, args.trials, args.seed, ladders=ladders))

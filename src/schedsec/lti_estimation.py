@@ -39,6 +39,9 @@ RESIDUAL_TOL = 1e-8
 STEP_TOL = 1e-10
 # steady_state gives up (ConvergenceError) after this many fixed-point steps
 MAX_ITER = 100_000
+# the trace ladder and the covariance series step in blocks of 2, 4, 8,
+# ... iterates, up to this many, and read each block's traces at once
+_BLOCK_CAP = 4096
 # Tr(C X C' + R) above this multiple of Tr(R) makes the update's
 # subtraction X - X C' S^-1 C X cancel to noise, so riccati_step switches
 # to the Joseph form
@@ -55,6 +58,20 @@ def _as_matrix(value, rows=None, cols=None):
     if cols is not None and M.shape[1] != cols:
         raise ValidationError(f"expected {cols} columns, got {M.shape[1]}")
     return M
+
+
+def _block_sizes(count: int):
+    """Block lengths 2, 4, 8, ... (at most _BLOCK_CAP) that add up to count.
+
+    A loop that stops stepping at the end of the block that holds the
+    first bad trace has then taken at most twice the steps of a loop that
+    stops at that trace: each block is at most 2 longer than all the blocks
+    before it together."""
+    size = 2
+    while count > 0:
+        yield min(size, count)
+        count -= size
+        size = min(2 * size, _BLOCK_CAP)
 
 
 def _symmetrize(X):
@@ -179,12 +196,15 @@ class LinearSystem:
 def lyapunov_step(sys: LinearSystem, X) -> np.ndarray:
     """One open-loop covariance prediction: A X A' + Q, symmetrized.
 
-    The covariance series takes one step per slot, so the symmetrization
-    is written out here: the float operations of `_symmetrize`, without
-    its call.
+    The covariance series and the trace ladder take one step per slot or
+    entry, so the symmetrization is written out here: the float operations
+    of `_symmetrize`, without its call, and X is checked with one
+    conversion and one shape comparison; `_as_matrix` runs only to raise
+    its message.
     """
-    n = sys.n
-    X = _as_matrix(X, rows=n, cols=n)
+    X = np.asarray(X, dtype=float)
+    if X.shape != sys.A.shape:
+        _as_matrix(X, rows=sys.n, cols=sys.n)
     M = sys.A @ X @ sys.A.T + sys.Q
     return (M + M.T) / 2.0
 
@@ -199,29 +219,39 @@ def riccati_step(sys: LinearSystem, X) -> np.ndarray:
     PSD terms, instead.  Any other input takes the subtraction form, at the
     cost of one comparison.  (The information form (I + X C' R^{-1} C)^{-1}
     X is exact too, but I + X C' R^{-1} C loses its identity part to
-    rounding once X is large, and is then numerically singular.)
+    rounding once X is large, and is then numerically singular.)  X is
+    checked as in `lyapunov_step`, C X is formed once, and the subtraction
+    form is symmetrized inline.
     """
-    X = _as_matrix(X, rows=sys.n, cols=sys.n)
-    S = sys.C @ X @ sys.C.T + sys.R
+    X = np.asarray(X, dtype=float)
+    if X.shape != sys.A.shape:
+        _as_matrix(X, rows=sys.n, cols=sys.n)
+    CX = sys.C @ X
+    S = CX @ sys.C.T + sys.R
     try:
         if sum(S.diagonal().tolist()) > sys._cancellation_bound:
-            K = np.linalg.solve(S, sys.C @ X).T
+            K = np.linalg.solve(S, CX).T
             I_KC = np.eye(sys.n) - K @ sys.C
             return _symmetrize(I_KC @ X @ I_KC.T + K @ sys.R @ K.T)
-        gain = np.linalg.solve(S, sys.C @ X)
+        gain = np.linalg.solve(S, CX)
     except np.linalg.LinAlgError:
         raise NumericalError(
             f"{sys.name}: innovation covariance is singular") from None
-    return _symmetrize(X - X @ sys.C.T @ gain)
+    M = X - X @ sys.C.T @ gain
+    return (M + M.T) / 2.0
 
 
 class SteadyState:
     """Steady-state covariance P_bar plus a lazily extended trace ladder.
 
     ladder entry t is Tr[h^t(P_bar)].  The ladder is an append-only cache;
-    reading beyond the materialized prefix extends it in place, which is safe
-    to share across threads holding the GIL.  From its first non-finite
-    trace on the ladder reads +inf, never NaN, and stops stepping.
+    reading beyond the materialized prefix extends it to the entry read,
+    stepping `lyapunov_step` once per entry.  An extension steps in blocks
+    (`_block_sizes`): each block's iterates go into one (k, n, n) array
+    allocated for it, whose traces are read with one batched trace, the
+    same bits as one trace per matrix.  From its first non-finite trace on
+    the ladder reads +inf, never NaN, and stops stepping at the end of
+    that block; the iterates past it are dropped.
     """
 
     def __init__(self, sys: LinearSystem, P_bar: np.ndarray, residual: float,
@@ -237,16 +267,32 @@ class SteadyState:
         """Tr[h^t(P_bar)]; extends the ladder on demand."""
         if t < 0:
             raise ValidationError(f"ladder index must be >= 0, got {t}")
-        if len(self._traces) <= t:
-            with np.errstate(over="ignore", invalid="ignore"):
-                while len(self._traces) <= t and self._traces[-1] < math.inf:
-                    self._frontier = lyapunov_step(self.sys, self._frontier)
-                    tr = float(np.trace(self._frontier))
-                    self._traces.append(tr if math.isfinite(tr) else math.inf)
-        return self._traces[min(t, len(self._traces) - 1)]
+        traces = self._traces
+        if len(traces) <= t and traces[-1] < math.inf:
+            self._extend(t + 1 - len(traces))
+        return traces[min(t, len(traces) - 1)]
+
+    def _extend(self, count: int) -> None:
+        sys, X, traces = self.sys, self._frontier, self._traces
+        with np.errstate(over="ignore", invalid="ignore"):
+            for size in _block_sizes(count):
+                block = np.empty((size, sys.n, sys.n))
+                for j in range(size):
+                    X = lyapunov_step(sys, X)
+                    block[j] = X
+                got = block.trace(0, 1, 2)
+                bad = np.flatnonzero(~np.isfinite(got))
+                if bad.size:
+                    traces += got[:bad[0]].tolist()
+                    traces.append(math.inf)
+                    break
+                traces += got.tolist()
+        self._frontier = X
 
     def ladder(self, upto: int) -> list[float]:
         """Traces [Tr h^0(P_bar), ..., Tr h^upto(P_bar)]."""
+        if upto >= 0:
+            self.trace(upto)  # extends the ladder once, not per entry
         return [self.trace(t) for t in range(upto + 1)]
 
 
@@ -270,7 +316,10 @@ def steady_state(sys: LinearSystem) -> SteadyState:
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(MAX_ITER):
             X_next = riccati_step(sys, lyapunov_step(sys, X))
-            delta = float(np.linalg.norm(X_next - X, "fro"))
+            # the float operations of np.linalg.norm(X_next - X, "fro"),
+            # without its wrapper
+            d = (X_next - X).ravel()
+            delta = math.sqrt(d.dot(d))
             if not math.isfinite(delta) and not np.isfinite(X_next).all():
                 raise ConvergenceError(
                     f"{sys.name}: steady-state iteration overflowed to a "

@@ -437,6 +437,8 @@ def bounds(policies, ladders) -> BoundsReport:
                                       for j, g in enumerate(fs) if j != i)
         receptions.append(N_i)
         q, r = divmod(D, N_i)
+        # extends a ladder once, to the last entry either sum reads
+        lad.trace(max(q if r else q - 1, D - N_i))
         # no r = 0 term: 0 * trace is NaN once the ladder reads inf
         lower += N_i * sum(lad.trace(t) for t in range(q)) + (
             r * lad.trace(q) if r else 0.0)

@@ -33,7 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, Work, json_list, json_object, strict_int
+from .errors import (NumericalError, ValidationError, Work, json_list,
+                     json_object, strict_int)
 from .lti_estimation import LinearSystem, SteadyState, steady_state
 
 # slots one batch of the search or of Monte Carlo stacks for the kernels,
@@ -297,8 +298,10 @@ def _gap_pricer(ladders: Sequence[SteadyState]):
         if cost is None:
             if runs:
                 lad = ladders[i]
+                hist = _gap_histogram(runs)
+                lad.trace(len(hist) - 1)  # extends a ladder once, not per gap
                 total = 0.0
-                for t, c in enumerate(_gap_histogram(runs)):
+                for t, c in enumerate(hist):
                     total += c * lad.trace(t)
                 cost = total / sum(runs)  # the runs add up to the period
             else:
@@ -403,6 +406,7 @@ def _count_bounds(ladders: Sequence[SteadyState], cands: Sequence[int]):
     bound = {T: [[inf] for _ in range(N)] for T in cands}
     for i, lad in enumerate(ladders):
         c = [0.0]
+        lad.trace(longest - 1)  # extends a ladder once, not per entry
         for t in range(longest):
             v = lad.trace(t)
             c.append(c[-1] + (v if v == v else inf))
@@ -523,5 +527,8 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
                 entry = (total, key, T)
                 if best is None or entry < best[:3]:
                     best = (*entry, rows, per)
-    assert best is not None
+    if best is None:
+        raise NumericalError(
+            f"every schedule of periods {cands} prices NaN; no schedule "
+            f"can be chosen")
     return Schedule(period=best[2], rows=best[3]), CostReport(best[4])

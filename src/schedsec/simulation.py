@@ -8,7 +8,8 @@ repeats the period from there.  Its steps are the float operations the
 trace ladder is built from, so each slot's trace equals the ladder's at
 that slot's gap to the bit and is no independent check of the
 ladder-based costs; the independent stepping oracle lives in the tests.
-A stepped slot costs one `lyapunov_step` and one trace read.
+A stepped slot costs one `lyapunov_step` and a copy into a block of
+iterates; each block's traces are read at once.
 `monte_carlo_expected_cost` averages exact per-attack costs over random
 clock-shift attacks: it applies `scheduling`'s collision kernel to a whole
 batch of trials at once and prices every reception pattern it meets once,
@@ -34,8 +35,8 @@ import numpy as np
 
 from . import scheduling
 from .errors import ValidationError, Work, strict_int, strict_seed
-from .lti_estimation import (LinearSystem, SteadyState, lyapunov_step,
-                             steady_state)
+from .lti_estimation import (LinearSystem, SteadyState, _block_sizes,
+                             lyapunov_step, steady_state)
 from .scheduling import (CostReport, Schedule, ShiftTuple, _gap_pricer,
                          _row_runs, _sole_receptions, reception)
 
@@ -101,9 +102,19 @@ def exact_covariance_series(systems: Sequence[LinearSystem], policies,
     From a sensor's first reception on, its covariance repeats with the
     period, so each sensor is stepped only up to one full period past its
     first reception and the rest of the horizon repeats that period, to
-    the bit.  A sensor that never receives is stepped slot by slot.  Of
-    the ladder the series reads only P_bar.  The budget (SCHEDSEC_BUDGET)
-    is charged the N * horizon slots of the series before any is filled.
+    the bit.  A sensor that never receives is stepped over the whole
+    horizon.  Of the ladder the series reads only P_bar.  The budget
+    (SCHEDSEC_BUDGET) is charged the N * horizon slots of the series
+    before any is filled.
+
+    A sensor's slots are stepped in blocks of 2, 4, 8, ... up to
+    `lti_estimation._BLOCK_CAP` slots (`_block_sizes`): a block's matrices
+    go into one (k, n, n) array allocated for it, and its traces are read
+    with one batched trace, the bits of one trace per matrix.  Stepping
+    stops at the end of the first block that holds a trace past
+    OVERFLOW_TRACE; the slots from the first such trace on repeat it, so
+    the steps taken are at most twice those up to the overflow.  No stack
+    of matrices longer than one block is built.
     """
     horizon = strict_int(horizon, "horizon")
     if horizon < 1:
@@ -119,21 +130,29 @@ def exact_covariance_series(systems: Sequence[LinearSystem], policies,
     traces = np.empty((N, horizon))
     divergent = tuple(sum(row) == 0 for row in receptions)
     overflow_at: list[int | None] = [None] * N
-    for i, sys in enumerate(systems):
-        row = receptions[i]
-        first = row.index(1) if 1 in row else None
-        stop = horizon if first is None else min(horizon, first + T)
-        P = P_bar = ladders[i].P_bar
-        for k in range(stop):
-            P = P_bar if row[k % T] else lyapunov_step(sys, P)
-            tr = P.trace()
-            traces[i, k] = tr
-            if tr > OVERFLOW_TRACE:
-                overflow_at[i] = k
-                traces[i, k:] = tr
-                break
-        else:
-            if stop < horizon:
+    # iterates past an overflow are stepped to the end of their block and
+    # dropped, so they may overflow the float range unreported
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, sys in enumerate(systems):
+            row = receptions[i]
+            first = row.index(1) if 1 in row else None
+            stop = horizon if first is None else min(horizon, first + T)
+            P = P_bar = ladders[i].P_bar
+            k = 0
+            for size in _block_sizes(stop):
+                block = np.empty((size, sys.n, sys.n))
+                for j in range(size):
+                    P = P_bar if row[(k + j) % T] else lyapunov_step(sys, P)
+                    block[j] = P
+                got = traces[i, k:k + size] = block.trace(0, 1, 2)
+                over = np.flatnonzero(got > OVERFLOW_TRACE)
+                if over.size:
+                    k += int(over[0])
+                    overflow_at[i] = k
+                    traces[i, k:] = traces[i, k]
+                    break
+                k += size
+            if overflow_at[i] is None and stop < horizon:
                 later = np.arange(stop, horizon)
                 traces[i, stop:] = traces[i, first + (later - first) % T]
     running = np.cumsum(traces, axis=1) / np.arange(1, horizon + 1)

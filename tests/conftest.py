@@ -5,8 +5,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from schedsec.lti_estimation import (LinearSystem, _psd_sqrt, lyapunov_step,
-                                     riccati_step, steady_state)
+from schedsec.lti_estimation import (MAX_ITER, STEP_TOL, LinearSystem,
+                                     _psd_sqrt, lyapunov_step, riccati_step,
+                                     steady_state)
 from schedsec.scheduling import (Schedule, ShiftTuple, average_cost,
                                  reception)
 from schedsec.simulation import OVERFLOW_TRACE
@@ -75,6 +76,15 @@ def random_unstable_system(rng, name="random") -> LinearSystem:
             return LinearSystem(A=A, C=C, Q=Q, R=R, Pi=np.eye(2), name=name)
         except Exception:
             continue
+
+
+def symmetric_system(n, eigenvalues, seed, name="symmetric"):
+    """An n-state system whose A is symmetric with the given eigenvalues
+    in a random orthonormal basis, every state measured, unit noises."""
+    basis, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    A = basis @ np.diag(eigenvalues) @ basis.T
+    return LinearSystem(A=(A + A.T) / 2, C=np.eye(n), Q=np.eye(n),
+                        R=np.eye(n), Pi=np.eye(n), name=name)
 
 
 def all_exclusive_schedules(n_sensors, period):
@@ -301,6 +311,41 @@ def stepped_covariance_series(systems, sched, attack, horizon, ladders):
             traces[i, k] = tr
     running = np.cumsum(traces, axis=1) / np.arange(1, horizon + 1)
     return traces, running, tuple(overflow_at)
+
+
+def stepped_ladder(sys, P_bar, upto):
+    """Reference for SteadyState.ladder: one prediction step and one
+    float(np.trace) per entry, +inf from the first non-finite trace on."""
+    out, P = [float(np.trace(P_bar))], P_bar
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(out) <= upto:
+            if out[-1] == math.inf:
+                out.append(math.inf)
+                continue
+            P = lyapunov_step(sys, P)
+            tr = float(np.trace(P))
+            out.append(tr if math.isfinite(tr) else math.inf)
+    return out
+
+
+def fixed_point_reference(sys):
+    """Reference for steady_state's loop: the same fixed-point iteration
+    and stopping rule, with np.linalg.norm for every Frobenius norm.
+    Returns (X, iterations), or None if it does not stop in MAX_ITER."""
+    eps = np.finfo(float).eps
+    X = sys.Pi.copy()
+    bound = float(np.linalg.norm(X, "fro"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(MAX_ITER):
+            X_next = riccati_step(sys, lyapunov_step(sys, X))
+            delta = float(np.linalg.norm(X_next - X, "fro"))
+            X = X_next
+            bound += delta
+            if delta <= STEP_TOL or (
+                    delta <= 8 * eps * bound
+                    and delta <= 4 * eps * float(np.linalg.norm(X, "fro"))):
+                return X, it + 1
+    return None
 
 
 def series_csv_reference(series) -> str:

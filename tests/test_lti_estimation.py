@@ -8,11 +8,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import steady_state_doubling
+from conftest import (fixed_point_reference, stepped_ladder,
+                      steady_state_doubling, symmetric_system)
 from schedsec import lti_estimation
 from schedsec.errors import (ConvergenceError, StabilityWarning,
                              ValidationError, read_json)
-from schedsec.lti_estimation import (LinearSystem, load_systems, lyapunov_step,
+from schedsec.lti_estimation import (LinearSystem, bundled_systems,
+                                     load_systems, lyapunov_step,
                                      riccati_step, steady_state)
 
 # frozen from an offline computation that agreed with scipy's DARE solver
@@ -109,6 +111,78 @@ def test_trace_ladder_is_lazy_and_consistent(study_systems, study_ladders):
     for t in range(12):
         assert lad.trace(t) == pytest.approx(float(np.trace(P)), rel=1e-12)
         P = lyapunov_step(sys, P)
+
+
+def _ladder_cases():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        stable = LinearSystem(A=[[0.5]], C=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                              Pi=[[1.0]], name="stable")
+    saturating = LinearSystem(A=[[1e3]], C=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                              Pi=[[1.0]], name="saturating")
+    return [*bundled_systems(),
+            symmetric_system(9, np.linspace(0.5, 1.05, 9), 9, "nine"),
+            saturating, stable]
+
+
+@pytest.mark.parametrize("sys", _ladder_cases(), ids=lambda s: s.name)
+def test_ladder_grown_in_blocks_is_stepped_entry_by_entry(sys):
+    # the ladder grows in three reads, each stepping its own blocks; every
+    # entry keeps the bits of one step and one trace per entry, and a
+    # saturating ladder reads +inf from its first non-finite entry on
+    lad = steady_state(sys)
+    want = stepped_ladder(sys, lad.P_bar, 5000)
+    for t in (3, 70, 5000):
+        assert repr(lad.trace(t)) == repr(want[t])
+        assert np.array(lad.ladder(t)).tobytes() == np.array(
+            want[:t + 1]).tobytes()
+    assert not any(math.isnan(v) for v in want)
+    if sys.name == "saturating":
+        first = want.index(math.inf)
+        assert 0 < first < 70
+        assert all(math.isfinite(v) for v in want[:first])
+
+
+def test_saturating_ladder_steps_at_most_twice_the_entries(monkeypatch):
+    sys = LinearSystem(A=[[1e3]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], Pi=[[1.0]])
+    lad = steady_state(sys)
+    # an entry-by-entry ladder steps once per entry up to its first inf
+    first = stepped_ladder(sys, lad.P_bar, 200).index(math.inf)
+    calls = []
+    real = lti_estimation.lyapunov_step
+
+    def counted(sys, X):
+        calls.append(1)
+        return real(sys, X)
+
+    monkeypatch.setattr(lti_estimation, "lyapunov_step", counted)
+    assert lad.trace(10**6) == math.inf
+    assert first <= len(calls) <= 2 * first
+    assert lad.trace(10**7) == math.inf and len(calls) <= 2 * first
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_steady_state_keeps_the_bits_of_the_norm_loop(n, seed):
+    # the fixed-point loop takes its Frobenius step as sqrt(d . d), the
+    # float operations of np.linalg.norm(., "fro"); P_bar and the
+    # iteration count must be the reference loop's, bit for bit
+    from hypothesis import assume
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(n, n))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StabilityWarning)
+            sys = LinearSystem(A=rng.normal(size=(n, n)) * 1.2,
+                               C=rng.normal(size=(1, n)), Q=M @ M.T,
+                               R=[[float(rng.uniform(0.1, 3.0))]],
+                               Pi=np.eye(n))
+        lad = steady_state(sys)
+    except (ValidationError, ConvergenceError):
+        assume(False)
+    X, iterations = fixed_point_reference(sys)
+    assert lad.iterations == iterations
+    assert lad.P_bar.tobytes() == lti_estimation._symmetrize(X).tobytes()
 
 
 def test_lyapunov_and_riccati_steps_hand_checked():
@@ -208,6 +282,35 @@ def test_validation_rejects_bad_shapes():
     with pytest.raises(ValidationError, match="semidefinite"):
         LinearSystem(A=np.eye(2) * 1.1, C=[[1.0, 0.0]],
                      Q=[[1.0, 2.0], [2.0, 1.0]], R=[[1.0]], Pi=np.eye(2))
+
+
+@pytest.mark.parametrize("step", [lyapunov_step, riccati_step])
+def test_step_shape_messages(step):
+    # the steps check X's shape on a fast path; the messages are those of
+    # _as_matrix, word for word
+    sys = LinearSystem(A=np.diag([2.0, 1.5]), C=[[1.0, 1.0]], Q=np.eye(2),
+                       R=[[1.0]], Pi=np.eye(2))
+    for X, msg in ((np.ones(2), "expected a 2-D matrix, got shape (2,)"),
+                   ([[1.0]], "expected 2 rows, got 1"),
+                   (np.ones((3, 2)), "expected 2 rows, got 3"),
+                   (np.ones((2, 3)), "expected 2 columns, got 3"),
+                   (np.ones((2, 2, 1)),
+                    "expected a 2-D matrix, got shape (2, 2, 1)")):
+        with pytest.raises(ValidationError) as err:
+            step(sys, X)
+        assert str(err.value) == msg
+    # a ragged nested list is refused by NumPy's own conversion, with its
+    # exception and message
+    ragged = [[1.0, 2.0], [3.0]]
+    with pytest.raises(ValueError) as want:
+        np.asarray(ragged, dtype=float)
+    with pytest.raises(ValueError) as err:
+        step(sys, ragged)
+    assert type(err.value) is type(want.value)
+    assert str(err.value) == str(want.value)
+    # a nested list of the right shape is a matrix
+    assert (step(sys, [[1, 0], [0, 1]]).tobytes()
+            == step(sys, np.eye(2)).tobytes())
 
 
 def test_validation_rejects_undetectable_pair():

@@ -3,8 +3,12 @@ import functools
 import itertools
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ from conftest import (enumerated_schedule_search, fkm_necklaces,
                       random_unstable_system)
 from schedsec import scheduling
 from schedsec.cli import _cost_csv
-from schedsec.errors import BudgetError, ValidationError, Work, read_json
+from schedsec.errors import (BudgetError, NumericalError, ValidationError,
+                             Work, read_json)
 from schedsec.lti_estimation import steady_state
 from schedsec.scheduling import (Schedule, ShiftTuple, _binary_rows,
                                  _count_bounds, _fixed_content_necklaces,
@@ -23,6 +28,7 @@ from schedsec.scheduling import (Schedule, ShiftTuple, _binary_rows,
                                  average_cost, optimal_schedule_search,
                                  reception)
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_ROUND_ROBIN_COST = 2.0250433575300404
 
 binary_row = st.lists(st.integers(0, 1), min_size=1, max_size=12)
@@ -625,6 +631,47 @@ def test_search_matches_oracle_when_no_schedule_is_finite(traces,
         want = enumerated_schedule_search(3, periods, ladders)
         assert got[0] == want[0]
         assert repr(got[1].per_sensor) == repr(want[1].per_sensor)
+
+
+class _NanLadder:
+    def trace(self, t):
+        return math.nan
+
+
+_NAN_SEARCH_MESSAGE = ("every schedule of periods [2] prices NaN; no "
+                       "schedule can be chosen")
+
+
+def test_search_where_every_schedule_prices_nan_raises(study_systems):
+    # a NaN total never wins, so no schedule is chosen; the error names
+    # the candidate periods
+    with pytest.raises(NumericalError) as err:
+        optimal_schedule_search(study_systems[:2], [2],
+                                ladders=[_NanLadder(), _NanLadder()])
+    assert str(err.value) == _NAN_SEARCH_MESSAGE
+
+
+def test_search_where_every_schedule_prices_nan_raises_under_python_O():
+    # the same error with assertions compiled out
+    code = ("import math\n"
+            "from schedsec.errors import NumericalError\n"
+            "from schedsec.lti_estimation import bundled_systems\n"
+            "from schedsec.scheduling import optimal_schedule_search\n"
+            "class NanLadder:\n"
+            "    def trace(self, t):\n"
+            "        return math.nan\n"
+            "try:\n"
+            "    optimal_schedule_search(bundled_systems()[:2], [2],\n"
+            "                            ladders=[NanLadder(), NanLadder()])\n"
+            "except NumericalError as exc:\n"
+            "    print(exc)\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _NAN_SEARCH_MESSAGE + "\n"
 
 
 def test_search_prices_every_necklace_once_when_no_schedule_is_finite(

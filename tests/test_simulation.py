@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (child_rngs, random_exclusive_schedule,
                       series_csv_reference, state_trajectory_sim,
-                      stepped_covariance_series)
-from schedsec import scheduling
+                      stepped_covariance_series, symmetric_system)
+from schedsec import lti_estimation, scheduling, simulation
 from schedsec.cli import _series_csv, _summary_doc
 from schedsec.errors import BudgetError, StabilityWarning, ValidationError
 from schedsec.lti_estimation import LinearSystem, lyapunov_step, steady_state
@@ -197,6 +198,58 @@ def test_periodic_series_matches_stepping_on_random_schedules(
         horizon = int(rng.integers(1, 5 * T + 10))
         assert_series_is_stepped(study_systems, sched, attack, horizon,
                                  study_ladders)
+
+
+@pytest.mark.parametrize("cap", [None, 8])
+@pytest.mark.parametrize("n", [3, 9])
+def test_series_blocks_match_stepping_beyond_two_states(n, cap, monkeypatch):
+    # a 9 x 9 trace sums its diagonal pairwise; a block's traces must keep
+    # those bits.  Sensor 0 receives, sensor 1 passes OVERFLOW_TRACE at slot
+    # 59, inside a block, before its one reception at slot 90, and sensor 2
+    # never receives.  The horizons end on, before and after block edges;
+    # a cap of 8 slots puts most of them past the cap.
+    if cap is not None:
+        monkeypatch.setattr(lti_estimation, "_BLOCK_CAP", cap)
+    systems = [symmetric_system(n, np.linspace(0.5, 1.3, n), n, "receiving"),
+               symmetric_system(n, np.linspace(0.9, 1.25, n), n, "overflow"),
+               symmetric_system(n, np.linspace(0.3, 1.001, n), n, "starved")]
+    ladders = [steady_state(s) for s in systems]
+    rows = np.zeros((3, 100), dtype=int)
+    rows[0, 3::10] = 1
+    rows[1, 90] = 1
+    sched = Schedule(period=100, rows=rows)
+    edges = set(itertools.accumulate(lti_estimation._block_sizes(5000)))
+    for horizon in (1, 63, 64, 65, 200, 5000):
+        series = assert_series_is_stepped(systems, sched, None, horizon,
+                                          ladders)
+        assert series.divergent == (False, False, True)
+        if horizon > 59:
+            assert series.overflow_at == (None, 59, None)
+            assert 59 not in edges and 60 not in edges
+        assert np.isfinite(series.traces).all()
+
+
+def test_series_overflow_costs_at_most_twice_the_slot_by_slot_steps(
+        monkeypatch):
+    # A = 1000 passes OVERFLOW_TRACE at slot 2, after 3 steps; the block
+    # that holds it is stepped to its end, and no further block
+    systems = [scalar_system(1e3)]
+    ladders = [steady_state(s) for s in systems]
+    calls = []
+    real = lti_estimation.lyapunov_step
+
+    def counted(sys, X):
+        calls.append(1)
+        return real(sys, X)
+
+    monkeypatch.setattr(lti_estimation, "lyapunov_step", counted)
+    monkeypatch.setattr(simulation, "lyapunov_step", counted)
+    series = exact_covariance_series(
+        systems, Schedule(period=1, rows=((0,),)), horizon=10**6,
+        ladders=ladders)
+    assert series.overflow_at == (2,)
+    assert np.all(series.traces[0, 2:] == series.traces[0, 2])
+    assert 3 <= len(calls) <= 2 * 3
 
 
 def random_system(rng, n, name):
