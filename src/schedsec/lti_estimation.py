@@ -13,9 +13,20 @@ and the measurement-update step
 Their composition has a unique positive semidefinite fixed point P_bar (the
 steady-state estimation error covariance) whenever (A, C) is detectable and
 (A, sqrt(Q)) is stabilizable.  The trace ladder t -> Tr[h^t(P_bar)] prices
-the cost of going t slots without a packet.  `load_systems` parses a decoded
-systems document, whose matrix entries must be finite JSON numbers; it does
-no I/O, so the caller that read the bytes also hashes them.
+the cost of going t slots without a packet.
+
+The update's float operations live in one private kernel,
+`_riccati_update`, which takes its one solve as an argument.  The public
+`riccati_step` checks X and solves through np.linalg.solve, so a singular
+innovation covariance raises NumericalError.  `steady_state`'s loop, which
+makes thousands of updates on near-marginal systems, calls the kernel
+with the bare LAPACK gufunc behind np.linalg.solve (the same bits, none of
+its per-call checks) and turns to `riccati_step` only on a step that left
+a non-finite iterate, where that singular check lives.
+
+`load_systems` parses a decoded systems document, whose matrix entries
+must be finite JSON numbers; it does no I/O, so the caller that read the
+bytes also hashes them.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from functools import cached_property
 from importlib import resources
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (ConvergenceError, NumericalError, StabilityWarning,
                      ValidationError, json_list, json_object, read_json)
@@ -200,12 +212,43 @@ def lyapunov_step(sys: LinearSystem, X) -> np.ndarray:
     entry, so the symmetrization is written out here: the float operations
     of `_symmetrize`, without its call, and X is checked with one
     conversion and one shape comparison; `_as_matrix` runs only to raise
-    its message.
+    its message.  A nested list NumPy cannot read as a float array, such as
+    a ragged one, raises ValidationError.
     """
-    X = np.asarray(X, dtype=float)
+    try:
+        X = np.asarray(X, dtype=float)
+    except ValueError as exc:
+        raise ValidationError(f"cannot read X as a matrix: {exc}") from None
     if X.shape != sys.A.shape:
         _as_matrix(X, rows=sys.n, cols=sys.n)
     M = sys.A @ X @ sys.A.T + sys.Q
+    return (M + M.T) / 2.0
+
+
+# The LAPACK gesv gufunc behind np.linalg.solve.  np.linalg.solve(a, b)
+# calls it with signature "dd->d" on two 2-D float64 arrays, the loop it
+# selects for them unasked, and returns its result as is, so the two give
+# the same bits; called bare, it skips np.linalg.solve's argument checks
+# and error-state block.  A singular matrix makes it fill the result with
+# NaN and raise the "invalid" floating-point flag, which np.linalg.solve's
+# error state turns into LinAlgError.
+_lapack_solve = _umath_linalg.solve
+
+
+def _riccati_update(sys: LinearSystem, X: np.ndarray,
+                    solve=_lapack_solve) -> np.ndarray:
+    """The float operations of `riccati_step` on an n x n float X, with
+    the solve passed in: riccati_step passes np.linalg.solve, so that a
+    singular S raises; steady_state's loop keeps the bare gufunc, under
+    which a singular S yields NaN."""
+    C = sys.C
+    CX = C @ X
+    S = CX @ C.T + sys.R
+    if sum(S.diagonal().tolist()) > sys._cancellation_bound:
+        K = solve(S, CX).T
+        I_KC = np.eye(sys.n) - K @ C
+        return _symmetrize(I_KC @ X @ I_KC.T + K @ sys.R @ K.T)
+    M = X - X @ C.T @ solve(S, CX)
     return (M + M.T) / 2.0
 
 
@@ -220,25 +263,24 @@ def riccati_step(sys: LinearSystem, X) -> np.ndarray:
     cost of one comparison.  (The information form (I + X C' R^{-1} C)^{-1}
     X is exact too, but I + X C' R^{-1} C loses its identity part to
     rounding once X is large, and is then numerically singular.)  X is
-    checked as in `lyapunov_step`, C X is formed once, and the subtraction
-    form is symmetrized inline.
+    checked as in `lyapunov_step`; the update itself is `_riccati_update`,
+    which forms C X once and symmetrizes the subtraction form inline.  Its
+    one solve goes through np.linalg.solve, so a singular S raises
+    NumericalError and no RuntimeWarning, while the products around the
+    solve run under the caller's floating-point error settings: inf * 0 in
+    them, on an overflowed X, yields NaN, not a singular-S error.
     """
-    X = np.asarray(X, dtype=float)
+    try:
+        X = np.asarray(X, dtype=float)
+    except ValueError as exc:
+        raise ValidationError(f"cannot read X as a matrix: {exc}") from None
     if X.shape != sys.A.shape:
         _as_matrix(X, rows=sys.n, cols=sys.n)
-    CX = sys.C @ X
-    S = CX @ sys.C.T + sys.R
     try:
-        if sum(S.diagonal().tolist()) > sys._cancellation_bound:
-            K = np.linalg.solve(S, CX).T
-            I_KC = np.eye(sys.n) - K @ sys.C
-            return _symmetrize(I_KC @ X @ I_KC.T + K @ sys.R @ K.T)
-        gain = np.linalg.solve(S, CX)
+        return _riccati_update(sys, X, np.linalg.solve)
     except np.linalg.LinAlgError:
         raise NumericalError(
             f"{sys.name}: innovation covariance is singular") from None
-    M = X - X @ sys.C.T @ gain
-    return (M + M.T) / 2.0
 
 
 class SteadyState:
@@ -306,6 +348,16 @@ def steady_state(sys: LinearSystem) -> SteadyState:
     most max(RESIDUAL_TOL, 8 eps ||X||_F).  Raises ConvergenceError
     (carrying the last residual) if MAX_ITER steps do not converge, an iterate
     overflows to a non-finite matrix or the residual bound fails.
+
+    Each step calls `lyapunov_step` through the module's global name (so a
+    tracer that rebinds it sees every step) and then the update kernel
+    `_riccati_update` with the bare LAPACK solve, which costs a few
+    microseconds less per step than np.linalg.solve and gives the same
+    bits.  Under the bare solve a singular S yields NaN instead of an
+    error, so a step whose iterate is not finite is first repeated by the
+    checked `riccati_step` on the same prediction: a singular S raises its
+    NumericalError at the same step as before, and anything else is the
+    overflow ConvergenceError.  The residual is taken with `riccati_step`.
     """
     eps = np.finfo(float).eps
     X = sys.Pi.copy()
@@ -315,12 +367,15 @@ def steady_state(sys: LinearSystem) -> SteadyState:
     bound = float(np.linalg.norm(X, "fro"))
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(MAX_ITER):
-            X_next = riccati_step(sys, lyapunov_step(sys, X))
+            P = lyapunov_step(sys, X)
+            X_next = _riccati_update(sys, P)
             # the float operations of np.linalg.norm(X_next - X, "fro"),
             # without its wrapper
             d = (X_next - X).ravel()
             delta = math.sqrt(d.dot(d))
             if not math.isfinite(delta) and not np.isfinite(X_next).all():
+                # a singular S left NaN; the checked step raises its error
+                riccati_step(sys, P)
                 raise ConvergenceError(
                     f"{sys.name}: steady-state iteration overflowed to a "
                     f"non-finite covariance at step {it + 1}", residual=delta)

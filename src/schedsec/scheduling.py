@@ -431,15 +431,26 @@ def _contents(T: int, N: int, least: int):
         yield tuple(b - a + least - 1 for a, b in zip((0, *cuts), (*cuts, S)))
 
 
-def _canonical_rotation(cols: tuple[int, ...], n_sensors: int):
-    """The cyclic rotation of a columnwise assignment whose row-major
-    flattened 0/1 matrix, as bytes, is smallest; returns (bytes, array)."""
-    T = len(cols)
-    onehot = np.arange(n_sensors)[:, None] == np.array(cols)
-    rotations = _shifted(onehot, np.arange(T)[:, None]).view(np.uint8)
-    keys = [rot.tobytes() for rot in rotations]
-    r = keys.index(min(keys))
-    return keys[r], rotations[r]
+def _least_rotation(cols: np.ndarray, n_sensors: int):
+    """The least canonical rotation in a block of columnwise assignments.
+
+    Of every cyclic rotation of every row of the (B, T) array `cols`, taken
+    as an (N, T) 0/1 matrix, finds the one whose row-major flattening, as
+    bytes, is smallest: all B * T rotations come from one `_shifted` call,
+    and the least is found column by column over their bits packed eight
+    to a byte, which keeps the bytewise order.  Returns (the row of cols
+    it rotates, its bytes, the (N, T) uint8 array)."""
+    B, T = cols.shape
+    onehot = (cols[:, None, :] == np.arange(n_sensors)[:, None]).view(np.uint8)
+    rotations = _shifted(onehot[:, None], np.arange(T)[:, None])
+    flat = rotations.reshape(B * T, n_sensors * T)
+    packed = np.packbits(flat, axis=1)
+    least = np.arange(B * T)
+    for column in packed.T:
+        bits = column[least]
+        least = least[bits == bits.min()]
+    b, r = divmod(int(least[0]), T)
+    return b, flat[b * T + r].tobytes(), rotations[b, r]
 
 
 def optimal_schedule_search(systems: Sequence[LinearSystem],
@@ -473,7 +484,10 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
     average_cost.  Each class is represented by its rotation with the
     lexicographically smallest row-major flattened 0/1 matrix, and the
     winner is the minimum of (total, that matrix, period): ties break
-    toward the smallest flattened matrix, then the smallest period.  Each
+    toward the smallest flattened matrix, then the smallest period.  Only
+    the necklaces at a block's least total, when it ties or beats the
+    incumbent, can win, so only their rotations are compared, all in one
+    `_least_rotation` call per block.  Each
     candidate period must be an integer (`strict_int`).  The budget
     (SCHEDSEC_BUDGET) caps the N^T column assignments the candidate
     periods span, whatever the bound prunes, summed over periods and each
@@ -512,21 +526,29 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
         necklaces = _fixed_content_necklaces(counts)
         size = max(1, _BLOCK_SLOTS // (N * T))
         while block := list(itertools.islice(necklaces, size)):
+            cols = np.array(block)
             # (necklace, sensor) reception rows: sensor i owns cols == i
-            runs = _row_runs((np.array(block)[:, None] == sensors
-                              ).reshape(-1, T))
-            for j, cols in enumerate(block):
+            runs = _row_runs((cols[:, None] == sensors).reshape(-1, T))
+            lead = inf if best is None else best[0]
+            tied = []  # (necklace, per) at the block's least total <= lead
+            for j in range(len(block)):
                 per = tuple(map(price, range(N), runs[j * N:j * N + N]))
                 total = sum(per)  # CostReport.total, to the bit
                 # a NaN total never wins
-                if not total <= (inf if best is None else best[0]):
+                if not total <= lead:
                     continue
-                # every rotation prices the same, so only a contender
-                # needs its canonical rotation for the tie-break
-                key, rows = _canonical_rotation(cols, N)
-                entry = (total, key, T)
+                if total < lead:
+                    lead, tied = total, []
+                tied.append((j, per))
+            if tied:
+                # every rotation prices the same, so only the necklaces
+                # at the block's least total need their canonical rotations
+                # for the tie-break, and only the least of those can win
+                w, key, rows = _least_rotation(
+                    cols[[j for j, _ in tied]], N)
+                entry = (lead, key, T)
                 if best is None or entry < best[:3]:
-                    best = (*entry, rows, per)
+                    best = (*entry, rows, tied[w][1])
     if best is None:
         raise NumericalError(
             f"every schedule of periods {cands} prices NaN; no schedule "

@@ -371,6 +371,27 @@ def test_steady_state_overflow_exits_3_at_once(tmp_path, capsys):
         "covariance at step 1\n")
 
 
+def test_steady_state_near_marginal_systems(tmp_path):
+    # A = 1.0001 with Q = 1e-6, R = 1e3 takes about 60,800 fixed-point
+    # steps, and A = 1 + 10^-3.25 with Q = 1, R = 1e6 is design_sweep's
+    # shape; P_bar and the step counts are the reference loop's, bit for bit
+    from conftest import fixed_point_reference
+    from schedsec.lti_estimation import _symmetrize, load_systems
+    path = Path(__file__).parent / "data" / "near_marginal_systems.json"
+    out = tmp_path / "near"
+    assert main(["steady-state", "--systems", str(path),
+                 "--out", str(out)]) == 0
+    got = _read_doc(out / "steady_state.json")["systems"]
+    systems = load_systems(_read_doc(path))
+    assert len(got) == len(systems) == 2
+    for entry, sys in zip(got, systems):
+        X, iterations = fixed_point_reference(sys)
+        assert entry["iterations"] == iterations
+        assert (np.array(entry["P_bar"]).tobytes()
+                == _symmetrize(X).tobytes())
+    assert 60_000 < got[0]["iterations"] < 62_000
+
+
 def test_steady_state_with_large_covariance_converges(tmp_path, capsys):
     # P_bar is about 5.6e7, where one ulp is 7.5e-9: an absolute step of
     # 1e-10 is below float resolution, so the stop must scale with ||X||

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import (fixed_point_reference, stepped_ladder,
                       steady_state_doubling, symmetric_system)
 from schedsec import lti_estimation
-from schedsec.errors import (ConvergenceError, StabilityWarning,
-                             ValidationError, read_json)
+from schedsec.errors import (ConvergenceError, NumericalError,
+                             StabilityWarning, ValidationError, read_json)
 from schedsec.lti_estimation import (LinearSystem, bundled_systems,
                                      load_systems, lyapunov_step,
                                      riccati_step, steady_state)
@@ -161,28 +161,119 @@ def test_saturating_ladder_steps_at_most_twice_the_entries(monkeypatch):
     assert lad.trace(10**7) == math.inf and len(calls) <= 2 * first
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-def test_steady_state_keeps_the_bits_of_the_norm_loop(n, seed):
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(1, 3), joseph=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_steady_state_keeps_the_bits_of_the_norm_loop(n, m, joseph, seed):
     # the fixed-point loop takes its Frobenius step as sqrt(d . d), the
-    # float operations of np.linalg.norm(., "fro"); P_bar and the
-    # iteration count must be the reference loop's, bit for bit
+    # float operations of np.linalg.norm(., "fro"), and its update solves
+    # through the bare LAPACK gufunc; P_bar, the iteration count and the
+    # residual must be those of the reference loop, which calls the public
+    # riccati_step and np.linalg.norm, bit for bit.  With `joseph` the
+    # process noise is at least 1e12 I and every output sees the first
+    # state with a weight of at least 1, so C X C' dwarfs R and the update
+    # takes the Joseph form
     from hypothesis import assume
     rng = np.random.default_rng(seed)
     M = rng.normal(size=(n, n))
+    N = rng.normal(size=(m, m))
+    C = rng.normal(size=(m, n))
+    Q = M @ M.T
+    if joseph:
+        C[:, 0] += np.copysign(1.0, C[:, 0])
+        Q = (Q + np.eye(n)) * 1e12
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StabilityWarning)
-            sys = LinearSystem(A=rng.normal(size=(n, n)) * 1.2,
-                               C=rng.normal(size=(1, n)), Q=M @ M.T,
-                               R=[[float(rng.uniform(0.1, 3.0))]],
-                               Pi=np.eye(n))
+            sys = LinearSystem(A=rng.normal(size=(n, n)) * 1.2, C=C, Q=Q,
+                               R=N @ N.T + 0.1 * np.eye(m), Pi=np.eye(n))
         lad = steady_state(sys)
     except (ValidationError, ConvergenceError):
         assume(False)
     X, iterations = fixed_point_reference(sys)
     assert lad.iterations == iterations
     assert lad.P_bar.tobytes() == lti_estimation._symmetrize(X).tobytes()
+    again = riccati_step(sys, lyapunov_step(sys, X))
+    assert lad.residual == float(np.linalg.norm(again - X, "fro"))
+    P = lyapunov_step(sys, lad.P_bar)
+    S = sys.C @ P @ sys.C.T + sys.R
+    assert (np.trace(S) > sys._cancellation_bound) == joseph
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 3), n=st.integers(1, 4), data=st.data())
+def test_bare_solve_keeps_the_bits_of_np_linalg_solve(m, n, data):
+    # steady_state's loop solves S G = C X through the LAPACK gufunc that
+    # np.linalg.solve wraps; on float64 matrices the two agree to the bit
+    entries = st.floats(-1e3, 1e3, allow_nan=False)
+    S = np.array(data.draw(st.lists(entries, min_size=m * m,
+                                    max_size=m * m))).reshape(m, m)
+    B = np.array(data.draw(st.lists(entries, min_size=m * n,
+                                    max_size=m * n))).reshape(m, n)
+    S = S @ S.T + 10.0 ** data.draw(st.integers(-8, 2)) * np.eye(m)
+    want = np.linalg.solve(S, B)
+    got = lti_estimation._lapack_solve(S, B)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_singular_innovation_covariance_raises_numerical_error():
+    # S = C X C' + R = -1 + 1 = 0: the solve fails, and the step says why,
+    # without a RuntimeWarning from the failed solve
+    sys = LinearSystem(A=[[2.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], Pi=[[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as err:
+            riccati_step(sys, [[-1.0]])
+    assert str(err.value) == "system: innovation covariance is singular"
+
+
+def test_steady_state_raises_numerical_error_on_a_singular_step(monkeypatch):
+    # the third prediction makes S singular: the loop raises the update's
+    # NumericalError at that iteration, not a ConvergenceError, and no
+    # RuntimeWarning escapes
+    sys = LinearSystem(A=[[2.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], Pi=[[1.0]])
+    real = lti_estimation.lyapunov_step
+    calls = []
+
+    def step(sys, X):
+        calls.append(1)
+        return np.array([[-1.0]]) if len(calls) == 3 else real(sys, X)
+
+    monkeypatch.setattr(lti_estimation, "lyapunov_step", step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as err:
+            steady_state(sys)
+    assert str(err.value) == "system: innovation covariance is singular"
+    assert len(calls) == 3
+
+
+def test_overflowed_iterate_is_not_a_singular_solve(monkeypatch):
+    # an overflowed prediction diag(inf, 1.25) sends the update's products
+    # through inf * 0, an invalid operation outside the solve: riccati_step
+    # returns a non-finite matrix rather than calling S singular, and
+    # steady_state reports the overflow at the step where it happened
+    sys = LinearSystem(A=np.diag([2.0, 0.5]), C=[[1.0, 0.0]], Q=np.eye(2),
+                       R=[[1.0]], Pi=np.eye(2))
+    overflowed = np.diag([math.inf, 1.25])
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(riccati_step(sys, overflowed)).all()
+    real = lti_estimation.lyapunov_step
+    calls = []
+
+    def step(sys, X):
+        calls.append(1)
+        return overflowed if len(calls) == 2 else real(sys, X)
+
+    monkeypatch.setattr(lti_estimation, "lyapunov_step", step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as err:
+            steady_state(sys)
+    assert str(err.value) == (
+        "system: steady-state iteration overflowed to a non-finite "
+        "covariance at step 2")
 
 
 def test_lyapunov_and_riccati_steps_hand_checked():
@@ -299,15 +390,14 @@ def test_step_shape_messages(step):
         with pytest.raises(ValidationError) as err:
             step(sys, X)
         assert str(err.value) == msg
-    # a ragged nested list is refused by NumPy's own conversion, with its
-    # exception and message
+    # a ragged nested list, which NumPy's conversion refuses, is a
+    # ValidationError that carries NumPy's reason
     ragged = [[1.0, 2.0], [3.0]]
     with pytest.raises(ValueError) as want:
         np.asarray(ragged, dtype=float)
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ValidationError) as err:
         step(sys, ragged)
-    assert type(err.value) is type(want.value)
-    assert str(err.value) == str(want.value)
+    assert str(err.value) == f"cannot read X as a matrix: {want.value}"
     # a nested list of the right shape is a matrix
     assert (step(sys, [[1, 0], [0, 1]]).tobytes()
             == step(sys, np.eye(2)).tobytes())
