@@ -13,7 +13,10 @@ and the measurement-update step
 Their composition has a unique positive semidefinite fixed point P_bar (the
 steady-state estimation error covariance) whenever (A, C) is detectable and
 (A, sqrt(Q)) is stabilizable.  The trace ladder t -> Tr[h^t(P_bar)] prices
-the cost of going t slots without a packet.
+the cost of going t slots without a packet.  One routine,
+`_extend_ladders`, steps every ladder: the ladders it is given that share
+a state dimension step together, as one stack of matrices whose slices
+keep the bits of `lyapunov_step`.
 
 The update's float operations live in one private kernel,
 `_riccati_update`, which takes its one solve as an argument.  The public
@@ -51,8 +54,8 @@ RESIDUAL_TOL = 1e-8
 STEP_TOL = 1e-10
 # steady_state gives up (ConvergenceError) after this many fixed-point steps
 MAX_ITER = 100_000
-# the trace ladder and the covariance series step in blocks of 2, 4, 8,
-# ... iterates, up to this many, and read each block's traces at once
+# _extend_ladders steps ladders in blocks of 2, 4, 8, ... iterates, up to
+# this many, and reads each block's traces at once
 _BLOCK_CAP = 4096
 # Tr(C X C' + R) above this multiple of Tr(R) makes the update's
 # subtraction X - X C' S^-1 C X cancel to noise, so riccati_step switches
@@ -287,13 +290,12 @@ class SteadyState:
     """Steady-state covariance P_bar plus a lazily extended trace ladder.
 
     ladder entry t is Tr[h^t(P_bar)].  The ladder is an append-only cache;
-    reading beyond the materialized prefix extends it to the entry read,
-    stepping `lyapunov_step` once per entry.  An extension steps in blocks
-    (`_block_sizes`): each block's iterates go into one (k, n, n) array
-    allocated for it, whose traces are read with one batched trace, the
-    same bits as one trace per matrix.  From its first non-finite trace on
-    the ladder reads +inf, never NaN, and stops stepping at the end of
-    that block; the iterates past it are dropped.
+    reading beyond the materialized prefix extends it to the entry read
+    with `_extend_ladders`, the one routine that steps ladders, here on
+    this ladder alone; the covariance series and `bounds` extend all their
+    ladders in one call.  From its first non-finite trace on the ladder
+    reads +inf, never NaN, and stops stepping at the end of that block;
+    the iterates past it are dropped.
     """
 
     def __init__(self, sys: LinearSystem, P_bar: np.ndarray, residual: float,
@@ -311,31 +313,84 @@ class SteadyState:
             raise ValidationError(f"ladder index must be >= 0, got {t}")
         traces = self._traces
         if len(traces) <= t and traces[-1] < math.inf:
-            self._extend(t + 1 - len(traces))
+            _extend_ladders([self], [t + 1])
         return traces[min(t, len(traces) - 1)]
-
-    def _extend(self, count: int) -> None:
-        sys, X, traces = self.sys, self._frontier, self._traces
-        with np.errstate(over="ignore", invalid="ignore"):
-            for size in _block_sizes(count):
-                block = np.empty((size, sys.n, sys.n))
-                for j in range(size):
-                    X = lyapunov_step(sys, X)
-                    block[j] = X
-                got = block.trace(0, 1, 2)
-                bad = np.flatnonzero(~np.isfinite(got))
-                if bad.size:
-                    traces += got[:bad[0]].tolist()
-                    traces.append(math.inf)
-                    break
-                traces += got.tolist()
-        self._frontier = X
 
     def ladder(self, upto: int) -> list[float]:
         """Traces [Tr h^0(P_bar), ..., Tr h^upto(P_bar)]."""
         if upto >= 0:
             self.trace(upto)  # extends the ladder once, not per entry
         return [self.trace(t) for t in range(upto + 1)]
+
+
+def _lyapunov_stack(A, X, At, Q):
+    """`lyapunov_step`'s float operations on a (k, n, n) stack of iterates,
+    with A, At = A' (a transposed view) and Q stacked alike.  Each slice
+    keeps the bits of the 2-D step: matmul steps a stack one matrix at a
+    time through the same BLAS call as a lone matrix."""
+    M = A @ X @ At + Q
+    return (M + M.swapaxes(1, 2)) / 2.0
+
+
+def _extend_ladders(ladders, lengths, overflow: float = math.inf) -> None:
+    """Extend each ladder to hold (at least) its length of entries.
+
+    Ladders of one state dimension n step together, as one (k, n, n)
+    stack (`_lyapunov_stack`), in blocks of 2, 4, 8, ... up to _BLOCK_CAP
+    steps (`_block_sizes`); the iterates of a block go into one array,
+    whose traces are read at once with one batched trace, the bits of one
+    trace per matrix.  A ladder that reaches its length within a block
+    keeps the entries up to it.  A ladder leaves the stack at the end of
+    the block that holds its first non-finite trace and reads +inf from
+    there on, the entries past it dropped; it also leaves at the end of
+    the block that holds its first new entry past `overflow`.  Each
+    block is at most 2 longer than the blocks before it together, so a
+    ladder takes at most twice the steps up to either.  The same ladder
+    listed twice is stepped once, to the longer length.
+    """
+    longest: dict[SteadyState, int] = {}  # keyed by identity
+    for lad, length in zip(ladders, lengths):
+        longest[lad] = max(longest.get(lad, 0), length)
+    groups: dict[int, list] = {}
+    for lad, length in longest.items():
+        traces = lad._traces
+        if length <= len(traces) or traces[-1] == math.inf:
+            continue
+        groups.setdefault(lad.sys.n, []).append([lad, length - len(traces)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, stack in groups.items():
+            A = np.stack([lad.sys.A for lad, _ in stack])
+            Q = np.stack([lad.sys.Q for lad, _ in stack])
+            X = np.stack([lad._frontier for lad, _ in stack])
+            for size in _block_sizes(max(left for _, left in stack)):
+                k = len(stack)
+                block = np.empty((size, k, n, n))
+                At = A.swapaxes(1, 2)
+                for j in range(size):
+                    X = _lyapunov_stack(A, X, At, Q)
+                    block[j] = X
+                got = block.reshape(size * k, n, n).trace(0, 1, 2)
+                got = got.reshape(size, k)
+                keep = []
+                for j, entry in enumerate(stack):
+                    lad, left = entry
+                    take = min(size, left)
+                    new = got[:take, j]
+                    bad = np.flatnonzero(~np.isfinite(new))
+                    if bad.size:
+                        lad._traces += new[:bad[0]].tolist()
+                        lad._traces.append(math.inf)
+                        continue
+                    lad._traces += new.tolist()
+                    lad._frontier = block[take - 1, j].copy()
+                    entry[1] = left - take
+                    if entry[1] and not (new > overflow).any():
+                        keep.append(j)
+                if not keep:
+                    break
+                if len(keep) < k:
+                    stack = [stack[j] for j in keep]
+                    A, Q, X = A[keep], Q[keep], X[keep]
 
 
 def steady_state(sys: LinearSystem) -> SteadyState:

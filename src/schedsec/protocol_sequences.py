@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import (SchedSecError, ValidationError, Work, is_integer,
                      json_list, json_object, strict_int)
+from .lti_estimation import _extend_ladders
 from .scheduling import (Schedule, ShiftTuple, _binary_rows, _shifted,
                          reception)
 
@@ -422,23 +423,26 @@ def bounds(policies, ladders) -> BoundsReport:
     read from its rows.  `ladders` are the per-sensor steady states.
     Sensor i receives exactly N_i = n_i * prod_{j != i} (d_j - n_j)
     packets per period D = prod d_j under every shift tuple; the bounds
-    price the extreme gap layouts of those receptions.
+    price the extreme gap layouts of those receptions.  Every ladder is
+    first extended to the last entry either sum reads, all in one
+    `_extend_ladders` call, so ladders of one state dimension step as one
+    stack and a ladder listed twice steps once.
     """
     fs = _design_factors(Schedule.coerce(policies))
     if len(fs) != len(ladders):
         raise ValidationError(
             f"{len(fs)} duty factors for {len(ladders)} ladders")
     D = math.prod(f.denominator for f in fs)
-    receptions = []
+    receptions = [f.numerator * math.prod(g.denominator - g.numerator
+                                          for j, g in enumerate(fs) if j != i)
+                  for i, f in enumerate(fs)]
+    # the lower sum reads entries < ceil(D / N_i), the upper <= D - N_i
+    _extend_ladders(ladders, [max(-(-D // N_i), D - N_i + 1)
+                              for N_i in receptions])
     lower = 0.0
     upper = 0.0
-    for i, (f, lad) in enumerate(zip(fs, ladders)):
-        N_i = f.numerator * math.prod(g.denominator - g.numerator
-                                      for j, g in enumerate(fs) if j != i)
-        receptions.append(N_i)
+    for N_i, lad in zip(receptions, ladders):
         q, r = divmod(D, N_i)
-        # extends a ladder once, to the last entry either sum reads
-        lad.trace(max(q if r else q - 1, D - N_i))
         # no r = 0 term: 0 * trace is NaN once the ladder reads inf
         lower += N_i * sum(lad.trace(t) for t in range(q)) + (
             r * lad.trace(q) if r else 0.0)

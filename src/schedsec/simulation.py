@@ -1,15 +1,16 @@
 """Exact covariance recursions and Monte Carlo evaluation.
 
-`exact_covariance_series` iterates the remote estimator's error covariance
-matrix slot by slot with `lyapunov_step`, starting from the ladder's P_bar.
-After a sensor's first reception its covariance repeats with the period,
-so the series steps each sensor up to one period past that reception and
-repeats the period from there.  Its steps are the float operations the
-trace ladder is built from, so each slot's trace equals the ladder's at
-that slot's gap to the bit and is no independent check of the
-ladder-based costs; the independent stepping oracle lives in the tests.
-A stepped slot costs one `lyapunov_step` and a copy into a block of
-iterates; each block's traces are read at once.
+`exact_covariance_series` gives the remote estimator's error covariance
+trace slot by slot.  A reception resets the covariance to P_bar and any
+other slot takes one prediction step, so a slot's trace is the trace
+ladder's entry at that slot's gap since the last reception, and the
+series reads it off the ladder.  After a sensor's first reception its
+covariance repeats with the period, so the series reads each sensor up to
+one period past that reception and repeats the period from there.  The
+ladders are extended in one `_extend_ladders` call, which steps the
+ladders of one state dimension as one stack; the series steps no matrix
+of its own, so it is no independent check of the ladder-based costs; the
+independent slot-by-slot oracle lives in the tests.
 `monte_carlo_expected_cost` averages exact per-attack costs over random
 clock-shift attacks: it applies `scheduling`'s collision kernel to a whole
 batch of trials at once and prices every reception pattern it meets once,
@@ -35,7 +36,8 @@ import numpy as np
 
 from . import scheduling
 from .errors import ValidationError, Work, strict_int, strict_seed
-from .lti_estimation import (LinearSystem, SteadyState, _block_sizes,
+# lyapunov_step: unused, kept for perfbench's alias test (ROADMAP item 1)
+from .lti_estimation import (LinearSystem, SteadyState, _extend_ladders,
                              lyapunov_step, steady_state)
 from .scheduling import (CostReport, Schedule, ShiftTuple, _gap_pricer,
                          _row_runs, _sole_receptions, reception)
@@ -99,22 +101,22 @@ def exact_covariance_series(systems: Sequence[LinearSystem], policies,
     The virtual slot -1 counts as a reception, so the pre-first-packet
     segment follows the prediction iterates of the steady state.
 
-    From a sensor's first reception on, its covariance repeats with the
-    period, so each sensor is stepped only up to one full period past its
-    first reception and the rest of the horizon repeats that period, to
-    the bit.  A sensor that never receives is stepped over the whole
-    horizon.  Of the ladder the series reads only P_bar.  The budget
-    (SCHEDSEC_BUDGET) is charged the N * horizon slots of the series
-    before any is filled.
+    Slot k's covariance is h^g(P_bar), g being k minus the last reception
+    slot <= k, so its trace is ladder entry g, to the bit.  From a
+    sensor's first reception on, its covariance repeats with the period,
+    so each sensor's gaps are built only up to one full period past its
+    first reception, and the rest of the horizon repeats that period, to
+    the bit.  A sensor that never receives reads entries 1 to horizon.
+    The budget (SCHEDSEC_BUDGET) is charged the N * horizon slots of the
+    series before any is filled.
 
-    A sensor's slots are stepped in blocks of 2, 4, 8, ... up to
-    `lti_estimation._BLOCK_CAP` slots (`_block_sizes`): a block's matrices
-    go into one (k, n, n) array allocated for it, and its traces are read
-    with one batched trace, the bits of one trace per matrix.  Stepping
-    stops at the end of the first block that holds a trace past
-    OVERFLOW_TRACE; the slots from the first such trace on repeat it, so
-    the steps taken are at most twice those up to the overflow.  No stack
-    of matrices longer than one block is built.
+    All the ladders are extended in one `_extend_ladders` call, to the
+    longest gap each sensor reads: ladders of one state dimension step as
+    one stack, and a ladder listed twice steps once.  A ladder stops at
+    the end of the block that holds its first entry past OVERFLOW_TRACE,
+    so it takes at most twice the steps up to its overflow; the slots
+    from the first trace past OVERFLOW_TRACE on repeat it.  A non-finite
+    trace reads +inf, as the ladder does, and so also freezes the series.
     """
     horizon = strict_int(horizon, "horizon")
     if horizon < 1:
@@ -127,34 +129,45 @@ def exact_covariance_series(systems: Sequence[LinearSystem], policies,
     receptions = tuple(tuple(r) for r in reception(sched, attack))
     if ladders is None:
         ladders = [steady_state(sys) for sys in systems]
+    # each sensor's gaps up to one period past its first reception, from a
+    # virtual reception at slot -1; None for a sensor that never receives,
+    # whose slot k reads ladder entry k + 1
+    gaps: list[np.ndarray | None] = []
+    lengths = []
+    for row in receptions:
+        if 1 in row:
+            slots = np.arange(min(horizon, row.index(1) + T))
+            hit = np.array(row, dtype=bool)[slots % T]
+            g = slots - np.maximum.accumulate(np.where(hit, slots, -1))
+            gaps.append(g)
+            lengths.append(int(g.max()) + 1)
+        else:
+            gaps.append(None)
+            lengths.append(horizon + 1)
+    _extend_ladders(ladders, lengths, overflow=OVERFLOW_TRACE)
     traces = np.empty((N, horizon))
     divergent = tuple(sum(row) == 0 for row in receptions)
     overflow_at: list[int | None] = [None] * N
-    # iterates past an overflow are stepped to the end of their block and
-    # dropped, so they may overflow the float range unreported
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, sys in enumerate(systems):
-            row = receptions[i]
-            first = row.index(1) if 1 in row else None
-            stop = horizon if first is None else min(horizon, first + T)
-            P = P_bar = ladders[i].P_bar
-            k = 0
-            for size in _block_sizes(stop):
-                block = np.empty((size, sys.n, sys.n))
-                for j in range(size):
-                    P = P_bar if row[(k + j) % T] else lyapunov_step(sys, P)
-                    block[j] = P
-                got = traces[i, k:k + size] = block.trace(0, 1, 2)
-                over = np.flatnonzero(got > OVERFLOW_TRACE)
-                if over.size:
-                    k += int(over[0])
-                    overflow_at[i] = k
-                    traces[i, k:] = traces[i, k]
-                    break
-                k += size
-            if overflow_at[i] is None and stop < horizon:
-                later = np.arange(stop, horizon)
-                traces[i, stop:] = traces[i, first + (later - first) % T]
+    for i, g in enumerate(gaps):
+        entries = np.array(ladders[i]._traces[:lengths[i]])
+        if g is None:
+            got = entries[1:]
+        else:
+            # a ladder that stopped short passed OVERFLOW_TRACE or read
+            # +inf at a gap that comes earlier in the same run, so the
+            # slots that read past its end are frozen below
+            got = entries[np.minimum(g, len(entries) - 1)]
+        stop = len(got)
+        traces[i, :stop] = got
+        over = np.flatnonzero(got > OVERFLOW_TRACE)
+        if over.size:
+            k = int(over[0])
+            overflow_at[i] = k
+            traces[i, k:] = traces[i, k]
+        elif stop < horizon:
+            first = receptions[i].index(1)
+            later = np.arange(stop, horizon)
+            traces[i, stop:] = traces[i, first + (later - first) % T]
     running = np.cumsum(traces, axis=1) / np.arange(1, horizon + 1)
     return CovarianceSeries(period=T, horizon=horizon,
                             receptions=receptions, traces=traces,

@@ -16,6 +16,7 @@ from schedsec.errors import (ConvergenceError, NumericalError,
 from schedsec.lti_estimation import (LinearSystem, bundled_systems,
                                      load_systems, lyapunov_step,
                                      riccati_step, steady_state)
+from schedsec.simulation import OVERFLOW_TRACE
 
 # frozen from an offline computation that agreed with scipy's DARE solver
 # and a long plain simulation to ~1e-15
@@ -148,17 +149,81 @@ def test_saturating_ladder_steps_at_most_twice_the_entries(monkeypatch):
     lad = steady_state(sys)
     # an entry-by-entry ladder steps once per entry up to its first inf
     first = stepped_ladder(sys, lad.P_bar, 200).index(math.inf)
+    # the ladder steps through the stacked kernel, whose calls are counted
     calls = []
-    real = lti_estimation.lyapunov_step
+    real = lti_estimation._lyapunov_stack
 
-    def counted(sys, X):
+    def counted(A, X, At, Q):
         calls.append(1)
-        return real(sys, X)
+        return real(A, X, At, Q)
 
-    monkeypatch.setattr(lti_estimation, "lyapunov_step", counted)
+    monkeypatch.setattr(lti_estimation, "_lyapunov_stack", counted)
     assert lad.trace(10**6) == math.inf
     assert first <= len(calls) <= 2 * first
     assert lad.trace(10**7) == math.inf and len(calls) <= 2 * first
+
+
+# eigenvalue ranges of the drawn ladders: a stable ladder converges, an
+# unstable one grows, a saturating one reaches +inf within 120 entries
+_LADDER_KINDS = {"stable": (0.2, 0.9), "unstable": (1.01, 1.3),
+                 "saturating": (20.0, 80.0)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases=st.lists(st.tuples(st.integers(1, 4),
+                                st.sampled_from(sorted(_LADDER_KINDS)),
+                                st.integers(0, 40), st.integers(1, 250)),
+                      min_size=1, max_size=6),
+       repeat=st.integers(0, 250), overflow=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_extend_ladders_keeps_the_bits_of_one_ladder_at_a_time(
+        cases, repeat, overflow, seed):
+    # ladders of mixed state dimension and kind, each already read to its
+    # own length, are extended in one call; with `repeat` the first ladder
+    # is listed twice.  The ladders of one n step as one stack, and each
+    # entry must keep the bits of one 2-D step and one trace per entry,
+    # +inf from the first non-finite trace on, also when a later read
+    # extends the ladder again.  With `overflow` a ladder may stop at the
+    # end of the block that holds an entry past OVERFLOW_TRACE.
+    rng = np.random.default_rng(seed)
+    ladders, lengths = [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        for j, (n, kind, before, length) in enumerate(cases):
+            eig = np.sort(rng.uniform(*_LADDER_KINDS[kind], size=n))
+            lad = steady_state(symmetric_system(n, eig, j, kind))
+            lad.trace(before)
+            ladders.append(lad)
+            lengths.append(length)
+    if repeat:
+        ladders.append(ladders[0])
+        lengths.append(repeat)
+    start = {lad: len(lad._traces) for lad in ladders}
+    longest = dict(start)
+    for lad, length in zip(ladders, lengths):
+        longest[lad] = max(longest[lad], length)
+    bound = OVERFLOW_TRACE if overflow else math.inf
+    lti_estimation._extend_ladders(ladders, lengths, overflow=bound)
+    for lad in ladders:
+        got = lad._traces
+        want = stepped_ladder(lad.sys, lad.P_bar, len(got) - 1)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        past = [t for t in range(start[lad], len(got))
+                if got[t] > OVERFLOW_TRACE]
+        if got[-1] == math.inf:
+            assert len(got) <= longest[lad]
+        elif overflow and past:
+            # stopped at the end of the block that holds the first new
+            # entry past OVERFLOW_TRACE
+            steps = len(got) - start[lad]
+            assert steps <= 2 * (past[0] - start[lad] + 1)
+        else:
+            assert len(got) == longest[lad]
+    # each ladder goes on from the iterate of its last entry
+    for lad in ladders:
+        lad.trace(len(lad._traces) + 6)
+        want = stepped_ladder(lad.sys, lad.P_bar, len(lad._traces) - 1)
+        assert np.array(lad._traces).tobytes() == np.array(want).tobytes()
 
 
 @settings(max_examples=80, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import (child_rngs, random_exclusive_schedule,
                       series_csv_reference, state_trajectory_sim,
                       stepped_covariance_series, symmetric_system)
-from schedsec import lti_estimation, scheduling, simulation
+from schedsec import lti_estimation, scheduling
 from schedsec.cli import _series_csv, _summary_doc
 from schedsec.errors import BudgetError, StabilityWarning, ValidationError
 from schedsec.lti_estimation import LinearSystem, lyapunov_step, steady_state
@@ -229,21 +229,28 @@ def test_series_blocks_match_stepping_beyond_two_states(n, cap, monkeypatch):
         assert np.isfinite(series.traces).all()
 
 
+def counted_stack(monkeypatch):
+    """Count the calls of the ladders' stacked kernel, with each stack's
+    height."""
+    heights = []
+    real = lti_estimation._lyapunov_stack
+
+    def counted(A, X, At, Q):
+        heights.append(X.shape[0])
+        return real(A, X, At, Q)
+
+    monkeypatch.setattr(lti_estimation, "_lyapunov_stack", counted)
+    return heights
+
+
 def test_series_overflow_costs_at_most_twice_the_slot_by_slot_steps(
         monkeypatch):
-    # A = 1000 passes OVERFLOW_TRACE at slot 2, after 3 steps; the block
-    # that holds it is stepped to its end, and no further block
+    # A = 1000 passes OVERFLOW_TRACE at slot 2, after 3 steps; the ladder
+    # block that holds it is stepped to its end, and no further block.  The
+    # ladder steps through the stacked kernel, whose calls are counted
     systems = [scalar_system(1e3)]
     ladders = [steady_state(s) for s in systems]
-    calls = []
-    real = lti_estimation.lyapunov_step
-
-    def counted(sys, X):
-        calls.append(1)
-        return real(sys, X)
-
-    monkeypatch.setattr(lti_estimation, "lyapunov_step", counted)
-    monkeypatch.setattr(simulation, "lyapunov_step", counted)
+    calls = counted_stack(monkeypatch)
     series = exact_covariance_series(
         systems, Schedule(period=1, rows=((0,),)), horizon=10**6,
         ladders=ladders)
@@ -299,6 +306,65 @@ def test_periodic_series_overflow_in_three_dimensions():
     assert series.overflow_at[1] is not None
     assert series.overflow_at[2] is None
     assert series.divergent == (False, True, False)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("growths", [(30.0, 4.0), (30.0, 4.0, 1.5)])
+def test_series_starved_sensors_of_one_dimension_overflow_apart(
+        n, growths, monkeypatch):
+    # sensors of one state dimension that never receive overflow at
+    # different slots; their ladders step as one stack until the last has
+    # left it, at most twice the steps up to the last overflow
+    systems = [symmetric_system(n, np.linspace(g, 0.5, n), i, f"starved {i}")
+               for i, g in enumerate(growths)]
+    systems.append(symmetric_system(n, np.linspace(1.2, 0.5, n), 9, "served"))
+    ladders = [steady_state(s) for s in systems]
+    rows = np.zeros((len(systems), 6), dtype=int)
+    rows[-1, 1] = rows[-1, 4] = 1
+    heights = counted_stack(monkeypatch)
+    series = assert_series_is_stepped(systems, Schedule(6, rows), None, 10**4,
+                                      ladders)
+    *starved, served = series.overflow_at
+    assert served is None and len(set(starved)) == len(starved)
+    assert max(heights) == len(systems)
+    # slot k of a starved sensor is ladder entry k + 1
+    assert max(starved) + 1 <= len(heights) <= 2 * (max(starved) + 1)
+
+
+def test_series_starved_sensors_of_mixed_dimensions(monkeypatch):
+    # starved sensors of 1, 2 and 3 states, and a served 2-state sensor;
+    # each dimension steps its own stack
+    systems = [symmetric_system(1, [3.0], 1, "one"),
+               symmetric_system(2, [0.4, 2.0], 2, "two"),
+               symmetric_system(3, [0.3, 0.6, 1.4], 3, "three"),
+               symmetric_system(2, [0.5, 1.1], 4, "served")]
+    ladders = [steady_state(s) for s in systems]
+    rows = np.zeros((4, 5), dtype=int)
+    rows[3, 2] = 1
+    heights = counted_stack(monkeypatch)
+    series = assert_series_is_stepped(systems, Schedule(5, rows), None, 500,
+                                      ladders)
+    assert series.divergent == (True, True, True, False)
+    assert None not in series.overflow_at[:3]
+    assert series.overflow_at[3] is None
+    assert set(heights) <= {1, 2}
+
+
+@pytest.mark.parametrize("starved", [False, True])
+def test_series_with_one_ladder_listed_twice(starved, monkeypatch):
+    # two sensors share one system and one ladder object; the ladder is
+    # stepped once, as a stack of one, to the longer length either reads
+    sys = symmetric_system(2, [0.5, 1.5], 5, "shared")
+    lad = steady_state(sys)
+    rows = np.zeros((2, 10), dtype=int)
+    rows[0, 3] = 1
+    if not starved:
+        rows[1, 8] = 1
+    heights = counted_stack(monkeypatch)
+    series = assert_series_is_stepped([sys, sys], Schedule(10, rows), None,
+                                      200, [lad, lad])
+    assert set(heights) == {1}
+    assert (series.overflow_at[1] is not None) == starved
 
 
 def test_periodic_average_requires_two_periods(study_systems, study_ladders,
