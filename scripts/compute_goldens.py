@@ -18,8 +18,11 @@ from schedsec.attack import bnb_optimal_attack, brute_force_optimal_attack
 from schedsec.cli import main as cli_main
 from schedsec.lti_estimation import bundled_systems, steady_state
 from schedsec.protocol_sequences import bounds, construct_shift_invariant
-from schedsec.scheduling import (average_cost, optimal_schedule_search,
-                                 reception)
+from schedsec.scheduling import (Schedule, average_cost,
+                                 optimal_schedule_search, reception)
+
+ATTACK_PATHS = (Path(__file__).resolve().parents[1] / "tests" / "data"
+                / "attack_paths.json")
 
 
 def main():
@@ -50,6 +53,16 @@ def main():
     brute = brute_force_optimal_attack(sched)
     print(f"bnb:   taus = {list(bnb.taus.taus)}, spoofed = {bnb.spoofed_count}")
     print(f"brute: taus = {list(brute.taus.taus)}, spoofed = {brute.spoofed_count}")
+
+    print("\n# attack search paths (tests/data/attack_paths.json)")
+    doc = json.loads(ATTACK_PATHS.read_text(encoding="utf-8"))
+    for entry in doc["schedules"]:
+        rows = tuple(tuple(int(v) for v in row) for row in entry["rows"])
+        res = bnb_optimal_attack(Schedule(period=len(rows[0]), rows=rows))
+        print(f"N={len(rows)}, T={len(rows[0])}: "
+              f"per_target_costs = {list(res.per_target_costs)}, "
+              f"taus = {list(res.taus.taus)}, "
+              f"nodes_explored = {res.nodes_explored}")
 
     print("\n# defense cost bounds (bundled ladders)")
     for label, factors in (("same-duty (1/3)^3", [(1, 3)] * 3),

@@ -10,7 +10,11 @@ Finding the cheapest such tuple (fewest spoofed clocks) is a binary
 covering program per target: pick at most one nonzero shift per other
 sensor so that the shifted rows jointly cover every slot the target
 transmits in.  One private search, `_cheapest_block`, solves it by
-depth-first branch-and-bound over LP relaxations (`simplex.py`).
+depth-first branch-and-bound over LP relaxations, one `solve_bounded_lp`
+call per node.  The dense Bland's-rule simplex (`simplex.py`) prices
+every column of a pivot at once; each LP starts from its slack basis, so a
+node's relaxation, and with it the branching, the node count and the
+returned tuple, depends on that node's bounds alone.
 `bnb_optimal_attack` runs it for every target and keeps the cheapest;
 `isolate_sensor_attack` runs it for one target when shifting every other
 clock by one slot does not starve it.  `brute_force_optimal_attack` is the

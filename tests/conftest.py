@@ -5,11 +5,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from schedsec.errors import NumericalError
 from schedsec.lti_estimation import (MAX_ITER, STEP_TOL, LinearSystem,
                                      _psd_sqrt, lyapunov_step, riccati_step,
                                      steady_state)
 from schedsec.scheduling import (Schedule, ShiftTuple, average_cost,
                                  reception)
+from schedsec.simplex import _RATIO_EPS, LpResult
 from schedsec.simulation import OVERFLOW_TRACE
 
 
@@ -257,6 +259,141 @@ def unrestricted_min_spoof(sched):
         if any(not any(rec[i]) for i in range(N)):
             best = count
     return best
+
+
+def bland_reference_lp(c, A_ub, b_ub, lower, upper, tol=1e-9, max_iter=None):
+    """Reference for solve_bounded_lp: the same two-phase Bland's-rule
+    simplex, column by column, with 'L'/'U'/'B' status strings, one reduced
+    cost per column in index order and np.linalg.solve for every solve.
+    The library must make the same pivots and reach the same point bit for
+    bit.  Does no validation."""
+    c, A, b, lower, upper = (np.asarray(v, dtype=float)
+                             for v in (c, A_ub, b_ub, lower, upper))
+    n = c.shape[0]
+    m = A.shape[0]
+    if np.any(upper < lower - _RATIO_EPS):
+        return LpResult("infeasible", None, None, 0)
+
+    # variables: n structural, m slacks, plus one artificial per violated row
+    resid = b - A @ lower
+    art_rows = [k for k in range(m) if resid[k] < -_RATIO_EPS]
+    p = len(art_rows)
+    total = n + m + p
+    Abar = np.zeros((m, total))
+    Abar[:, :n] = A
+    Abar[:, n:n + m] = np.eye(m)
+    for idx, k in enumerate(art_rows):
+        Abar[k, n + m + idx] = -1.0
+    lo = np.concatenate([lower, np.zeros(m), np.zeros(p)])
+    hi = np.concatenate([upper, np.full(m, np.inf), np.full(p, np.inf)])
+
+    status = ["L"] * total
+    basis = []
+    for k in range(m):
+        if k in art_rows:
+            j = n + m + art_rows.index(k)
+        else:
+            j = n + k
+        basis.append(j)
+        status[j] = "B"
+
+    iters = 0
+    if p:
+        c1 = np.zeros(total)
+        c1[n + m:] = 1.0
+        maxit = max_iter or 200 * (total + m) + 1000
+        r = _bland_reference_loop(Abar, b, c1, lo, hi, basis, status, tol, maxit)
+        if r < 0:
+            raise NumericalError("phase-1 subproblem claimed an unbounded ray")
+        iters += r
+        x = _bland_reference_point(Abar, b, lo, hi, basis, status)
+        if float(c1 @ x) > 1e-7:
+            return LpResult("infeasible", None, None, iters)
+        hi[n + m:] = 0.0  # lock artificials for phase 2
+
+    c2 = np.concatenate([c, np.zeros(m + p)])
+    maxit = max_iter or 200 * (total + m) + 1000
+    r = _bland_reference_loop(Abar, b, c2, lo, hi, basis, status, tol, maxit)
+    if r < 0:
+        return LpResult("unbounded", None, None, iters)
+    iters += r
+    x = _bland_reference_point(Abar, b, lo, hi, basis, status)
+    xs = x[:n]
+    return LpResult("optimal", xs, float(c @ xs), iters)
+
+
+def _bland_reference_loop(Abar, b, cost, lower, upper, basis, status, tol, max_iter):
+    """Core bounded-variable iteration; mutates basis/status, returns the
+    iteration count.  `status` holds 'L'/'U' for nonbasic, 'B' for basic."""
+    m, total = Abar.shape
+    for it in range(max_iter):
+        B = Abar[:, basis]
+        x_nb = np.where(np.array([s == "U" for s in status]), upper, lower)
+        nb_mask = np.array([s != "B" for s in status])
+        rhs = b - Abar[:, nb_mask] @ x_nb[nb_mask]
+        try:
+            x_B = np.linalg.solve(B, rhs)
+            y = np.linalg.solve(B.T, cost[basis])
+        except np.linalg.LinAlgError:
+            raise NumericalError("simplex basis became singular") from None
+        # entering variable: Bland's rule over violated reduced costs
+        enter = -1
+        sigma = 0.0
+        for j in range(total):
+            if status[j] == "B" or upper[j] - lower[j] <= _RATIO_EPS:
+                continue
+            d = cost[j] - y @ Abar[:, j]
+            if status[j] == "L" and d < -tol:
+                enter, sigma = j, 1.0
+                break
+            if status[j] == "U" and d > tol:
+                enter, sigma = j, -1.0
+                break
+        if enter < 0:
+            return it  # optimal for this phase
+        w = np.linalg.solve(B, Abar[:, enter])
+        # ratio test: how far can the entering variable move
+        t_best = upper[enter] - lower[enter]
+        leave = -1
+        leave_to = ""
+        for i in range(m):
+            g = sigma * w[i]
+            if g > _RATIO_EPS:
+                t_i = (x_B[i] - lower[basis[i]]) / g
+                hit = "L"
+            elif g < -_RATIO_EPS:
+                t_i = (x_B[i] - upper[basis[i]]) / g
+                hit = "U"
+            else:
+                continue
+            t_i = max(t_i, 0.0)
+            if (t_i < t_best - _RATIO_EPS
+                    or (t_i < t_best + _RATIO_EPS
+                        and (leave < 0 or basis[i] < basis[leave]))):
+                t_best, leave, leave_to = t_i, i, hit
+        if not np.isfinite(t_best):
+            return -1  # unbounded ray
+        if leave < 0:
+            # entering variable flips to its opposite bound
+            status[enter] = "U" if status[enter] == "L" else "L"
+            continue
+        out = basis[leave]
+        status[out] = leave_to
+        basis[leave] = enter
+        status[enter] = "B"
+    raise NumericalError(f"simplex did not terminate within {max_iter} iterations")
+
+
+def _bland_reference_point(Abar, b, lower, upper, basis, status):
+    total = Abar.shape[1]
+    x = np.where(np.array([s == "U" for s in status]), upper, lower).astype(float)
+    nb_mask = np.array([s != "B" for s in status])
+    rhs = b - Abar[:, nb_mask] @ x[nb_mask]
+    x_B = np.linalg.solve(Abar[:, basis], rhs)
+    for i, j in enumerate(basis):
+        x[j] = x_B[i]
+    return x
+
 
 
 def steady_state_doubling(sys: LinearSystem, iters: int = 100) -> np.ndarray:

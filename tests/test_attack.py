@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,14 @@ from schedsec.attack import (blocks_sensor, bnb_optimal_attack,
                              random_attack)
 from schedsec.errors import BudgetError, InfeasibleError, ValidationError
 from schedsec.scheduling import Schedule, ShiftTuple, apply_shift, reception
+
+DATA = Path(__file__).parent / "data"
+ATTACK_PATHS = json.loads((DATA / "attack_paths.json").read_text())["schedules"]
+
+
+def golden_schedule(entry) -> Schedule:
+    rows = tuple(tuple(int(v) for v in row) for row in entry["rows"])
+    return Schedule(period=len(rows[0]), rows=rows)
 
 
 def test_apply_shift_hand_values():
@@ -251,3 +260,32 @@ def test_decoded_bnb_attack_verifies(seed):
         assert set(result.blocked_sensors) == {
             i for i in range(sched.n_sensors) if not any(rec[i])}
         assert result.taus.spoofed_count == result.spoofed_count
+
+
+@pytest.mark.parametrize(
+    "entry", ATTACK_PATHS,
+    ids=[f"N{len(e['rows'])}_T{len(e['rows'][0])}" for e in ATTACK_PATHS])
+def test_search_path_goldens(entry):
+    # the branch-and-bound's whole path is pinned, not only its optimum:
+    # the node count moves with any change to the LP pivots or the
+    # branching, and the returned tuple with the tie-breaks
+    result = bnb_optimal_attack(golden_schedule(entry))
+    assert list(result.per_target_costs) == entry["per_target_costs"]
+    assert list(result.taus.taus) == entry["taus"]
+    assert result.nodes_explored == entry["nodes_explored"]
+
+
+def test_attack_optimal_cli_on_the_ten_sensor_schedule(tmp_path):
+    # the schedule file the CI's rerun step feeds to `attack optimal` is
+    # the N = 10, T = 20 golden, and the CLI reports that golden's path
+    from schedsec.cli import main
+    path = DATA / "ten_sensor_schedule.json"
+    doc = json.loads(path.read_text())
+    entry, = [e for e in ATTACK_PATHS
+              if [[int(v) for v in row] for row in e["rows"]] == doc["rows"]]
+    assert main(["attack", "optimal", "--schedule", str(path),
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "attack_report.json").read_text())
+    assert report["per_target_costs"] == entry["per_target_costs"]
+    assert report["taus"] == entry["taus"]
+    assert report["nodes_explored"] == entry["nodes_explored"]

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schedsec.errors import ValidationError
-from schedsec.simplex import solve_bounded_lp
+from schedsec.errors import NumericalError, ValidationError
+from schedsec.simplex import _BASIC, _LOWER, _simplex_loop, solve_bounded_lp
 
 
 def test_tiny_hand_solved():
@@ -141,3 +145,83 @@ def test_cover_style_lps_match_scipy():
             assert res.objective == pytest.approx(ref.fun, abs=1e-7)
         else:
             assert ref.status == 2
+
+
+def _box_lp(rng):
+    # up to 11 x 11; integer data in half the draws, so that degenerate
+    # vertices and ratio-test ties are common; some uppers infinite
+    n = int(rng.integers(1, 12))
+    m = int(rng.integers(0, 12))
+    if rng.random() < 0.5:
+        c = rng.integers(-3, 4, size=n).astype(float)
+        A = rng.integers(-2, 3, size=(m, n)).astype(float)
+        lo = rng.integers(-2, 1, size=n).astype(float)
+        hi = lo + rng.integers(0, 3, size=n)
+        b = rng.integers(-2, 4, size=m).astype(float)
+    else:
+        c = rng.normal(size=n)
+        A = rng.normal(size=(m, n))
+        lo = rng.uniform(-2.0, 0.0, size=n)
+        hi = lo + rng.uniform(0.5, 3.0, size=n)
+        b = A @ ((lo + hi) / 2) + rng.uniform(-1.5, 2.0, size=m)
+    hi[rng.random(n) < 0.2] = np.inf
+    return c, A, b, lo, hi
+
+
+def _covering_lp(rng):
+    # the relaxation _cheapest_block solves: one block of T - 1 shift
+    # columns per other sensor, at most one pick per block, the target's
+    # slots covered, and some blocks pinned by branching decisions
+    T = int(rng.integers(2, 13))
+    nblk = int(rng.integers(1, 7))
+    w = T - 1
+    cols = rng.integers(0, 2, size=(T, nblk * w)).astype(float)
+    target = np.zeros(T)
+    target[rng.integers(0, T, size=max(1, T // 2))] = 1.0
+    A = np.vstack([-cols, np.repeat(np.eye(nblk), w, axis=1)])
+    b = np.concatenate([-target, np.ones(nblk)])
+    lo = np.zeros(nblk * w)
+    hi = np.ones(nblk * w)
+    for blk in rng.permutation(nblk)[:int(rng.integers(0, nblk + 1))]:
+        hi[blk * w:(blk + 1) * w] = 0.0
+        choice = int(rng.integers(0, T))
+        if choice:
+            lo[blk * w + choice - 1] = hi[blk * w + choice - 1] = 1.0
+    return np.ones(nblk * w), A, b, lo, hi
+
+
+@pytest.mark.parametrize("draw", [_box_lp, _covering_lp])
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_same_pivots_as_the_column_by_column_reference(draw, seed):
+    from conftest import bland_reference_lp
+    lp = draw(np.random.default_rng(seed))
+    got = solve_bounded_lp(*lp)
+    want = bland_reference_lp(*lp)
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    if want.x is None:
+        assert got.x is None
+    else:
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.objective == want.objective
+
+
+def test_singular_basis_raises_without_a_warning():
+    # columns 0 and 1 are equal, so a basis holding both is singular; the
+    # bare LAPACK solve leaves NaN and raises the "invalid" flag instead of
+    # LinAlgError, and the loop must raise the reference's NumericalError
+    # without letting the flag become a RuntimeWarning
+    Abar = np.array([[1.0, 1.0, 0.0, 1.0],
+                     [2.0, 2.0, 1.0, 0.0]])
+    b = np.array([1.0, 1.0])
+    cost = np.array([1.0, -1.0, 0.0, 0.0])
+    lower, upper = np.zeros(4), np.ones(4)
+    basis = np.array([0, 1])
+    status = np.array([_BASIC, _BASIC, _LOWER, _LOWER], dtype=np.int8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError, match="basis became singular"):
+            _simplex_loop(Abar, b, cost, lower, upper, basis, status,
+                          1e-9, 100)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
