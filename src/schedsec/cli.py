@@ -28,7 +28,7 @@ from . import __version__
 from .attack import (bnb_optimal_attack, brute_force_optimal_attack,
                      isolate_sensor_attack, random_attack)
 from .errors import (BudgetError, InfeasibleError, SchedSecError,
-                     ValidationError, read_json)
+                     ValidationError, Work, read_json)
 from .lti_estimation import bundled_systems, load_systems, steady_state
 from .protocol_sequences import (_factor_docs, bounds,
                                  construct_shift_invariant,
@@ -255,10 +255,8 @@ def _summary_doc(series) -> dict:
     periodic = series.periodic_average()
     if periodic is not None:
         doc["periodic_average"] = {
-            "per_sensor": [None if math.isinf(v) else v
-                           for v in periodic.per_sensor],
-            "total": None if math.isinf(periodic.total) else periodic.total,
-        }
+            "per_sensor": [_finite(v) for v in periodic.per_sensor],
+            "total": _finite(periodic.total)}
     return doc
 
 
@@ -382,6 +380,8 @@ def _cmd_defend_bounds(args) -> int:
     systems = _load_systems_arg(run, args.systems)
     ps = _load_arg(run, "policies", args.policies, policies_from_dict)
     run.parameters["policies"] = args.policies
+    N, D = ps.n_sensors, ps.period  # the slots `defend construct` charges
+    Work(f"bounding {N} rows of period {D}").charge(N * D)
     ladders = [steady_state(sys) for sys in systems]
     run.add_json("bounds.json", _bounds_doc(bounds(ps, ladders)))
     return run.finish("bounds.json")

@@ -75,6 +75,15 @@ def _as_matrix(value, rows=None, cols=None):
     return M
 
 
+def _ordered_sum(values) -> float:
+    """Every float total in the package: left to right from 0, as sum() did
+    up to Python 3.11 (3.12 compensates), so no bit hangs on the version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _block_sizes(count: int):
     """Block lengths 2, 4, 8, ... (at most _BLOCK_CAP) that add up to count.
 
@@ -247,7 +256,7 @@ def _riccati_update(sys: LinearSystem, X: np.ndarray,
     C = sys.C
     CX = C @ X
     S = CX @ C.T + sys.R
-    if sum(S.diagonal().tolist()) > sys._cancellation_bound:
+    if _ordered_sum(S.diagonal().tolist()) > sys._cancellation_bound:
         K = solve(S, CX).T
         I_KC = np.eye(sys.n) - K @ C
         return _symmetrize(I_KC @ X @ I_KC.T + K @ sys.R @ K.T)
@@ -317,10 +326,13 @@ class SteadyState:
         return traces[min(t, len(traces) - 1)]
 
     def ladder(self, upto: int) -> list[float]:
-        """Traces [Tr h^0(P_bar), ..., Tr h^upto(P_bar)]."""
-        if upto >= 0:
-            self.trace(upto)  # extends the ladder once, not per entry
-        return [self.trace(t) for t in range(upto + 1)]
+        """Traces [Tr h^0(P_bar), ..., Tr h^upto(P_bar)] as `trace` reads
+        them, +inf past saturation: one extension, one list for a reader
+        of many entries."""
+        count, traces = max(upto + 1, 0), self._traces
+        if len(traces) < count and traces[-1] < math.inf:
+            _extend_ladders([self], [count])
+        return traces[:count] + [math.inf] * (count - len(traces))
 
 
 def _lyapunov_stack(A, X, At, Q):

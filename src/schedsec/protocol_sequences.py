@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import (SchedSecError, ValidationError, Work, is_integer,
                      json_list, json_object, strict_int)
-from .lti_estimation import _extend_ladders
+from .lti_estimation import _extend_ladders, _ordered_sum
 from .scheduling import (Schedule, ShiftTuple, _binary_rows, _shifted,
                          reception)
 
@@ -425,8 +425,8 @@ def bounds(policies, ladders) -> BoundsReport:
     packets per period D = prod d_j under every shift tuple; the bounds
     price the extreme gap layouts of those receptions.  Every ladder is
     first extended to the last entry either sum reads, all in one
-    `_extend_ladders` call, so ladders of one state dimension step as one
-    stack and a ladder listed twice steps once.
+    `_extend_ladders` call (ladders of one state dimension step as one
+    stack, a ladder listed twice once); each sum adds a slice of `ladder`.
     """
     fs = _design_factors(Schedule.coerce(policies))
     if len(fs) != len(ladders):
@@ -436,16 +436,14 @@ def bounds(policies, ladders) -> BoundsReport:
     receptions = [f.numerator * math.prod(g.denominator - g.numerator
                                           for j, g in enumerate(fs) if j != i)
                   for i, f in enumerate(fs)]
-    # the lower sum reads entries < ceil(D / N_i), the upper <= D - N_i
-    _extend_ladders(ladders, [max(-(-D // N_i), D - N_i + 1)
-                              for N_i in receptions])
-    lower = 0.0
-    upper = 0.0
+    # the upper sum reads entries <= D - N_i, every entry the lower reads too
+    _extend_ladders(ladders, [D - N_i + 1 for N_i in receptions])
+    lower = upper = 0.0
     for N_i, lad in zip(receptions, ladders):
+        trace = lad.ladder(D - N_i)
         q, r = divmod(D, N_i)
         # no r = 0 term: 0 * trace is NaN once the ladder reads inf
-        lower += N_i * sum(lad.trace(t) for t in range(q)) + (
-            r * lad.trace(q) if r else 0.0)
-        upper += N_i * lad.trace(0) + sum(lad.trace(t) for t in range(1, D - N_i + 1))
+        lower += N_i * _ordered_sum(trace[:q]) + (r * trace[q] if r else 0.0)
+        upper += N_i * trace[0] + _ordered_sum(trace[1:D - N_i + 1])
     return BoundsReport(lower=lower / D, upper=upper / D,
                         per_sensor_receptions=tuple(receptions), period=D)

@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import (NumericalError, ValidationError, Work, json_list,
                      json_object, strict_int)
-from .lti_estimation import LinearSystem, SteadyState, steady_state
+from .lti_estimation import (LinearSystem, SteadyState, _ordered_sum,
+                             steady_state)
 
 # slots one batch of the search or of Monte Carlo stacks for the kernels,
 # bounding their memory whatever the number of necklaces or trials
@@ -286,7 +287,7 @@ def _gap_pricer(ladders: Sequence[SteadyState]):
     The cost of a reception pattern depends only on its multiset of cyclic
     gaps, so callers that meet the same pattern many times (rotations in
     the schedule search, repeated Monte Carlo trials) price it once.  The
-    cost is the gap histogram weighted by the trace ladder, summed in gap
+    cost is the gap histogram weighted by the `ladder` list, summed in gap
     order and divided by the period; a memo hit returns the bits a fresh
     computation would.  No runs (a sensor that never receives) costs inf.
     """
@@ -296,16 +297,12 @@ def _gap_pricer(ladders: Sequence[SteadyState]):
         key = (i, runs)
         cost = memo.get(key)
         if cost is None:
+            cost = inf  # no runs
             if runs:
-                lad = ladders[i]
                 hist = _gap_histogram(runs)
-                lad.trace(len(hist) - 1)  # extends a ladder once, not per gap
-                total = 0.0
-                for t, c in enumerate(hist):
-                    total += c * lad.trace(t)
+                trace = ladders[i].ladder(len(hist) - 1)
+                total = _ordered_sum(c * v for c, v in zip(hist, trace))
                 cost = total / sum(runs)  # the runs add up to the period
-            else:
-                cost = inf
             memo[key] = cost
         return cost
 
@@ -325,7 +322,7 @@ class CostReport:
 
     @property
     def total(self) -> float:
-        return sum(self.per_sensor)
+        return _ordered_sum(self.per_sensor)
 
     @property
     def divergent(self) -> tuple[bool, ...]:
@@ -406,9 +403,7 @@ def _count_bounds(ladders: Sequence[SteadyState], cands: Sequence[int]):
     bound = {T: [[inf] for _ in range(N)] for T in cands}
     for i, lad in enumerate(ladders):
         c = [0.0]
-        lad.trace(longest - 1)  # extends a ladder once, not per entry
-        for t in range(longest):
-            v = lad.trace(t)
+        for v in lad.ladder(longest - 1):
             c.append(c[-1] + (v if v == v else inf))
         least = [0.0] + [inf] * T_max  # least[s]: s slots in k runs
         for k in range(1, most + 1):
@@ -516,7 +511,8 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
     # a vector that starves a sensor bounds at inf (its entry 0), so all of
     # them follow the positive ones, and none is built unless it is reached
     vectors = itertools.chain(
-        sorted((sum(bound[T][i][k] for i, k in enumerate(counts)), T, counts)
+        sorted((_ordered_sum(bound[T][i][k] for i, k in enumerate(counts)),
+                T, counts)
                for T in cands for counts in _contents(T, N, 1)),
         ((inf, T, counts) for T in cands for counts in _contents(T, N, 0)
          if 0 in counts))
@@ -533,7 +529,7 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
             tied = []  # (necklace, per) at the block's least total <= lead
             for j in range(len(block)):
                 per = tuple(map(price, range(N), runs[j * N:j * N + N]))
-                total = sum(per)  # CostReport.total, to the bit
+                total = _ordered_sum(per)  # CostReport.total, to the bit
                 # a NaN total never wins
                 if not total <= lead:
                     continue

@@ -38,7 +38,7 @@ from . import scheduling
 from .errors import ValidationError, Work, strict_int, strict_seed
 # lyapunov_step: unused, kept for perfbench's alias test (ROADMAP item 1)
 from .lti_estimation import (LinearSystem, SteadyState, _extend_ladders,
-                             lyapunov_step, steady_state)
+                             _ordered_sum, lyapunov_step, steady_state)
 from .scheduling import (CostReport, Schedule, ShiftTuple, _gap_pricer,
                          _row_runs, _sole_receptions, reception)
 
@@ -78,14 +78,9 @@ class CovarianceSeries:
         """
         if self.horizon < 2 * self.period:
             return None
-        per_sensor = []
-        for i in range(self.n_sensors):
-            if self.divergent[i]:
-                per_sensor.append(math.inf)
-            else:
-                tail = self.traces[i, self.horizon - self.period:self.horizon]
-                per_sensor.append(float(np.mean(tail)))
-        return CostReport(per_sensor=tuple(per_sensor))
+        tail = self.traces[:, self.horizon - self.period:self.horizon]
+        return CostReport(tuple(math.inf if div else float(np.mean(row))
+                                for div, row in zip(self.divergent, tail)))
 
 
 def exact_covariance_series(systems: Sequence[LinearSystem], policies,
@@ -382,7 +377,6 @@ def monte_carlo_expected_cost(systems: Sequence[LinearSystem], policies,
         taus = _trial_shifts(seed, lo, min(trials, lo + block), N, T)
         sole = _sole_receptions(sched.array[None], taus).reshape(-1, T)
         per = [price(r % N, runs) for r, runs in enumerate(_row_runs(sole))]
-        # a trial's cost is its sensors' costs summed in order, as in
-        # CostReport.total
-        samples += [sum(per[j:j + N]) for j in range(0, len(per), N)]
+        # a trial's cost is its sensors' costs summed as CostReport.total
+        samples += [_ordered_sum(per[j:j + N]) for j in range(0, len(per), N)]
     return MonteCarloCost.from_samples(samples)

@@ -1,3 +1,4 @@
+import builtins
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -13,6 +14,45 @@ from schedsec.scheduling import (Schedule, ShiftTuple, average_cost,
                                  reception)
 from schedsec.simplex import _RATIO_EPS, LpResult
 from schedsec.simulation import OVERFLOW_TRACE
+
+
+_builtin_sum = builtins.sum
+
+
+def py312_sum(iterable, /, start=0):
+    """builtin sum() as CPython 3.12 and later compute it over ints and
+    floats: an integer prefix is summed exactly, the first float is added
+    plainly, and the floats after it are added with Neumaier compensation
+    (ints among them plainly), the compensation being added at the end when
+    it is nonzero and finite.  Any input that is not all ints and floats
+    goes to the real sum().  Through 3.11 sum() added left to right; with
+    builtins.sum patched to this, a run computes what a 3.12 interpreter
+    does on any Python."""
+    items = list(iterable)
+    if any(type(v) not in (int, float) for v in (start, *items)):
+        return _builtin_sum(items, start)
+    total, rest = start, iter(items)
+    if type(total) is int:
+        for v in rest:
+            total += v
+            if type(v) is float:
+                break
+        else:
+            return total
+    compensation = 0.0
+    for v in rest:
+        if type(v) is int:
+            total += v
+            continue
+        t = total + v
+        if abs(total) >= abs(v):
+            compensation += (total - t) + v
+        else:
+            compensation += (v - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
 
 
 def study_system_matrices():

@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import copy
 import hashlib
@@ -18,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import factor_families
+from conftest import factor_families, py312_sum
 from schedsec import cli
 from schedsec.cli import _json_text, build_parser, main
 from schedsec.errors import StabilityWarning, read_json
+from schedsec.lti_estimation import steady_state
 from schedsec.protocol_sequences import (construct_shift_invariant,
                                          hamming_cross_correlation,
                                          policies_from_dict, policies_to_dict,
@@ -638,6 +640,35 @@ def test_sizes_are_charged_to_the_budget(tmp_path, capsys, monkeypatch,
     assert "SCHEDSEC_BUDGET" in err
 
 
+def test_defend_bounds_charges_the_slots_of_the_set(tmp_path, capsys,
+                                                    monkeypatch, systems_path):
+    # the N * D slots of the set are charged, as `defend construct`
+    # charges them, before any steady state or ladder is computed; at
+    # exactly N * D the command writes the bytes of an unbudgeted run
+    ps = shortest_period_policies(3)
+    policies = tmp_path / "policies.json"
+    policies.write_text(json.dumps(policies_to_dict(ps)))
+    argv = ["defend", "bounds", "--systems", systems_path,
+            "--policies", str(policies), "--out"]
+    slots = ps.n_sensors * ps.period
+    assert main(argv + [str(tmp_path / "free")]) == 0
+    solved = []
+    monkeypatch.setattr(cli, "steady_state",
+                        lambda sys: solved.append(sys) or steady_state(sys))
+    monkeypatch.setenv("SCHEDSEC_BUDGET", str(slots - 1))
+    capsys.readouterr()
+    assert main(argv + [str(tmp_path / "short")]) == 5
+    assert capsys.readouterr().err == (
+        f"error: bounding 3 rows of period 8 needs more than the budget of "
+        f"{slots - 1} steps; raise SCHEDSEC_BUDGET to allow it\n")
+    assert not solved and not (tmp_path / "short").exists()
+    monkeypatch.setenv("SCHEDSEC_BUDGET", str(slots))
+    assert main(argv + [str(tmp_path / "exact")]) == 0
+    assert len(solved) == 3
+    assert ((tmp_path / "exact" / "bounds.json").read_bytes()
+            == (tmp_path / "free" / "bounds.json").read_bytes())
+
+
 @pytest.mark.parametrize("argv", [
     # 3^9100 assignments: its digits exceed Python's int-to-str limit
     ["schedule", "--periods", "9100"],
@@ -895,6 +926,21 @@ _REPRODUCE_FLAVOR_HASHES = {
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_reproduce_paper_output_hashes(tmp_path, fmt):
+    out = tmp_path / fmt
+    assert main(["reproduce-paper", "--format", fmt, "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["outputs"] == {**_REPRODUCE_HASHES,
+                                   **_REPRODUCE_FLAVOR_HASHES[fmt]}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_reproduce_paper_output_hashes_under_python_312_sum(tmp_path, fmt,
+                                                            monkeypatch):
+    # CPython 3.12 compensates builtin sum() over floats; the package adds
+    # every float total left to right itself, so a run under 3.12's sum()
+    # writes the recorded bytes (patched here only: a subprocess would not
+    # inherit it)
+    monkeypatch.setattr(builtins, "sum", py312_sum)
     out = tmp_path / fmt
     assert main(["reproduce-paper", "--format", fmt, "--out", str(out)]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())

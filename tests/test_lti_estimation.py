@@ -78,11 +78,37 @@ def test_scalar_closed_form():
         assert lad.P_bar[0, 0] == pytest.approx(p_exact, abs=1e-9)
 
 
-def test_trace_ladder_golden(study_ladders):
+def test_trace_ladder_golden(study_ladders, monkeypatch):
     lad = study_ladders[0]
     for t, gold in enumerate(GOLDEN_LADDER_0):
         assert lad.trace(t) == pytest.approx(gold, rel=1e-8)
     assert lad.ladder(5) == [lad.trace(t) for t in range(6)]
+    # on a saturating ladder, ladder(upto) is upto + 1 entries, +inf from
+    # the first non-finite one on, the values trace(t) reads, from no more
+    # stacked steps than trace(upto) alone takes
+    sys = LinearSystem(A=[[1e3]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], Pi=[[1.0]])
+    first = stepped_ladder(sys, steady_state(sys).P_bar, 200).index(math.inf)
+    calls = []
+    real = lti_estimation._lyapunov_stack
+
+    def counted(A, X, At, Q):
+        calls.append(1)
+        return real(A, X, At, Q)
+
+    monkeypatch.setattr(lti_estimation, "_lyapunov_stack", counted)
+    for upto in (0, first - 1, first, 3 * first + 5):
+        calls.clear()
+        steady_state(sys).trace(upto)
+        alone = len(calls)
+        calls.clear()
+        lad = steady_state(sys)
+        got = lad.ladder(upto)
+        assert len(calls) <= alone
+        assert len(got) == upto + 1
+        assert all(math.isfinite(v) for v in got[:first])
+        assert got[first:] == [math.inf] * (upto + 1 - first)
+        assert got == [lad.trace(t) for t in range(upto + 1)]
+    assert lad.ladder(-1) == lad.ladder(-5) == []
 
 
 @pytest.mark.parametrize("A, C, first", [

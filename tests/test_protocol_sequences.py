@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (enumerated_invariance, factor_families,
-                      interleaved_rows, slot_correlation)
-from schedsec.errors import BUDGET_ENV_VAR, BudgetError, ValidationError
+                      interleaved_rows, slot_correlation, symmetric_system)
+from schedsec.errors import (BUDGET_ENV_VAR, BudgetError, StabilityWarning,
+                             ValidationError)
 from schedsec.protocol_sequences import (_design_factors, _duty_factor,
                                          bounds, construct_shift_invariant,
                                          hamming_cross_correlation,
@@ -411,6 +413,56 @@ def test_bounds_of_an_overflowing_ladder_are_inf():
     br = bounds(shortest_period_policies(11), [steady_state(sys)] * 11)
     assert br.per_sensor_receptions == (1,) * 11
     assert br.lower == br.upper == math.inf
+
+
+def _bounds_entry_by_entry(factors, ladders):
+    """The two bounds with one trace(t) call per entry, each sum added
+    left to right from 0, as `bounds` summed them up to Python 3.11."""
+    D = math.prod(d for _, d in factors)
+    lower = upper = 0.0
+    for i, lad in enumerate(ladders):
+        N_i = factors[i][0] * math.prod(d - n for j, (n, d)
+                                        in enumerate(factors) if j != i)
+        q, r = divmod(D, N_i)
+        low = 0.0
+        for t in range(q):
+            low += lad.trace(t)
+        high = 0.0
+        for t in range(1, D - N_i + 1):
+            high += lad.trace(t)
+        lower += N_i * low + (r * lad.trace(q) if r else 0.0)
+        upper += N_i * lad.trace(0) + high
+    return lower / D, upper / D
+
+
+# eigenvalue ranges: a stable ladder converges, an unstable one grows, a
+# saturating one reaches +inf within 40 entries
+_BOUNDS_LADDER_KINDS = {"stable": (0.2, 0.9), "unstable": (1.01, 1.3),
+                        "saturating": (1e4, 1e6)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors=st.sampled_from(factor_families(96)),
+       ladders=st.lists(st.tuples(st.integers(1, 3),
+                                  st.sampled_from(sorted(_BOUNDS_LADDER_KINDS))),
+                        min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_bounds_are_the_entry_by_entry_sums(factors, ladders, seed):
+    # each bound sums slices of one ladder list; on stable, unstable and
+    # saturating ladders of mixed state dimension it must keep, bit for
+    # bit, the sums of one trace(t) call per entry
+    rng = np.random.default_rng(seed)
+    systems = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        for j, (n, kind) in zip(range(len(factors)), ladders):
+            eig = np.sort(rng.uniform(*_BOUNDS_LADDER_KINDS[kind], size=n))
+            systems.append(symmetric_system(n, eig, seed + j, kind))
+    br = bounds(construct_shift_invariant(factors),
+                [steady_state(sys) for sys in systems])
+    want = _bounds_entry_by_entry(factors,
+                                  [steady_state(sys) for sys in systems])
+    assert (repr(br.lower), repr(br.upper)) == tuple(map(repr, want))
 
 
 def test_bounds_accepts_policy_set(study_ladders):

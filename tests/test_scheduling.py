@@ -612,6 +612,9 @@ class _OverflowLadder:
     def trace(self, t):
         return self.traces[t] if t < len(self.traces) else math.inf
 
+    def ladder(self, upto):
+        return [self.trace(t) for t in range(upto + 1)]
+
 
 @pytest.mark.parametrize("traces", [
     ((1.0,), (1.0,), (1.0,)),
@@ -634,8 +637,8 @@ def test_search_matches_oracle_when_no_schedule_is_finite(traces,
 
 
 class _NanLadder:
-    def trace(self, t):
-        return math.nan
+    def ladder(self, upto):
+        return [math.nan] * (upto + 1)
 
 
 _NAN_SEARCH_MESSAGE = ("every schedule of periods [2] prices NaN; no "
@@ -658,8 +661,8 @@ def test_search_where_every_schedule_prices_nan_raises_under_python_O():
             "from schedsec.lti_estimation import bundled_systems\n"
             "from schedsec.scheduling import optimal_schedule_search\n"
             "class NanLadder:\n"
-            "    def trace(self, t):\n"
-            "        return math.nan\n"
+            "    def ladder(self, upto):\n"
+            "        return [math.nan] * (upto + 1)\n"
             "try:\n"
             "    optimal_schedule_search(bundled_systems()[:2], [2],\n"
             "                            ladders=[NanLadder(), NanLadder()])\n"
