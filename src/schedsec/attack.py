@@ -49,7 +49,8 @@ def isolate_sensor_attack(sched: Schedule, target: int) -> ShiftTuple:
     1), which provably starves the target whenever its duty factor is at
     most 1/2 and its slots are spread out.  Otherwise returns the
     fewest-spoof tuple that keeps the target's clock honest, and raises
-    InfeasibleError when no such tuple blocks the target.
+    InfeasibleError when no such tuple blocks the target; that search is
+    charged to the budget as in `bnb_optimal_attack`.
     """
     sched.require_exclusive()
     N = sched.n_sensors
@@ -60,7 +61,7 @@ def isolate_sensor_attack(sched: Schedule, target: int) -> ShiftTuple:
         primary = ShiftTuple((0,) * N)
     if blocks_sensor(sched, primary, target):
         return primary
-    _, taus, _ = _cheapest_block(sched, target)
+    _, taus, _ = _cheapest_block(sched, target, _search_work(sched))
     if taus is None:
         raise InfeasibleError(f"no blocking attack exists for sensor {target}")
     return taus
@@ -131,7 +132,12 @@ def brute_force_optimal_attack(sched: Schedule) -> AttackSearchResult:
                               blocked_sensors=blocked)
 
 
-def _cheapest_block(sched: Schedule, target: int):
+def _search_work(sched: Schedule) -> Work:
+    return Work(f"the attack search over {sched.n_sensors} sensors of "
+                f"period {sched.period}")
+
+
+def _cheapest_block(sched: Schedule, target: int, work: Work):
     """Fewest spoofed clocks that starve `target` of an exclusive schedule.
 
     A binary covering program: column (j, t) is the row of another sensor
@@ -142,6 +148,8 @@ def _cheapest_block(sched: Schedule, target: int):
     integral relaxation becomes the incumbent, and otherwise the most
     fractional live block (ties to the smallest sensor) is pinned to each of
     its T choices in turn, 0 meaning that sensor's clock stays honest.
+    `work` is charged each node's dense tableau, its constraint rows times
+    its structural and slack columns, before the node's LP is solved.
 
     Returns (cost, taus, nodes); cost and taus are None when no tuple with
     an honest target clock starves the target.
@@ -156,6 +164,7 @@ def _cheapest_block(sched: Schedule, target: int):
                    np.repeat(np.eye(len(others)), w, axis=1)])
     b = np.concatenate([-sched.array[target].astype(float),
                         np.ones(len(others))])
+    tableau = A.shape[0] * (A.shape[0] + K)
     fixed: dict[int, int] = {}
     incumbent = float("inf")
     best = None
@@ -164,6 +173,7 @@ def _cheapest_block(sched: Schedule, target: int):
     def visit():
         nonlocal incumbent, best, nodes
         nodes += 1
+        work.charge(tableau)
         lower = np.zeros(K)
         upper = np.ones(K)
         for blk, choice in fixed.items():
@@ -204,16 +214,19 @@ def bnb_optimal_attack(sched: Schedule) -> AttackSearchResult:
     """Minimum-spoof blocking attack: the per-target search for every
     sensor, keeping the cheapest (ties to the smaller target).  The
     result's per_target_costs records each target's optimum and
-    nodes_explored sums the search nodes of all targets.
+    nodes_explored sums the search nodes of all targets.  The budget
+    (SCHEDSEC_BUDGET) is charged every node's dense tableau, of all
+    targets together, before the node's LP is solved.
     """
     sched.require_exclusive()
     N = sched.n_sensors
+    work = _search_work(sched)
     per_target: list[int | None] = []
     best_taus: ShiftTuple | None = None
     best_cost = None
     nodes = 0
     for target in range(N):
-        cost, taus, n = _cheapest_block(sched, target)
+        cost, taus, n = _cheapest_block(sched, target, work)
         nodes += n
         per_target.append(cost)
         if cost is not None and (best_cost is None or cost < best_cost):

@@ -24,8 +24,11 @@ The update's float operations live in one private kernel,
 innovation covariance raises NumericalError.  `steady_state`'s loop, which
 makes thousands of updates on near-marginal systems, calls the kernel
 with the bare LAPACK gufunc behind np.linalg.solve (the same bits, none of
-its per-call checks) and turns to `riccati_step` only on a step that left
-a non-finite iterate, where that singular check lives.
+its per-call checks; np.linalg.solve itself on a NumPy without it) and
+turns to `riccati_step` only on a step that left a non-finite iterate,
+where that singular check lives.  Its tolerances are relative to the
+system's covariance scale, so a change of units does not change where it
+stops.
 
 `load_systems` parses a decoded systems document, whose matrix entries
 must be finite JSON numbers; it does no I/O, so the caller that read the
@@ -41,16 +44,20 @@ from functools import cached_property
 from importlib import resources
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import (ConvergenceError, NumericalError, StabilityWarning,
-                     ValidationError, json_list, json_object, read_json)
+                     ValidationError, json_list, json_object, lapack_solver,
+                     read_json)
 
+# a covariance's least eigenvalue must exceed -PSD_TOL (PSD) or PSD_TOL
+# (PD) times its largest
 PSD_TOL = 1e-9
 INSTABILITY_TOL = 1e-12
+# steady_state stops once a step moves the iterate by at most STEP_TOL
+# times the system's covariance scale (or by a few ulps of a large
+# iterate), and requires a fixed-point residual of at most RESIDUAL_TOL
+# times that scale
 RESIDUAL_TOL = 1e-8
-# steady_state stops once a step moves the iterate by at most this much
-# (or by a few ulps of a large iterate)
 STEP_TOL = 1e-10
 # steady_state gives up (ConvergenceError) after this many fixed-point steps
 MAX_ITER = 100_000
@@ -106,8 +113,24 @@ def _check_symmetric(M, tol=PSD_TOL):
     return bool(np.all(np.abs(M - M.T) <= tol * (1.0 + np.abs(M).max(initial=0.0))))
 
 
-def _min_eigenvalue(M):
-    return float(np.linalg.eigvalsh(_symmetrize(M)).min())
+_TINY = float(np.finfo(float).tiny)
+
+
+def _frobenius(d) -> float:
+    """The Frobenius norm of a raveled matrix: sqrt(d . d), the bits of
+    np.linalg.norm(., "fro").  When d . d leaves the normal float range
+    (it overflows, or underflows below the least normal number) the norm is
+    taken of d over its largest magnitude and scaled back, so it overflows
+    only past the float range itself; NaN stays NaN.  Callers run it under
+    np.errstate(over="ignore"), as d . d may overflow."""
+    sq = d.dot(d)
+    if _TINY <= sq < math.inf:
+        return math.sqrt(sq)
+    top = float(np.abs(d).max(initial=0.0))
+    if not 0.0 < top < math.inf:
+        return top
+    d = d / top
+    return top * math.sqrt(d.dot(d))
 
 
 def _psd_sqrt(M):
@@ -120,11 +143,20 @@ def _psd_sqrt(M):
 def _pbh(A, B, stack) -> bool:
     """PBH test: stack([A - lam I, B]) has rank n at every eigenvalue lam of
     A on or outside the unit circle.  np.vstack with B = C tests that
-    (A, C) is detectable, np.hstack that (A, B) is stabilizable."""
+    (A, C) is detectable, np.hstack that (A, B) is stabilizable.  The
+    stack is balanced first: B's rows (vstack) or columns (hstack) are
+    scaled to the norm of A - lam I (to 1 where A = lam I), which leaves
+    the rank as it is and keeps matrix_rank's tolerance, relative to the
+    largest singular value, from hanging on the units of B."""
     n = A.shape[0]
+    axis = 1 if stack is np.vstack else 0
+    top = np.abs(B).max(axis=axis, keepdims=True)
+    unit = np.divide(1.0, top, out=np.zeros_like(top), where=top > 0)
     for lam in np.linalg.eigvals(A):
         if abs(lam) >= 1.0 - PSD_TOL:
-            M = stack([A - lam * np.eye(n), B.astype(complex)])
+            shifted = A - lam * np.eye(n)
+            size = np.linalg.norm(shifted) or 1.0
+            M = stack([shifted, (B * unit * size).astype(complex)])
             if np.linalg.matrix_rank(M) < n:
                 return False
     return True
@@ -185,12 +217,13 @@ class LinearSystem:
         M = self._matrix(fname, value, rows=size, cols=size)
         if not _check_symmetric(M):
             raise ValidationError(f"{self.name} field '{fname}': not symmetric")
-        lo = _min_eigenvalue(M)
-        if kind == "pd" and lo <= PSD_TOL:
+        eig = np.linalg.eigvalsh(_symmetrize(M))
+        lo, top = float(eig[0]), float(eig[-1])
+        if kind == "pd" and lo <= PSD_TOL * top:
             raise ValidationError(
                 f"{self.name} field '{fname}': must be positive definite "
                 f"(min eigenvalue {lo:.3g})")
-        if kind == "psd" and lo < -PSD_TOL:
+        if kind == "psd" and lo < -PSD_TOL * top:
             raise ValidationError(
                 f"{self.name} field '{fname}': must be positive semidefinite "
                 f"(min eigenvalue {lo:.3g})")
@@ -216,6 +249,14 @@ class LinearSystem:
     def _cancellation_bound(self) -> float:
         return CANCELLATION_RATIO * float(np.trace(self.R))
 
+    @cached_property
+    def _covariance_scale(self) -> float:
+        """The scale of steady_state's tolerances: Pi's largest eigenvalue,
+        or Q's when Pi = 0.  A change of state units multiplies it as it
+        multiplies P_bar, and a change of measurement units leaves both."""
+        top = float(np.linalg.eigvalsh(self.Pi)[-1])
+        return top if top > 0 else float(np.linalg.eigvalsh(self.Q)[-1])
+
 
 def lyapunov_step(sys: LinearSystem, X) -> np.ndarray:
     """One open-loop covariance prediction: A X A' + Q, symmetrized.
@@ -237,14 +278,9 @@ def lyapunov_step(sys: LinearSystem, X) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-# The LAPACK gesv gufunc behind np.linalg.solve.  np.linalg.solve(a, b)
-# calls it with signature "dd->d" on two 2-D float64 arrays, the loop it
-# selects for them unasked, and returns its result as is, so the two give
-# the same bits; called bare, it skips np.linalg.solve's argument checks
-# and error-state block.  A singular matrix makes it fill the result with
-# NaN and raise the "invalid" floating-point flag, which np.linalg.solve's
-# error state turns into LinAlgError.
-_lapack_solve = _umath_linalg.solve
+# The LAPACK gesv gufunc behind np.linalg.solve, for two 2-D float64
+# arrays: the same bits, none of its checks, NaN for a singular matrix.
+_lapack_solve = lapack_solver("solve")
 
 
 def _riccati_update(sys: LinearSystem, X: np.ndarray,
@@ -409,12 +445,18 @@ def steady_state(sys: LinearSystem) -> SteadyState:
     """Fixed-point iteration of the combined predict+update covariance map.
 
     Starts from Pi and iterates X <- riccati_step(lyapunov_step(X)) until the
-    Frobenius change is at most max(STEP_TOL, 4 eps ||X||_F), eps being the
-    float64 machine epsilon: a large covariance cannot move by less than a
-    few ulps per step.  The fixed-point residual of the result must be at
-    most max(RESIDUAL_TOL, 8 eps ||X||_F).  Raises ConvergenceError
-    (carrying the last residual) if MAX_ITER steps do not converge, an iterate
-    overflows to a non-finite matrix or the residual bound fails.
+    Frobenius change is at most max(STEP_TOL * s, 4 eps ||X||_F), eps being
+    the float64 machine epsilon and s the system's covariance scale, the
+    largest eigenvalue of Pi (of Q when Pi = 0): a large covariance cannot
+    move by less than a few ulps per step.  The fixed-point residual of the
+    result must be at most max(RESIDUAL_TOL * s, 8 eps ||X||_F).  Both
+    tolerances scale as P_bar does under a change of state units, so the
+    iteration stops at the same step in any units.  The norms are
+    overflow-safe (`_frobenius`), and a non-finite step, bound or residual
+    is never accepted.  Raises ConvergenceError (carrying the last
+    residual) if the covariance scale is subnormal, MAX_ITER steps do not
+    converge, an iterate overflows to a non-finite matrix or the residual
+    bound fails.
 
     Each step calls `lyapunov_step` through the module's global name (so a
     tracer that rebinds it sees every step) and then the update kernel
@@ -427,19 +469,23 @@ def steady_state(sys: LinearSystem) -> SteadyState:
     overflow ConvergenceError.  The residual is taken with `riccati_step`.
     """
     eps = np.finfo(float).eps
+    scale = sys._covariance_scale
+    step_tol = STEP_TOL * scale
+    if 0 < scale < _TINY:
+        # subnormal: the iterates lose the precision the tolerances ask for
+        raise ConvergenceError(
+            f"{sys.name}: covariance scale {scale:.3g} is below the normal "
+            f"float range")
     X = sys.Pi.copy()
     delta = np.inf
-    # bound >= ||X||_F by the triangle inequality; the norm itself is taken
-    # only once a step is small next to it
-    bound = float(np.linalg.norm(X, "fro"))
     with np.errstate(over="ignore", invalid="ignore"):
+        # bound >= ||X||_F by the triangle inequality; the norm itself is
+        # taken only once a step is small next to it
+        bound = _frobenius(X.ravel())
         for it in range(MAX_ITER):
             P = lyapunov_step(sys, X)
             X_next = _riccati_update(sys, P)
-            # the float operations of np.linalg.norm(X_next - X, "fro"),
-            # without its wrapper
-            d = (X_next - X).ravel()
-            delta = math.sqrt(d.dot(d))
+            delta = _frobenius((X_next - X).ravel())
             if not math.isfinite(delta) and not np.isfinite(X_next).all():
                 # a singular S left NaN; the checked step raises its error
                 riccati_step(sys, P)
@@ -448,17 +494,19 @@ def steady_state(sys: LinearSystem) -> SteadyState:
                     f"non-finite covariance at step {it + 1}", residual=delta)
             X = X_next
             bound += delta
-            if delta <= STEP_TOL or (
-                    delta <= 8 * eps * bound
-                    and delta <= 4 * eps * float(np.linalg.norm(X, "fro"))):
+            if delta <= step_tol or (
+                    delta <= 8 * eps * bound and math.isfinite(bound)
+                    and delta <= 4 * eps * _frobenius(X.ravel())):
                 break
         else:
             raise ConvergenceError(
                 f"{sys.name}: steady-state iteration did not converge in "
                 f"{MAX_ITER} steps (last change {delta:.3g})", residual=delta)
-    residual = float(np.linalg.norm(riccati_step(sys, lyapunov_step(sys, X)) - X, "fro"))
-    residual_tol = max(RESIDUAL_TOL, 8 * eps * float(np.linalg.norm(X, "fro")))
-    if residual > residual_tol:
+        residual = _frobenius(
+            (riccati_step(sys, lyapunov_step(sys, X)) - X).ravel())
+        residual_tol = max(RESIDUAL_TOL * scale,
+                           8 * eps * _frobenius(X.ravel()))
+    if not residual <= residual_tol < math.inf:
         raise ConvergenceError(
             f"{sys.name}: converged point violates the fixed-point residual "
             f"bound ({residual:.3g} > {residual_tol:.3g})", residual=residual)

@@ -426,7 +426,9 @@ def bounds(policies, ladders) -> BoundsReport:
     price the extreme gap layouts of those receptions.  Every ladder is
     first extended to the last entry either sum reads, all in one
     `_extend_ladders` call (ladders of one state dimension step as one
-    stack, a ladder listed twice once); each sum adds a slice of `ladder`.
+    stack, a ladder listed twice once); each sum adds a slice of the
+    ladder's own list, which a saturated ladder ends at its first +inf
+    entry, so a running sum stops there.
     """
     fs = _design_factors(Schedule.coerce(policies))
     if len(fs) != len(ladders):
@@ -440,10 +442,10 @@ def bounds(policies, ladders) -> BoundsReport:
     _extend_ladders(ladders, [D - N_i + 1 for N_i in receptions])
     lower = upper = 0.0
     for N_i, lad in zip(receptions, ladders):
-        trace = lad.ladder(D - N_i)
+        trace = lad._traces
         q, r = divmod(D, N_i)
         # no r = 0 term: 0 * trace is NaN once the ladder reads inf
-        lower += N_i * _ordered_sum(trace[:q]) + (r * trace[q] if r else 0.0)
+        lower += N_i * _ordered_sum(trace[:q]) + (r * lad.trace(q) if r else 0.0)
         upper += N_i * trace[0] + _ordered_sum(trace[1:D - N_i + 1])
     return BoundsReport(lower=lower / D, upper=upper / D,
                         per_sensor_receptions=tuple(receptions), period=D)

@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, lapack_solver
 
 _RATIO_EPS = 1e-11
 
@@ -29,12 +28,10 @@ _RATIO_EPS = 1e-11
 # objective; 0 marks a basic variable
 _LOWER, _UPPER, _BASIC = 1, -1, 0
 
-# The LAPACK gesv gufunc that np.linalg.solve(a, b) calls, with signature
-# "dd->d", for a 2-D float64 a and a 1-D b, returning its result as is: the
-# two give the same bits.  Called bare, it skips np.linalg.solve's argument
-# checks and error-state block; a singular matrix fills the result with NaN
-# and raises the "invalid" floating-point flag instead of LinAlgError.
-_solve = _umath_linalg.solve1
+# The LAPACK gesv gufunc that np.linalg.solve(a, b) calls for a 2-D
+# float64 a and a 1-D b: the same bits, none of its checks, NaN for a
+# singular matrix.
+_solve = lapack_solver("solve1")
 
 
 @dataclass

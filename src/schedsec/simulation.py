@@ -3,14 +3,12 @@
 `exact_covariance_series` gives the remote estimator's error covariance
 trace slot by slot.  A reception resets the covariance to P_bar and any
 other slot takes one prediction step, so a slot's trace is the trace
-ladder's entry at that slot's gap since the last reception, and the
-series reads it off the ladder.  After a sensor's first reception its
-covariance repeats with the period, so the series reads each sensor up to
-one period past that reception and repeats the period from there.  The
-ladders are extended in one `_extend_ladders` call, which steps the
-ladders of one state dimension as one stack; the series steps no matrix
-of its own, so it is no independent check of the ladder-based costs; the
-independent slot-by-slot oracle lives in the tests.
+ladder's entry at that slot's gap since the last reception: the series
+computes every slot's gap with one array formula and reads the ladders
+there.  The ladders are extended in one `_extend_ladders` call, which
+steps the ladders of one state dimension as one stack; the series steps
+no matrix of its own, so it is no independent check of the ladder-based
+costs; the independent slot-by-slot oracle lives in the tests.
 `monte_carlo_expected_cost` averages exact per-attack costs over random
 clock-shift attacks: it applies `scheduling`'s collision kernel to a whole
 batch of trials at once and prices every reception pattern it meets once,
@@ -18,12 +16,13 @@ keeping no collision rule of its own.  It has one stream contract: trial
 j's shifts are the first N bounded draws of `Generator(PCG64(child_j))`,
 child_j the j-th SeedSequence child of the seed (the stream
 `default_rng(child_j)` gives), and that order fixes the samples.
-`_trial_shifts` computes them for a block of trials at once, in uint64
-array arithmetic that repeats NumPy's seeding, PCG64 and bounded-integer
-algorithms step for step, so no child or generator is built.  The slots
-the trials fill are charged to the work budget before any is filled.
-Rendering the results (the series CSV and summary document) is the
-command line's job.
+`_trial_shifts` computes them for a block of trials at once: it takes the
+seed's entropy pool from one `SeedSequence(seed)` and repeats, in uint64
+array arithmetic, only what differs per trial (mixing in the spawn key,
+`generate_state`, PCG64 and the bounded-integer draws), so no child or
+generator is built.  The slots the trials fill are charged to the work
+budget before any is filled.  Rendering the results (the series CSV and
+summary document) is the command line's job.
 """
 
 from __future__ import annotations
@@ -97,13 +96,10 @@ def exact_covariance_series(systems: Sequence[LinearSystem], policies,
     segment follows the prediction iterates of the steady state.
 
     Slot k's covariance is h^g(P_bar), g being k minus the last reception
-    slot <= k, so its trace is ladder entry g, to the bit.  From a
-    sensor's first reception on, its covariance repeats with the period,
-    so each sensor's gaps are built only up to one full period past its
-    first reception, and the rest of the horizon repeats that period, to
-    the bit.  A sensor that never receives reads entries 1 to horizon.
-    The budget (SCHEDSEC_BUDGET) is charged the N * horizon slots of the
-    series before any is filled.
+    slot <= k, so its trace is ladder entry g, to the bit; a sensor that
+    never receives reads entries 1 to horizon.  The gaps of every sensor
+    and slot are computed at once.  The budget (SCHEDSEC_BUDGET) is
+    charged the N * horizon slots of the series before any is filled.
 
     All the ladders are extended in one `_extend_ladders` call, to the
     longest gap each sensor reads: ladders of one state dimension step as
@@ -124,45 +120,28 @@ def exact_covariance_series(systems: Sequence[LinearSystem], policies,
     receptions = tuple(tuple(r) for r in reception(sched, attack))
     if ladders is None:
         ladders = [steady_state(sys) for sys in systems]
-    # each sensor's gaps up to one period past its first reception, from a
-    # virtual reception at slot -1; None for a sensor that never receives,
-    # whose slot k reads ladder entry k + 1
-    gaps: list[np.ndarray | None] = []
-    lengths = []
-    for row in receptions:
-        if 1 in row:
-            slots = np.arange(min(horizon, row.index(1) + T))
-            hit = np.array(row, dtype=bool)[slots % T]
-            g = slots - np.maximum.accumulate(np.where(hit, slots, -1))
-            gaps.append(g)
-            lengths.append(int(g.max()) + 1)
-        else:
-            gaps.append(None)
-            lengths.append(horizon + 1)
+    # slot k's gap since the last reception <= k, a virtual one at slot -1:
+    # it repeats with the period once a sensor has received, and a sensor
+    # that never receives reads k + 1
+    slots = np.arange(horizon)
+    hit = np.array(receptions, dtype=bool)[:, slots % T]
+    gaps = slots - np.maximum.accumulate(np.where(hit, slots, -1), axis=1)
+    lengths = (gaps.max(axis=1) + 1).tolist()
     _extend_ladders(ladders, lengths, overflow=OVERFLOW_TRACE)
     traces = np.empty((N, horizon))
     divergent = tuple(sum(row) == 0 for row in receptions)
     overflow_at: list[int | None] = [None] * N
     for i, g in enumerate(gaps):
+        # a ladder that stopped short passed OVERFLOW_TRACE or read +inf at
+        # a gap that comes earlier in the same run, so the slots that read
+        # past its end are frozen below
         entries = np.array(ladders[i]._traces[:lengths[i]])
-        if g is None:
-            got = entries[1:]
-        else:
-            # a ladder that stopped short passed OVERFLOW_TRACE or read
-            # +inf at a gap that comes earlier in the same run, so the
-            # slots that read past its end are frozen below
-            got = entries[np.minimum(g, len(entries) - 1)]
-        stop = len(got)
-        traces[i, :stop] = got
-        over = np.flatnonzero(got > OVERFLOW_TRACE)
+        traces[i] = entries[np.minimum(g, len(entries) - 1)]
+        over = np.flatnonzero(traces[i] > OVERFLOW_TRACE)
         if over.size:
             k = int(over[0])
             overflow_at[i] = k
             traces[i, k:] = traces[i, k]
-        elif stop < horizon:
-            first = receptions[i].index(1)
-            later = np.arange(stop, horizon)
-            traces[i, stop:] = traces[i, first + (later - first) % T]
     running = np.cumsum(traces, axis=1) / np.arange(1, horizon + 1)
     return CovarianceSeries(period=T, horizon=horizon,
                             receptions=receptions, traces=traces,
@@ -263,8 +242,9 @@ def _trial_shifts(seed: int, lo: int, hi: int, N: int, T: int) -> np.ndarray:
 
     Row j is `Generator(PCG64(SeedSequence(seed).spawn(hi)[lo + j]))
     .integers(0, T, size=N)`, to the bit, for 0 <= lo <= hi <= 2^64.  The
-    steps are NumPy's: SeedSequence's pool (what the seed alone fixes is
-    mixed once, in Python ints; the spawn-key words are mixed per trial),
+    pool the seed alone fixes is read off one `SeedSequence(seed)`, which
+    is never spawned; from there the steps are NumPy's, on arrays: the
+    spawn-key words mixed into that pool per trial,
     `generate_state(4, uint64)`, PCG64's srandom, its XSL-RR outputs
     (O'Neill 2014) split into `next_uint32`'s low then high halves, and
     Lemire's bounded draws (ACM TOMACS 2019), on 64-bit words when
@@ -275,23 +255,12 @@ def _trial_shifts(seed: int, lo: int, hi: int, N: int, T: int) -> np.ndarray:
     out = np.zeros((hi - lo, N), dtype=np.int64)
     if T == 1 or not out.size:
         return out  # integers(0, 1) draws nothing
-    # the run entropy: the seed's 32-bit words, padded to the pool size
-    # because a spawn key follows
-    words = [seed >> b & _M32 for b in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    const, pool = _INIT_A, []
-    for w in words[:4]:
-        w, const = _hashmix(w, const)
-        pool.append(w)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                w, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], w)
-    for w in words[4:]:
-        for dst in range(4):
-            h, const = _hashmix(w, const)
-            pool[dst] = _mix(pool[dst], h)
+    # the pool the seed alone fixes, and the hash constant its mixing
+    # leaves: one hash per word of the pool, 12 across it and 4 per seed
+    # word past the fourth, 4 * max(4, words) in all
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    words = -(-seed.bit_length() // 32)
+    const = _INIT_A * pow(_MULT_A, 4 * max(4, words), 1 << 32) & _M32
     # the spawn key (j,): one word below 2^32, two from there
     j = np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64)
     pool = [np.full(j.shape, w, dtype=np.uint64) for w in pool]

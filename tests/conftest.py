@@ -1,14 +1,19 @@
 import builtins
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from schedsec import lti_estimation, simplex
+from schedsec.attack import bnb_optimal_attack
 from schedsec.errors import NumericalError
 from schedsec.lti_estimation import (MAX_ITER, STEP_TOL, LinearSystem,
-                                     _psd_sqrt, lyapunov_step, riccati_step,
+                                     _psd_sqrt, bundled_systems,
+                                     lyapunov_step, riccati_step,
                                      steady_state)
 from schedsec.scheduling import (Schedule, ShiftTuple, average_cost,
                                  reception)
@@ -507,9 +512,14 @@ def stepped_ladder(sys, P_bar, upto):
 
 def fixed_point_reference(sys):
     """Reference for steady_state's loop: the same fixed-point iteration
-    and stopping rule, with np.linalg.norm for every Frobenius norm.
-    Returns (X, iterations), or None if it does not stop in MAX_ITER."""
+    and stopping rule, with np.linalg.norm for every Frobenius norm.  The
+    step tolerance is STEP_TOL times the largest eigenvalue of Pi, or of
+    Q when Pi = 0.  Returns (X, iterations), or None if it does not stop
+    in MAX_ITER."""
     eps = np.finfo(float).eps
+    scale = max(np.linalg.eigvalsh(sys.Pi))
+    if scale <= 0:
+        scale = max(np.linalg.eigvalsh(sys.Q))
     X = sys.Pi.copy()
     bound = float(np.linalg.norm(X, "fro"))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -518,7 +528,7 @@ def fixed_point_reference(sys):
             delta = float(np.linalg.norm(X_next - X, "fro"))
             X = X_next
             bound += delta
-            if delta <= STEP_TOL or (
+            if delta <= STEP_TOL * scale or (
                     delta <= 8 * eps * bound
                     and delta <= 4 * eps * float(np.linalg.norm(X, "fro"))):
                 return X, it + 1
@@ -608,3 +618,48 @@ def state_trajectory_sim(systems, sched, attack, horizon, trials, seed,
         batch.local_estimates.append(local)
         batch.remote_estimates.append(remote)
     return batch
+
+
+def solver_probe() -> dict:
+    """What the bare solves decide: the bundled steady states and the
+    attack searches of the golden schedules, bit for bit, and the
+    NumericalError of a singular innovation covariance and of a singular
+    simplex basis."""
+    out = {"solvers": [lti_estimation._lapack_solve.__name__,
+                       simplex._solve.__name__]}
+    out["steady"] = [[st.P_bar.tobytes().hex(), st.iterations,
+                      repr(st.residual)]
+                     for st in map(steady_state, bundled_systems())]
+    paths = json.loads((Path(__file__).parent / "data" /
+                        "attack_paths.json").read_text())["schedules"]
+    out["attacks"] = []
+    for entry in paths[:4]:
+        rows = tuple(tuple(int(v) for v in row) for row in entry["rows"])
+        res = bnb_optimal_attack(Schedule(period=len(rows[0]), rows=rows))
+        out["attacks"].append([list(res.taus.taus), res.nodes_explored,
+                               list(res.per_target_costs)])
+    sys = LinearSystem(A=[[2.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                       Pi=[[1.0]])
+    real, calls = lti_estimation.lyapunov_step, []
+
+    def step(sys, X):
+        calls.append(1)
+        return np.array([[-1.0]]) if len(calls) == 3 else real(sys, X)
+
+    lti_estimation.lyapunov_step = step
+    try:
+        steady_state(sys)
+    except NumericalError as exc:
+        out["singular_S"] = str(exc)
+    finally:
+        lti_estimation.lyapunov_step = real
+    Abar = np.array([[1.0, 1.0, 0.0, 1.0], [2.0, 2.0, 1.0, 0.0]])
+    status = np.array([simplex._BASIC, simplex._BASIC, simplex._LOWER,
+                       simplex._LOWER], dtype=np.int8)
+    try:
+        simplex._simplex_loop(Abar, np.ones(2), np.array([1.0, -1, 0, 0]),
+                              np.zeros(4), np.ones(4), np.array([0, 1]),
+                              status, 1e-9, 100)
+    except NumericalError as exc:
+        out["singular_basis"] = str(exc)
+    return out

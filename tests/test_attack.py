@@ -230,6 +230,37 @@ def test_brute_force_budget_is_compared_before_the_power(monkeypatch):
     assert len(str(exc.value)) < 200
 
 
+def test_attack_search_charges_every_node_its_tableau(monkeypatch):
+    # each node is charged its (T + N - 1) x ((N - 1)(T - 1) + T + N - 1)
+    # dense tableau before its LP is solved, all targets against one
+    # budget: exactly the nodes' charges pass with the unbudgeted result
+    sched = golden_schedule(ATTACK_PATHS[0])
+    N, T = sched.n_sensors, sched.period
+    want = bnb_optimal_attack(sched)
+    charge = want.nodes_explored * (T + N - 1) * ((N - 1) * (T - 1) + T + N - 1)
+    monkeypatch.setenv("SCHEDSEC_BUDGET", str(charge))
+    assert bnb_optimal_attack(sched) == want
+    monkeypatch.setenv("SCHEDSEC_BUDGET", str(charge - 1))
+    with pytest.raises(BudgetError, match=f"the attack search over {N} "
+                       f"sensors of period {T}"):
+        bnb_optimal_attack(sched)
+
+
+def test_attack_search_refuses_a_large_root_before_solving_it(monkeypatch):
+    # the round robin of 10 sensors over 1,024 slots has a root tableau of
+    # 1,033 x 10,240 entries, past the default budget: refused before its
+    # LP is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved an LP past the budget")
+
+    monkeypatch.delenv("SCHEDSEC_BUDGET", raising=False)
+    monkeypatch.setattr("schedsec.attack.solve_bounded_lp", refuse)
+    sched = Schedule(period=1024, rows=tuple(
+        tuple(int(k % 10 == i) for k in range(1024)) for i in range(10)))
+    with pytest.raises(BudgetError):
+        bnb_optimal_attack(sched)
+
+
 def test_single_sensor_cannot_be_blocked():
     sched = Schedule(period=3, rows=((1, 1, 1),))
     b = brute_force_optimal_attack(sched)

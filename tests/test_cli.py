@@ -20,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import factor_families, py312_sum
-from schedsec import cli
+from schedsec import attack, cli
 from schedsec.cli import _json_text, build_parser, main
-from schedsec.errors import StabilityWarning, read_json
+from schedsec.errors import StabilityWarning, Work, read_json
 from schedsec.lti_estimation import steady_state
 from schedsec.protocol_sequences import (construct_shift_invariant,
                                          hamming_cross_correlation,
@@ -699,25 +699,94 @@ def test_oversized_sizes_are_refused_without_being_computed(
     assert elapsed < 2.0
 
 
-def test_isolate_fallback_ignores_the_work_budget(tmp_path, monkeypatch):
+@pytest.mark.parametrize("kind", ["state", "measurement"])
+def test_steady_state_on_scaled_files_is_right_or_refused(tmp_path, capsys,
+                                                          systems_path, kind):
+    # the bundled study in other units: P_bar scales by the state scale
+    # squared, to a few ulps, at the same iteration counts, or the command
+    # exits 3; it used to exit 0 with P_bar 54-89% off at state x 10^-5
+    def run(path, out):
+        code = main(["steady-state", "--systems", str(path), "--out",
+                     str(out)])
+        capsys.readouterr()
+        if code:
+            return code, None
+        return code, json.loads((out / "steady_state.json").read_text())
+
+    _, ref = run(systems_path, tmp_path / "ref")
+    doc = json.loads(Path(systems_path).read_text())
+    for e in (-160, -150, -75, -8, -5, -3, 3, 8, 75, 150, 160):
+        s = float(f"1e{e}")
+        state, measurement = (s, 1.0) if kind == "state" else (1.0, s)
+        with np.errstate(over="ignore", under="ignore"):
+            scaled = [{"A": entry["A"],
+                       "C": (np.array(entry["C"]) / state
+                             * measurement).tolist(),
+                       "Q": (np.array(entry["Q"]) * state * state).tolist(),
+                       "R": (np.array(entry["R"]) * measurement
+                             * measurement).tolist(),
+                       "Pi": (np.array(entry["Pi"]) * state
+                              * state).tolist()}
+                      for entry in doc]
+        path = tmp_path / f"{kind}{e}.json"
+        path.write_text(json.dumps(scaled))
+        code, got = run(path, tmp_path / f"out{e}")
+        if abs(e) <= 150:
+            assert code == 0, e
+        if code:
+            assert code == 3, e
+            continue
+        for want, have in zip(ref["systems"], got["systems"]):
+            P = np.array(want["P_bar"]) * state * state
+            assert have["iterations"] == want["iterations"], e
+            assert (np.abs(np.array(have["P_bar"]) - P).max()
+                    <= 8 * np.spacing(np.abs(P).max())), e
+
+
+def test_attack_optimal_exits_5_at_a_large_root(tmp_path, capsys,
+                                               monkeypatch):
+    # the root LP of a 10-sensor round robin over 1,024 slots has 1,033 x
+    # 10,240 dense tableau entries, past the default budget
+    monkeypatch.delenv("SCHEDSEC_BUDGET", raising=False)
+    path = tmp_path / "rr.json"
+    path.write_text(json.dumps({"T": 1024, "rows": [
+        [int(k % 10 == i) for k in range(1024)] for i in range(10)]}))
+    assert main(["attack", "optimal", "--schedule", str(path),
+                 "--out", str(tmp_path / "out")]) == 5
+    assert capsys.readouterr().err.startswith(
+        "error: the attack search over 10 sensors of period 1024 needs more "
+        "than the budget of 10000000 steps")
+    assert not (tmp_path / "out").exists()
+
+
+def test_isolate_fallback_charges_its_search_to_the_budget(tmp_path, capsys,
+                                                          monkeypatch):
     # shifting both other clocks by one covers only slot 1 of sensor 0, so
-    # isolate needs the optimal search; it used to enumerate 4^2 tuples
-    # against the budget and exit 5
-    from schedsec.attack import bnb_optimal_attack
+    # isolate needs the optimal search, which is charged each node's dense
+    # tableau: 6 rows (4 slots and 2 other sensors) by 6 shift and 6 slack
+    # columns; it used to enumerate 4^2 tuples against the budget
     from schedsec.scheduling import ShiftTuple, reception
     rows = [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     path = tmp_path / "sched.json"
     path.write_text(json.dumps({"T": 4, "rows": rows}))
-    monkeypatch.setenv("SCHEDSEC_BUDGET", "10")
-    out = tmp_path / "iso"
-    assert main(["attack", "isolate", "--schedule", str(path),
-                 "--target", "0", "--out", str(out)]) == 0
-    taus = json.loads((out / "attack.json").read_text())["taus"]
     sched = Schedule(period=4, rows=tuple(map(tuple, rows)))
+    cost, _, nodes = attack._cheapest_block(sched, 0, Work("search"))
+    charge = 6 * 12 * nodes
+    argv = ["attack", "isolate", "--schedule", str(path), "--target", "0",
+            "--out"]
+    monkeypatch.setenv("SCHEDSEC_BUDGET", str(charge - 1))
+    assert main(argv + [str(tmp_path / "short")]) == 5
+    assert capsys.readouterr().err == (
+        f"error: the attack search over 3 sensors of period 4 needs more "
+        f"than the budget of {charge - 1} steps; raise SCHEDSEC_BUDGET to "
+        f"allow it\n")
+    monkeypatch.setenv("SCHEDSEC_BUDGET", str(charge))
+    out = tmp_path / "iso"
+    assert main(argv + [str(out)]) == 0
+    taus = json.loads((out / "attack.json").read_text())["taus"]
     assert taus[0] == 0
     assert not any(reception(sched, ShiftTuple(tuple(taus)))[0])
-    assert (sum(1 for t in taus if t)
-            == bnb_optimal_attack(sched).per_target_costs[0])
+    assert sum(1 for t in taus if t) == cost
 
 
 def test_exit_code_usage():

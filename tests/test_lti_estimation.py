@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (fixed_point_reference, stepped_ladder,
+from conftest import (fixed_point_reference, solver_probe, stepped_ladder,
                       steady_state_doubling, symmetric_system)
 from schedsec import lti_estimation
 from schedsec.errors import (ConvergenceError, NumericalError,
@@ -591,3 +591,177 @@ def test_prediction_step_is_monotone(seed):
     Y = X + M2 @ M2.T  # Y >= X
     diff = lyapunov_step(sys, Y) - lyapunov_step(sys, X)
     assert np.linalg.eigvalsh(diff).min() >= -1e-9
+
+
+def rescaled(sys, state=1.0, measurement=1.0):
+    """The same system in other units: the state multiplied by `state`
+    (Q and Pi by its square, C divided by it) and the measurement by
+    `measurement` (C multiplied by it, R by its square).  P_bar scales by
+    state^2 and does not depend on the measurement units."""
+    return LinearSystem(A=sys.A, C=sys.C / state * measurement,
+                        Q=sys.Q * state * state,
+                        R=sys.R * measurement * measurement,
+                        Pi=sys.Pi * state * state, name=sys.name)
+
+
+def unit_systems():
+    """The bundled study, three random unstable systems and the first
+    study system started from Pi = 0, whose tolerances scale with Q."""
+    from conftest import random_unstable_system
+    rng = np.random.default_rng(14)
+    first = bundled_systems()[0]
+    return bundled_systems() + [random_unstable_system(rng, f"random {i}")
+                                for i in range(3)] + [LinearSystem(
+        A=first.A, C=first.C, Q=first.Q, R=first.R, Pi=np.zeros((2, 2)),
+        name="Pi = 0")]
+
+
+UNIT_EXPONENTS = list(range(-8, 9)) + [-75, 75, -150, 150]
+
+
+@pytest.mark.parametrize("kind", ["state", "measurement", "both"])
+def test_steady_state_does_not_depend_on_units(kind):
+    # a change of units scales P_bar by the state scale squared, to a few
+    # ulps, and keeps the iteration count; 10^±150 puts the covariances
+    # at 10^±300, where d . d over- or underflows ("both" at 10^150 is Q,
+    # R and Pi times 10^300, which used to stop after one step)
+    for sys in unit_systems():
+        ref = steady_state(sys)
+        for e in UNIT_EXPONENTS:
+            s = float(f"1e{e}")
+            state, measurement = {"state": (s, 1.0), "measurement": (1.0, s),
+                                  "both": (s, s)}[kind]
+            got = steady_state(rescaled(sys, state, measurement))
+            want = ref.P_bar * state * state
+            assert got.iterations == ref.iterations, (sys.name, e)
+            ulp = np.spacing(np.abs(want).max())
+            assert np.abs(got.P_bar - want).max() <= 8 * ulp, (sys.name, e)
+            assert got.residual <= max(8e-8 * state * state,
+                                       1e-14 * np.abs(want).max())
+
+
+def test_steady_state_past_the_float_range_refuses_or_is_right():
+    # from 10^±150 to 10^±170 (covariances near or past the float range,
+    # or subnormal) a result is the scaled P_bar; anything else raises
+    answered = 0
+    for sys in bundled_systems():
+        ref = steady_state(sys)
+        for e in [x / 2 for x in range(300, 341)]:
+            for sign in (1, -1):
+                s = 10.0 ** (sign * e)
+                with np.errstate(over="ignore", under="ignore"):
+                    for state, measurement in ((s, 1.0), (1.0, s), (s, s)):
+                        try:
+                            got = steady_state(
+                                rescaled(sys, state, measurement))
+                        except (ConvergenceError, ValidationError):
+                            continue
+                        want = ref.P_bar * state * state
+                        rel = np.abs(got.P_bar - want).max() / np.abs(
+                            want).max()
+                        assert rel <= 1e-14 and got.iterations == ref.iterations
+                        answered += 1
+    assert answered > 0
+
+
+def test_subnormal_covariance_scale_is_refused():
+    sys = bundled_systems()[0]
+    with pytest.raises(ConvergenceError, match="below the normal float"):
+        steady_state(rescaled(sys, state=1e-160))
+
+
+def test_step_norm_is_overflow_safe():
+    # sqrt(d . d) where it is a normal number, else a rescaled sum
+    frob = lti_estimation._frobenius
+    d = np.array([3.0, -4.0])
+    assert frob(d) == 5.0
+    with np.errstate(over="ignore"):
+        assert frob(d * 1e300) == 5e300
+        assert frob(np.array([1.5e308, 1.5e308])) == math.inf
+    assert frob(d * 1e-300) == pytest.approx(5e-300, rel=1e-15)
+    assert frob(np.zeros(3)) == 0.0
+    assert math.isnan(frob(np.array([1.0, math.nan])))
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        d = rng.normal(size=9)
+        assert frob(d) == float(np.linalg.norm(d))
+
+
+def test_covariance_tests_are_relative_to_the_matrix():
+    # a well-conditioned covariance is accepted on any scale; one whose
+    # least eigenvalue is negative, or zero where PD is asked, is not
+    for s in (1e-11, 1e-200, 1e200):
+        LinearSystem(A=[[2.0]], C=[[1.0]], Q=[[s]], R=[[s]], Pi=[[s]])
+        with pytest.raises(ValidationError, match="positive definite"):
+            LinearSystem(A=[[2.0]], C=[[1.0]], Q=[[1.0]], R=[[0.0]],
+                         Pi=[[1.0]])
+        with pytest.raises(ValidationError, match="semidefinite"):
+            LinearSystem(A=np.diag([2.0, 0.5]), C=[[1.0, 1.0]],
+                         Q=[[s, 2 * s], [2 * s, s]], R=[[1.0]], Pi=np.eye(2))
+        with pytest.raises(ValidationError, match="semidefinite"):
+            LinearSystem(A=[[2.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                         Pi=[[-s]])
+
+
+def test_pbh_test_does_not_depend_on_units():
+    # the rank test runs on a balanced stack, so C or sqrt(Q) on any scale
+    # keeps the verdict, detectable or not
+    for s in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+        LinearSystem(A=np.diag([2.0, 0.5]), C=[[s, s]], Q=np.eye(2) * s * s,
+                     R=[[1.0]], Pi=np.eye(2))
+        with pytest.raises(ValidationError, match="detectable"):
+            LinearSystem(A=np.diag([2.0, 0.5]), C=[[0.0, s]], Q=np.eye(2),
+                         R=[[1.0]], Pi=np.eye(2))
+        with pytest.raises(ValidationError, match="stabilizable"):
+            LinearSystem(A=np.diag([2.0, 0.5]), C=[[1.0, 1.0]],
+                         Q=np.diag([0.0, s * s]), R=[[1.0]], Pi=np.eye(2))
+
+
+def test_fixed_point_reference_follows_the_scaled_stop_rule():
+    # Pi = 4 I makes the step tolerance 4 STEP_TOL: the loop and the
+    # reference stop at the same step with the same bits
+    for sys in bundled_systems():
+        sys = LinearSystem(A=sys.A, C=sys.C, Q=sys.Q, R=sys.R,
+                           Pi=4 * np.eye(2))
+        lad = steady_state(sys)
+        X, iterations = fixed_point_reference(sys)
+        assert lad.iterations == iterations
+        assert lad.P_bar.tobytes() == lti_estimation._symmetrize(X).tobytes()
+
+
+# numpy.linalg._umath_linalg is private: hidden outright, or present
+# without the gufuncs, the package must import and keep every bit
+_HIDE_GUFUNCS = {
+    "module": "sys.modules['numpy.linalg._umath_linalg'] = None",
+    "gufuncs": "sys.modules['numpy.linalg._umath_linalg'] = "
+               "types.ModuleType('numpy.linalg._umath_linalg')",
+}
+
+
+@pytest.mark.parametrize("hide", sorted(_HIDE_GUFUNCS))
+def test_solves_fall_back_without_numpys_private_gufuncs(hide):
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    here = Path(__file__).resolve().parent
+    script = "\n".join([
+        "import json, sys, types",
+        "import numpy.linalg",
+        "del numpy.linalg._umath_linalg",
+        _HIDE_GUFUNCS[hide],
+        "import conftest",
+        "print(json.dumps(conftest.solver_probe()))"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads(proc.stdout)
+    want = solver_probe()
+    assert got.pop("solvers") == ["_solve_or_nan"] * 2
+    assert want.pop("solvers") == ["solve", "solve1"]
+    assert got == want
+    assert want["singular_S"] == "system: innovation covariance is singular"
+    assert want["singular_basis"] == "simplex basis became singular"

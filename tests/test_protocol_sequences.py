@@ -488,3 +488,23 @@ def test_construction_weight_and_period_properties(factors):
     assert ps.period == D
     for row, (n, d) in zip(ps.rows, factors):
         assert sum(row) == D * n // d
+
+
+def test_bounds_sums_stop_at_a_saturated_ladders_first_inf(monkeypatch):
+    # eleven sensors with A = 1.3 under the shortest-period set (D = 2,048)
+    # saturate long before gap D - 1: each running sum ends at the ladder's
+    # first +inf entry instead of adding the +inf entries after it
+    from schedsec import protocol_sequences
+    sys = LinearSystem(A=[[1.3]], C=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                       Pi=[[1.0]])
+    ladders = [steady_state(sys) for _ in range(11)]
+    summed = []
+    real = protocol_sequences._ordered_sum
+    monkeypatch.setattr(protocol_sequences, "_ordered_sum",
+                        lambda values: summed.append(len(values))
+                        or real(values))
+    br = bounds(shortest_period_policies(11), ladders)
+    assert br.lower == br.upper == math.inf
+    saturated = len(ladders[0]._traces)
+    assert ladders[0]._traces[-1] == math.inf and saturated < 2048
+    assert max(summed) <= saturated

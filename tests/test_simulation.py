@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import (child_rngs, random_exclusive_schedule,
                       series_csv_reference, state_trajectory_sim,
                       stepped_covariance_series, symmetric_system)
-from schedsec import lti_estimation, scheduling
+from schedsec import lti_estimation, scheduling, simulation
 from schedsec.cli import _series_csv, _summary_doc
 from schedsec.errors import BudgetError, StabilityWarning, ValidationError
 from schedsec.lti_estimation import LinearSystem, lyapunov_step, steady_state
@@ -514,6 +514,8 @@ def test_trial_shifts_match_child_generators(T):
 
 
 def test_mc_builds_no_generator(monkeypatch, study_systems, study_ladders):
+    # each block of trials reads the seed's pool off one SeedSequence(seed);
+    # no child, spawn or generator is built
     sd = construct_shift_invariant([(1, 3)] * 3)
     want = monte_carlo_expected_cost(study_systems, sd, trials=30, seed=5,
                                      ladders=study_ladders).samples
@@ -521,11 +523,34 @@ def test_mc_builds_no_generator(monkeypatch, study_systems, study_ladders):
     def refuse(*args, **kwargs):
         raise AssertionError("a per-trial SeedSequence or generator")
 
-    for name in ("SeedSequence", "PCG64", "Generator", "default_rng"):
+    seeded = []
+
+    class SeedOnly(np.random.SeedSequence):
+        def __init__(self, entropy=None, **kwargs):
+            if kwargs:
+                refuse()
+            seeded.append(entropy)
+            super().__init__(entropy)
+
+        spawn = refuse
+
+    calls = []
+    shifts = simulation._trial_shifts
+
+    def counted(*args):
+        calls.append(args)
+        return shifts(*args)
+
+    monkeypatch.setattr(np.random, "SeedSequence", SeedOnly)
+    for name in ("PCG64", "Generator", "default_rng"):
         monkeypatch.setattr(np.random, name, refuse)
+    monkeypatch.setattr(simulation, "_trial_shifts", counted)
+    # blocks of 8 trials: 4 calls for the 30 trials
+    monkeypatch.setattr(scheduling, "_BLOCK_SLOTS", 8 * 3 * 27)
     got = monte_carlo_expected_cost(study_systems, sd, trials=30, seed=5,
                                     ladders=study_ladders).samples
     assert got == want
+    assert len(calls) == 4 and seeded == [5] * 4
 
 
 def test_mc_seed_is_strict(study_systems, study_ladders, round_robin):
