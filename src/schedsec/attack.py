@@ -149,7 +149,9 @@ def _cheapest_block(sched: Schedule, target: int, work: Work):
     fractional live block (ties to the smallest sensor) is pinned to each of
     its T choices in turn, 0 meaning that sensor's clock stays honest.
     `work` is charged each node's dense tableau, its constraint rows times
-    its structural and slack columns, before the node's LP is solved.
+    its structural and slack columns, before the node is visited; the
+    root's is charged from N and T before any matrix is built, so an
+    oversized schedule is refused before it takes the memory.
 
     Returns (cost, taus, nodes); cost and taus are None when no tuple with
     an honest target clock starves the target.
@@ -158,13 +160,15 @@ def _cheapest_block(sched: Schedule, target: int, work: Work):
     others = [j for j in range(sched.n_sensors) if j != target]
     w = T - 1
     K = len(others) * w
+    rows = T + len(others)
+    tableau = rows * (rows + K)
+    work.charge(tableau)
     # column b*w + t-1 is the row of sensor others[b] shifted by t
     cols = _shifted(sched.array[others, None], np.arange(1, T)).reshape(K, T).T
     A = np.vstack([-cols.astype(float),
                    np.repeat(np.eye(len(others)), w, axis=1)])
     b = np.concatenate([-sched.array[target].astype(float),
                         np.ones(len(others))])
-    tableau = A.shape[0] * (A.shape[0] + K)
     fixed: dict[int, int] = {}
     incumbent = float("inf")
     best = None
@@ -173,7 +177,6 @@ def _cheapest_block(sched: Schedule, target: int, work: Work):
     def visit():
         nonlocal incumbent, best, nodes
         nodes += 1
-        work.charge(tableau)
         lower = np.zeros(K)
         upper = np.ones(K)
         for blk, choice in fixed.items():
@@ -198,6 +201,7 @@ def _cheapest_block(sched: Schedule, target: int, work: Work):
                 pick, mass = blk, m
         for choice in range(T):
             fixed[pick] = choice
+            work.charge(tableau)
             visit()
         del fixed[pick]
 
@@ -216,7 +220,7 @@ def bnb_optimal_attack(sched: Schedule) -> AttackSearchResult:
     result's per_target_costs records each target's optimum and
     nodes_explored sums the search nodes of all targets.  The budget
     (SCHEDSEC_BUDGET) is charged every node's dense tableau, of all
-    targets together, before the node's LP is solved.
+    targets together, before the node is visited.
     """
     sched.require_exclusive()
     N = sched.n_sensors

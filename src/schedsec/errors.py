@@ -6,8 +6,6 @@ of these conditions are plain bad arguments.  `read_json` decodes every
 input document's bytes; each document type's parser checks the shape
 through `json_object`, `json_list` and `strict_int`, the one integer
 check of the package; `strict_seed` is that check for a random seed.
-`lapack_solver` binds the bare LAPACK solve that the steady-state loop
-and the simplex call, with a fallback for a NumPy that lacks it.
 """
 
 from __future__ import annotations
@@ -15,8 +13,6 @@ from __future__ import annotations
 import json
 import numbers
 import os
-
-import numpy as np
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "SCHEDSEC_BUDGET"
@@ -145,29 +141,3 @@ def strict_seed(value) -> int:
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     return seed
-
-
-def _solve_or_nan(a, b):
-    """np.linalg.solve(a, b), or NaN of b's shape for a singular a."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return np.full(np.shape(b), np.nan)
-
-
-def lapack_solver(name: str):
-    """The LAPACK gesv gufunc `name` of NumPy's private
-    numpy.linalg._umath_linalg: "solve" for a 2-D right-hand side, "solve1"
-    for a vector.  np.linalg.solve(a, b) calls it on 2-D float64 a and
-    float64 b and returns its result as is, so the two give the same bits;
-    called bare, it skips np.linalg.solve's argument checks and error-state
-    block, and a singular a fills the result with NaN (raising the
-    "invalid" floating-point flag) instead of raising LinAlgError.  A
-    NumPy without the module or the gufunc gets np.linalg.solve with the
-    same NaN for a singular a, so the callers' singular checks, which look
-    for NaN, raise their NumericalError either way."""
-    try:
-        from numpy.linalg import _umath_linalg
-        return getattr(_umath_linalg, name)
-    except (ImportError, AttributeError):
-        return _solve_or_nan

@@ -27,8 +27,8 @@ with the bare LAPACK gufunc behind np.linalg.solve (the same bits, none of
 its per-call checks; np.linalg.solve itself on a NumPy without it) and
 turns to `riccati_step` only on a step that left a non-finite iterate,
 where that singular check lives.  Its tolerances are relative to the
-system's covariance scale, so a change of units does not change where it
-stops.
+iterate, so neither a change of units nor the starting covariance Pi
+changes the accuracy it stops at.
 
 `load_systems` parses a decoded systems document, whose matrix entries
 must be finite JSON numbers; it does no I/O, so the caller that read the
@@ -46,19 +46,17 @@ from importlib import resources
 import numpy as np
 
 from .errors import (ConvergenceError, NumericalError, StabilityWarning,
-                     ValidationError, json_list, json_object, lapack_solver,
-                     read_json)
+                     ValidationError, json_list, json_object, read_json)
 
-# a covariance's least eigenvalue must exceed -PSD_TOL (PSD) or PSD_TOL
-# (PD) times its largest
+# a covariance, its channels scaled to unit variance, must have a least
+# eigenvalue above -PSD_TOL (PSD) or PSD_TOL (PD) times its largest
 PSD_TOL = 1e-9
 INSTABILITY_TOL = 1e-12
-# steady_state stops once a step moves the iterate by at most STEP_TOL
-# times the system's covariance scale (or by a few ulps of a large
-# iterate), and requires a fixed-point residual of at most RESIDUAL_TOL
-# times that scale
+# steady_state stops once its estimate of the iterate's distance to the
+# fixed point is at most STEP_TOL times the iterate's norm, and requires a
+# fixed-point residual of at most RESIDUAL_TOL times that norm
 RESIDUAL_TOL = 1e-8
-STEP_TOL = 1e-10
+STEP_TOL = 5e-10
 # steady_state gives up (ConvergenceError) after this many fixed-point steps
 MAX_ITER = 100_000
 # _extend_ladders steps ladders in blocks of 2, 4, 8, ... iterates, up to
@@ -111,6 +109,27 @@ def _symmetrize(X):
 
 def _check_symmetric(M, tol=PSD_TOL):
     return bool(np.all(np.abs(M - M.T) <= tol * (1.0 + np.abs(M).max(initial=0.0))))
+
+
+def _min_eigenvalue(M):
+    return float(np.linalg.eigvalsh(M)[0])
+
+
+def _balanced_eigenvalue_range(M):
+    """The least and largest eigenvalues of the symmetric M with each
+    channel scaled to unit variance, D^-1/2 M D^-1/2 for D = |diag(M)|
+    (a zero diagonal entry left unscaled).  A change of units of any one
+    state or output scales its row and column of M, which this undoes, so
+    the PD/PSD verdicts do not depend on the units.  An entry that
+    overflows there is far past any PSD matrix's and counts as -inf."""
+    d = np.abs(M.diagonal())
+    unit = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = M * unit[:, None] * unit
+    if not np.isfinite(B).all():
+        return -math.inf, 1.0
+    eig = np.linalg.eigvalsh(B)
+    return float(eig[0]), float(eig[-1])
 
 
 _TINY = float(np.finfo(float).tiny)
@@ -217,17 +236,17 @@ class LinearSystem:
         M = self._matrix(fname, value, rows=size, cols=size)
         if not _check_symmetric(M):
             raise ValidationError(f"{self.name} field '{fname}': not symmetric")
-        eig = np.linalg.eigvalsh(_symmetrize(M))
-        lo, top = float(eig[0]), float(eig[-1])
+        M = _symmetrize(M)
+        lo, top = _balanced_eigenvalue_range(M)
         if kind == "pd" and lo <= PSD_TOL * top:
             raise ValidationError(
                 f"{self.name} field '{fname}': must be positive definite "
-                f"(min eigenvalue {lo:.3g})")
+                f"(min eigenvalue {_min_eigenvalue(M):.3g})")
         if kind == "psd" and lo < -PSD_TOL * top:
             raise ValidationError(
                 f"{self.name} field '{fname}': must be positive semidefinite "
-                f"(min eigenvalue {lo:.3g})")
-        return _symmetrize(M)
+                f"(min eigenvalue {_min_eigenvalue(M):.3g})")
+        return M
 
     @property
     def n(self) -> int:
@@ -249,14 +268,6 @@ class LinearSystem:
     def _cancellation_bound(self) -> float:
         return CANCELLATION_RATIO * float(np.trace(self.R))
 
-    @cached_property
-    def _covariance_scale(self) -> float:
-        """The scale of steady_state's tolerances: Pi's largest eigenvalue,
-        or Q's when Pi = 0.  A change of state units multiplies it as it
-        multiplies P_bar, and a change of measurement units leaves both."""
-        top = float(np.linalg.eigvalsh(self.Pi)[-1])
-        return top if top > 0 else float(np.linalg.eigvalsh(self.Q)[-1])
-
 
 def lyapunov_step(sys: LinearSystem, X) -> np.ndarray:
     """One open-loop covariance prediction: A X A' + Q, symmetrized.
@@ -276,6 +287,32 @@ def lyapunov_step(sys: LinearSystem, X) -> np.ndarray:
         _as_matrix(X, rows=sys.n, cols=sys.n)
     M = sys.A @ X @ sys.A.T + sys.Q
     return (M + M.T) / 2.0
+
+
+def _solve_or_nan(a, b):
+    """np.linalg.solve(a, b), or NaN of b's shape for a singular a."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.full(np.shape(b), np.nan)
+
+
+def lapack_solver(name: str):
+    """The LAPACK gesv gufunc `name` of NumPy's private
+    numpy.linalg._umath_linalg: "solve" for a 2-D right-hand side, "solve1"
+    for a vector.  np.linalg.solve(a, b) calls it on 2-D float64 a and
+    float64 b and returns its result as is, so the two give the same bits;
+    called bare, it skips np.linalg.solve's argument checks and error-state
+    block, and a singular a fills the result with NaN (raising the
+    "invalid" floating-point flag) instead of raising LinAlgError.  A
+    NumPy without the module or the gufunc gets np.linalg.solve with the
+    same NaN for a singular a, so the callers' singular checks, which look
+    for NaN, raise their NumericalError either way."""
+    try:
+        from numpy.linalg import _umath_linalg
+        return getattr(_umath_linalg, name)
+    except (ImportError, AttributeError):
+        return _solve_or_nan
 
 
 # The LAPACK gesv gufunc behind np.linalg.solve, for two 2-D float64
@@ -444,19 +481,25 @@ def _extend_ladders(ladders, lengths, overflow: float = math.inf) -> None:
 def steady_state(sys: LinearSystem) -> SteadyState:
     """Fixed-point iteration of the combined predict+update covariance map.
 
-    Starts from Pi and iterates X <- riccati_step(lyapunov_step(X)) until the
-    Frobenius change is at most max(STEP_TOL * s, 4 eps ||X||_F), eps being
-    the float64 machine epsilon and s the system's covariance scale, the
-    largest eigenvalue of Pi (of Q when Pi = 0): a large covariance cannot
-    move by less than a few ulps per step.  The fixed-point residual of the
-    result must be at most max(RESIDUAL_TOL * s, 8 eps ||X||_F).  Both
-    tolerances scale as P_bar does under a change of state units, so the
-    iteration stops at the same step in any units.  The norms are
-    overflow-safe (`_frobenius`), and a non-finite step, bound or residual
-    is never accepted.  Raises ConvergenceError (carrying the last
-    residual) if the covariance scale is subnormal, MAX_ITER steps do not
-    converge, an iterate overflows to a non-finite matrix or the residual
-    bound fails.
+    Starts from Pi and iterates X <- riccati_step(lyapunov_step(X)) until
+    the Frobenius change d of a step is at most
+    STEP_TOL ||X||_F (1 - d / d_prev), d_prev being the previous step's
+    change (infinite before the first step): d / (1 - d / d_prev)
+    estimates the distance to the fixed point of a map that contracts by
+    d / d_prev per step, so the stop asks for the same relative accuracy
+    however slowly the map contracts.  The fixed-point residual of the
+    result must be at most RESIDUAL_TOL ||X||_F.  Both are relative to the
+    iterate, which converges to P_bar whatever Pi is: a change of state
+    units scales P_bar and the tolerances alike, a change of measurement
+    units leaves both, and Pi, only the starting point, moves neither.
+    The norms are overflow-safe (`_frobenius`), and a non-finite step or
+    residual is never accepted.  Raises ConvergenceError (carrying the last
+    residual) if MAX_ITER steps do not converge, an iterate overflows to a
+    non-finite matrix, the residual bound fails or the result is a nonzero
+    matrix below the normal float range, where the iteration has lost the
+    precision it asks for.  Q = 0 passes validation only with a strictly
+    stable A, whose fixed point is 0 exactly; the iterates would reach it
+    only by underflowing, so it is returned at once, after 0 steps.
 
     Each step calls `lyapunov_step` through the module's global name (so a
     tracer that rebinds it sees every step) and then the update kernel
@@ -468,16 +511,10 @@ def steady_state(sys: LinearSystem) -> SteadyState:
     NumericalError at the same step as before, and anything else is the
     overflow ConvergenceError.  The residual is taken with `riccati_step`.
     """
-    eps = np.finfo(float).eps
-    scale = sys._covariance_scale
-    step_tol = STEP_TOL * scale
-    if 0 < scale < _TINY:
-        # subnormal: the iterates lose the precision the tolerances ask for
-        raise ConvergenceError(
-            f"{sys.name}: covariance scale {scale:.3g} is below the normal "
-            f"float range")
+    if not sys.Q.any():
+        return SteadyState(sys, np.zeros_like(sys.Q), 0.0, iterations=0)
     X = sys.Pi.copy()
-    delta = np.inf
+    delta = prev = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         # bound >= ||X||_F by the triangle inequality; the norm itself is
         # taken only once a step is small next to it
@@ -494,22 +531,26 @@ def steady_state(sys: LinearSystem) -> SteadyState:
                     f"non-finite covariance at step {it + 1}", residual=delta)
             X = X_next
             bound += delta
-            if delta <= step_tol or (
-                    delta <= 8 * eps * bound and math.isfinite(bound)
-                    and delta <= 4 * eps * _frobenius(X.ravel())):
+            if delta <= STEP_TOL * bound and delta <= STEP_TOL * (
+                    _frobenius(X.ravel()) * (1.0 - delta / prev)):
                 break
+            prev = delta
         else:
             raise ConvergenceError(
                 f"{sys.name}: steady-state iteration did not converge in "
                 f"{MAX_ITER} steps (last change {delta:.3g})", residual=delta)
+        norm = _frobenius(X.ravel())
         residual = _frobenius(
             (riccati_step(sys, lyapunov_step(sys, X)) - X).ravel())
-        residual_tol = max(RESIDUAL_TOL * scale,
-                           8 * eps * _frobenius(X.ravel()))
+    residual_tol = RESIDUAL_TOL * norm
     if not residual <= residual_tol < math.inf:
         raise ConvergenceError(
             f"{sys.name}: converged point violates the fixed-point residual "
             f"bound ({residual:.3g} > {residual_tol:.3g})", residual=residual)
+    if 0 < norm < _TINY:
+        raise ConvergenceError(
+            f"{sys.name}: steady-state covariance {norm:.3g} is below the "
+            f"normal float range", residual=residual)
     return SteadyState(sys, X, residual, iterations=it + 1)
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, lapack_solver
+from .errors import NumericalError, ValidationError
+from .lti_estimation import lapack_solver
 
 _RATIO_EPS = 1e-11
 

@@ -512,15 +512,14 @@ def stepped_ladder(sys, P_bar, upto):
 
 def fixed_point_reference(sys):
     """Reference for steady_state's loop: the same fixed-point iteration
-    and stopping rule, with np.linalg.norm for every Frobenius norm.  The
-    step tolerance is STEP_TOL times the largest eigenvalue of Pi, or of
-    Q when Pi = 0.  Returns (X, iterations), or None if it does not stop
-    in MAX_ITER."""
-    eps = np.finfo(float).eps
-    scale = max(np.linalg.eigvalsh(sys.Pi))
-    if scale <= 0:
-        scale = max(np.linalg.eigvalsh(sys.Q))
+    and stopping rule, with np.linalg.norm for every Frobenius norm.  A
+    step of Frobenius change d stops once d <= STEP_TOL ||X||_F
+    (1 - d / d_prev), d_prev the previous change (infinite at first), and
+    d <= STEP_TOL times ||Pi||_F plus the changes so far, which bounds
+    ||X||_F.  Returns (X, iterations), or None if it does not stop in
+    MAX_ITER."""
     X = sys.Pi.copy()
+    prev = math.inf
     bound = float(np.linalg.norm(X, "fro"))
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(MAX_ITER):
@@ -528,10 +527,11 @@ def fixed_point_reference(sys):
             delta = float(np.linalg.norm(X_next - X, "fro"))
             X = X_next
             bound += delta
-            if delta <= STEP_TOL * scale or (
-                    delta <= 8 * eps * bound
-                    and delta <= 4 * eps * float(np.linalg.norm(X, "fro"))):
+            norm = float(np.linalg.norm(X, "fro"))
+            if (delta <= STEP_TOL * bound
+                    and delta <= STEP_TOL * norm * (1.0 - delta / prev)):
                 return X, it + 1
+            prev = delta
     return None
 
 

@@ -246,14 +246,15 @@ def test_attack_search_charges_every_node_its_tableau(monkeypatch):
         bnb_optimal_attack(sched)
 
 
-def test_attack_search_refuses_a_large_root_before_solving_it(monkeypatch):
+def test_attack_search_refuses_a_large_root_before_building_it(monkeypatch):
     # the round robin of 10 sensors over 1,024 slots has a root tableau of
-    # 1,033 x 10,240 entries, past the default budget: refused before its
-    # LP is built
+    # 1,033 x 10,240 entries, past the default budget: refused before the
+    # shifted rows, the constraint matrix or the LP are built
     def refuse(*args, **kwargs):
-        raise AssertionError("solved an LP past the budget")
+        raise AssertionError("built the search past the budget")
 
     monkeypatch.delenv("SCHEDSEC_BUDGET", raising=False)
+    monkeypatch.setattr("schedsec.attack._shifted", refuse)
     monkeypatch.setattr("schedsec.attack.solve_bounded_lp", refuse)
     sched = Schedule(period=1024, rows=tuple(
         tuple(int(k % 10 == i) for k in range(1024)) for i in range(10)))

@@ -664,10 +664,43 @@ def test_steady_state_past_the_float_range_refuses_or_is_right():
     assert answered > 0
 
 
-def test_subnormal_covariance_scale_is_refused():
+def test_zero_process_noise_has_a_zero_steady_state():
+    # Q = 0 passes only with a strictly stable A, whose fixed point is 0;
+    # a relative stop would wait for the iterates to underflow to it
+    for a in (0.5, 0.999):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StabilityWarning)
+            sys = LinearSystem(A=[[a, 0.0], [0.0, 0.5]], C=[[0.0, 1.0]],
+                               Q=np.zeros((2, 2)), R=[[1.0]], Pi=np.eye(2))
+        lad = steady_state(sys)
+        assert lad.P_bar.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert (lad.iterations, lad.residual) == (0, 0.0)
+        assert np.array_equal(riccati_step(sys, lyapunov_step(sys, lad.P_bar)),
+                              lad.P_bar)
+
+
+def test_subnormal_steady_state_is_refused():
     sys = bundled_systems()[0]
     with pytest.raises(ConvergenceError, match="below the normal float"):
         steady_state(rescaled(sys, state=1e-160))
+
+
+@pytest.mark.parametrize("pi", [1e-12, 1e-6, 1e6, 1e12])
+def test_scipy_dare_oracle_from_any_starting_covariance(pi):
+    # Pi is only the starting point: a diffuse or a tiny one must reach the
+    # DARE solution as closely as Pi = I does (a step tolerance scaled by
+    # Pi stopped 1e-4 short at Pi = 1e6 I)
+    from conftest import random_unstable_system
+    rng = np.random.default_rng(26)
+    systems = bundled_systems() + [random_unstable_system(rng, f"random {i}")
+                                   for i in range(10)]
+    for sys in systems:
+        sys = LinearSystem(A=sys.A, C=sys.C, Q=sys.Q, R=sys.R,
+                           Pi=pi * np.eye(sys.n), name=sys.name)
+        want = dare_steady_state(sys)
+        got = steady_state(sys).P_bar
+        assert (np.linalg.norm(got - want)
+                <= 1e-8 * np.linalg.norm(want)), (sys.name, pi)
 
 
 def test_step_norm_is_overflow_safe():
@@ -685,6 +718,39 @@ def test_step_norm_is_overflow_safe():
     for _ in range(100):
         d = rng.normal(size=9)
         assert frob(d) == float(np.linalg.norm(d))
+
+
+def test_covariance_tests_do_not_depend_on_channel_units():
+    # a second output measured in units 10^5 times smaller multiplies its
+    # row of C by 10^5 and its variance by 10^10; a second state in such
+    # units does the same to Q, Pi and A's and C's entries.  Neither moves
+    # the verdicts, and P_bar follows the state units to the loop's
+    # accuracy, relative to its Frobenius norm
+    base = bundled_systems()[0]
+    two = LinearSystem(A=base.A, C=np.vstack([base.C, [[0.0, 1.0]]]),
+                       Q=base.Q, R=np.eye(2), Pi=base.Pi)
+    T = np.diag([1.0, 1e5])
+    for sys in (two, base):
+        ref = steady_state(sys)
+        m = sys.m
+        out = np.diag([1.0] * (m - 1) + [1e5])
+        for Tx, Ty in ((np.eye(2), out), (T, np.eye(m)), (T, out)):
+            Ti = np.linalg.inv(Tx)
+            got = steady_state(LinearSystem(
+                A=Tx @ sys.A @ Ti, C=Ty @ sys.C @ Ti, Q=Tx @ sys.Q @ Tx,
+                R=Ty @ sys.R @ Ty, Pi=Tx @ sys.Pi @ Tx))
+            want = Tx @ ref.P_bar @ Tx
+            assert (np.linalg.norm(got.P_bar - want)
+                    <= 1e-8 * np.linalg.norm(want))
+    # correlation 2 between channels of any units is not a covariance
+    for s in (1.0, 1e5, 1e-5):
+        with pytest.raises(ValidationError, match="positive definite"):
+            LinearSystem(A=base.A, C=np.vstack([base.C, [[0.0, s]]]),
+                         Q=base.Q, R=[[1.0, 2 * s], [2 * s, s * s]],
+                         Pi=base.Pi)
+        with pytest.raises(ValidationError, match="semidefinite"):
+            LinearSystem(A=base.A, C=base.C, Q=base.Q,
+                         Pi=[[1.0, 2 * s], [2 * s, s * s]], R=base.R)
 
 
 def test_covariance_tests_are_relative_to_the_matrix():
@@ -717,16 +783,18 @@ def test_pbh_test_does_not_depend_on_units():
                          Q=np.diag([0.0, s * s]), R=[[1.0]], Pi=np.eye(2))
 
 
-def test_fixed_point_reference_follows_the_scaled_stop_rule():
-    # Pi = 4 I makes the step tolerance 4 STEP_TOL: the loop and the
-    # reference stop at the same step with the same bits
+def test_fixed_point_reference_follows_the_stop_rule():
+    # from other starting covariances, diffuse ones included, the loop and
+    # the reference stop at the same step with the same bits
     for sys in bundled_systems():
-        sys = LinearSystem(A=sys.A, C=sys.C, Q=sys.Q, R=sys.R,
-                           Pi=4 * np.eye(2))
-        lad = steady_state(sys)
-        X, iterations = fixed_point_reference(sys)
-        assert lad.iterations == iterations
-        assert lad.P_bar.tobytes() == lti_estimation._symmetrize(X).tobytes()
+        for pi in (4.0, 1e6):
+            sys = LinearSystem(A=sys.A, C=sys.C, Q=sys.Q, R=sys.R,
+                               Pi=pi * np.eye(2))
+            lad = steady_state(sys)
+            X, iterations = fixed_point_reference(sys)
+            assert lad.iterations == iterations
+            assert (lad.P_bar.tobytes()
+                    == lti_estimation._symmetrize(X).tobytes())
 
 
 # numpy.linalg._umath_linalg is private: hidden outright, or present
