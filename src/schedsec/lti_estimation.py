@@ -108,7 +108,7 @@ def _symmetrize(X):
 
 
 def _check_symmetric(M, tol=PSD_TOL):
-    return bool(np.all(np.abs(M - M.T) <= tol * (1.0 + np.abs(M).max(initial=0.0))))
+    return bool(np.all(np.abs(M - M.T) <= tol * np.abs(M).max(initial=0.0)))
 
 
 def _min_eigenvalue(M):

@@ -12,7 +12,8 @@ Invariance is decided exactly with the Fourier criterion of Shum, Chen,
 Sung & Wong, "Shift-invariant protocol sequences for the collision channel
 without feedback", IEEE Trans. Inf. Theory 55(7), 2009: a set of period D
 is shift invariant iff no two or more rows have nonzero DFT frequencies,
-one per row, that sum to 0 mod D.
+one per row, that sum to 0 mod D.  Which DFT coefficients vanish is
+found in integers, by cyclic differences of the folded rows (`_supports`).
 
 Sets with prescribed rational duty factors n_i / d_i are built by
 interleaving: sensor i cycles through D_{i-1} = d_1 ... d_{i-1} short
@@ -29,7 +30,6 @@ readers, and `policies_from_dict` checks them against the rows.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -187,52 +187,15 @@ def _divisors(n: int) -> list[int]:
     return sorted(set(small + [n // d for d in small]))
 
 
-def _mobius(n: int) -> int:
-    mu, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return -mu if n > 1 else mu
-
-
-@functools.lru_cache(maxsize=1024)
-def _cyclotomic(m: int) -> tuple[int, ...]:
-    """Integer coefficients of the cyclotomic polynomial Phi_m, lowest
-    degree first, from Phi_m(x) = prod_{d | m} (x^d - 1)^mu(m/d)."""
-    poly = [1]
-    divide = []
-    for d in _divisors(m):
-        mu = _mobius(m // d)
-        if mu == 1:
-            poly = [0] * d + poly
-            for k in range(len(poly) - d):
-                poly[k] -= poly[k + d]
-        elif mu == -1:
-            divide.append(d)
-    for d in divide:
-        # exact division by x^d - 1: a[k] = q[k - d] - q[k]
-        q = []
-        for k in range(len(poly) - d):
-            q.append((q[k - d] if k >= d else 0) - poly[k])
-        poly = q
-    return tuple(poly)
-
-
-def _divisible(f: list[int], phi: tuple[int, ...]) -> bool:
-    """Whether the monic integer polynomial phi divides f, by long division
-    in integers (both lowest degree first)."""
-    deg = len(phi) - 1
-    terms = [(j, c) for j, c in enumerate(phi[:-1]) if c]
-    for k in range(len(f) - 1, deg - 1, -1):
-        c = f[k]
-        if c:
-            for j, a in terms:
-                f[k - deg + j] -= c * a
-    return not any(f[:deg])
+def _primes(m: int) -> list[int]:
+    """The prime divisors of m, by trial division."""
+    primes = []
+    for p in range(2, math.isqrt(m) + 1):
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+    return primes + [m] if m > 1 else primes
 
 
 def _supports(rows, period: int, work: Work) -> list[int]:
@@ -240,21 +203,30 @@ def _supports(rows, period: int, work: Work) -> list[int]:
     left out, for the rows of an integer (N, period) array.
 
     The DFT of row r at w is r(zeta^w), and zeta^w is a primitive m-th root
-    of unity for m = period / gcd(w, period).  Its minimal polynomial is
-    Phi_m, so the coefficient vanishes iff Phi_m divides r(x), a property of
-    m alone; r is first folded mod x^m - 1, which Phi_m divides.
+    of unity for m = period / gcd(w, period); its conjugates are the other
+    primitive ones, so whether the coefficient vanishes depends on m alone.
+    Fold r mod x^m - 1 to f and multiply by g = prod_{p | m prime}
+    (x^(m/p) - 1) mod x^m - 1: g vanishes at exactly the m-th roots of
+    unity that are not primitive, and x^m - 1 has simple roots, so f * g
+    is zero iff f vanishes at every primitive one.  Each factor is a
+    cyclic shift minus f, for all rows at once; the entries stay at most
+    period in absolute value, so int64 holds them exactly.
     """
-    masks = [0] * len(rows)
+    n_rows = len(rows)
+    masks = [0] * n_rows
     for m in _divisors(period)[1:]:
-        phi = _cyclotomic(m)
         step = period // m
         order_m = 0
         for j in range(1, m):
             if math.gcd(j, m) == 1:
                 order_m |= 1 << (step * j)
-        for i, a in enumerate(rows):
-            work.charge(1)
-            if not _divisible(a.reshape(-1, m).sum(axis=0).tolist(), phi):
+        work.charge(n_rows)
+        f = rows.reshape(n_rows, -1, m).sum(axis=1, dtype=np.int64)
+        for p in _primes(m):
+            cut = m - m // p  # f shifted by m/p, slot k holding f[k - m/p]
+            f = np.concatenate((f[:, cut:], f[:, :cut]), axis=1) - f
+        for i, live in enumerate(f.any(axis=1).tolist()):
+            if live:
                 masks[i] |= order_m
     return masks
 
@@ -296,16 +268,18 @@ def is_shift_invariant(policies) -> InvarianceReport:
     of a subset as a Fourier series in its shifts, a nonconstant term needs
     two or more rows whose DFTs are nonzero at frequencies that sum to
     0 mod D.  So the set is invariant iff no such frequencies exist.  Which
-    DFT coefficients vanish is decided in integers with cyclotomic
-    polynomials, with no floating-point tolerance.
+    DFT coefficients vanish is decided in integers, with no floating-point
+    tolerance: a row's order-m coefficients vanish iff its fold mod x^m - 1
+    times prod_{p | m prime} (x^(m/p) - 1) is 0 mod x^m - 1, as the roots of
+    x^m - 1 are simple and the product's are the non-primitive ones.
 
     For a non-invariant set the witness is the first sensor tuple, in
     sorted order, whose own correlation depends on the shifts, with the
     first shift tuple, in lexicographic order and the first shift pinned
     to zero, at which the correlation differs from the all-zero shifts.
-    The budget (SCHEDSEC_BUDGET) caps the steps taken: one per cyclotomic
-    remainder, ceil(D / 64) per residue-set rotation, and one per sensor
-    tuple and per shift tuple walked, lazily, for the witness.
+    The budget (SCHEDSEC_BUDGET) caps the steps taken: one per row and
+    divisor m > 1 of D, ceil(D / 64) per residue-set rotation, and one per
+    sensor tuple and per shift tuple walked, lazily, for the witness.
     """
     sched = Schedule.coerce(policies)
     rows, period = sched.array, sched.period

@@ -154,13 +154,19 @@ class Schedule:
     @classmethod
     def from_dict(cls, doc: dict) -> "Schedule":
         """Parse a {"T", "rows"} document strictly: every entry must be a
-        JSON integer."""
+        JSON integer, and `_binary_rows` names one that is not 0 or 1."""
         json_object(doc, ("T", "rows"), "schedule")
         rows = json_list(doc["rows"], '"rows"')
-        return cls(period=strict_int(doc["T"], '"T"'),
-                   rows=tuple(tuple(strict_int(v, f"row {i} entry")
-                                    for v in json_list(row, f"row {i}"))
-                              for i, row in enumerate(rows)))
+        period = strict_int(doc["T"], '"T"')
+        checked = []
+        for i, row in enumerate(rows):
+            row = json_list(row, f"row {i}")
+            # a row holding anything but plain ints (a bool, a float, a
+            # NumPy integer) takes the loop that names or converts it
+            if not set(map(type, row)) <= {int}:
+                row = [strict_int(v, f"row {i} entry") for v in row]
+            checked.append(row)
+        return cls(period=period, rows=checked)
 
 
 @dataclass(frozen=True)

@@ -466,6 +466,23 @@ def test_validation_rejects_bad_shapes():
                      Q=[[1.0, 2.0], [2.0, 1.0]], R=[[1.0]], Pi=np.eye(2))
 
 
+def test_symmetry_check_does_not_depend_on_units():
+    # the tolerance is relative to max|M|: a matrix far from symmetric is
+    # refused at any scale, and an exactly symmetric one, the zero matrix
+    # included, is accepted at any scale
+    def system(Q, Pi=np.eye(2)):
+        return LinearSystem(A=np.eye(2) * 1.1, C=np.eye(2), Q=Q,
+                            R=np.eye(2), Pi=Pi)
+
+    Q = np.array([[1e-12, 5e-13], [0.0, 1e-12]])
+    for scale in (1.0, 1e12):
+        with pytest.raises(ValidationError, match="'Q': not symmetric"):
+            system(Q * scale)
+        sym = np.array([[1e-12, 5e-13], [5e-13, 1e-12]]) * scale
+        assert system(sym).Q.tobytes() == sym.tobytes()
+    assert not system(np.eye(2), Pi=np.zeros((2, 2))).Pi.any()
+
+
 @pytest.mark.parametrize("step", [lyapunov_step, riccati_step])
 def test_step_shape_messages(step):
     # the steps check X's shape on a fast path; the messages are those of

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from conftest import (enumerated_invariance, factor_families,
                       interleaved_rows, slot_correlation, symmetric_system)
 from schedsec.errors import (BUDGET_ENV_VAR, BudgetError, StabilityWarning,
-                             ValidationError)
+                             ValidationError, Work)
 from schedsec.protocol_sequences import (_design_factors, _duty_factor,
-                                         bounds, construct_shift_invariant,
+                                         _supports, bounds,
+                                         construct_shift_invariant,
                                          hamming_cross_correlation,
                                          is_shift_invariant,
                                          policies_from_dict, policies_to_dict,
@@ -237,6 +238,52 @@ def test_invariance_matches_enumeration_on_random_rows(rows):
     rep = is_shift_invariant(rows)
     assert rep.exhaustive
     assert (rep.invariant, rep.witness) == enumerated_invariance(rows)
+
+
+def _assert_supports_match_fft(rows):
+    """The integer supports against floating-point DFTs: bit w of row i's
+    mask is set iff |DFT_w(row i)| > 1e-3, frequency 0 left out.  The
+    oracle checks its own margin: every coefficient is below 1e-9 * D or
+    above 1e-3, so the cut cannot fall on a rounding error."""
+    sched = Schedule.coerce(rows)
+    D = sched.period
+    F = np.abs(np.fft.fft(sched.array.astype(float), axis=1))
+    assert ((F < 1e-9 * D) | (F > 1e-3)).all()
+    want = [sum(1 << w for w in range(1, D) if F[i, w] > 1e-3)
+            for i in range(len(F))]
+    assert _supports(sched.array, D, Work("supports")) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda D: st.lists(
+    st.lists(st.integers(0, 1), min_size=D, max_size=D),
+    min_size=1, max_size=4)))
+def test_supports_match_fft_on_random_rows(rows):
+    _assert_supports_match_fft(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64).flatmap(_row_sets))
+def test_supports_match_fft_on_periodic_rows(rows):
+    # a row repeating a pattern of length p has a zero DFT off the
+    # multiples of D / p, so many orders m vanish
+    _assert_supports_match_fft(rows)
+
+
+def test_supports_match_fft_on_constructed_sets():
+    for fam in factor_families(64):
+        _assert_supports_match_fft(construct_shift_invariant(fam))
+    _assert_supports_match_fft(shortest_period_policies(6))
+
+
+@pytest.mark.parametrize("n_rows, period", [(1, 1), (3, 2), (2, 12),
+                                             (4, 30), (2, 97), (3, 360)])
+def test_supports_charge_one_step_per_row_and_divisor(n_rows, period):
+    rows = np.random.default_rng(period).integers(0, 2, (n_rows, period))
+    work = Work("supports")
+    _supports(rows.astype(np.uint8), period, work)
+    divisors = [m for m in range(2, period + 1) if period % m == 0]
+    assert work.used == n_rows * len(divisors)
 
 
 def test_tuple_validation():

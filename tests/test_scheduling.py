@@ -270,6 +270,37 @@ def test_schedule_roundtrip_property(tmp_path_factory, seed, n, T):
     assert Schedule.from_dict(sched.to_dict()) == sched
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 0], [0, True]], "row 1 entry must be an integer, got True"),
+    ([[False, 1], [1, 0]], "row 0 entry must be an integer, got False"),
+    ([[1, 0], [0, 1.0]], "row 1 entry must be an integer, got 1.0"),
+    ([[1, 0], ["0", 1]], "row 1 entry must be an integer, got '0'"),
+    ([[1, None], [0, 1]], "row 0 entry must be an integer, got None"),
+    # the entries are checked in every row before any row's values
+    ([[1, 2], [0, True]], "row 1 entry must be an integer, got True"),
+    ([[1, 0], [0, 2]], "schedule: row 1 slot 1 is 2, expected 0 or 1"),
+    ([[-1, 0], [0, 1]], "schedule: row 0 slot 0 is -1, expected 0 or 1"),
+    ([[1, 0], [0, np.int64(2)]],
+     "schedule: row 1 slot 1 is 2, expected 0 or 1"),
+    ([[1, 0], [0, 1, 0]], "schedule: row 1 has length 3, expected 2"),
+    ([[1, 0], 1], "row 1 must be a list, got int"),
+])
+def test_schedule_document_names_each_bad_entry(rows, message):
+    for T in (2, np.int64(2)):
+        with pytest.raises(ValidationError) as info:
+            Schedule.from_dict({"T": T, "rows": rows})
+        assert str(info.value) == message
+    with pytest.raises(ValidationError, match='"T" must be an integer'):
+        Schedule.from_dict({"T": True, "rows": rows})
+
+
+def test_schedule_document_takes_numpy_integers():
+    doc = {"T": np.int64(2), "rows": [[np.uint8(1), 0], [np.int32(0), 1]]}
+    sched = Schedule.from_dict(doc)
+    assert sched == Schedule(2, ((1, 0), (0, 1)))
+    assert type(sched.period) is int
+
+
 def test_average_cost_golden(round_robin, study_ladders):
     report = average_cost(reception(round_robin), study_ladders)
     assert report.total == pytest.approx(GOLDEN_ROUND_ROBIN_COST, rel=1e-8)
