@@ -13,7 +13,9 @@ Sung & Wong, "Shift-invariant protocol sequences for the collision channel
 without feedback", IEEE Trans. Inf. Theory 55(7), 2009: a set of period D
 is shift invariant iff no two or more rows have nonzero DFT frequencies,
 one per row, that sum to 0 mod D.  Which DFT coefficients vanish is
-found in integers, by cyclic differences of the folded rows (`_supports`).
+found in integers, by cyclic differences of the folded rows (`_supports`);
+it depends only on a frequency's order m = D / gcd(w, D), so supports and
+their sums are sets of orders, divisors of D (`_zero_sum`).
 
 Sets with prescribed rational duty factors n_i / d_i are built by
 interleaving: sensor i cycles through D_{i-1} = d_1 ... d_{i-1} short
@@ -30,6 +32,7 @@ readers, and `policies_from_dict` checks them against the rows.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -184,78 +187,71 @@ class InvarianceReport:
 
 def _divisors(n: int) -> list[int]:
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return sorted(set(small + [n // d for d in small]))
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def _primes(m: int) -> list[int]:
-    """The prime divisors of m, by trial division."""
-    primes = []
-    for p in range(2, math.isqrt(m) + 1):
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-    return primes + [m] if m > 1 else primes
+def _supports(rows, period: int, work: Work) -> list[set[int]]:
+    """Each row's nonzero DFT support, frequency 0 left out, as the set of
+    its frequencies' orders m = period / gcd(w, period), for the rows of an
+    integer (N, period) array.
 
-
-def _supports(rows, period: int, work: Work) -> list[int]:
-    """Each row's nonzero DFT support as a bitmask over Z_period, frequency 0
-    left out, for the rows of an integer (N, period) array.
-
-    The DFT of row r at w is r(zeta^w), and zeta^w is a primitive m-th root
-    of unity for m = period / gcd(w, period); its conjugates are the other
-    primitive ones, so whether the coefficient vanishes depends on m alone.
-    Fold r mod x^m - 1 to f and multiply by g = prod_{p | m prime}
-    (x^(m/p) - 1) mod x^m - 1: g vanishes at exactly the m-th roots of
-    unity that are not primitive, and x^m - 1 has simple roots, so f * g
-    is zero iff f vanishes at every primitive one.  Each factor is a
-    cyclic shift minus f, for all rows at once; the entries stay at most
-    period in absolute value, so int64 holds them exactly.
+    The DFT of row r at w is r(zeta^w) for a primitive m-th root of unity
+    zeta^w, whose conjugates are the other primitive ones, so whether it
+    vanishes depends on m alone.  Fold r mod x^m - 1 to f and multiply by
+    g = prod_{p | m prime} (x^(m/p) - 1) mod x^m - 1: g vanishes at exactly
+    the m-th roots of unity that are not primitive, and x^m - 1 has simple
+    roots, so f * g is zero iff f vanishes at every primitive one.  Each
+    factor is a cyclic shift minus f, for all rows at once; the entries
+    stay at most period in absolute value, so int64 holds them exactly.
     """
-    n_rows = len(rows)
-    masks = [0] * n_rows
-    for m in _divisors(period)[1:]:
-        step = period // m
-        order_m = 0
-        for j in range(1, m):
-            if math.gcd(j, m) == 1:
-                order_m |= 1 << (step * j)
+    n_rows, divisors = len(rows), _divisors(period)
+    # the primes of the period: its divisors with no smaller divisor > 1
+    primes = [p for i, p in enumerate(divisors) if i
+              and all(p % q for q in divisors[1:i])]
+    supports = [set() for _ in range(n_rows)]
+    for m in divisors[1:]:
         work.charge(n_rows)
         f = rows.reshape(n_rows, -1, m).sum(axis=1, dtype=np.int64)
-        for p in _primes(m):
-            cut = m - m // p  # f shifted by m/p, slot k holding f[k - m/p]
-            f = np.concatenate((f[:, cut:], f[:, :cut]), axis=1) - f
-        for i, live in enumerate(f.any(axis=1).tolist()):
+        for p in primes:
+            if m % p == 0:
+                cut = m - m // p  # f shifted by m/p: slot k holds f[k - m/p]
+                f = np.concatenate((f[:, cut:], f[:, :cut]), axis=1) - f
+        for s, live in zip(supports, f.any(axis=1).tolist()):
             if live:
-                masks[i] |= order_m
-    return masks
+                s.add(m)
+    return supports
 
 
-def _sumset(a: int, b: int, period: int, work: Work) -> int:
-    """{x + y mod period : x in a, y in b} for bitmasks a and b."""
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    # a rotation shifts a period-bit integer, one 64-bit word at a time
-    work.charge(a.bit_count() * -(-period // 64))
-    full = (1 << period) - 1
-    out = 0
-    while a:
-        low = a & -a
-        s = low.bit_length() - 1
-        out |= ((b << s) | (b >> (period - s))) & full
-        a ^= low
-    return out
+def _class_sum(a: int, b: int, divisors: list[int]) -> set[int]:
+    """The orders of x + y over every x of order a and y of order b in
+    Z_D, `divisors` being D's divisors in ascending order.  By the CRT,
+    prime by prime: where a and b hold different powers of p the sum holds
+    the larger; where both hold p^i it holds any p^e with e <= i, or e < i
+    for p = 2 (two units mod 2^i sum to an even residue).  So for e the
+    part of g = gcd(a, b) whose primes a and b hold equally, the orders are
+    lcm(a, b) / e times each divisor of e, or of e / 2 for an even e."""
+    g = math.gcd(a, b)
+    h, e = a // g * b // g, g  # h holds the primes whose powers differ
+    while (c := math.gcd(e, h)) > 1:
+        e //= c
+    top, base = e // 2 if e % 2 == 0 else e, a // g * b // e
+    return {base * d for d in divisors[:bisect.bisect(divisors, top)]
+            if top % d == 0}
 
 
-def _zero_sum(masks, period: int, work: Work) -> bool:
+def _zero_sum(supports, divisors: list[int], work: Work) -> bool:
     """Whether two or more rows have support frequencies, one per row, that
-    sum to 0 mod period: a reachability pass over Z_period."""
-    one = two = 0  # sums reachable from exactly one / at least two rows
-    for s in masks:
+    sum to 0 in Z_D: a reachability pass over the order classes of Z_D,
+    `divisors` being D's divisors.  Every support is a union of classes,
+    and so is every sum set, as a unit of Z_D maps each class onto itself."""
+    one, two = set(), set()  # sums reachable from exactly one / >= 2 rows
+    for s in supports:
         if s:
-            two |= _sumset(one | two, s, period, work)
-            if two & 1:
+            reach = one | two
+            work.charge(len(reach) * len(s))  # one step per class pair
+            if not reach.isdisjoint(s):  # x + (-x), and -x has x's order
                 return True
+            two.update(*(_class_sum(a, b, divisors) for a in reach for b in s))
             one |= s
     return False
 
@@ -268,28 +264,31 @@ def is_shift_invariant(policies) -> InvarianceReport:
     of a subset as a Fourier series in its shifts, a nonconstant term needs
     two or more rows whose DFTs are nonzero at frequencies that sum to
     0 mod D.  So the set is invariant iff no such frequencies exist.  Which
-    DFT coefficients vanish is decided in integers, with no floating-point
-    tolerance: a row's order-m coefficients vanish iff its fold mod x^m - 1
-    times prod_{p | m prime} (x^(m/p) - 1) is 0 mod x^m - 1, as the roots of
-    x^m - 1 are simple and the product's are the non-primitive ones.
+    DFT coefficients vanish is decided in integers (`_supports`), with no
+    floating-point tolerance, and supports and their sums are sets of
+    orders, divisors of D (`_zero_sum`).
 
     For a non-invariant set the witness is the first sensor tuple, in
     sorted order, whose own correlation depends on the shifts, with the
     first shift tuple, in lexicographic order and the first shift pinned
     to zero, at which the correlation differs from the all-zero shifts.
-    The budget (SCHEDSEC_BUDGET) caps the steps taken: one per row and
-    divisor m > 1 of D, ceil(D / 64) per residue-set rotation, and one per
-    sensor tuple and per shift tuple walked, lazily, for the witness.
+    Row i repeats with period p_i, the lcm of its support orders, so shift
+    i is walked over range(p_i) only: a shift t >= p_i gives the
+    correlation of t mod p_i, which comes earlier.  The budget
+    (SCHEDSEC_BUDGET) caps the steps taken: one per row and divisor m > 1
+    of D, one per pair of order classes summed, and one per sensor tuple
+    and per shift tuple walked, lazily, for the witness.
     """
     sched = Schedule.coerce(policies)
     rows, period = sched.array, sched.period
     work = Work("invariance check")
-    masks = _supports(rows, period, work)
-    if not _zero_sum(masks, period, work):
+    supports, divisors = _supports(rows, period, work), _divisors(period)
+    if not _zero_sum(supports, divisors, work):
         return InvarianceReport(True, None, True)
     # the sorted tuples of two or more rows, depth first, leaving out the
     # all-zero rows (such a member pins the correlation at 0)
     live = np.flatnonzero(rows.any(axis=1)).tolist()
+    periods = [math.lcm(*s) for s in supports]
     stack = [(i,) for i in reversed(live)]
     while stack:
         U = stack.pop()
@@ -297,9 +296,9 @@ def is_shift_invariant(policies) -> InvarianceReport:
         if len(U) < 2:
             continue
         work.charge(1)
-        if _zero_sum([masks[i] for i in U], period, work):
+        if _zero_sum([supports[i] for i in U], divisors, work):
             reference = _correlation(rows, U, (0,) * len(U))
-            for rest in itertools.product(range(period), repeat=len(U) - 1):
+            for rest in itertools.product(*(range(periods[i]) for i in U[1:])):
                 work.charge(1)
                 shifts = (0,) + rest
                 if _correlation(rows, U, shifts) != reference:
@@ -385,7 +384,8 @@ class BoundsReport:
     period: int
 
     def __post_init__(self):
-        if self.lower > self.upper + 1e-12:
+        # relative: equal bounds, summed in two orders, differ by an ulp
+        if self.lower > self.upper * (1 + 1e-12):
             raise ValidationError(
                 f"lower bound {self.lower} exceeds upper bound {self.upper}")
 

@@ -207,6 +207,27 @@ def enumerated_invariance(policies):
     return True, None
 
 
+def residue_zero_sum(policies) -> bool:
+    """Reference for the Fourier criterion over the residues of Z_D:
+    whether two or more rows have nonzero DFT frequencies, one per row,
+    that sum to 0 mod D.  Supports come from np.fft.fft, whose margin is
+    asserted (every |coefficient| below 1e-9 D or above 1e-3), and the
+    sums are Python sets of residues, walked row by row: `one` holds the
+    sums of one row's frequency, `two` those of two or more rows'."""
+    rows = np.array(getattr(policies, "rows", policies), dtype=float)
+    D = rows.shape[1]
+    F = np.abs(np.fft.fft(rows, axis=1))
+    assert ((F < 1e-9 * D) | (F > 1e-3)).all()
+    one, two = set(), set()
+    for mags in F:
+        s = {w for w in range(1, D) if mags[w] > 1e-3}
+        two |= {(x + y) % D for x in one | two for y in s}
+        if 0 in two:
+            return True
+        one |= s
+    return False
+
+
 def interleaved_rows(factors, interleavings=None):
     """Reference for construct_shift_invariant, symbol by symbol: sensor i
     writes symbol q of its vector r at slot q * D_{i-1} + r of its short

@@ -13,6 +13,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from hypothesis import strategies as st
 from conftest import factor_families, py312_sum
 from schedsec import attack, cli
 from schedsec.cli import _json_text, build_parser, main
-from schedsec.errors import StabilityWarning, Work, read_json
+from schedsec.errors import (BUDGET_ENV_VAR, StabilityWarning, Work,
+                             read_json)
 from schedsec.lti_estimation import steady_state
 from schedsec.protocol_sequences import (construct_shift_invariant,
                                          hamming_cross_correlation,
@@ -464,9 +466,9 @@ def _near_valid(draw, kind, n, T):
     if kind == "systems":
         doc = [copy.deepcopy(draw(st.sampled_from(_SYSTEMS)))
                for _ in range(n)]
-    elif kind == "policy":
-        doc = policies_to_dict(construct_shift_invariant(
-            draw(st.sampled_from(_FACTOR_SETS))))
+    elif kind == "policy":  # n rows where a factor set has n
+        doc = policies_to_dict(construct_shift_invariant(draw(st.sampled_from(
+            [f for f in _FACTOR_SETS if len(f) == n] or _FACTOR_SETS))))
     elif kind == "shift":
         doc = {"taus": draw(st.lists(st.integers(0, T - 1), min_size=n,
                                      max_size=n))}
@@ -491,13 +493,15 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=180, deadline=None)
 @given(data=st.data(),
        command=st.sampled_from(["verify", "verify-policies", "cost",
-                                "cost-attack", "isolate", "steady-state"]))
+                                "cost-attack", "isolate", "steady-state",
+                                "construct", "bounds", "optimal"]))
 def test_cli_contract_under_fuzzed_documents(fuzz_dir, data, command):
     """Any schedule, shift, policy or systems document gives exit 0, 3, 4
-    or 5 and never a traceback."""
+    or 5 and never a traceback.  `defend construct --mode same-duty`,
+    `defend bounds` and `attack optimal` run under a small work budget."""
     # three sensors, as in the bundled study, half of the time
     n = data.draw(st.just(3) | st.integers(1, 4))
     T = data.draw(st.integers(1, 6))
@@ -511,6 +515,16 @@ def test_cli_contract_under_fuzzed_documents(fuzz_dir, data, command):
         argv = ["steady-state", "--systems", document("systems")]
     elif command == "verify-policies":
         argv = ["defend", "verify", "--policies", document("policy")]
+    elif command == "bounds":
+        argv = ["defend", "bounds", "--systems", document("systems"),
+                "--policies", document("policy")]
+    elif command == "optimal":
+        argv = ["attack", "optimal", "--schedule", document("schedule")]
+    elif command == "construct":
+        # an exclusive schedule of T <= 6 slots often starves a sensor; a
+        # policy set's rows carry duty factors the construction accepts
+        argv = _SCHEDULE_COMMANDS["construct"] + [
+            document(data.draw(st.sampled_from(["schedule", "policy"])))]
     elif command == "isolate":
         argv = ["attack", "isolate", "--schedule", document("schedule"),
                 "--target", str(data.draw(st.integers(0, 4)))]
@@ -521,7 +535,10 @@ def test_cli_contract_under_fuzzed_documents(fuzz_dir, data, command):
             argv += ["--attack", document("shift")]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err), warnings.catch_warnings():
+            contextlib.redirect_stderr(err), warnings.catch_warnings(), \
+            mock.patch.dict(os.environ, {BUDGET_ENV_VAR: "1000"}
+                            if command in ("construct", "bounds", "optimal")
+                            else {}):
         warnings.simplefilter("ignore", StabilityWarning)
         code = main(argv)
     assert code in (0, 3, 4, 5), (argv, err.getvalue())

@@ -11,17 +11,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (enumerated_invariance, factor_families,
-                      interleaved_rows, slot_correlation, symmetric_system)
+                      interleaved_rows, residue_zero_sum, slot_correlation,
+                      symmetric_system)
 from schedsec.errors import (BUDGET_ENV_VAR, BudgetError, StabilityWarning,
                              ValidationError, Work)
-from schedsec.protocol_sequences import (_design_factors, _duty_factor,
-                                         _supports, bounds,
+from schedsec.protocol_sequences import (BoundsReport, _class_sum,
+                                         _design_factors, _divisors,
+                                         _duty_factor, _supports, bounds,
                                          construct_shift_invariant,
                                          hamming_cross_correlation,
                                          is_shift_invariant,
                                          policies_from_dict, policies_to_dict,
                                          shortest_period_policies, throughput)
-from schedsec.lti_estimation import LinearSystem, steady_state
+from schedsec.lti_estimation import (LinearSystem, bundled_systems,
+                                     steady_state)
 from schedsec.scheduling import Schedule
 
 REFERENCE_POLICY_ROWS = [
@@ -165,13 +168,18 @@ def test_invariance_proven_within_small_budget(monkeypatch):
 
 
 def test_invariance_budget_grows_with_the_period(monkeypatch):
-    # a residue-set rotation is charged one step per 64-bit word of the
-    # period, so the default budget proves the shortest-period sets up to
-    # n = 14 and stops n = 15 (D = 32,768) and up
+    # supports and sums are sets of orders, at most the n + 1 divisors of
+    # D = 2^n, so the default budget proves n = 16.  At n = 12 the
+    # supports charge one step per row and divisor m > 1, n * n, and row k
+    # (support {2^(k+1)}) one class pair per order reached before it, k
     monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
-    assert is_shift_invariant(shortest_period_policies(14)).invariant
+    assert is_shift_invariant(shortest_period_policies(16)).invariant
+    ps = shortest_period_policies(12)
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(12 * 12 - 1))
     with pytest.raises(BudgetError, match="invariance check"):
-        is_shift_invariant(shortest_period_policies(15))
+        is_shift_invariant(ps)
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(12 * 12 + 12 * 11 // 2))
+    assert is_shift_invariant(ps).invariant
 
 
 def test_construction_budget_is_compared_before_the_period(monkeypatch):
@@ -241,15 +249,22 @@ def test_invariance_matches_enumeration_on_random_rows(rows):
 
 
 def _assert_supports_match_fft(rows):
-    """The integer supports against floating-point DFTs: bit w of row i's
-    mask is set iff |DFT_w(row i)| > 1e-3, frequency 0 left out.  The
-    oracle checks its own margin: every coefficient is below 1e-9 * D or
-    above 1e-3, so the cut cannot fall on a rounding error."""
+    """The integer supports against floating-point DFTs: order m is in row
+    i's set iff |DFT_w(row i)| > 1e-3 at the frequencies w of order
+    D / gcd(w, D) = m, frequency 0 left out; all frequencies of one order
+    must agree.  The oracle checks its own margin: every coefficient is
+    below 1e-9 * D or above 1e-3, so the cut cannot fall on a rounding
+    error."""
     sched = Schedule.coerce(rows)
     D = sched.period
     F = np.abs(np.fft.fft(sched.array.astype(float), axis=1))
     assert ((F < 1e-9 * D) | (F > 1e-3)).all()
-    want = [sum(1 << w for w in range(1, D) if F[i, w] > 1e-3)
+    orders = [D // math.gcd(w, D) for w in range(D)]
+    for mags in F:
+        for m in _divisors(D):
+            assert len({mags[w] > 1e-3 for w in range(D)
+                        if orders[w] == m}) == 1, m
+    want = [{orders[w] for w in range(1, D) if F[i, w] > 1e-3}
             for i in range(len(F))]
     assert _supports(sched.array, D, Work("supports")) == want
 
@@ -284,6 +299,51 @@ def test_supports_charge_one_step_per_row_and_divisor(n_rows, period):
     _supports(rows.astype(np.uint8), period, work)
     divisors = [m for m in range(2, period + 1) if period % m == 0]
     assert work.used == n_rows * len(divisors)
+
+
+def test_class_sum_matches_brute_force():
+    # every pair of order classes of Z_D, D <= 60, against the orders of
+    # every sum x + y, x of order a and y of order b
+    for D in range(1, 61):
+        divisors = _divisors(D)
+        orders = [D // math.gcd(x, D) for x in range(D)]
+        for a, b in itertools.product(divisors, repeat=2):
+            xs = [x for x in range(D) if orders[x] == a]
+            ys = [y for y in range(D) if orders[y] == b]
+            want = {orders[(x + y) % D] for x in xs for y in ys}
+            assert _class_sum(a, b, divisors) == want, (D, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda D: st.lists(
+    st.lists(st.integers(0, 1), min_size=D, max_size=D),
+    min_size=1, max_size=4)) | st.integers(1, 64).flatmap(_row_sets))
+def test_invariance_matches_residue_reachability(rows):
+    # the decision over order classes against sums of residues of Z_D
+    assert is_shift_invariant(rows).invariant == (not residue_zero_sum(rows))
+
+
+def test_invariance_matches_residue_reachability_on_factor_families():
+    for fam in factor_families(64):
+        ps = construct_shift_invariant(fam)
+        assert is_shift_invariant(ps).invariant, fam
+        assert not residue_zero_sum(ps), fam
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 24).flatmap(_row_sets))
+def test_invariance_ignores_row_order_rotation_and_reversal(data, rows):
+    # permuting the rows, rotating any one of them, or reversing every row
+    # in time keeps each row's set of support orders (a rotation multiplies
+    # the DFT by unit phases, a reversal maps w to -w), so the decision
+    want = is_shift_invariant(rows).invariant
+    order = data.draw(st.permutations(range(len(rows))))
+    assert is_shift_invariant([rows[i] for i in order]).invariant == want
+    i = data.draw(st.integers(0, len(rows) - 1))
+    t = data.draw(st.integers(0, len(rows[0]) - 1))
+    rotated = [r[t:] + r[:t] if j == i else r for j, r in enumerate(rows)]
+    assert is_shift_invariant(rotated).invariant == want
+    assert is_shift_invariant([r[::-1] for r in rows]).invariant == want
 
 
 def test_tuple_validation():
@@ -510,6 +570,29 @@ def test_bounds_are_the_entry_by_entry_sums(factors, ladders, seed):
     want = _bounds_entry_by_entry(factors,
                                   [steady_state(sys) for sys in systems])
     assert (repr(br.lower), repr(br.upper)) == tuple(map(repr, want))
+
+
+@pytest.mark.parametrize("n, scale", [(3, 1e6), (3, 1e9), (5, 1e3),
+                                      (5, 1e6)])
+def test_bounds_of_coinciding_bounds_in_any_units(n, scale):
+    # with one reception per sensor the bounds coincide, and with Q, R and
+    # Pi scaled the two sums, associated differently, can differ by an ulp
+    systems = [LinearSystem(A=s.A, C=s.C, Q=s.Q * scale, R=s.R * scale,
+                            Pi=s.Pi * scale) for s in bundled_systems()]
+    ladders = [steady_state(systems[i % 3]) for i in range(n)]
+    br = bounds(shortest_period_policies(n), ladders)
+    assert br.lower == pytest.approx(br.upper, rel=1e-12)
+
+
+def test_inverted_bounds_report_raises():
+    with pytest.raises(ValidationError, match="exceeds upper bound"):
+        BoundsReport(lower=1.0 + 1e-9, upper=1.0,
+                     per_sensor_receptions=(1,), period=2)
+    with pytest.raises(ValidationError, match="exceeds upper bound"):
+        BoundsReport(lower=3e6 * (1 + 1e-9), upper=3e6,
+                     per_sensor_receptions=(1,), period=2)
+    assert BoundsReport(lower=3e6 * (1 + 1e-15), upper=3e6,
+                        per_sensor_receptions=(1,), period=2)
 
 
 def test_bounds_accepts_policy_set(study_ladders):
