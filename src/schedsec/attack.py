@@ -10,11 +10,12 @@ Finding the cheapest such tuple (fewest spoofed clocks) is a binary
 covering program per target: pick at most one nonzero shift per other
 sensor so that the shifted rows jointly cover every slot the target
 transmits in.  One private search, `_cheapest_block`, solves it by
-depth-first branch-and-bound over LP relaxations, one `solve_bounded_lp`
-call per node.  The dense Bland's-rule simplex (`simplex.py`) prices
-every column of a pivot at once; each LP starts from its slack basis, so a
-node's relaxation, and with it the branching, the node count and the
-returned tuple, depends on that node's bounds alone.
+depth-first branch-and-bound over LP relaxations.  A node first takes an
+integer cover bound, and a node the bound prunes solves no LP; every other
+node makes one `solve_bounded_lp` call.  The dense Bland's-rule simplex
+(`simplex.py`) prices every column of a pivot at once; each LP starts from
+its slack basis, so a node's relaxation, and with it the branching, the
+node count and the returned tuple, depends on that node's bounds alone.
 `bnb_optimal_attack` runs it for every target and keeps the cheapest;
 `isolate_sensor_attack` runs it for one target when shifting every other
 clock by one slot does not starve it.  `brute_force_optimal_attack` is the
@@ -148,6 +149,12 @@ def _cheapest_block(sched: Schedule, target: int, work: Work):
     integral relaxation becomes the incumbent, and otherwise the most
     fractional live block (ties to the smallest sensor) is pinned to each of
     its T choices in turn, 0 meaning that sensor's clock stays honest.
+    Before its LP, a node takes the cover bound f + |U| / m: f picks fixed,
+    U the target's slots they leave open, m the most of U that one free
+    column covers.  It bounds the LP optimum from below, so where it cannot
+    beat the incumbent (or m = 0, an infeasible LP) the node is pruned
+    without its LP, as the LP would have pruned it: the nodes visited, the
+    branching and the result are those of an LP at every node.
     `work` is charged each node's dense tableau, its constraint rows times
     its structural and slack columns, before the node is visited; the
     root's is charged from N and T before any matrix is built, so an
@@ -169,6 +176,8 @@ def _cheapest_block(sched: Schedule, target: int, work: Work):
                    np.repeat(np.eye(len(others)), w, axis=1)])
     b = np.concatenate([-sched.array[target].astype(float),
                         np.ones(len(others))])
+    # hit[s, c]: column c covers the target's s-th transmit slot
+    hit = cols[sched.array[target] == 1].astype(bool)
     fixed: dict[int, int] = {}
     incumbent = float("inf")
     best = None
@@ -183,6 +192,14 @@ def _cheapest_block(sched: Schedule, target: int, work: Work):
             upper[blk * w:(blk + 1) * w] = 0.0
             if choice:
                 lower[blk * w + choice - 1] = upper[blk * w + choice - 1] = 1.0
+        # the cover bound, times m: exact, as the incumbent is whole or inf
+        picked = lower > 0
+        open_slots = hit[~hit[:, picked].any(axis=1)]
+        if len(open_slots):
+            f = int(np.count_nonzero(picked))
+            m = int(open_slots[:, upper > lower].sum(axis=0).max(initial=0))
+            if m == 0 or f * m + len(open_slots) >= incumbent * m:
+                return
         res = solve_bounded_lp(np.ones(K), A, b, lower, upper, tol=LP_TOL)
         if res.status != "optimal" or res.objective >= incumbent - LP_TOL:
             return

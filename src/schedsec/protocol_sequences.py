@@ -203,15 +203,28 @@ def _supports(rows, period: int, work: Work) -> list[set[int]]:
     roots, so f * g is zero iff f vanishes at every primitive one.  Each
     factor is a cyclic shift minus f, for all rows at once; the entries
     stay at most period in absolute value, so int64 holds them exactly.
+
+    The fold mod x^m - 1 is the fold mod x^(m q) - 1 summed over its q
+    blocks.  Taking q as the least prime of period / m gives each m one
+    parent, so the folds form a tree, walked depth first from the rows
+    themselves: each costs about m q entries, and only one path's are held.
     """
     n_rows, divisors = len(rows), _divisors(period)
     # the primes of the period: its divisors with no smaller divisor > 1
     primes = [p for i, p in enumerate(divisors) if i
               and all(p % q for q in divisors[1:i])]
     supports = [set() for _ in range(n_rows)]
-    for m in divisors[1:]:
+    # (m, q, the fold mod x^(m q) - 1), for each m > 1
+    stack = [(period, 1, rows)] if period > 1 else []
+    while stack:
+        m, q, above = stack.pop()
         work.charge(n_rows)
-        f = rows.reshape(n_rows, -1, m).sum(axis=1, dtype=np.int64)
+        f = above.reshape(n_rows, q, m).sum(axis=1, dtype=np.int64)
+        least = next((p for p in primes if period // m % p == 0), period)
+        # the root's children (q == 1) fold the rows themselves, so that no
+        # int64 copy of the rows is held past the root
+        stack += [(m // p, p, f if q > 1 else above) for p in primes
+                  if m % p == 0 and p <= least and p < m]
         for p in primes:
             if m % p == 0:
                 cut = m - m // p  # f shifted by m/p: slot k holds f[k - m/p]

@@ -327,6 +327,21 @@ def unrestricted_min_spoof(sched):
     return best
 
 
+def per_target_min_spoof(sched, target):
+    """Fewest spoofed clocks over the T^(N-1) shift tuples that keep the
+    target's clock honest and starve it; None when none of them does."""
+    N = sched.n_sensors
+    best = None
+    for combo in itertools.product(range(sched.period), repeat=N - 1):
+        taus = combo[:target] + (0,) + combo[target:]
+        count = sum(1 for t in taus if t)
+        if best is not None and count >= best:
+            continue
+        if not any(reception(sched, ShiftTuple(taus))[target]):
+            best = count
+    return best
+
+
 def bland_reference_lp(c, A_ub, b_ub, lower, upper, tol=1e-9, max_iter=None):
     """Reference for solve_bounded_lp: the same two-phase Bland's-rule
     simplex, column by column, with 'L'/'U'/'B' status strings, one reduced

@@ -193,6 +193,65 @@ def test_bnb_matches_brute_force_on_random_schedules():
             assert any(not any(r) for r in rec)
 
 
+@st.composite
+def exclusive_schedules(draw, max_sensors, max_period):
+    """An exclusive schedule of 1..max_sensors rows over 1..max_period
+    slots, one transmitter per slot; a row may hold no slot."""
+    n = draw(st.integers(1, max_sensors))
+    cols = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                         max_size=max_period))
+    return Schedule(period=len(cols),
+                    rows=tuple(tuple(int(c == i) for c in cols)
+                               for i in range(n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sched=exclusive_schedules(4, 6))
+def test_per_target_costs_match_brute_force(sched):
+    # every target's optimum, not only the cheapest one: a prune that cut
+    # a target's optimal branch would raise that target's cost alone
+    from conftest import per_target_min_spoof
+    N, T = sched.n_sensors, sched.period
+    want = [per_target_min_spoof(sched, target) for target in range(N)]
+    assert list(bnb_optimal_attack(sched).per_target_costs) == want
+    for target in range(N):
+        primary = ShiftTuple(tuple(0 if j == target or T == 1 else 1
+                                   for j in range(N)))
+        if blocks_sensor(sched, primary, target):
+            continue
+        if want[target] is None:
+            with pytest.raises(InfeasibleError):
+                isolate_sensor_attack(sched, target)
+            continue
+        attack = isolate_sensor_attack(sched, target)
+        assert attack.taus[target] == 0
+        assert blocks_sensor(sched, attack, target)
+        assert attack.spoofed_count == want[target]
+
+
+def _attack_costs(sched):
+    result = bnb_optimal_attack(sched)
+    return result.per_target_costs, result.spoofed_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(sched=exclusive_schedules(5, 8), shift=st.integers(0, 7))
+def test_attack_costs_ignore_a_common_clock_shift(sched, shift):
+    # every row rotated by one shift is the same schedule started later
+    rotated = Schedule(period=sched.period,
+                       rows=np.roll(sched.array, -shift, axis=1))
+    assert _attack_costs(rotated) == _attack_costs(sched)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sched=exclusive_schedules(5, 8), data=st.data())
+def test_attack_costs_follow_a_sensor_permutation(sched, data):
+    perm = data.draw(st.permutations(range(sched.n_sensors)))
+    costs, spoofed = _attack_costs(sched)
+    permuted = Schedule(period=sched.period, rows=sched.array[list(perm)])
+    assert _attack_costs(permuted) == (tuple(costs[i] for i in perm), spoofed)
+
+
 def test_restricted_equals_unrestricted_brute_force():
     from conftest import random_exclusive_schedule, unrestricted_min_spoof
     rng = np.random.default_rng(5)
