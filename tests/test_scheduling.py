@@ -21,7 +21,7 @@ from schedsec import scheduling
 from schedsec.cli import _cost_csv
 from schedsec.errors import (BudgetError, NumericalError, ValidationError,
                              Work, read_json)
-from schedsec.lti_estimation import steady_state
+from schedsec.lti_estimation import load_systems, steady_state
 from schedsec.scheduling import (Schedule, ShiftTuple, _binary_rows,
                                  _count_bounds, _fixed_content_necklaces,
                                  _gap_histogram, _gap_pricer, _row_runs,
@@ -29,7 +29,10 @@ from schedsec.scheduling import (Schedule, ShiftTuple, _binary_rows,
                                  reception)
 
 ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
 GOLDEN_ROUND_ROBIN_COST = 2.0250433575300404
+SCHEDULE_GOLDENS = json.loads(
+    (DATA / "schedule_goldens.json").read_text())["searches"]
 
 binary_row = st.lists(st.integers(0, 1), min_size=1, max_size=12)
 
@@ -829,6 +832,29 @@ def test_search_matches_every_necklace_walk_at_five_sensors():
     assert got[0] == want[0]
     assert got[1].per_sensor == want[1].per_sensor
 
+
+
+@pytest.mark.parametrize("entry", SCHEDULE_GOLDENS, ids=[
+    f"{e.get('systems', e.get('seed'))}_N{len(e['rows'])}_"
+    f"T{'-'.join(map(str, e['periods']))}" for e in SCHEDULE_GOLDENS])
+def test_search_goldens(entry, monkeypatch):
+    # winners recorded at sizes past the enumeration oracles' reach: the
+    # period, the rows and every sensor's cost, bit for bit; they pin the
+    # answer, not the budget rule, so the budget is raised out of the way
+    monkeypatch.setenv("SCHEDSEC_BUDGET", str(10 ** 12))
+    if "systems" in entry:
+        systems = load_systems(read_json(
+            (DATA / entry["systems"]).read_bytes()))
+    else:
+        rng = np.random.default_rng(entry["seed"])
+        systems = [random_unstable_system(rng, name=f"sensor {i}")
+                   for i in range(entry["n_sensors"])]
+    ladders = [steady_state(s) for s in systems]
+    sched, report = optimal_schedule_search(systems, entry["periods"],
+                                            ladders=ladders)
+    assert sched.period == entry["T"]
+    assert ["".join(map(str, row)) for row in sched.rows] == entry["rows"]
+    assert report.per_sensor == tuple(entry["per_sensor"])
 
 @pytest.mark.parametrize("n, periods", [(4, [4, 5, 6, 7]), (5, [7, 8])])
 def test_search_prices_no_necklace_of_a_pruned_vector(n, periods,
