@@ -155,10 +155,11 @@ def _cheapest_block(sched: Schedule, target: int, work: Work):
     beat the incumbent (or m = 0, an infeasible LP) the node is pruned
     without its LP, as the LP would have pruned it: the nodes visited, the
     branching and the result are those of an LP at every node.
-    `work` is charged each node's dense tableau, its constraint rows times
-    its structural and slack columns, before the node is visited; the
-    root's is charged from N and T before any matrix is built, so an
-    oversized schedule is refused before it takes the memory.
+    `work` is charged the root's dense tableau, its constraint rows times
+    its structural and slack columns, from N and T before any matrix is
+    built, so an oversized schedule is refused before it takes the
+    memory; then each node the cells of `hit` its cover test reads, and
+    each LP after the root's its tableau, before it is solved.
 
     Returns (cost, taus, nodes); cost and taus are None when no tuple with
     an honest target clock starves the target.
@@ -186,6 +187,7 @@ def _cheapest_block(sched: Schedule, target: int, work: Work):
     def visit():
         nonlocal incumbent, best, nodes
         nodes += 1
+        work.charge(hit.size)
         lower = np.zeros(K)
         upper = np.ones(K)
         for blk, choice in fixed.items():
@@ -200,6 +202,8 @@ def _cheapest_block(sched: Schedule, target: int, work: Work):
             m = int(open_slots[:, upper > lower].sum(axis=0).max(initial=0))
             if m == 0 or f * m + len(open_slots) >= incumbent * m:
                 return
+        if nodes > 1:  # the root's LP was charged up front
+            work.charge(tableau)
         res = solve_bounded_lp(np.ones(K), A, b, lower, upper, tol=LP_TOL)
         if res.status != "optimal" or res.objective >= incumbent - LP_TOL:
             return
@@ -218,7 +222,6 @@ def _cheapest_block(sched: Schedule, target: int, work: Work):
                 pick, mass = blk, m
         for choice in range(T):
             fixed[pick] = choice
-            work.charge(tableau)
             visit()
         del fixed[pick]
 
@@ -236,8 +239,9 @@ def bnb_optimal_attack(sched: Schedule) -> AttackSearchResult:
     sensor, keeping the cheapest (ties to the smaller target).  The
     result's per_target_costs records each target's optimum and
     nodes_explored sums the search nodes of all targets.  The budget
-    (SCHEDSEC_BUDGET) is charged every node's dense tableau, of all
-    targets together, before the node is visited.
+    (SCHEDSEC_BUDGET) is charged, for all targets together, each root's
+    dense tableau before it is built, each node its cover test, and each
+    later LP its tableau before it is solved.
     """
     sched.require_exclusive()
     N = sched.n_sensors

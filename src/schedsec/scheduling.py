@@ -15,12 +15,16 @@ only on the cyclic gap structure between receptions: a sensor that last
 received t slots ago carries covariance h^t(P_bar), so the per-period cost is
 the count of slots at each gap t weighted by the trace ladder.  One kernel,
 `_row_runs`, reads those gaps off a batch of reception rows, for
-`average_cost`, the schedule search and Monte Carlo alike.  The cost is a
-sum over sensors, so the search bounds each sensor's part by its slot count
-alone, takes the count vectors in ascending bound and walks, by content,
-only the necklaces of those whose bound can still reach the incumbent.  A
-vector that starves a sensor bounds at inf, so its necklaces come last, in
-the same walk, and are reached only while no schedule has a finite cost.
+`average_cost` and Monte Carlo alike, and one memo, `_gap_pricer`, prices
+them.  The cost is a sum over sensors, so the search bounds each sensor's
+part by one DP table, `_count_bounds`: a count vector by its slot counts,
+and a necklace prefix by the runs it has closed and the slots it has left.
+It takes the count vectors in ascending bound and walks each one's
+necklaces by content, pruning every prefix whose bound cannot reach the
+least total so far, and prices each necklace it reaches from the runs the
+walk carries.  A vector that starves a sensor bounds at inf, so its
+necklaces come last and are reached only while no schedule has a finite
+cost.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isinf
+from math import comb, inf, isinf
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +42,8 @@ from .errors import (NumericalError, ValidationError, Work, json_list,
 from .lti_estimation import (LinearSystem, SteadyState, _ordered_sum,
                              steady_state)
 
-# slots one batch of the search or of Monte Carlo stacks for the kernels,
-# bounding their memory whatever the number of necklaces or trials
+# slots the search's tied necklaces or one batch of Monte Carlo trials
+# stack for the kernels, bounding their memory however many there are
 _BLOCK_SLOTS = 1 << 18
 
 
@@ -291,7 +295,7 @@ def _gap_pricer(ladders: Sequence[SteadyState]):
     runs, memoized on (i, runs).
 
     The cost of a reception pattern depends only on its multiset of cyclic
-    gaps, so callers that meet the same pattern many times (rotations in
+    gaps, so callers that meet the same pattern many times (necklaces in
     the schedule search, repeated Monte Carlo trials) price it once.  The
     cost is the gap histogram weighted by the `ladder` list, summed in gap
     order and divided by the period; a memo hit returns the bits a fresh
@@ -357,70 +361,90 @@ def average_cost(receptions: Sequence[Sequence[int]],
                             for i, runs in enumerate(_row_runs(rows))))
 
 
-def _fixed_content_necklaces(counts: Sequence[int]):
-    """Every necklace with counts[s] copies of symbol s exactly once, as its
-    lexicographically smallest rotation, in lexicographic order.
+def _count_bounds(ladders: Sequence[SteadyState], T_max: int):
+    """least[i][k][s]: the least cost of s slots of sensor i split into k
+    cyclic runs, for every k and s up to T_max (inf where none exists).
 
-    The recursive FKM walk with each symbol drawn from what is left of the
-    content, run with an explicit stack: a prenecklace a[1..t-1] whose
-    longest Lyndon prefix has length p extends by any symbol j >= a[t-p]
-    still left, and a full word is a necklace iff p divides its length.
-    Only words of this content are visited, never the rest of FKM's.
+    A run of r slots adds c(r) = sum_{t<r} trace(t) to the sum the cost
+    divides by T, so the entry is the least sum of c over the compositions
+    of s into k positive parts: a DP over (runs, slots used), O(T^3) per
+    sensor, with no convexity of the ladder assumed.  least[i][k][T] / T
+    bounds sensor i's cost over every period-T schedule that gives it k
+    slots, and least[i][1][r] = c(r).  A NaN trace counts as +inf: a NaN
+    cost never wins, and NaN never reaches a comparison.
+    """
+    def table(lad):
+        c = list(itertools.accumulate(
+            (v if v == v else inf for v in lad.ladder(T_max - 1)), initial=0.0))
+        least = [[0.0] + [inf] * T_max]  # no runs cover no slots
+        for k in range(1, T_max + 1):
+            least.append([inf] * k + [
+                min(least[-1][s - r] + c[r] for r in range(1, s - k + 2))
+                for s in range(k, T_max + 1)])
+        return least
+    return [table(lad) for lad in ladders]
+
+
+def _fixed_content_necklaces(counts: Sequence[int], least, cut, work: Work):
+    """The necklaces with counts[s] copies of symbol s, each as its
+    lexicographically smallest rotation, in lexicographic order, but for
+    those a prefix bound rules out; each with every symbol's cyclic runs.
+
+    The FKM walk with each symbol drawn from what is left of the content
+    (Sawada, TCS 301, 2003): a prenecklace a[1..t-1] whose longest Lyndon
+    prefix has length p extends by any symbol j >= a[t-p] still left, and
+    a full word is a necklace iff p divides its length.  A prefix fixes
+    the closed runs of each symbol it holds, r slots costing least[s][1][r]
+    (`_count_bounds`' table); the symbol's `left` slots to come split its
+    open span, L = T - l + f slots from l round to f, into left + 1 runs,
+    which cost at least least[s][left + 1][L], and a symbol not yet placed
+    costs at least least[s][counts[s]][T].  A node whose sum of these, over T, exceeds
+    cut() is pruned with its subtree, and each node entered is charged one
+    step to `work`.  No recursion: one generator per slot fills it with
+    each symbol in turn, and a stack holds them.  Yields (necklace, runs),
+    runs[s] the sorted cyclic runs of symbol s, () for one with no slot.
     """
     T, K = sum(counts), len(counts)
     left = list(counts)
-    first = next(s for s in range(K) if left[s])  # every necklace starts so
-    a = [first] * (T + 1)  # a[1..T]; a[0] is never read
-    p = [1] * (T + 2)      # p[t]: longest Lyndon prefix length of a[1..t-1]
-    left[first] -= 1
-    t, j = 2, first        # the slot to fill and the least symbol to try
-    while t > 1:
-        if t <= T:
-            while j < K and not left[j]:
-                j += 1
-            if j < K:
-                a[t] = j
+    a = [0] * (T + 1)  # a[1..T]; a[0] is never read
+    p = [1] * (T + 2)  # p[t]: longest Lyndon prefix length of a[1..t-1]
+    first, last = [0] * K, [0] * K  # a symbol's slots; 0 before its first
+    runs = [[] for _ in range(K)]     # each symbol's closed runs
+    closed = [0.0] * K                # and what they cost
+    part = [least[s][k][T] for s, k in enumerate(counts)]
+
+    def fill(t, symbols):  # yields once for each child the bound admits
+        for j in symbols:
+            if left[j]:
+                work.charge(1)
+                l, held = last[j], (closed[j], part[j])
+                if l:
+                    runs[j].append(t - l)
+                    closed[j] += least[j][1][t - l]
+                else:
+                    first[j] = t
+                a[t], last[j] = j, t
                 left[j] -= 1
-                p[t + 1] = p[t] if j == a[t - p[t]] else t
-                t += 1
-                j = a[t - p[t]]
-                continue
-        elif T % p[t] == 0:
-            yield tuple(a[1:])
-        t -= 1  # back up: give slot t's symbol back and try the next one
-        left[a[t]] += 1
-        j = a[t] + 1
+                part[j] = closed[j] + least[j][left[j] + 1][T - t + first[j]]
+                if _ordered_sum(part) / T <= cut():
+                    p[t + 1] = p[t] if j == a[t - p[t]] else t
+                    yield
+                left[j] += 1
+                last[j], (closed[j], part[j]) = l, held
+                if l:
+                    runs[j].pop()
 
-
-def _count_bounds(ladders: Sequence[SteadyState], cands: Sequence[int]):
-    """bound[T][i][k]: a lower bound on sensor i's cost over every
-    period-T schedule that gives it k slots (entry 0 unused, inf).
-
-    Sensor i's k slots split the period into k cyclic runs, and a run of
-    r slots adds c(r) = sum_{t<r} trace(t) to the sum the cost divides by
-    T, so the bound is the least sum of c over the compositions of T into
-    k positive parts: a DP over (runs, slots used), O(T^3) per sensor,
-    with no convexity of the ladder assumed.  A NaN trace counts as +inf:
-    a NaN cost never wins, and NaN never reaches a comparison.
-    """
-    N, T_max = len(ladders), max(cands)
-    most = T_max - N + 1               # the most slots one sensor can hold
-    longest = T_max if N > 1 else 1    # a sensor's one slot runs all round
-    bound = {T: [[inf] for _ in range(N)] for T in cands}
-    for i, lad in enumerate(ladders):
-        c = [0.0]
-        for v in lad.ladder(longest - 1):
-            c.append(c[-1] + (v if v == v else inf))
-        least = [0.0] + [inf] * T_max  # least[s]: s slots in k runs
-        for k in range(1, most + 1):
-            least = [inf] * k + [
-                min(least[s - r] + c[r]
-                    for r in range(1, min(s - k + 1, longest) + 1))
-                for s in range(k, T_max + 1)]
-            for T in cands:
-                if k <= T - N + 1:
-                    bound[T][i].append(least[T] / T)
-    return bound
+    # every necklace starts with the least symbol of its content
+    stack = [fill(1, [next(s for s in range(K) if left[s])])]
+    while stack:
+        t = len(stack)
+        if next(stack[-1], stack) is stack:  # slot t has no symbol left
+            stack.pop()
+        elif t < T:
+            stack.append(fill(t + 1, range(a[t + 1 - p[t + 1]], K)))
+        elif T % p[T + 1] == 0:
+            yield tuple(a[1:]), [tuple(sorted(r + [T - l + f])) if l else ()
+                                 for r, f, l in zip(runs, first, last)]
 
 
 def _contents(T: int, N: int, least: int):
@@ -436,22 +460,17 @@ def _least_rotation(cols: np.ndarray, n_sensors: int):
     """The least canonical rotation in a block of columnwise assignments.
 
     Of every cyclic rotation of every row of the (B, T) array `cols`, taken
-    as an (N, T) 0/1 matrix, finds the one whose row-major flattening, as
-    bytes, is smallest: all B * T rotations come from one `_shifted` call,
-    and the least is found column by column over their bits packed eight
-    to a byte, which keeps the bytewise order.  Returns (the row of cols
-    it rotates, its bytes, the (N, T) uint8 array)."""
+    as an (N, T) 0/1 matrix, finds the first whose row-major flattening,
+    as bytes, is smallest; all B * T rotations come from one `_shifted`
+    call.  Returns (the row of cols it rotates, its bytes, the (N, T)
+    uint8 array)."""
     B, T = cols.shape
     onehot = (cols[:, None, :] == np.arange(n_sensors)[:, None]).view(np.uint8)
-    rotations = _shifted(onehot[:, None], np.arange(T)[:, None])
-    flat = rotations.reshape(B * T, n_sensors * T)
-    packed = np.packbits(flat, axis=1)
-    least = np.arange(B * T)
-    for column in packed.T:
-        bits = column[least]
-        least = least[bits == bits.min()]
-    b, r = divmod(int(least[0]), T)
-    return b, flat[b * T + r].tobytes(), rotations[b, r]
+    rotations = _shifted(onehot[:, None], np.arange(T)[:, None]).reshape(
+        B * T, n_sensors, T)
+    keys = [rows.tobytes() for rows in rotations]
+    least = min(range(B * T), key=keys.__getitem__)
+    return least // T, keys[least], rotations[least]
 
 
 def optimal_schedule_search(systems: Sequence[LinearSystem],
@@ -459,40 +478,41 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
                             ladders: Sequence[SteadyState] | None = None
                             ) -> tuple[Schedule, CostReport]:
     """Search for the cost-minimizing exclusive schedule: bound each count
-    vector first, then walk only the necklaces that can still win.
+    vector first, then walk only the necklace prefixes that can still win.
 
     The cost depends only on each sensor's cyclic reception gaps, so every
     cyclic rotation of a columnwise transmitter assignment costs the same,
     to the bit, and one assignment per rotation class (a necklace) stands
     for all.  The cost is also a sum over sensors, and sensor i's part is
-    at least `_count_bounds`' bound for its slot count k_i, so every
-    necklace with count vector (k_1, ..., k_N) costs at least
-    LB = sum_i bound_i(k_i).  The search takes the compositions of each
-    candidate period T into N positive parts, C(T-1, N-1) of them, in
+    at least `_count_bounds`' least[i][k_i][T] / T for its slot count k_i,
+    so every necklace with count vector (k_1, ..., k_N) costs at least
+    LB = sum_i least[i][k_i][T] / T.  The search takes the compositions of
+    each candidate period T into N positive parts, C(T-1, N-1) of them, in
     ascending (LB, T, counts), then the vectors with some k_i = 0, whose
     LB is inf, built only when the walk reaches them; it stops at the
-    first vector whose LB exceeds the incumbent's total by more than a
-    relative 1e-9 (the bound adds in another order than the pricer).
-    Nothing is pruned while there is no finite incumbent, so a necklace
-    that leaves a sensor without a slot (total inf) is priced only if no
-    schedule that serves every sensor has a finite cost; vectors that tie
-    are still walked, so the result does not depend on the walk order.
-    Every vector's necklaces are generated by content alone
-    (`_fixed_content_necklaces`), and an exclusive assignment's reception
-    rows are its own rows, so the gaps of a block of them come from one
-    `_row_runs` call, and each sensor's gap multiset is priced once,
-    however many necklaces share it, with the same float operations as
-    average_cost.  Each class is represented by its rotation with the
-    lexicographically smallest row-major flattened 0/1 matrix, and the
-    winner is the minimum of (total, that matrix, period): ties break
-    toward the smallest flattened matrix, then the smallest period.  Only
-    the necklaces at a block's least total, when it ties or beats the
-    incumbent, can win, so only their rotations are compared, all in one
-    `_least_rotation` call per block.  Each
-    candidate period must be an integer (`strict_int`).  The budget
-    (SCHEDSEC_BUDGET) caps the N^T column assignments the candidate
-    periods span, whatever the bound prunes, summed over periods and each
-    compared with it before it is raised in full; exceeding it raises
+    first vector whose LB exceeds the least total priced so far by more
+    than a relative 1e-9 (the bound adds in another order than the
+    pricer).  Each vector's necklaces are walked by content
+    (`_fixed_content_necklaces`), and a prefix whose own bound exceeds the
+    same cut is pruned with every necklace below it.  Nothing is pruned
+    while there is no finite total, so a necklace that leaves a sensor
+    without a slot (total inf) is priced only if no schedule that serves
+    every sensor has a finite cost; totals that tie are never pruned, so
+    the result does not depend on the walk order.  An exclusive
+    assignment's reception rows are its own rows, so each necklace the
+    walk reaches is priced from the runs it carries, each sensor's gap
+    multiset once however many necklaces share it, with the same float
+    operations as average_cost.  Each class is represented by its
+    rotation with the lexicographically smallest row-major flattened 0/1
+    matrix, and the winner is the minimum of (total, that matrix,
+    period): ties break toward the smallest flattened matrix, then the
+    smallest period.  Only a vector's necklaces at the least total so far
+    can win, so only their rotations are compared, in `_least_rotation`
+    calls of at most _BLOCK_SLOTS slots.  Each candidate period must be
+    an integer (`strict_int`).  The budget (SCHEDSEC_BUDGET) is charged
+    the C(T+N-1, N-1) count vectors of each period and the
+    N * C(T_max+2, 3) cells of the bound table before either is built,
+    and one step for each walk node as it is entered; exceeding it raises
     BudgetError.
     """
     N = len(systems)
@@ -501,56 +521,48 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
     cands = sorted(set(strict_int(T, "period") for T in T_candidates))
     if not cands:
         raise ValidationError("T_candidates must be nonempty")
-    for T in cands:
-        if T < N:
-            raise ValidationError(
-                f"period {T} cannot give all {N} sensors a slot; use T >= {N}")
-    work = Work(f"enumerating the column assignments of {N} sensors")
-    for T in cands:
-        work.charge_power(N, T)
+    if cands[0] < N:
+        raise ValidationError(f"period {cands[0]} cannot give all {N} "
+                              f"sensors a slot; use T >= {N}")
+    work = Work(f"the schedule search over {N} sensors")
+    work.charge(sum(comb(T + N - 1, N - 1) for T in cands)  # count vectors
+                + N * comb(cands[-1] + 2, 3))  # `_count_bounds`' DP cells
     if ladders is None:
         ladders = [steady_state(s) for s in systems]
     price = _gap_pricer(ladders)
-    sensors = np.arange(N)[:, None]
+    least = _count_bounds(ladders, cands[-1])
     best = None  # (total, flat_key, T, uint8 rows, per-sensor costs)
-    bound = _count_bounds(ladders, cands)
+    lead = cut = inf  # the least total priced so far, and what it admits
     # a vector that starves a sensor bounds at inf (its entry 0), so all of
     # them follow the positive ones, and none is built unless it is reached
     vectors = itertools.chain(
-        sorted((_ordered_sum(bound[T][i][k] for i, k in enumerate(counts)),
+        sorted((_ordered_sum(least[i][k][T] / T for i, k in enumerate(counts)),
                 T, counts)
                for T in cands for counts in _contents(T, N, 1)),
         ((inf, T, counts) for T in cands for counts in _contents(T, N, 0)
          if 0 in counts))
     for lb, T, counts in vectors:
-        if best is not None and lb > best[0] + 1e-9 * abs(best[0]):
+        if lb > cut:
             break  # every later vector's bound is at least as high
-        necklaces = _fixed_content_necklaces(counts)
-        size = max(1, _BLOCK_SLOTS // (N * T))
-        while block := list(itertools.islice(necklaces, size)):
-            cols = np.array(block)
-            # (necklace, sensor) reception rows: sensor i owns cols == i
-            runs = _row_runs((cols[:, None] == sensors).reshape(-1, T))
-            lead = inf if best is None else best[0]
-            tied = []  # (necklace, per) at the block's least total <= lead
-            for j in range(len(block)):
-                per = tuple(map(price, range(N), runs[j * N:j * N + N]))
+        tied = []  # (necklace, per) at the least total so far
+        walk = _fixed_content_necklaces(counts, least, lambda: cut, work)
+        for leaf in itertools.chain(walk, [None]):  # None: the walk is over
+            if leaf:
+                per = tuple(map(price, range(N), leaf[1]))
                 total = _ordered_sum(per)  # CostReport.total, to the bit
-                # a NaN total never wins
-                if not total <= lead:
+                if not total <= lead:  # a NaN total never wins
                     continue
                 if total < lead:
-                    lead, tied = total, []
-                tied.append((j, per))
-            if tied:
+                    lead, cut, tied = total, total + 1e-9 * abs(total), []
+                tied.append((leaf[0], per))
+            if tied and (not leaf or (len(tied) + 1) * N * T > _BLOCK_SLOTS):
                 # every rotation prices the same, so only the necklaces
-                # at the block's least total need their canonical rotations
-                # for the tie-break, and only the least of those can win
+                # tied at the least total need their canonical rotations
                 w, key, rows = _least_rotation(
-                    cols[[j for j, _ in tied]], N)
-                entry = (lead, key, T)
-                if best is None or entry < best[:3]:
-                    best = (*entry, rows, tied[w][1])
+                    np.array([cols for cols, _ in tied]), N)
+                if best is None or (lead, key, T) < best[:3]:
+                    best = (lead, key, T, rows, tied[w][1])
+                tied = []
     if best is None:
         raise NumericalError(
             f"every schedule of periods {cands} prices NaN; no schedule "

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schedsec import attack
 from schedsec.attack import (blocks_sensor, bnb_optimal_attack,
                              brute_force_optimal_attack, isolate_sensor_attack,
                              random_attack)
@@ -289,20 +290,57 @@ def test_brute_force_budget_is_compared_before_the_power(monkeypatch):
     assert len(str(exc.value)) < 200
 
 
-def test_attack_search_charges_every_node_its_tableau(monkeypatch):
-    # each node is charged its (T + N - 1) x ((N - 1)(T - 1) + T + N - 1)
-    # dense tableau before its LP is solved, all targets against one
-    # budget: exactly the nodes' charges pass with the unbudgeted result
+def test_attack_search_charges_each_lp_its_tableau(monkeypatch):
+    # each target's root is charged its (T + N - 1) x ((N - 1)(T - 1) +
+    # T + N - 1) dense tableau up front, each node the target's transmit
+    # slots times the (N - 1)(T - 1) columns its cover test reads, and
+    # each later LP its tableau before it is solved, all targets against
+    # one budget: exactly that much passes with the unbudgeted result
     sched = golden_schedule(ATTACK_PATHS[0])
     N, T = sched.n_sensors, sched.period
+    K = (N - 1) * (T - 1)
+    tableau = (T + N - 1) * (K + T + N - 1)
     want = bnb_optimal_attack(sched)
-    charge = want.nodes_explored * (T + N - 1) * ((N - 1) * (T - 1) + T + N - 1)
-    monkeypatch.setenv("SCHEDSEC_BUDGET", str(charge))
+    lps, charge = [], []
+    real_lp, real_block = attack.solve_bounded_lp, attack._cheapest_block
+
+    def counting_lp(*args, **kwargs):
+        lps.append(1)
+        return real_lp(*args, **kwargs)
+
+    def counting_block(sched, target, work):
+        before = len(lps)
+        cost, taus, nodes = real_block(sched, target, work)
+        charge.append(max(len(lps) - before, 1) * tableau
+                      + nodes * int(sched.array[target].sum()) * K)
+        return cost, taus, nodes
+
+    monkeypatch.setattr(attack, "solve_bounded_lp", counting_lp)
+    monkeypatch.setattr(attack, "_cheapest_block", counting_block)
     assert bnb_optimal_attack(sched) == want
-    monkeypatch.setenv("SCHEDSEC_BUDGET", str(charge - 1))
+    # a node its cover bound prunes solves no LP
+    assert len(lps) < want.nodes_explored
+    used = sum(charge)
+    monkeypatch.setenv("SCHEDSEC_BUDGET", str(used))
+    assert bnb_optimal_attack(sched) == want
+    monkeypatch.setenv("SCHEDSEC_BUDGET", str(used - 1))
     with pytest.raises(BudgetError, match=f"the attack search over {N} "
                        f"sensors of period {T}"):
         bnb_optimal_attack(sched)
+
+
+def test_attack_search_on_forty_slots_fits_the_default_budget(monkeypatch):
+    # twelve sensors over 40 slots, 572 nodes: a node its cover bound
+    # prunes solves no LP and is charged only its cover test, so the
+    # search fits the default budget
+    from conftest import random_exclusive_schedule
+    monkeypatch.delenv("SCHEDSEC_BUDGET", raising=False)
+    sched = random_exclusive_schedule(np.random.default_rng(0), 12, 40,
+                                      full_coverage=True)
+    result = bnb_optimal_attack(sched)
+    assert result.nodes_explored == 572
+    assert result.per_target_costs == (2, 1, 1, 1, 1, 2, 3, 2, 2, 2, 2, 2)
+    assert result.taus == ShiftTuple((2,) + (0,) * 11)
 
 
 def test_attack_search_refuses_a_large_root_before_building_it(monkeypatch):

@@ -444,6 +444,12 @@ _json_values = st.recursive(
         st.sampled_from(["T", "rows", "taus", "factors", "n", "d",
                          "A", "C", "Q", "R", "Pi"]), inner,
         max_size=3), max_leaves=6)
+# candidate periods as the command line spells them: short lists, sizes
+# past any budget, odd spacing and separators, and arbitrary text
+_PERIODS = (st.lists(st.integers(-1, 9), max_size=3).map(
+    lambda ps: ",".join(map(str, ps)))
+    | st.sampled_from(["9100", "100000000", "3,,4", " 4 ", "1_0", "3.5"])
+    | st.text(max_size=4))
 _FACTOR_SETS = [[(1, 2)], [(1, 3)], [(2, 3)], [(1, 2), (1, 2)],
                 [(1, 2), (1, 3)], [(2, 3), (1, 2)]]
 _SYSTEMS = [
@@ -497,11 +503,14 @@ def fuzz_dir(tmp_path_factory):
 @given(data=st.data(),
        command=st.sampled_from(["verify", "verify-policies", "cost",
                                 "cost-attack", "isolate", "steady-state",
-                                "construct", "bounds", "optimal"]))
+                                "construct", "bounds", "optimal",
+                                "schedule"]))
 def test_cli_contract_under_fuzzed_documents(fuzz_dir, data, command):
     """Any schedule, shift, policy or systems document gives exit 0, 3, 4
-    or 5 and never a traceback.  `defend construct --mode same-duty`,
-    `defend bounds` and `attack optimal` run under a small work budget."""
+    or 5 and never a traceback, and `schedule`, with any `--periods`
+    text, 0, 3 or 5.  `defend construct --mode same-duty`, `defend
+    bounds`, `attack optimal` and `schedule` run under a small work
+    budget."""
     # three sensors, as in the bundled study, half of the time
     n = data.draw(st.just(3) | st.integers(1, 4))
     T = data.draw(st.integers(1, 6))
@@ -520,6 +529,10 @@ def test_cli_contract_under_fuzzed_documents(fuzz_dir, data, command):
                 "--policies", document("policy")]
     elif command == "optimal":
         argv = ["attack", "optimal", "--schedule", document("schedule")]
+    elif command == "schedule":
+        # the = form keeps a value such as "-x" from reading as an option
+        argv = ["schedule", "--systems", document("systems"),
+                f"--periods={data.draw(_PERIODS)}"]
     elif command == "construct":
         # an exclusive schedule of T <= 6 slots often starves a sensor; a
         # policy set's rows carry duty factors the construction accepts
@@ -537,11 +550,13 @@ def test_cli_contract_under_fuzzed_documents(fuzz_dir, data, command):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err), warnings.catch_warnings(), \
             mock.patch.dict(os.environ, {BUDGET_ENV_VAR: "1000"}
-                            if command in ("construct", "bounds", "optimal")
+                            if command in ("construct", "bounds", "optimal",
+                                           "schedule")
                             else {}):
         warnings.simplefilter("ignore", StabilityWarning)
         code = main(argv)
-    assert code in (0, 3, 4, 5), (argv, err.getvalue())
+    assert code in ((0, 3, 5) if command == "schedule" else (0, 3, 4, 5)), \
+        (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
 
 
@@ -696,9 +711,9 @@ def test_defend_bounds_charges_the_slots_of_the_set(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv", [
-    # 3^9100 assignments: its digits exceed Python's int-to-str limit
+    # C(9102, 2) count vectors of 3 sensors, about 41 million
     ["schedule", "--periods", "9100"],
-    # 3^100000000 takes minutes to compute
+    # C(10^8 + 2, 2) count vectors, and a bound table of 10^24 cells
     ["schedule", "--periods", "100000000"],
     # 20000 * 2^20000 slots: too many digits to print
     ["defend", "construct", "--mode", "shortest-period", "-n", "20000"],
@@ -788,16 +803,21 @@ def test_attack_optimal_exits_5_at_a_large_root(tmp_path, capsys,
 def test_isolate_fallback_charges_its_search_to_the_budget(tmp_path, capsys,
                                                           monkeypatch):
     # shifting both other clocks by one covers only slot 1 of sensor 0, so
-    # isolate needs the optimal search, which is charged each node's dense
-    # tableau: 6 rows (4 slots and 2 other sensors) by 6 shift and 6 slack
-    # columns; it used to enumerate 4^2 tuples against the budget
+    # isolate needs the optimal search, which is charged the dense tableau
+    # of each LP it solves, 6 rows (4 slots and 2 other sensors) by 6 shift
+    # and 6 slack columns, the root's up front, and each node the 2 x 6
+    # cells of its cover test
     from schedsec.scheduling import ShiftTuple, reception
     rows = [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     path = tmp_path / "sched.json"
     path.write_text(json.dumps({"T": 4, "rows": rows}))
     sched = Schedule(period=4, rows=tuple(map(tuple, rows)))
-    cost, _, nodes = attack._cheapest_block(sched, 0, Work("search"))
-    charge = 6 * 12 * nodes
+    lps = []
+    real_lp = attack.solve_bounded_lp
+    with mock.patch.object(attack, "solve_bounded_lp", lambda *args, **kw:
+                           lps.append(1) or real_lp(*args, **kw)):
+        cost, _, nodes = attack._cheapest_block(sched, 0, Work("search"))
+    charge = 6 * 12 * max(len(lps), 1) + 2 * 6 * nodes
     argv = ["attack", "isolate", "--schedule", str(path), "--target", "0",
             "--out"]
     monkeypatch.setenv("SCHEDSEC_BUDGET", str(charge - 1))

@@ -422,15 +422,41 @@ def test_search_budget(study_systems, study_ladders, monkeypatch):
         optimal_schedule_search(study_systems, [3], ladders=study_ladders)
 
 
-def test_search_budget_counts_every_assignment(study_systems, study_ladders,
-                                              monkeypatch):
-    # 3^3 + 3^4 assignments fit a budget of 108 and not of 107; a power
-    # far past the budget is refused without being raised
-    monkeypatch.setenv("SCHEDSEC_BUDGET", "108")
-    optimal_schedule_search(study_systems, [3, 4], ladders=study_ladders)
-    monkeypatch.setenv("SCHEDSEC_BUDGET", "107")
+def test_search_budget_counts_vectors_cells_and_nodes(study_systems,
+                                                     study_ladders,
+                                                     monkeypatch):
+    # the 10 + 15 count vectors of periods 3 and 4 and the 3 * C(6, 3)
+    # cells of the bound table are charged at once, before either is
+    # built, then one step per walk node as it is entered; exactly that
+    # much passes
+    charges = []
+
+    class Recording(Work):
+        def charge(self, steps):
+            charges.append(steps)
+            super().charge(steps)
+
+    monkeypatch.setattr(scheduling, "Work", Recording)
+    want = optimal_schedule_search(study_systems, [3, 4],
+                                   ladders=study_ladders)
+    assert charges[0] == 10 + 15 + 60 and set(charges[1:]) == {1}
+    used = sum(charges)
+    monkeypatch.setenv("SCHEDSEC_BUDGET", str(used))
+    assert optimal_schedule_search(study_systems, [3, 4],
+                                   ladders=study_ladders) == want
+    monkeypatch.setenv("SCHEDSEC_BUDGET", str(used - 1))
     with pytest.raises(BudgetError):
         optimal_schedule_search(study_systems, [3, 4], ladders=study_ladders)
+
+    def refuse(*args):
+        raise AssertionError("built past the budget")
+
+    monkeypatch.setattr(scheduling, "_count_bounds", refuse)
+    monkeypatch.setattr(scheduling, "_contents", refuse)
+    monkeypatch.setenv("SCHEDSEC_BUDGET", "84")
+    with pytest.raises(BudgetError):
+        optimal_schedule_search(study_systems, [3, 4], ladders=study_ladders)
+    # C(10^5 + 2, 2) vectors are refused before one is built
     monkeypatch.delenv("SCHEDSEC_BUDGET")
     with pytest.raises(BudgetError) as exc:
         optimal_schedule_search(study_systems, [10**5],
@@ -517,10 +543,38 @@ def _content_size(counts):
 @pytest.mark.parametrize("n_symbols", [1, 2, 3, 4])
 @pytest.mark.parametrize("length", range(1, 9))
 def test_fixed_content_necklaces_are_fkm_by_content(n_symbols, length):
+    # with nothing to prune, the walk yields every necklace of each
+    # content, in FKM's order, with each symbol's runs as the gap kernel
+    # reads them off the necklace's rows
     groups = _necklaces_by_content(n_symbols, length)
+    least = _count_bounds([_OverflowLadder(1.0)] * n_symbols, length)
     for counts in itertools.product(range(length + 1), repeat=n_symbols):
         if sum(counts) == length:
-            assert list(_fixed_content_necklaces(counts)) == groups[counts]
+            walk = list(_fixed_content_necklaces(
+                counts, least, lambda: math.inf, Work("a walk")))
+            assert [neck for neck, _ in walk] == groups[counts]
+            for neck, runs in walk:
+                rows = [[int(c == s) for c in neck] for s in range(n_symbols)]
+                assert runs == _row_runs(np.array(rows, dtype=np.uint8))
+
+
+def test_necklace_walk_runs_past_the_recursion_limit():
+    # the walk keeps its slots on an explicit stack, so a period longer
+    # than Python's recursion limit is walked like any other
+    T = sys.getrecursionlimit() + 100
+    least = [[[0.0] * (T + 1)] * (T + 1)] * 2  # a table of zeros
+    walk = list(_fixed_content_necklaces((T - 1, 1), least,
+                                         lambda: math.inf, Work("a walk")))
+    assert walk == [((0,) * (T - 1) + (1,), [(1,) * (T - 2) + (2,), (T,)])]
+
+
+def _vector_bounds(ladders, cands):
+    """bound[T][i][k] = least[i][k][T] / T for k = 0 .. T - N + 1, read
+    off `_count_bounds`' table: the bound on sensor i's cost over every
+    period-T schedule that gives it k slots."""
+    least = _count_bounds(ladders, max(cands))
+    return {T: [[table[k][T] / T for k in range(T - len(ladders) + 2)]
+                for table in least] for T in cands}
 
 
 def _walked_vectors(asked, n_sensors):
@@ -539,7 +593,7 @@ def _pruned_walk(ladders, periods, asked):
     exceeds the least total priced before it by a relative 1e-9."""
     N = len(ladders)
     cands = sorted(set(periods))
-    bound = _count_bounds(ladders, cands)
+    bound = _vector_bounds(ladders, cands)
     order = sorted((sum(bound[T][i][k] for i, k in enumerate(counts)),
                     T, counts)
                    for T in cands for counts in _compositions(T, N))
@@ -728,10 +782,10 @@ def test_search_prices_every_necklace_once_when_no_schedule_is_finite(
             return price(i, runs)
         return wrapped
 
-    def recording_necklaces(counts):
-        for neck in real_necklaces(counts):
-            walked.append(neck)
-            yield neck
+    def recording_necklaces(counts, *args):
+        for leaf in real_necklaces(counts, *args):
+            walked.append(leaf[0])
+            yield leaf
 
     monkeypatch.setattr(scheduling, "_gap_pricer", recording_pricer)
     monkeypatch.setattr(scheduling, "_fixed_content_necklaces",
@@ -750,7 +804,9 @@ def test_count_bounds_read_nan_and_overflow_as_inf():
     # a NaN trace must never reach a sort key or a comparison
     ladders = [_OverflowLadder(1.0), _OverflowLadder(1.0, 2.0),
                _OverflowLadder(1.0, math.nan)]
-    bound = _count_bounds(ladders, [3, 4, 6])
+    assert not any(math.isnan(v) for table in _count_bounds(ladders, 6)
+                   for row in table for v in row)
+    bound = _vector_bounds(ladders, [3, 4, 6])
     assert not any(math.isnan(v) for per in bound.values()
                    for row in per for v in row)
     # runs of one slot cost trace(0) = 1 each; any longer run is inf or
@@ -769,7 +825,7 @@ def test_count_bounds_are_the_least_composition_cost(seed):
     systems = [random_unstable_system(rng, name=f"sensor {i}")
                for i in range(3)]
     ladders = [steady_state(s) for s in systems]
-    bound = _count_bounds(ladders, [3, 5, 7])
+    bound = _vector_bounds(ladders, [3, 5, 7])
     for T in (3, 5, 7):
         for i, lad in enumerate(ladders):
             c = [sum(lad.trace(t) for t in range(r)) for r in range(T + 1)]
@@ -787,11 +843,29 @@ def test_count_bounds_are_the_least_composition_cost(seed):
                     assert per[i] >= bound[T][i][k] * (1 - 1e-12)
 
 
+@functools.lru_cache(maxsize=None)
 def _five_sensor_instance(seed):
     rng = np.random.default_rng(seed)
     systems = [random_unstable_system(rng, name=f"sensor {i}")
                for i in range(5)]
     return systems, [steady_state(s) for s in systems]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 12).flatmap(lambda T: st.lists(
+    st.lists(st.integers(0, 1), min_size=T, max_size=T),
+    min_size=1, max_size=5)), r=st.integers(0, 11))
+def test_cost_ignores_rotation_and_time_reversal(rows, r):
+    # both keep every row's multiset of cyclic gaps, so every sensor's
+    # cost keeps its bits; the search prices one necklace per rotation
+    # class on the strength of this
+    ladders = _five_sensor_instance(100)[1][:len(rows)]
+    want = average_cost(rows, ladders).per_sensor
+    r %= len(rows[0])
+    rotated = [row[r:] + row[:r] for row in rows]
+    assert average_cost(rotated, ladders).per_sensor == want
+    assert average_cost([row[::-1] for row in rows], ladders).per_sensor \
+        == want
 
 
 @pytest.mark.parametrize("seed", [100, 101])
@@ -877,7 +951,34 @@ def test_search_prices_no_necklace_of_a_pruned_vector(n, periods,
     monkeypatch.setattr(scheduling, "_gap_pricer", recording)
     optimal_schedule_search(systems, periods, ladders=ladders)
     walked = _walked_vectors(asked, n)
-    # whole vectors, each once, exactly those the bound could not rule out
-    assert walked == _pruned_walk(ladders, periods, asked)
-    assert len(asked) == n * sum(_content_size(k) for _, k in walked)
-    assert len(walked) < sum(len(_compositions(T, n)) for T in periods)
+    entered = _pruned_walk(ladders, periods, asked)
+    # vectors in ascending bound, each once, only those the bound could
+    # not rule out; a prefix bound may leave one with nothing priced
+    assert walked == [v for v in entered if v in walked]
+    assert len(set(walked)) == len(walked)
+    assert len(asked) <= n * sum(_content_size(k) for _, k in walked)
+    assert len(entered) < sum(len(_compositions(T, n)) for T in periods)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_prefix_bound_keeps_every_necklace_within_the_cut(seed):
+    # a prefix is pruned only when every necklace below it costs more than
+    # the cut (with the search's relative 1e-9): the walk keeps each
+    # necklace within it, in FKM's order, and prunes some of the rest
+    rng = np.random.default_rng(seed)
+    ladders = [steady_state(random_unstable_system(rng)) for _ in range(3)]
+    least = _count_bounds(ladders, 8)
+    pruned = 0
+    for counts in _compositions(8, 3):
+        every = _necklaces_by_content(3, 8)[counts]
+        totals = [average_cost([[int(c == i) for c in neck]
+                                for i in range(3)], ladders).total
+                  for neck in every]
+        cut = sorted(totals)[len(totals) // 2]
+        kept = [neck for neck, _ in _fixed_content_necklaces(
+            counts, least, lambda: cut * (1 + 1e-9), Work("a walk"))]
+        assert kept == [neck for neck in every if neck in kept]
+        assert {neck for neck, total in zip(every, totals)
+                if total <= cut} <= set(kept)
+        pruned += len(every) - len(kept)
+    assert pruned
