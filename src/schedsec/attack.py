@@ -17,9 +17,8 @@ node makes one `solve_bounded_lp` call.  The dense Bland's-rule simplex
 its slack basis, so a node's relaxation, and with it the branching, the
 node count and the returned tuple, depends on that node's bounds alone.
 `bnb_optimal_attack` runs it for every target and keeps the cheapest;
-`isolate_sensor_attack` runs it for one target when shifting every other
-clock by one slot does not starve it.  `brute_force_optimal_attack` is the
-independent exhaustive oracle.
+`isolate_sensor_attack` runs it for one target.
+`brute_force_optimal_attack` is the independent exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -44,24 +43,19 @@ def blocks_sensor(sched: Schedule, attack: ShiftTuple, target: int) -> bool:
 
 
 def isolate_sensor_attack(sched: Schedule, target: int) -> ShiftTuple:
-    """Blocking attack against one sensor of an exclusive schedule.
+    """Fewest-spoof blocking attack against one sensor of an exclusive
+    schedule.
 
-    Tries the one-slot collective shift first (every other clock offset by
-    1), which provably starves the target whenever its duty factor is at
-    most 1/2 and its slots are spread out.  Otherwise returns the
-    fewest-spoof tuple that keeps the target's clock honest, and raises
-    InfeasibleError when no such tuple blocks the target; that search is
-    charged to the budget as in `bnb_optimal_attack`.
+    Returns the tuple of `_cheapest_block`, which keeps the target's clock
+    honest and spoofs `bnb_optimal_attack`'s per_target_costs[target]
+    clocks, and raises InfeasibleError when no such tuple blocks the
+    target; the search is charged to the budget as in
+    `bnb_optimal_attack`.
     """
     sched.require_exclusive()
     N = sched.n_sensors
     if not 0 <= target < N:
         raise ValidationError(f"target {target} out of range for {N} sensors")
-    primary = ShiftTuple(tuple(0 if j == target else 1 for j in range(N)))
-    if sched.period == 1 and N > 1:
-        primary = ShiftTuple((0,) * N)
-    if blocks_sensor(sched, primary, target):
-        return primary
     _, taus, _ = _cheapest_block(sched, target, _search_work(sched))
     if taus is None:
         raise InfeasibleError(f"no blocking attack exists for sensor {target}")

@@ -247,8 +247,8 @@ def _series_csv(series, prefixes: list[str] | None = None) -> str:
 def _summary_doc(series) -> dict:
     doc = {"period": series.period, "horizon": series.horizon,
            "sensors": [{"index": i,
-                        "final_trace": float(series.traces[i, -1]),
-                        "mean_trace": float(series.running_means[i, -1]),
+                        "final_trace": _finite(series.traces[i, -1]),
+                        "mean_trace": _finite(series.running_means[i, -1]),
                         "divergent": bool(series.divergent[i]),
                         "overflow_at": series.overflow_at[i]}
                        for i in range(series.n_sensors)]}

@@ -417,7 +417,7 @@ def _lyapunov_stack(A, X, At, Q):
     return (M + M.swapaxes(1, 2)) / 2.0
 
 
-def _extend_ladders(ladders, lengths, overflow: float = math.inf) -> None:
+def _extend_ladders(ladders, lengths) -> None:
     """Extend each ladder to hold (at least) its length of entries.
 
     Ladders of one state dimension n step together, as one (k, n, n)
@@ -427,11 +427,10 @@ def _extend_ladders(ladders, lengths, overflow: float = math.inf) -> None:
     trace per matrix.  A ladder that reaches its length within a block
     keeps the entries up to it.  A ladder leaves the stack at the end of
     the block that holds its first non-finite trace and reads +inf from
-    there on, the entries past it dropped; it also leaves at the end of
-    the block that holds its first new entry past `overflow`.  Each
-    block is at most 2 longer than the blocks before it together, so a
-    ladder takes at most twice the steps up to either.  The same ladder
-    listed twice is stepped once, to the longer length.
+    there on, the entries past it dropped.  Each block is at most 2
+    longer than the blocks before it together, so a ladder takes at most
+    twice the steps up to its saturation.  The same ladder listed twice
+    is stepped once, to the longer length.
     """
     longest: dict[SteadyState, int] = {}  # keyed by identity
     for lad, length in zip(ladders, lengths):
@@ -469,7 +468,7 @@ def _extend_ladders(ladders, lengths, overflow: float = math.inf) -> None:
                     lad._traces += new.tolist()
                     lad._frontier = block[take - 1, j].copy()
                     entry[1] = left - take
-                    if entry[1] and not (new > overflow).any():
+                    if entry[1]:
                         keep.append(j)
                 if not keep:
                     break

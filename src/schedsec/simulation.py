@@ -5,10 +5,12 @@ trace slot by slot.  A reception resets the covariance to P_bar and any
 other slot takes one prediction step, so a slot's trace is the trace
 ladder's entry at that slot's gap since the last reception: the series
 computes every slot's gap with one array formula and reads the ladders
-there.  The ladders are extended in one `_extend_ladders` call, which
-steps the ladders of one state dimension as one stack; the series steps
-no matrix of its own, so it is no independent check of the ladder-based
-costs; the independent slot-by-slot oracle lives in the tests.
+there as they are, +inf past saturation, the values the ladder-based
+costs read.  The ladders are extended in one `_extend_ladders` call,
+which steps the ladders of one state dimension as one stack; the series
+steps no matrix of its own, so it is no independent check of the
+ladder-based costs; the independent slot-by-slot oracle lives in the
+tests.
 `monte_carlo_expected_cost` averages exact per-attack costs over random
 clock-shift attacks: it applies `scheduling`'s collision kernel to a whole
 batch of trials at once and prices every reception pattern it meets once,
@@ -41,17 +43,15 @@ from .lti_estimation import (LinearSystem, SteadyState, _extend_ladders,
 from .scheduling import (CostReport, Schedule, ShiftTuple, _gap_pricer,
                          _row_runs, _sole_receptions, reception)
 
-OVERFLOW_TRACE = 1e12
-
 
 @dataclass
 class CovarianceSeries:
     """Deterministic per-slot remote error covariance traces.
 
-    traces[i][k] is sensor i's trace at slot k.  Once a trace passes
-    OVERFLOW_TRACE the matrix recursion is frozen and later slots repeat the
-    last value, with the crossing recorded in overflow_at; this keeps
-    running statistics finite while still witnessing divergence.
+    traces[i][k] is sensor i's trace at slot k, the trace ladder's entry at
+    the slot's gap since the last reception, as the ladder reads it: +inf
+    once the ladder saturates, until the next reception resets it.
+    overflow_at[i] is the first slot whose trace is +inf, or None.
     divergent[i] is structural: sensor i gets no packet in a whole period.
     """
 
@@ -104,10 +104,9 @@ def exact_covariance_series(systems: Sequence[LinearSystem], policies,
     All the ladders are extended in one `_extend_ladders` call, to the
     longest gap each sensor reads: ladders of one state dimension step as
     one stack, and a ladder listed twice steps once.  A ladder stops at
-    the end of the block that holds its first entry past OVERFLOW_TRACE,
-    so it takes at most twice the steps up to its overflow; the slots
-    from the first trace past OVERFLOW_TRACE on repeat it.  A non-finite
-    trace reads +inf, as the ladder does, and so also freezes the series.
+    the end of the block that holds its first non-finite trace, so it
+    takes at most twice the steps up to its saturation; every gap from
+    there on reads +inf, as `SteadyState.ladder` does.
     """
     horizon = strict_int(horizon, "horizon")
     if horizon < 1:
@@ -127,26 +126,18 @@ def exact_covariance_series(systems: Sequence[LinearSystem], policies,
     hit = np.array(receptions, dtype=bool)[:, slots % T]
     gaps = slots - np.maximum.accumulate(np.where(hit, slots, -1), axis=1)
     lengths = (gaps.max(axis=1) + 1).tolist()
-    _extend_ladders(ladders, lengths, overflow=OVERFLOW_TRACE)
-    traces = np.empty((N, horizon))
+    _extend_ladders(ladders, lengths)
+    traces = np.array([np.array(lad.ladder(length - 1))[g]
+                       for lad, length, g in zip(ladders, lengths, gaps)])
     divergent = tuple(sum(row) == 0 for row in receptions)
-    overflow_at: list[int | None] = [None] * N
-    for i, g in enumerate(gaps):
-        # a ladder that stopped short passed OVERFLOW_TRACE or read +inf at
-        # a gap that comes earlier in the same run, so the slots that read
-        # past its end are frozen below
-        entries = np.array(ladders[i]._traces[:lengths[i]])
-        traces[i] = entries[np.minimum(g, len(entries) - 1)]
-        over = np.flatnonzero(traces[i] > OVERFLOW_TRACE)
-        if over.size:
-            k = int(over[0])
-            overflow_at[i] = k
-            traces[i, k:] = traces[i, k]
-    running = np.cumsum(traces, axis=1) / np.arange(1, horizon + 1)
+    overflow_at = tuple(int(row.argmax()) if row.any() else None
+                        for row in np.isinf(traces))
+    with np.errstate(over="ignore"):
+        running = np.cumsum(traces, axis=1) / np.arange(1, horizon + 1)
     return CovarianceSeries(period=T, horizon=horizon,
                             receptions=receptions, traces=traces,
                             running_means=running, divergent=divergent,
-                            overflow_at=tuple(overflow_at))
+                            overflow_at=overflow_at)
 
 
 @dataclass(frozen=True)

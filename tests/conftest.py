@@ -18,7 +18,6 @@ from schedsec.lti_estimation import (MAX_ITER, STEP_TOL, LinearSystem,
 from schedsec.scheduling import (Schedule, ShiftTuple, average_cost,
                                  reception)
 from schedsec.simplex import _RATIO_EPS, LpResult
-from schedsec.simulation import OVERFLOW_TRACE
 
 
 _builtin_sum = builtins.sum
@@ -504,30 +503,35 @@ def steady_state_doubling(sys: LinearSystem, iters: int = 100) -> np.ndarray:
 
 def stepped_covariance_series(systems, sched, attack, horizon, ladders):
     """Reference for exact_covariance_series: every sensor stepped slot by
-    slot over the whole horizon, with no use of periodicity.
+    slot over the whole horizon, with no use of periodicity and no ladder
+    entry read.
 
     A reception slot resets the covariance to P_bar, any other slot takes
-    one prediction step; once a trace passes OVERFLOW_TRACE it is frozen.
-    Returns (traces, running_means, overflow_at).
+    one prediction step; from the first non-finite trace on the trace reads
+    +inf and the covariance is not stepped until the next reception.
+    Returns (traces, running_means, overflow_at), overflow_at[i] the first
+    slot whose trace is +inf, or None.
     """
     receptions = reception(sched, attack)
     traces = np.empty((len(systems), horizon))
     overflow_at = [None] * len(systems)
-    for i, sys in enumerate(systems):
-        P = ladders[i].P_bar.copy()
-        frozen = False
-        for k in range(horizon):
-            if not frozen:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, sys in enumerate(systems):
+            P = ladders[i].P_bar.copy()
+            tr = float(np.trace(P))
+            for k in range(horizon):
                 if receptions[i][k % sched.period]:
                     P = ladders[i].P_bar.copy()
-                else:
+                    tr = float(np.trace(P))
+                elif tr < math.inf:
                     P = lyapunov_step(sys, P)
-                tr = float(np.trace(P))
-                if tr > OVERFLOW_TRACE:
+                    tr = float(np.trace(P))
+                    if not math.isfinite(tr):
+                        tr = math.inf
+                if tr == math.inf and overflow_at[i] is None:
                     overflow_at[i] = k
-                    frozen = True
-            traces[i, k] = tr
-    running = np.cumsum(traces, axis=1) / np.arange(1, horizon + 1)
+                traces[i, k] = tr
+        running = np.cumsum(traces, axis=1) / np.arange(1, horizon + 1)
     return traces, running, tuple(overflow_at)
 
 

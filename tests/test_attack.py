@@ -117,16 +117,20 @@ def test_isolate_infeasible_single_sensor():
 
 def test_isolate_shift_one_construction():
     # duty <= 1/2 and spread ones: shifting everyone else by one slot
-    # must land a collision on each of the target's slots
+    # must land a collision on each of the target's slots, so isolate needs
+    # at most those two spoofed clocks
     sched = Schedule(period=4, rows=((1, 0, 1, 0), (0, 1, 0, 0),
                                      (0, 0, 0, 1)))
+    assert blocks_sensor(sched, ShiftTuple((0, 1, 1)), 0)
     attack = isolate_sensor_attack(sched, 0)
     assert blocks_sensor(sched, attack, 0)
+    assert attack.taus[0] == 0 and attack.spoofed_count <= 2
 
 
 def test_isolate_fallback_spoofs_fewest_clocks():
-    # where the one-slot collective shift fails, isolate keeps the target
-    # honest and spoofs exactly as many clocks as the optimal search needs
+    # isolate keeps the target honest and spoofs exactly as many clocks as
+    # the optimal search needs, also where the one-slot collective shift
+    # fails
     from conftest import random_exclusive_schedule
     rng = np.random.default_rng(31)
     fallbacks = 0

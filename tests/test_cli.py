@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -17,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import factor_families, py312_sum
@@ -33,8 +34,15 @@ from schedsec.protocol_sequences import (construct_shift_invariant,
 from schedsec.scheduling import Schedule
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def _read_doc(path):
     return read_json(path.read_bytes())
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
 
 
 @pytest.fixture(scope="module")
@@ -599,6 +607,179 @@ def test_simulate_monte_carlo_is_over_random_shifts(tmp_path, systems_path):
             != (random / "summary.json").read_bytes())
 
 
+def test_simulate_saturated_trace_writes_strict_json_and_no_warning(
+        tmp_path):
+    # sensor 1 (A = 1.1) never receives, and its trace ladder saturates:
+    # from slot 3,711 on the trace reads +inf.  With warnings raised as
+    # errors the run must print nothing to stderr and write RFC 8259 JSON
+    # (no Infinity or NaN), with overflow_at the first slot that reads +inf
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONWARNINGS": "error",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "sat"
+    proc = subprocess.run(
+        [sys.executable, "-m", "schedsec.cli", "simulate",
+         "--systems", str(DATA / "saturating_systems.json"),
+         "--schedule", str(DATA / "starved_schedule.json"),
+         "--horizon", "10000", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    doc = json.loads((out / "summary.json").read_text(),
+                     parse_constant=_reject_constant)
+    rows = [line.split(",") for line in
+            (out / "series.csv").read_text().splitlines()[1:]]
+    traces = [float(trace) for _, sensor, trace, *_ in rows if sensor == "1"]
+    first = traces.index(math.inf)
+    assert first == 3711 and all(t == math.inf for t in traces[first:])
+    assert [s["overflow_at"] for s in doc["sensors"]] == [None, first]
+    assert doc["sensors"][1]["final_trace"] is None
+    assert doc["sensors"][1]["mean_trace"] is None
+    assert doc["periodic_average"]["per_sensor"][1] is None
+    assert doc["sensors"][0]["final_trace"] == pytest.approx(0.99, rel=1e-3)
+
+
+def _cli_outputs(argv, root):
+    """Run one command into a fresh directory under `root`: its exit code
+    and the path of each file it wrote, by name."""
+    out = Path(tempfile.mkdtemp(dir=root))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        code = main(argv + ["--out", str(out)])
+    return code, {path.name: path for path in out.iterdir()}
+
+
+def _write_json(root, doc):
+    fd, path = tempfile.mkstemp(suffix=".json", dir=root)
+    with os.fdopen(fd, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def _scalar_systems(gains):
+    return [{"A": [[a]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]],
+             "Pi": [[1.0]]} for a in gains]
+
+
+@st.composite
+def _exclusive_schedules(draw):
+    """{"T", "rows"} of an exclusive schedule of 2 to 4 sensors and 2 to 8
+    slots, each slot owned by one sensor."""
+    N = draw(st.integers(2, 4))
+    T = draw(st.integers(2, 8))
+    owners = draw(st.lists(st.integers(0, N - 1), min_size=T, max_size=T))
+    return {"T": T, "rows": [[int(o == i) for o in owners]
+                             for i in range(N)]}
+
+
+@st.composite
+def _gap_saturating_instances(draw):
+    """Scalar gains and slot owners where sensor 0, with A in [3, 50] and
+    one slot per period of 16 to 24, passes 10^12 inside its gap of T - 1
+    slots; the other sensors' A lie in [1.01, 3]."""
+    T = draw(st.integers(16, 24))
+    gains = [draw(st.floats(3, 50))] + draw(
+        st.lists(st.floats(1.01, 3), min_size=1, max_size=2))
+    owners = draw(st.lists(st.integers(1, len(gains) - 1),
+                           min_size=T - 1, max_size=T - 1))
+    slot = draw(st.integers(0, T - 1))
+    return gains, owners[:slot] + [0] + owners[slot:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance=_gap_saturating_instances())
+@example(instance=([10.0, 1.1], [0] + [1] * 13))
+def test_simulate_periodic_average_is_cost_average_trace(fuzz_dir, instance):
+    # two roads to one quantity: simulate's periodic average over the last
+    # period of 10 and cost's average trace.  The example is two scalar
+    # sensors, A = 10 and 1.1, sensor 0 on slot 0 of 14, where cost reads
+    # 7.216457432207066e+24 for sensor 0.  cost adds a period's traces in
+    # _ordered_sum's order and simulate in np.mean's; two orders of adding
+    # T positive terms differ by at most (T - 1) eps times the sum, so the
+    # averages differ by at most 2 T ulps
+    gains, owners = instance
+    T = len(owners)
+    systems = _write_json(fuzz_dir, _scalar_systems(gains))
+    sched = _write_json(fuzz_dir, {"T": T, "rows": [
+        [int(o == i) for o in owners] for i in range(len(gains))]})
+    code, sim = _cli_outputs(["simulate", "--systems", systems, "--schedule",
+                              sched, "--horizon", str(10 * T)], fuzz_dir)
+    assert code == 0
+    code, cost = _cli_outputs(["cost", "--systems", systems, "--schedule",
+                               sched], fuzz_dir)
+    assert code == 0
+    summary = _read_doc(sim["summary.json"])
+    want = [s["average_trace"] for s in _read_doc(cost["cost.json"])["sensors"]]
+    have = summary["periodic_average"]["per_sensor"]
+    assert want[0] > 1e12
+    for h, w in zip(have, want):
+        if w is None:
+            assert h is None
+        else:
+            assert abs(h - w) <= 2 * T * np.spacing(w), (h, w)
+    assert summary["sensors"][0]["overflow_at"] is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(gains=st.lists(st.floats(1.01, 3), min_size=2, max_size=3),
+       periods=st.sampled_from(["3", "4", "3,4", "5", "3,5"]))
+def test_schedule_costs_are_cost_of_the_schedule_it_wrote(fuzz_dir, gains,
+                                                          periods):
+    # the search's per-sensor costs and cost run on schedule.json agree to
+    # the byte
+    systems = _write_json(fuzz_dir, _scalar_systems(gains))
+    code, found = _cli_outputs(["schedule", "--systems", systems,
+                                f"--periods={periods}"], fuzz_dir)
+    assert code == 0
+    code, priced = _cli_outputs(["cost", "--systems", systems, "--schedule",
+                                 str(found["schedule.json"])], fuzz_dir)
+    assert code == 0
+    assert (found["schedule_cost.json"].read_bytes()
+            == priced["cost.json"].read_bytes())
+
+
+@settings(max_examples=80, deadline=None)
+@given(sched=_exclusive_schedules(), data=st.data())
+def test_attack_commands_agree_with_each_other(fuzz_dir, sched, data):
+    # attack optimal's attack.json makes cost read every blocked sensor
+    # divergent, and attack isolate spoofs as many clocks as the target's
+    # per_target_costs entry, exiting 4 where that entry is null
+    N = len(sched["rows"])
+    path = _write_json(fuzz_dir, sched)
+    code, optimal = _cli_outputs(["attack", "optimal", "--schedule", path],
+                                 fuzz_dir)
+    assert code == 0
+    report = _read_doc(optimal["attack_report.json"])
+    if report["blocking"]:
+        gains = data.draw(st.lists(st.floats(1.01, 3), min_size=N,
+                                   max_size=N))
+        systems = _write_json(fuzz_dir, _scalar_systems(gains))
+        code, priced = _cli_outputs(
+            ["cost", "--systems", systems, "--schedule", path, "--attack",
+             str(optimal["attack.json"])], fuzz_dir)
+        assert code == 0
+        sensors = _read_doc(priced["cost.json"])["sensors"]
+        assert report["blocked_sensors"]
+        for i in report["blocked_sensors"]:
+            assert sensors[i]["divergent"]
+            assert sensors[i]["average_trace"] is None
+    else:
+        assert "attack.json" not in optimal
+    for target, cost in enumerate(report["per_target_costs"]):
+        code, isolated = _cli_outputs(["attack", "isolate", "--schedule",
+                                       path, "--target", str(target)],
+                                      fuzz_dir)
+        if cost is None:
+            assert code == 4
+            continue
+        assert code == 0
+        taus = _read_doc(isolated["attack.json"])["taus"]
+        assert taus[target] == 0
+        assert sum(1 for t in taus if t) == cost
+
+
 @pytest.mark.skipif(not os.path.lexists("/dev/stdin"),
                     reason="the platform has no /dev/stdin")
 @pytest.mark.parametrize("argv, label", [
@@ -784,6 +965,38 @@ def test_steady_state_on_scaled_files_is_right_or_refused(tmp_path, capsys,
                     <= 8 * np.spacing(np.abs(P).max())), e
 
 
+def test_series_on_scaled_files_scales_with_the_units(tmp_path, capsys,
+                                                     systems_path):
+    # the bundled study with Q, R and Pi scaled by 10^e: P_bar and every
+    # trace ladder entry scale by 10^e, so the round robin's periodic
+    # average must too, to at most 8 ulps, the bound P_bar itself keeps
+    # (test_steady_state_on_scaled_files_is_right_or_refused), and no trace
+    # reads +inf, also where traces pass 10^12 (e >= 12)
+    doc = json.loads(Path(systems_path).read_text())
+    sched = tmp_path / "round_robin.json"
+    sched.write_text(json.dumps({"T": 3, "rows": _ROUND_ROBIN_ROWS}))
+    averages, overflows = {}, {}
+    for e in (0, 6, 11, 12, 20, 75):
+        scale = float(f"1e{e}")
+        path = tmp_path / f"study{e}.json"
+        path.write_text(json.dumps([
+            {**entry, **{name: (np.array(entry[name]) * scale).tolist()
+                         for name in ("Q", "R", "Pi")}}
+            for entry in doc]))
+        out = tmp_path / f"sim{e}"
+        assert main(["simulate", "--systems", str(path), "--schedule",
+                     str(sched), "--horizon", "30", "--out", str(out)]) == 0
+        capsys.readouterr()
+        summary = json.loads((out / "summary.json").read_text())
+        overflows[e] = [s["overflow_at"] for s in summary["sensors"]]
+        averages[e] = np.array(summary["periodic_average"]["per_sensor"])
+    for e, got in averages.items():
+        want = averages[0] * float(f"1e{e}")
+        assert (np.abs(got - want) <= 8 * np.spacing(want)).all(), (
+            e, (got - want) / np.spacing(want))
+        assert overflows[e] == [None] * 3, e
+
+
 def test_attack_optimal_exits_5_at_a_large_root(tmp_path, capsys,
                                                monkeypatch):
     # the root LP of a 10-sensor round robin over 1,024 slots has 1,033 x
@@ -802,8 +1015,7 @@ def test_attack_optimal_exits_5_at_a_large_root(tmp_path, capsys,
 
 def test_isolate_fallback_charges_its_search_to_the_budget(tmp_path, capsys,
                                                           monkeypatch):
-    # shifting both other clocks by one covers only slot 1 of sensor 0, so
-    # isolate needs the optimal search, which is charged the dense tableau
+    # isolate runs the optimal search for sensor 0, charged the dense tableau
     # of each LP it solves, 6 rows (4 slots and 2 other sensors) by 6 shift
     # and 6 slack columns, the root's up front, and each node the 2 x 6
     # cells of its cover test

@@ -16,7 +16,6 @@ from schedsec.errors import (ConvergenceError, NumericalError,
 from schedsec.lti_estimation import (LinearSystem, bundled_systems,
                                      load_systems, lyapunov_step,
                                      riccati_step, steady_state)
-from schedsec.simulation import OVERFLOW_TRACE
 
 # frozen from an offline computation that agreed with scipy's DARE solver
 # and a long plain simulation to ~1e-15
@@ -200,17 +199,15 @@ _LADDER_KINDS = {"stable": (0.2, 0.9), "unstable": (1.01, 1.3),
                                 st.sampled_from(sorted(_LADDER_KINDS)),
                                 st.integers(0, 40), st.integers(1, 250)),
                       min_size=1, max_size=6),
-       repeat=st.integers(0, 250), overflow=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
+       repeat=st.integers(0, 250), seed=st.integers(0, 2**32 - 1))
 def test_extend_ladders_keeps_the_bits_of_one_ladder_at_a_time(
-        cases, repeat, overflow, seed):
+        cases, repeat, seed):
     # ladders of mixed state dimension and kind, each already read to its
     # own length, are extended in one call; with `repeat` the first ladder
     # is listed twice.  The ladders of one n step as one stack, and each
     # entry must keep the bits of one 2-D step and one trace per entry,
     # +inf from the first non-finite trace on, also when a later read
-    # extends the ladder again.  With `overflow` a ladder may stop at the
-    # end of the block that holds an entry past OVERFLOW_TRACE.
+    # extends the ladder again.
     rng = np.random.default_rng(seed)
     ladders, lengths = [], []
     with warnings.catch_warnings():
@@ -228,21 +225,13 @@ def test_extend_ladders_keeps_the_bits_of_one_ladder_at_a_time(
     longest = dict(start)
     for lad, length in zip(ladders, lengths):
         longest[lad] = max(longest[lad], length)
-    bound = OVERFLOW_TRACE if overflow else math.inf
-    lti_estimation._extend_ladders(ladders, lengths, overflow=bound)
+    lti_estimation._extend_ladders(ladders, lengths)
     for lad in ladders:
         got = lad._traces
         want = stepped_ladder(lad.sys, lad.P_bar, len(got) - 1)
         assert np.array(got).tobytes() == np.array(want).tobytes()
-        past = [t for t in range(start[lad], len(got))
-                if got[t] > OVERFLOW_TRACE]
         if got[-1] == math.inf:
             assert len(got) <= longest[lad]
-        elif overflow and past:
-            # stopped at the end of the block that holds the first new
-            # entry past OVERFLOW_TRACE
-            steps = len(got) - start[lad]
-            assert steps <= 2 * (past[0] - start[lad] + 1)
         else:
             assert len(got) == longest[lad]
     # each ladder goes on from the iterate of its last entry

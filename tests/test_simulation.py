@@ -18,7 +18,7 @@ from schedsec.protocol_sequences import (construct_shift_invariant,
                                          shortest_period_policies)
 from schedsec.scheduling import (Schedule, ShiftTuple, average_cost,
                                  reception)
-from schedsec.simulation import (OVERFLOW_TRACE, CovarianceSeries,
+from schedsec.simulation import (CovarianceSeries,
                                  _trial_shifts, exact_covariance_series,
                                  monte_carlo_expected_cost)
 
@@ -77,15 +77,20 @@ def test_divergence_under_reference_attack(study_systems, study_ladders,
     assert math.isinf(pa.per_sensor[1]) and math.isinf(pa.per_sensor[2])
 
 
-def test_overflow_freezes_series(study_systems, study_ladders, round_robin):
+def test_overflow_saturates_series(study_systems, study_ladders, round_robin):
+    # starved sensor 2 reads ladder entry k + 1 at slot k, finite up to the
+    # ladder's saturation (slot 11,974) and +inf from there on
     series = exact_covariance_series(study_systems, round_robin,
                                      attack=ShiftTuple(taus=(0, 0, 2)),
-                                     horizon=900, ladders=study_ladders)
+                                     horizon=12_000, ladders=study_ladders)
     k2 = series.overflow_at[2]
     assert k2 is not None
-    assert series.traces[2, k2] > OVERFLOW_TRACE
-    assert np.all(series.traces[2, k2:] == series.traces[2, k2])
+    assert np.isfinite(series.traces[2, :k2]).all()
+    assert np.all(series.traces[2, k2:] == math.inf)
+    assert series.traces[2, k2 - 1] == study_ladders[2].trace(k2)
+    assert series.running_means[2, -1] == math.inf
     assert series.overflow_at[0] is None
+    assert np.isfinite(series.traces[0]).all()
 
 
 def assert_series_is_stepped(systems, sched, attack, horizon, ladders):
@@ -107,46 +112,61 @@ def scalar_system(a, name="scalar"):
 def test_periodic_series_starved_sensor_overflows(study_systems,
                                                   study_ladders, round_robin):
     series = assert_series_is_stepped(study_systems, round_robin,
-                                      ShiftTuple(taus=(0, 0, 2)), 900,
+                                      ShiftTuple(taus=(0, 0, 2)), 12_000,
                                       study_ladders)
     assert series.overflow_at[2] is not None
     assert series.divergent == (False, True, True)
 
 
 def test_periodic_series_overflow_before_first_reception():
-    # A = 1000 passes 1e12 at the third prediction step (slot 2), before the
-    # sensor's first reception at slot 3; the trace stays frozen after it
+    # A = 1000 saturates at the 52nd prediction step (slot 51), before the
+    # sensor's first reception at slot 55, which resets the trace to
+    # Tr P_bar; it saturates again at gap 52 of the next run, slot 107
     systems = [scalar_system(1e3)]
-    sched = Schedule(period=5, rows=((0, 0, 0, 1, 0),))
+    rows = np.zeros((1, 60), dtype=int)
+    rows[0, 55] = 1
     ladders = [steady_state(s) for s in systems]
-    series = assert_series_is_stepped(systems, sched, None, 20, ladders)
-    assert series.overflow_at == (2,)
-    assert np.all(series.traces[0, 2:] == series.traces[0, 2])
+    series = assert_series_is_stepped(systems, Schedule(60, rows), None, 200,
+                                      ladders)
+    assert series.overflow_at == (51,)
+    t = series.traces[0]
+    assert np.all(t[51:55] == math.inf) and np.isfinite(t[:51]).all()
+    assert t[55] == t[115] == ladders[0].trace(0)
+    assert np.isfinite(t[55:107]).all() and np.all(t[107:115] == math.inf)
     assert series.divergent == (False,)
 
 
 def test_periodic_series_overflow_inside_the_period_after_first_reception():
-    # sensor 0 receives at slot 1 of a period of 8; its trace passes 1e12 at
-    # gap 3, so at slot 4, after that reception and inside the period
+    # sensor 0 receives at slot 1 of a period of 60; its trace saturates at
+    # gap 52, so at slot 53, after that reception and inside the period, and
+    # the next reception, at slot 61, resets it to Tr P_bar
     systems = [scalar_system(1e3), scalar_system(1.5, "mild")]
-    sched = Schedule(period=8, rows=((0, 1, 0, 0, 0, 0, 0, 0),
-                                     (1, 0, 1, 0, 1, 0, 1, 0)))
+    rows = np.zeros((2, 60), dtype=int)
+    rows[0, 1] = 1
+    rows[1, ::2] = 1
     ladders = [steady_state(s) for s in systems]
-    series = assert_series_is_stepped(systems, sched, None, 30, ladders)
-    assert series.overflow_at == (4, None)
-    assert np.all(series.traces[0, 4:] == series.traces[0, 4])
+    series = assert_series_is_stepped(systems, Schedule(60, rows), None, 130,
+                                      ladders)
+    assert series.overflow_at == (53, None)
+    t = series.traces[0]
+    assert np.isfinite(t[:53]).all() and np.all(t[53:61] == math.inf)
+    assert t[61] == ladders[0].trace(0) and np.isfinite(t[61:113]).all()
 
 
 def test_periodic_series_overflow_from_the_steady_state_on():
-    # R = 1e14 puts Tr P_bar at 7.5e13, past OVERFLOW_TRACE at gap 0, but
-    # slot 0 (gap 1, before the first reception at slot 2) overflows first
-    systems = [LinearSystem(A=[[2.0]], C=[[1.0]], Q=[[1.0]], R=[[1e14]],
+    # R = 1e307 puts Tr P_bar at 7.5e306, two prediction steps from
+    # saturation: slot 1 (gap 2, before the first reception at slot 2) is
+    # the first +inf, and each reception reads the huge P_bar as it is
+    systems = [LinearSystem(A=[[2.0]], C=[[1.0]], Q=[[1.0]], R=[[1e307]],
                             Pi=[[1.0]])]
     sched = Schedule(period=4, rows=((0, 0, 1, 0),))
     ladders = [steady_state(s) for s in systems]
-    assert ladders[0].trace(0) > OVERFLOW_TRACE
+    assert ladders[0].ladder(2)[1:] == [pytest.approx(3e307), math.inf]
     series = assert_series_is_stepped(systems, sched, None, 10, ladders)
-    assert series.overflow_at == (0,)
+    assert series.overflow_at == (1,)
+    t = series.traces[0]
+    assert t[2] == t[6] == ladders[0].trace(0) > 1e306
+    assert np.all(t[[1, 4, 5, 8, 9]] == math.inf)
 
 
 def test_series_same_whether_pricing_extended_the_ladders(study_systems):
@@ -204,29 +224,38 @@ def test_periodic_series_matches_stepping_on_random_schedules(
 @pytest.mark.parametrize("n", [3, 9])
 def test_series_blocks_match_stepping_beyond_two_states(n, cap, monkeypatch):
     # a 9 x 9 trace sums its diagonal pairwise; a block's traces must keep
-    # those bits.  Sensor 0 receives, sensor 1 passes OVERFLOW_TRACE at slot
-    # 59, inside a block, before its one reception at slot 90, and sensor 2
-    # never receives.  The horizons end on, before and after block edges;
-    # a cap of 8 slots puts most of them past the cap.
+    # those bits.  Sensor 0 receives, sensor 1 saturates at slot 1,587 or
+    # 1,588, inside a block, before its one reception at slot 1,800, which
+    # resets it, and sensor 2 never receives.  The horizons end on, before
+    # and after block edges; a cap of 8 slots puts most of them past the
+    # cap.
     if cap is not None:
         monkeypatch.setattr(lti_estimation, "_BLOCK_CAP", cap)
     systems = [symmetric_system(n, np.linspace(0.5, 1.3, n), n, "receiving"),
                symmetric_system(n, np.linspace(0.9, 1.25, n), n, "overflow"),
                symmetric_system(n, np.linspace(0.3, 1.001, n), n, "starved")]
     ladders = [steady_state(s) for s in systems]
-    rows = np.zeros((3, 100), dtype=int)
+    rows = np.zeros((3, 2000), dtype=int)
     rows[0, 3::10] = 1
-    rows[1, 90] = 1
-    sched = Schedule(period=100, rows=rows)
+    rows[1, 1800] = 1
+    sched = Schedule(period=2000, rows=rows)
     edges = set(itertools.accumulate(lti_estimation._block_sizes(5000)))
-    for horizon in (1, 63, 64, 65, 200, 5000):
+    for horizon in (1, 63, 64, 65, 200, 1700, 5000):
         series = assert_series_is_stepped(systems, sched, None, horizon,
                                           ladders)
         assert series.divergent == (False, False, True)
-        if horizon > 59:
-            assert series.overflow_at == (None, 59, None)
-            assert 59 not in edges and 60 not in edges
-        assert np.isfinite(series.traces).all()
+        k = series.overflow_at[1]
+        if horizon > 1588:
+            assert series.overflow_at[::2] == (None, None)
+            assert k == {3: 1587, 9: 1588}[n]
+            # slot k reads entry k + 1, the first one that is +inf
+            assert k not in edges and k + 1 not in edges
+            assert np.all(series.traces[1, k:min(horizon, 1800)] == math.inf)
+        else:
+            assert series.overflow_at == (None, None, None)
+        if horizon > 1800:
+            assert series.traces[1, 1800] == ladders[1].trace(0)
+        assert np.isfinite(series.traces[::2]).all()
 
 
 def counted_stack(monkeypatch):
@@ -245,18 +274,19 @@ def counted_stack(monkeypatch):
 
 def test_series_overflow_costs_at_most_twice_the_slot_by_slot_steps(
         monkeypatch):
-    # A = 1000 passes OVERFLOW_TRACE at slot 2, after 3 steps; the ladder
-    # block that holds it is stepped to its end, and no further block.  The
-    # ladder steps through the stacked kernel, whose calls are counted
+    # A = 1000 saturates at slot 51, after 52 steps; the ladder block that
+    # holds it is stepped to its end, and no further block, although the
+    # horizon reads a million entries.  The ladder steps through the
+    # stacked kernel, whose calls are counted
     systems = [scalar_system(1e3)]
     ladders = [steady_state(s) for s in systems]
     calls = counted_stack(monkeypatch)
     series = exact_covariance_series(
         systems, Schedule(period=1, rows=((0,),)), horizon=10**6,
         ladders=ladders)
-    assert series.overflow_at == (2,)
-    assert np.all(series.traces[0, 2:] == series.traces[0, 2])
-    assert 3 <= len(calls) <= 2 * 3
+    assert series.overflow_at == (51,)
+    assert np.all(series.traces[0, 51:] == math.inf)
+    assert 52 <= len(calls) <= 2 * 52
 
 
 def random_system(rng, n, name):
@@ -289,8 +319,9 @@ def test_periodic_series_matches_stepping_in_other_state_dimensions(n):
 
 
 def test_periodic_series_overflow_in_three_dimensions():
-    # sensor 0 (growth 40 per slot) passes OVERFLOW_TRACE inside its gap of
-    # 9 slots; sensor 1 never receives and overflows later; sensor 2 is fine
+    # sensor 0 (growth 40 per slot) saturates at gap 96, inside its gap of
+    # 99 slots, and each reception resets it; sensor 1 never receives and
+    # saturates later; sensor 2 is fine
     A = np.diag([40.0, 0.5, 0.3])
     A[0, 1] = 1.0
     fast = LinearSystem(A=A, C=[[1.0, 1.0, 1.0]], Q=np.eye(3), R=[[1.0]],
@@ -299,10 +330,12 @@ def test_periodic_series_overflow_in_three_dimensions():
     systems = [fast, random_system(rng, 3, "starved"),
                random_system(rng, 3, "served")]
     ladders = [steady_state(s) for s in systems]
-    sched = Schedule(period=10, rows=((1,) + (0,) * 9, (0,) * 10,
-                                      (0,) + (1,) * 9))
-    series = assert_series_is_stepped(systems, sched, None, 400, ladders)
-    assert series.overflow_at[0] is not None and series.overflow_at[0] < 10
+    sched = Schedule(period=100, rows=((1,) + (0,) * 99, (0,) * 100,
+                                       (0,) + (1,) * 99))
+    series = assert_series_is_stepped(systems, sched, None, 2000, ladders)
+    assert series.overflow_at[0] == 96
+    assert np.all(series.traces[0, 96:100] == math.inf)
+    assert series.traces[0, 100] == ladders[0].trace(0)
     assert series.overflow_at[1] is not None
     assert series.overflow_at[2] is None
     assert series.divergent == (False, True, False)
@@ -312,9 +345,9 @@ def test_periodic_series_overflow_in_three_dimensions():
 @pytest.mark.parametrize("growths", [(30.0, 4.0), (30.0, 4.0, 1.5)])
 def test_series_starved_sensors_of_one_dimension_overflow_apart(
         n, growths, monkeypatch):
-    # sensors of one state dimension that never receive overflow at
+    # sensors of one state dimension that never receive saturate at
     # different slots; their ladders step as one stack until the last has
-    # left it, at most twice the steps up to the last overflow
+    # left it, at most twice the steps up to the last saturation
     systems = [symmetric_system(n, np.linspace(g, 0.5, n), i, f"starved {i}")
                for i, g in enumerate(growths)]
     systems.append(symmetric_system(n, np.linspace(1.2, 0.5, n), 9, "served"))
@@ -332,8 +365,8 @@ def test_series_starved_sensors_of_one_dimension_overflow_apart(
 
 
 def test_series_starved_sensors_of_mixed_dimensions(monkeypatch):
-    # starved sensors of 1, 2 and 3 states, and a served 2-state sensor;
-    # each dimension steps its own stack
+    # starved sensors of 1, 2 and 3 states, which saturate by slot 1,054,
+    # and a served 2-state sensor; each dimension steps its own stack
     systems = [symmetric_system(1, [3.0], 1, "one"),
                symmetric_system(2, [0.4, 2.0], 2, "two"),
                symmetric_system(3, [0.3, 0.6, 1.4], 3, "three"),
@@ -342,7 +375,7 @@ def test_series_starved_sensors_of_mixed_dimensions(monkeypatch):
     rows = np.zeros((4, 5), dtype=int)
     rows[3, 2] = 1
     heights = counted_stack(monkeypatch)
-    series = assert_series_is_stepped(systems, Schedule(5, rows), None, 500,
+    series = assert_series_is_stepped(systems, Schedule(5, rows), None, 1200,
                                       ladders)
     assert series.divergent == (True, True, True, False)
     assert None not in series.overflow_at[:3]
@@ -353,7 +386,8 @@ def test_series_starved_sensors_of_mixed_dimensions(monkeypatch):
 @pytest.mark.parametrize("starved", [False, True])
 def test_series_with_one_ladder_listed_twice(starved, monkeypatch):
     # two sensors share one system and one ladder object; the ladder is
-    # stepped once, as a stack of one, to the longer length either reads
+    # stepped once, as a stack of one, to the longer length either reads;
+    # starved, sensor 1 saturates at slot 874
     sys = symmetric_system(2, [0.5, 1.5], 5, "shared")
     lad = steady_state(sys)
     rows = np.zeros((2, 10), dtype=int)
@@ -362,7 +396,7 @@ def test_series_with_one_ladder_listed_twice(starved, monkeypatch):
         rows[1, 8] = 1
     heights = counted_stack(monkeypatch)
     series = assert_series_is_stepped([sys, sys], Schedule(10, rows), None,
-                                      200, [lad, lad])
+                                      1000, [lad, lad])
     assert set(heights) == {1}
     assert (series.overflow_at[1] is not None) == starved
 
