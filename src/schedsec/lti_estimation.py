@@ -104,7 +104,8 @@ def _block_sizes(count: int):
 
 
 def _symmetrize(X):
-    return (X + X.T) / 2.0
+    H = X * 0.5  # halved before the sum, which may pass the float range
+    return H + H.T
 
 
 def _check_symmetric(M, tol=PSD_TOL):
@@ -285,8 +286,8 @@ def lyapunov_step(sys: LinearSystem, X) -> np.ndarray:
         raise ValidationError(f"cannot read X as a matrix: {exc}") from None
     if X.shape != sys.A.shape:
         _as_matrix(X, rows=sys.n, cols=sys.n)
-    M = sys.A @ X @ sys.A.T + sys.Q
-    return (M + M.T) / 2.0
+    H = (sys.A @ X @ sys.A.T + sys.Q) * 0.5
+    return H + H.T
 
 
 def _solve_or_nan(a, b):
@@ -333,8 +334,8 @@ def _riccati_update(sys: LinearSystem, X: np.ndarray,
         K = solve(S, CX).T
         I_KC = np.eye(sys.n) - K @ C
         return _symmetrize(I_KC @ X @ I_KC.T + K @ sys.R @ K.T)
-    M = X - X @ C.T @ solve(S, CX)
-    return (M + M.T) / 2.0
+    H = (X - X @ C.T @ solve(S, CX)) * 0.5
+    return H + H.T
 
 
 def riccati_step(sys: LinearSystem, X) -> np.ndarray:
@@ -413,8 +414,8 @@ def _lyapunov_stack(A, X, At, Q):
     with A, At = A' (a transposed view) and Q stacked alike.  Each slice
     keeps the bits of the 2-D step: matmul steps a stack one matrix at a
     time through the same BLAS call as a lone matrix."""
-    M = A @ X @ At + Q
-    return (M + M.swapaxes(1, 2)) / 2.0
+    H = (A @ X @ At + Q) * 0.5
+    return H + H.swapaxes(1, 2)
 
 
 def _extend_ladders(ladders, lengths) -> None:

@@ -22,14 +22,15 @@ and a necklace prefix by the runs it has closed and the slots it has left.
 It takes the count vectors in ascending bound and walks each one's
 necklaces by content, pruning every prefix whose bound cannot reach the
 least total so far, and prices each necklace it reaches from the runs the
-walk carries.  A vector that starves a sensor bounds at inf, so its
-necklaces come last and are reached only while no schedule has a finite
-cost.
+walk carries.  Only a finite total can win, so the search takes only
+the count vectors that give every sensor a slot, and refuses when no
+schedule of its periods has a finite cost.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf, isinf
@@ -37,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (NumericalError, ValidationError, Work, json_list,
+from .errors import (InfeasibleError, ValidationError, Work, json_list,
                      json_object, strict_int)
 from .lti_estimation import (LinearSystem, SteadyState, _ordered_sum,
                              steady_state)
@@ -398,11 +399,11 @@ def _fixed_content_necklaces(counts: Sequence[int], least, cut, work: Work):
     (`_count_bounds`' table); the symbol's `left` slots to come split its
     open span, L = T - l + f slots from l round to f, into left + 1 runs,
     which cost at least least[s][left + 1][L], and a symbol not yet placed
-    costs at least least[s][counts[s]][T].  A node whose sum of these, over T, exceeds
-    cut() is pruned with its subtree, and each node entered is charged one
-    step to `work`.  No recursion: one generator per slot fills it with
-    each symbol in turn, and a stack holds them.  Yields (necklace, runs),
-    runs[s] the sorted cyclic runs of symbol s, () for one with no slot.
+    costs at least least[s][counts[s]][T].  A node whose sum of these, over
+    T, exceeds cut() is pruned with its subtree, and each node entered is
+    charged one step to `work`.  No recursion: one generator per slot fills
+    it with each symbol in turn, and a stack holds them.  Yields, for
+    positive counts, (necklace, runs), runs[s] symbol s's sorted cyclic runs.
     """
     T, K = sum(counts), len(counts)
     left = list(counts)
@@ -434,8 +435,7 @@ def _fixed_content_necklaces(counts: Sequence[int], least, cut, work: Work):
                 if l:
                     runs[j].pop()
 
-    # every necklace starts with the least symbol of its content
-    stack = [fill(1, [next(s for s in range(K) if left[s])])]
+    stack = [fill(1, [0])]  # every necklace starts with symbol 0
     while stack:
         t = len(stack)
         if next(stack[-1], stack) is stack:  # slot t has no symbol left
@@ -443,17 +443,15 @@ def _fixed_content_necklaces(counts: Sequence[int], least, cut, work: Work):
         elif t < T:
             stack.append(fill(t + 1, range(a[t + 1 - p[t + 1]], K)))
         elif T % p[T + 1] == 0:
-            yield tuple(a[1:]), [tuple(sorted(r + [T - l + f])) if l else ()
+            yield tuple(a[1:]), [tuple(sorted(r + [T - l + f]))
                                  for r, f, l in zip(runs, first, last)]
 
 
-def _contents(T: int, N: int, least: int):
-    """Every count vector (k_1, ..., k_N) with sum T and each k_i >= least
-    (0 or 1), by stars and bars: adding 1 - least to each part makes all
-    N parts positive, and N - 1 cuts split their sum into them."""
-    S = T + N * (1 - least)
-    for cuts in itertools.combinations(range(1, S), N - 1):
-        yield tuple(b - a + least - 1 for a, b in zip((0, *cuts), (*cuts, S)))
+def _contents(T: int, N: int):
+    """Every count vector (k_1, ..., k_N) of positive parts with sum T, by
+    stars and bars: N - 1 cuts split the T slots into N runs."""
+    for cuts in itertools.combinations(range(1, T), N - 1):
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, T)))
 
 
 def _least_rotation(cols: np.ndarray, n_sensors: int):
@@ -486,19 +484,18 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
     for all.  The cost is also a sum over sensors, and sensor i's part is
     at least `_count_bounds`' least[i][k_i][T] / T for its slot count k_i,
     so every necklace with count vector (k_1, ..., k_N) costs at least
-    LB = sum_i least[i][k_i][T] / T.  The search takes the compositions of
-    each candidate period T into N positive parts, C(T-1, N-1) of them, in
-    ascending (LB, T, counts), then the vectors with some k_i = 0, whose
-    LB is inf, built only when the walk reaches them; it stops at the
-    first vector whose LB exceeds the least total priced so far by more
-    than a relative 1e-9 (the bound adds in another order than the
+    LB = sum_i least[i][k_i][T] / T.  A sensor without a slot costs inf,
+    so the search takes only the compositions of each candidate period T
+    into N positive parts, C(T-1, N-1) of them, in ascending (LB, T,
+    counts), and stops at the first vector whose LB exceeds the cut: the
+    largest finite float until a total is priced, then the least total so
+    far plus a relative 1e-9 (the bound adds in another order than the
     pricer).  Each vector's necklaces are walked by content
     (`_fixed_content_necklaces`), and a prefix whose own bound exceeds the
-    same cut is pruned with every necklace below it.  Nothing is pruned
-    while there is no finite total, so a necklace that leaves a sensor
-    without a slot (total inf) is priced only if no schedule that serves
-    every sensor has a finite cost; totals that tie are never pruned, so
-    the result does not depend on the walk order.  An exclusive
+    same cut is pruned with every necklace below it; totals that tie are
+    never pruned, so the result does not depend on the walk order.  A
+    total of inf or NaN is never kept, and when no schedule has a finite
+    total the search raises InfeasibleError.  An exclusive
     assignment's reception rows are its own rows, so each necklace the
     walk reaches is priced from the runs it carries, each sensor's gap
     multiset once however many necklaces share it, with the same float
@@ -510,7 +507,7 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
     can win, so only their rotations are compared, in `_least_rotation`
     calls of at most _BLOCK_SLOTS slots.  Each candidate period must be
     an integer (`strict_int`).  The budget (SCHEDSEC_BUDGET) is charged
-    the C(T+N-1, N-1) count vectors of each period and the
+    the C(T-1, N-1) count vectors of each period and the
     N * C(T_max+2, 3) cells of the bound table before either is built,
     and one step for each walk node as it is entered; exceeding it raises
     BudgetError.
@@ -525,22 +522,17 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
         raise ValidationError(f"period {cands[0]} cannot give all {N} "
                               f"sensors a slot; use T >= {N}")
     work = Work(f"the schedule search over {N} sensors")
-    work.charge(sum(comb(T + N - 1, N - 1) for T in cands)  # count vectors
+    work.charge(sum(comb(T - 1, N - 1) for T in cands)  # count vectors
                 + N * comb(cands[-1] + 2, 3))  # `_count_bounds`' DP cells
     if ladders is None:
         ladders = [steady_state(s) for s in systems]
     price = _gap_pricer(ladders)
     least = _count_bounds(ladders, cands[-1])
     best = None  # (total, flat_key, T, uint8 rows, per-sensor costs)
-    lead = cut = inf  # the least total priced so far, and what it admits
-    # a vector that starves a sensor bounds at inf (its entry 0), so all of
-    # them follow the positive ones, and none is built unless it is reached
-    vectors = itertools.chain(
-        sorted((_ordered_sum(least[i][k][T] / T for i, k in enumerate(counts)),
-                T, counts)
-               for T in cands for counts in _contents(T, N, 1)),
-        ((inf, T, counts) for T in cands for counts in _contents(T, N, 0)
-         if 0 in counts))
+    lead = cut = sys.float_info.max  # the least total so far; what it admits
+    vectors = sorted(
+        (_ordered_sum(least[i][k][T] / T for i, k in enumerate(counts)),
+         T, counts) for T in cands for counts in _contents(T, N))
     for lb, T, counts in vectors:
         if lb > cut:
             break  # every later vector's bound is at least as high
@@ -550,7 +542,7 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
             if leaf:
                 per = tuple(map(price, range(N), leaf[1]))
                 total = _ordered_sum(per)  # CostReport.total, to the bit
-                if not total <= lead:  # a NaN total never wins
+                if not total <= lead:  # an inf or NaN total never wins
                     continue
                 if total < lead:
                     lead, cut, tied = total, total + 1e-9 * abs(total), []
@@ -564,7 +556,6 @@ def optimal_schedule_search(systems: Sequence[LinearSystem],
                     best = (lead, key, T, rows, tied[w][1])
                 tied = []
     if best is None:
-        raise NumericalError(
-            f"every schedule of periods {cands} prices NaN; no schedule "
-            f"can be chosen")
+        raise InfeasibleError(f"no schedule of periods {cands} gives every "
+                              f"sensor a finite cost")
     return Schedule(period=best[2], rows=best[3]), CostReport(best[4])

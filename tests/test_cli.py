@@ -59,27 +59,18 @@ def sched_path(tmp_path, systems_path):
     return str(out / "schedule.json")
 
 
-def test_schedule_command_on_divergent_systems(tmp_path):
+def test_schedule_command_on_divergent_systems(tmp_path, capsys):
     # with A = 1e150 a trace overflows two slots after a reception, and at
-    # T = 3 or 4 one of three sensors waits longer, so every schedule
-    # diverges and the search walks the necklaces that starve a sensor;
-    # the winner and both documents are pinned
+    # T = 3 or 4 one of three sensors waits longer, so no schedule has a
+    # finite cost: the search refuses with exit 4 and writes nothing
     out = tmp_path / "div"
     systems = Path(__file__).parent / "data" / "divergent_systems.json"
     assert main(["schedule", "--systems", str(systems), "--periods", "3,4",
-                 "--out", str(out)]) == 0
-    sched = Schedule.from_dict(_read_doc(out / "schedule.json"))
-    assert sched.to_dict() == {"T": 4, "rows": [[0, 0, 0, 0], [0, 0, 0, 0],
-                                                [1, 1, 1, 1]]}
-    cost = json.loads((out / "schedule_cost.json").read_text())
-    assert [s["divergent"] for s in cost["sensors"]] == [True, True, False]
-    manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["outputs"] == {
-        "schedule.json": "sha256:9cbd719c096f834f75449de1f28f4017"
-                         "a2edc8efe74e999ce86665cdda6c5d76",
-        "schedule_cost.json": "sha256:35d128177f7a8c71be550804e6a12075"
-                              "6fccdabccd6a231b4ef4affb32c9171e",
-    }
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "error: no schedule of periods [3, 4] gives every sensor a finite "
+        "cost\n")
+    assert not out.exists()
 
 
 def test_schedule_command_reproduces_reference(tmp_path, systems_path):
@@ -339,6 +330,71 @@ def test_malformed_schedule_and_shift_documents_exit_3(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value, message", [
+    ("abc", "SCHEDSEC_BUDGET must be an integer, got 'abc'"),
+    ("0", "SCHEDSEC_BUDGET must be positive, got 0"),
+    ("-3", "SCHEDSEC_BUDGET must be positive, got -3"),
+])
+@pytest.mark.parametrize("command", ["schedule", "attack optimal",
+                                     "defend verify", "simulate"])
+def test_bad_budget_setting_exits_3(command, value, message, monkeypatch,
+                                    capsys, systems_path, sched_path):
+    argv = {
+        "schedule": ["schedule", "--systems", systems_path, "--periods", "3"],
+        "attack optimal": ["attack", "optimal", "--schedule", sched_path],
+        "defend verify": ["defend", "verify", "--schedule", sched_path],
+        "simulate": ["simulate", "--systems", systems_path,
+                     "--schedule", sched_path, "--horizon", "10"],
+    }[command]
+    monkeypatch.setenv(BUDGET_ENV_VAR, value)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_schedule_periods_that_do_not_parse_exit_3(capsys, systems_path):
+    assert main(["schedule", "--systems", systems_path,
+                 "--periods", "3,x"]) == 3
+    assert capsys.readouterr().err == (
+        "error: cannot parse period list '3,x'\n")
+
+
+def test_shortest_period_defense_takes_n_from_a_schedule(tmp_path, capsys,
+                                                          sched_path):
+    out = tmp_path / "sp"
+    assert main(["defend", "construct", "--mode", "shortest-period",
+                 "--schedule", sched_path, "--out", str(out)]) == 0
+    got = policies_from_dict(_read_doc(out / "policies.json"))
+    assert got == shortest_period_policies(3)
+    capsys.readouterr()
+    assert main(["defend", "construct", "--mode", "shortest-period"]) == 3
+    assert capsys.readouterr().err == (
+        "error: shortest-period mode needs -n or --schedule to fix the "
+        "sensor count\n")
+
+
+def test_reproduce_paper_with_one_sensor_exits_4(tmp_path, capsys):
+    # a lone sensor's schedule has no other row to collide with, so no
+    # attack can block it
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps([{"A": [[1.5]], "C": [[1.0]], "Q": [[1.0]],
+                                 "R": [[1.0]], "Pi": [[1.0]]}]))
+    out = tmp_path / "rep"
+    assert main(["reproduce-paper", "--systems", str(path),
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "error: no blocking attack exists for this schedule\n")
+    assert not out.exists()
+
+
+def test_attack_random_negative_seed_exits_2(capsys, sched_path):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", "random", "--schedule", sched_path, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "must be nonnegative, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [b"{", b"\xff\xfe{}",
                                   b"[" * 100_000 + b"]" * 100_000])
 def test_unreadable_document_exit_3(tmp_path, capsys, text):
@@ -514,11 +570,10 @@ def fuzz_dir(tmp_path_factory):
                                 "construct", "bounds", "optimal",
                                 "schedule"]))
 def test_cli_contract_under_fuzzed_documents(fuzz_dir, data, command):
-    """Any schedule, shift, policy or systems document gives exit 0, 3, 4
-    or 5 and never a traceback, and `schedule`, with any `--periods`
-    text, 0, 3 or 5.  `defend construct --mode same-duty`, `defend
-    bounds`, `attack optimal` and `schedule` run under a small work
-    budget."""
+    """Any schedule, shift, policy or systems document, and with
+    `schedule` any `--periods` text, gives exit 0, 3, 4 or 5 and never a
+    traceback.  `defend construct --mode same-duty`, `defend bounds`,
+    `attack optimal` and `schedule` run under a small work budget."""
     # three sensors, as in the bundled study, half of the time
     n = data.draw(st.just(3) | st.integers(1, 4))
     T = data.draw(st.integers(1, 6))
@@ -563,8 +618,7 @@ def test_cli_contract_under_fuzzed_documents(fuzz_dir, data, command):
                             else {}):
         warnings.simplefilter("ignore", StabilityWarning)
         code = main(argv)
-    assert code in ((0, 3, 5) if command == "schedule" else (0, 3, 4, 5)), \
-        (argv, err.getvalue())
+    assert code in (0, 3, 4, 5), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
 
 
@@ -610,7 +664,7 @@ def test_simulate_monte_carlo_is_over_random_shifts(tmp_path, systems_path):
 def test_simulate_saturated_trace_writes_strict_json_and_no_warning(
         tmp_path):
     # sensor 1 (A = 1.1) never receives, and its trace ladder saturates:
-    # from slot 3,711 on the trace reads +inf.  With warnings raised as
+    # from slot 3,714 on the trace reads +inf.  With warnings raised as
     # errors the run must print nothing to stderr and write RFC 8259 JSON
     # (no Infinity or NaN), with overflow_at the first slot that reads +inf
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -631,7 +685,7 @@ def test_simulate_saturated_trace_writes_strict_json_and_no_warning(
             (out / "series.csv").read_text().splitlines()[1:]]
     traces = [float(trace) for _, sensor, trace, *_ in rows if sensor == "1"]
     first = traces.index(math.inf)
-    assert first == 3711 and all(t == math.inf for t in traces[first:])
+    assert first == 3714 and all(t == math.inf for t in traces[first:])
     assert [s["overflow_at"] for s in doc["sensors"]] == [None, first]
     assert doc["sensors"][1]["final_trace"] is None
     assert doc["sensors"][1]["mean_trace"] is None

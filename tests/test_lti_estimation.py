@@ -130,6 +130,18 @@ def test_trace_ladder_saturates_at_inf(A, C, first):
     assert lad.trace(10_000) == math.inf
 
 
+def test_trace_ladder_saturates_only_past_the_float_range():
+    # the symmetrization halves before it adds, so a step whose M + M'
+    # passes the float range while its half-sum does not stays finite:
+    # entry 2 is 4 * entry 1 + 1, about 1.2e308
+    sys = LinearSystem(A=[[2.0]], C=[[1.0]], Q=[[1.0]], R=[[1e307]],
+                       Pi=[[1.0]])
+    lad = steady_state(sys)
+    assert lad.ladder(3) == [7.499999999125764e+306, 2.9999999996503057e+307,
+                             1.1999999998601223e+308, math.inf]
+    assert lyapunov_step(sys, [[lad.trace(1)]])[0, 0] == lad.trace(2)
+
+
 def test_trace_ladder_is_lazy_and_consistent(study_systems, study_ladders):
     lad = study_ladders[1]
     sys = study_systems[1]

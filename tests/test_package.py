@@ -94,3 +94,55 @@ def test_size_arguments_are_strict_integers(call, bad, study_systems,
     with pytest.raises(ValidationError, match="must be an integer"):
         SIZED_CALLS[call](study_systems, round_robin, bad)
     SIZED_CALLS[call](study_systems, round_robin, 3)  # an int is taken
+
+
+# one call per argument check that refuses a value of the right type, with
+# the message it must raise
+REFUSED_CALLS = {
+    "search without systems": (
+        lambda systems, sched, ladder: schedsec.optimal_schedule_search(
+            [], [3]), "need at least one system"),
+    "search without periods": (
+        lambda systems, sched, ladder: schedsec.optimal_schedule_search(
+            systems, []), "T_candidates must be nonempty"),
+    "defense without factors": (
+        lambda systems, sched, ladder: schedsec.construct_shift_invariant([]),
+        "need at least one duty factor"),
+    "shortest period of no sensor": (
+        lambda systems, sched, ladder: schedsec.shortest_period_policies(0),
+        "need at least one sensor, got 0"),
+    "attack of period 0": (
+        lambda systems, sched, ladder: schedsec.random_attack(0, 3, 0),
+        "period must be >= 1, got 0"),
+    "attack of no sensor": (
+        lambda systems, sched, ladder: schedsec.random_attack(3, 0, 0),
+        "need at least one sensor, got 0"),
+    "negative shift": (
+        lambda systems, sched, ladder: schedsec.ShiftTuple((0, -1)),
+        "shift for sensor 1 must be >= 0, got -1"),
+    "shift of an empty row": (
+        lambda systems, sched, ladder: schedsec.apply_shift((), 1),
+        "cannot shift an empty row"),
+    "negative ladder index": (
+        lambda systems, sched, ladder: ladder.trace(-1),
+        "ladder index must be >= 0, got -1"),
+    "correlation with a shift missing": (
+        lambda systems, sched, ladder: schedsec.hamming_cross_correlation(
+            sched, (0, 1), (0,)), "1 shifts for a 2-sensor tuple"),
+    "series with a system missing": (
+        lambda systems, sched, ladder: schedsec.exact_covariance_series(
+            systems[:2], sched, horizon=5), "2 systems for 3 policy rows"),
+    "Monte Carlo with a system missing": (
+        lambda systems, sched, ladder: schedsec.monte_carlo_expected_cost(
+            systems[:2], sched, trials=2, seed=0),
+        "2 systems for 3 policy rows"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(REFUSED_CALLS))
+def test_library_calls_refuse_bad_values(call, study_systems, study_ladders,
+                                         round_robin):
+    run, message = REFUSED_CALLS[call]
+    with pytest.raises(ValidationError) as err:
+        run(study_systems, round_robin, study_ladders[0])
+    assert str(err.value) == message

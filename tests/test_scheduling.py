@@ -19,7 +19,7 @@ from conftest import (enumerated_schedule_search, fkm_necklaces,
                       random_unstable_system)
 from schedsec import scheduling
 from schedsec.cli import _cost_csv
-from schedsec.errors import (BudgetError, NumericalError, ValidationError,
+from schedsec.errors import (BudgetError, InfeasibleError, ValidationError,
                              Work, read_json)
 from schedsec.lti_estimation import load_systems, steady_state
 from schedsec.scheduling import (Schedule, ShiftTuple, _binary_rows,
@@ -425,7 +425,7 @@ def test_search_budget(study_systems, study_ladders, monkeypatch):
 def test_search_budget_counts_vectors_cells_and_nodes(study_systems,
                                                      study_ladders,
                                                      monkeypatch):
-    # the 10 + 15 count vectors of periods 3 and 4 and the 3 * C(6, 3)
+    # the 1 + 3 count vectors of periods 3 and 4 and the 3 * C(6, 3)
     # cells of the bound table are charged at once, before either is
     # built, then one step per walk node as it is entered; exactly that
     # much passes
@@ -439,7 +439,7 @@ def test_search_budget_counts_vectors_cells_and_nodes(study_systems,
     monkeypatch.setattr(scheduling, "Work", Recording)
     want = optimal_schedule_search(study_systems, [3, 4],
                                    ladders=study_ladders)
-    assert charges[0] == 10 + 15 + 60 and set(charges[1:]) == {1}
+    assert charges[0] == 1 + 3 + 60 and set(charges[1:]) == {1}
     used = sum(charges)
     monkeypatch.setenv("SCHEDSEC_BUDGET", str(used))
     assert optimal_schedule_search(study_systems, [3, 4],
@@ -453,10 +453,10 @@ def test_search_budget_counts_vectors_cells_and_nodes(study_systems,
 
     monkeypatch.setattr(scheduling, "_count_bounds", refuse)
     monkeypatch.setattr(scheduling, "_contents", refuse)
-    monkeypatch.setenv("SCHEDSEC_BUDGET", "84")
+    monkeypatch.setenv("SCHEDSEC_BUDGET", "63")
     with pytest.raises(BudgetError):
         optimal_schedule_search(study_systems, [3, 4], ladders=study_ladders)
-    # C(10^5 + 2, 2) vectors are refused before one is built
+    # C(10^5 - 1, 2) vectors are refused before one is built
     monkeypatch.delenv("SCHEDSEC_BUDGET")
     with pytest.raises(BudgetError) as exc:
         optimal_schedule_search(study_systems, [10**5],
@@ -544,18 +544,21 @@ def _content_size(counts):
 @pytest.mark.parametrize("length", range(1, 9))
 def test_fixed_content_necklaces_are_fkm_by_content(n_symbols, length):
     # with nothing to prune, the walk yields every necklace of each
-    # content, in FKM's order, with each symbol's runs as the gap kernel
-    # reads them off the necklace's rows
+    # content with every symbol present, in FKM's order, with each
+    # symbol's runs as the gap kernel reads them off the necklace's rows
     groups = _necklaces_by_content(n_symbols, length)
     least = _count_bounds([_OverflowLadder(1.0)] * n_symbols, length)
-    for counts in itertools.product(range(length + 1), repeat=n_symbols):
-        if sum(counts) == length:
-            walk = list(_fixed_content_necklaces(
-                counts, least, lambda: math.inf, Work("a walk")))
-            assert [neck for neck, _ in walk] == groups[counts]
-            for neck, runs in walk:
-                rows = [[int(c == s) for c in neck] for s in range(n_symbols)]
-                assert runs == _row_runs(np.array(rows, dtype=np.uint8))
+    walked = []
+    for counts in _compositions(length, n_symbols):
+        walk = list(_fixed_content_necklaces(
+            counts, least, lambda: math.inf, Work("a walk")))
+        assert [neck for neck, _ in walk] == groups[counts]
+        for neck, runs in walk:
+            rows = [[int(c == s) for c in neck] for s in range(n_symbols)]
+            assert runs == _row_runs(np.array(rows, dtype=np.uint8))
+        walked += [neck for neck, _ in walk]
+    assert sorted(walked) == [neck for neck in fkm_necklaces(n_symbols, length)
+                              if len(set(neck)) == n_symbols]
 
 
 def test_necklace_walk_runs_past_the_recursion_limit():
@@ -704,6 +707,11 @@ class _OverflowLadder:
         return [self.trace(t) for t in range(upto + 1)]
 
 
+def _no_finite_message(periods):
+    return (f"no schedule of periods {periods} gives every sensor a finite "
+            f"cost")
+
+
 @pytest.mark.parametrize("traces", [
     ((1.0,), (1.0,), (1.0,)),
     ((1.0,), (1.0, 2.0), (1.0, 2.0)),
@@ -714,14 +722,30 @@ class _OverflowLadder:
 ])
 def test_search_matches_oracle_when_no_schedule_is_finite(traces,
                                                           study_systems):
-    # every schedule costs inf or NaN, so a necklace that starves a sensor
-    # can win the tie-break, exactly as when all assignments were priced
+    # pricing every schedule finds no finite total, so no schedule
+    # minimizes the cost, and the search refuses, naming the periods
     ladders = [_OverflowLadder(*t) for t in traces]
     for periods in ([3], [3, 4, 5]):
-        got = optimal_schedule_search(study_systems, periods, ladders=ladders)
-        want = enumerated_schedule_search(3, periods, ladders)
-        assert got[0] == want[0]
-        assert repr(got[1].per_sensor) == repr(want[1].per_sensor)
+        _, want = enumerated_schedule_search(3, periods, ladders)
+        assert not math.isfinite(want.total)
+        with pytest.raises(InfeasibleError) as err:
+            optimal_schedule_search(study_systems, periods, ladders=ladders)
+        assert str(err.value) == _no_finite_message(periods)
+
+
+def test_search_finds_a_finite_winner_after_infinite_necklaces(
+        study_systems):
+    # runs of up to three slots are finite: at T = 6 only the count vector
+    # (2, 2, 2) bounds finite, and its first necklaces in walk order, such
+    # as 001122, leave a run of five; at T = 4 every vector bounds at inf
+    ladders = [_OverflowLadder(1.0, 2.0, 4.0)] * 3
+    first = [[int(c == s) for c in (0, 0, 1, 1, 2, 2)] for s in range(3)]
+    assert math.isinf(average_cost(first, ladders).total)
+    got = optimal_schedule_search(study_systems, [4, 6], ladders=ladders)
+    want = enumerated_schedule_search(3, [4, 6], ladders)
+    assert math.isfinite(want[1].total) and want[0].period == 6
+    assert got[0] == want[0]
+    assert repr(got[1].per_sensor) == repr(want[1].per_sensor)
 
 
 class _NanLadder:
@@ -729,23 +753,19 @@ class _NanLadder:
         return [math.nan] * (upto + 1)
 
 
-_NAN_SEARCH_MESSAGE = ("every schedule of periods [2] prices NaN; no "
-                       "schedule can be chosen")
-
-
 def test_search_where_every_schedule_prices_nan_raises(study_systems):
     # a NaN total never wins, so no schedule is chosen; the error names
     # the candidate periods
-    with pytest.raises(NumericalError) as err:
+    with pytest.raises(InfeasibleError) as err:
         optimal_schedule_search(study_systems[:2], [2],
                                 ladders=[_NanLadder(), _NanLadder()])
-    assert str(err.value) == _NAN_SEARCH_MESSAGE
+    assert str(err.value) == _no_finite_message([2])
 
 
 def test_search_where_every_schedule_prices_nan_raises_under_python_O():
     # the same error with assertions compiled out
     code = ("import math\n"
-            "from schedsec.errors import NumericalError\n"
+            "from schedsec.errors import InfeasibleError\n"
             "from schedsec.lti_estimation import bundled_systems\n"
             "from schedsec.scheduling import optimal_schedule_search\n"
             "class NanLadder:\n"
@@ -754,7 +774,7 @@ def test_search_where_every_schedule_prices_nan_raises_under_python_O():
             "try:\n"
             "    optimal_schedule_search(bundled_systems()[:2], [2],\n"
             "                            ladders=[NanLadder(), NanLadder()])\n"
-            "except NumericalError as exc:\n"
+            "except InfeasibleError as exc:\n"
             "    print(exc)\n")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
@@ -762,17 +782,22 @@ def test_search_where_every_schedule_prices_nan_raises_under_python_O():
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == _NAN_SEARCH_MESSAGE + "\n"
+    assert proc.stdout == _no_finite_message([2]) + "\n"
 
 
-def test_search_prices_every_necklace_once_when_no_schedule_is_finite(
+def test_search_walks_no_necklace_when_no_schedule_is_finite(
         monkeypatch, study_systems):
-    # with no finite incumbent nothing is pruned: the positive count
-    # vectors and then the starving ones are walked, each necklace of
-    # each period generated and priced once, none twice
-    walked, asked = [], []
+    # only runs of one slot are finite, so every count vector bounds at
+    # inf: the search refuses before it walks a vector, enters a walk
+    # node or prices a gap pattern
+    charges, walks, asked = [], [], []
     real_pricer = scheduling._gap_pricer
     real_necklaces = scheduling._fixed_content_necklaces
+
+    class Recording(Work):
+        def charge(self, steps):
+            charges.append(steps)
+            super().charge(steps)
 
     def recording_pricer(ladders):
         price = real_pricer(ladders)
@@ -783,21 +808,19 @@ def test_search_prices_every_necklace_once_when_no_schedule_is_finite(
         return wrapped
 
     def recording_necklaces(counts, *args):
-        for leaf in real_necklaces(counts, *args):
-            walked.append(leaf[0])
-            yield leaf
+        walks.append(counts)
+        return real_necklaces(counts, *args)
 
+    monkeypatch.setattr(scheduling, "Work", Recording)
     monkeypatch.setattr(scheduling, "_gap_pricer", recording_pricer)
     monkeypatch.setattr(scheduling, "_fixed_content_necklaces",
                         recording_necklaces)
-    ladders = [_OverflowLadder(1.0)] * 3  # only runs of one slot are finite
-    _, report = optimal_schedule_search(study_systems, [3, 4, 5],
-                                        ladders=ladders)
-    assert math.isinf(report.total)
-    every = [neck for T in (3, 4, 5) for neck in fkm_necklaces(3, T)]
-    assert len(set(walked)) == len(walked)
-    assert sorted(walked) == sorted(every)
-    assert len(asked) == 3 * len(every)
+    ladders = [_OverflowLadder(1.0)] * 3
+    with pytest.raises(InfeasibleError) as err:
+        optimal_schedule_search(study_systems, [3, 4, 5], ladders=ladders)
+    assert str(err.value) == _no_finite_message([3, 4, 5])
+    assert charges == [1 + 3 + 6 + 3 * math.comb(7, 3)]  # vectors, cells
+    assert walks == [] and asked == []
 
 
 def test_count_bounds_read_nan_and_overflow_as_inf():

@@ -154,14 +154,14 @@ def test_periodic_series_overflow_inside_the_period_after_first_reception():
 
 
 def test_periodic_series_overflow_from_the_steady_state_on():
-    # R = 1e307 puts Tr P_bar at 7.5e306, two prediction steps from
+    # R = 2e307 puts Tr P_bar at 1.5e307, two prediction steps from
     # saturation: slot 1 (gap 2, before the first reception at slot 2) is
     # the first +inf, and each reception reads the huge P_bar as it is
-    systems = [LinearSystem(A=[[2.0]], C=[[1.0]], Q=[[1.0]], R=[[1e307]],
+    systems = [LinearSystem(A=[[2.0]], C=[[1.0]], Q=[[1.0]], R=[[2e307]],
                             Pi=[[1.0]])]
     sched = Schedule(period=4, rows=((0, 0, 1, 0),))
     ladders = [steady_state(s) for s in systems]
-    assert ladders[0].ladder(2)[1:] == [pytest.approx(3e307), math.inf]
+    assert ladders[0].ladder(2)[1:] == [pytest.approx(6e307), math.inf]
     series = assert_series_is_stepped(systems, sched, None, 10, ladders)
     assert series.overflow_at == (1,)
     t = series.traces[0]
@@ -224,8 +224,8 @@ def test_periodic_series_matches_stepping_on_random_schedules(
 @pytest.mark.parametrize("n", [3, 9])
 def test_series_blocks_match_stepping_beyond_two_states(n, cap, monkeypatch):
     # a 9 x 9 trace sums its diagonal pairwise; a block's traces must keep
-    # those bits.  Sensor 0 receives, sensor 1 saturates at slot 1,587 or
-    # 1,588, inside a block, before its one reception at slot 1,800, which
+    # those bits.  Sensor 0 receives, sensor 1 saturates at slot 1,588,
+    # inside a block, before its one reception at slot 1,800, which
     # resets it, and sensor 2 never receives.  The horizons end on, before
     # and after block edges; a cap of 8 slots puts most of them past the
     # cap.
@@ -247,7 +247,7 @@ def test_series_blocks_match_stepping_beyond_two_states(n, cap, monkeypatch):
         k = series.overflow_at[1]
         if horizon > 1588:
             assert series.overflow_at[::2] == (None, None)
-            assert k == {3: 1587, 9: 1588}[n]
+            assert k == 1588
             # slot k reads entry k + 1, the first one that is +inf
             assert k not in edges and k + 1 not in edges
             assert np.all(series.traces[1, k:min(horizon, 1800)] == math.inf)
@@ -319,7 +319,7 @@ def test_periodic_series_matches_stepping_in_other_state_dimensions(n):
 
 
 def test_periodic_series_overflow_in_three_dimensions():
-    # sensor 0 (growth 40 per slot) saturates at gap 96, inside its gap of
+    # sensor 0 (growth 40 per slot) saturates at gap 97, inside its gap of
     # 99 slots, and each reception resets it; sensor 1 never receives and
     # saturates later; sensor 2 is fine
     A = np.diag([40.0, 0.5, 0.3])
@@ -333,8 +333,8 @@ def test_periodic_series_overflow_in_three_dimensions():
     sched = Schedule(period=100, rows=((1,) + (0,) * 99, (0,) * 100,
                                        (0,) + (1,) * 99))
     series = assert_series_is_stepped(systems, sched, None, 2000, ladders)
-    assert series.overflow_at[0] == 96
-    assert np.all(series.traces[0, 96:100] == math.inf)
+    assert series.overflow_at[0] == 97
+    assert np.all(series.traces[0, 97:100] == math.inf)
     assert series.traces[0, 100] == ladders[0].trace(0)
     assert series.overflow_at[1] is not None
     assert series.overflow_at[2] is None
