@@ -10,9 +10,12 @@ Finding the cheapest such tuple (fewest spoofed clocks) is a binary
 covering program per target: pick at most one nonzero shift per other
 sensor so that the shifted rows jointly cover every slot the target
 transmits in.  One private search, `_cheapest_block`, solves it by
-depth-first branch-and-bound over LP relaxations.  A node first takes an
-integer cover bound, and a node the bound prunes solves no LP; every other
-node makes one `solve_bounded_lp` call.  The dense Bland's-rule simplex
+depth-first branch-and-bound over LP relaxations.  Every node but a root
+first takes `_lp_bound`, priced exactly in integers from two
+dual-feasible solutions of its relaxation; by weak duality the LP optimum
+is at least that bound, so a node it prunes is one whose LP would have
+pruned it, and it solves no LP.  Every other node makes one
+`solve_bounded_lp` call.  The dense Bland's-rule simplex
 (`simplex.py`) prices every column of a pivot at once; each LP starts from
 its slack basis, so a node's relaxation, and with it the branching, the
 node count and the returned tuple, depends on that node's bounds alone.
@@ -24,7 +27,9 @@ node count and the returned tuple, depends on that node's bounds alone.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -132,6 +137,69 @@ def _search_work(sched: Schedule) -> Work:
                 f"period {sched.period}")
 
 
+def _lp_bound(hit: np.ndarray, fixed: dict[int, int], w: int,
+              incumbent: float) -> int | Fraction | float:
+    """Lower bound on the LP relaxation of a search node, exact in
+    integers: an int or a Fraction, or inf when the LP is infeasible.
+
+    hit[s, c] says that column c (block c // w) covers the target's s-th
+    transmit slot; `fixed` pins blocks to a choice, 0 for an honest clock.
+    With f the nonzero picks and U the slots they leave open, the node's LP
+    is f plus min sum x over the free blocks' columns, each open slot
+    covered at least once and each block summing to at most 1.  Any
+    feasible solution of its dual (a price y_s >= 0 per open slot, z_b >= 0
+    per free block, with sum_s y_s - z_b <= 1 over the slots each column
+    covers) bounds the LP from below by f + sum y - sum z (weak duality),
+    so a node whose bound reaches the incumbent is one its LP would prune.
+    Two such solutions are priced:
+    - block capacity: y = a on every open slot and z_b = max(0, a m_b - 1),
+      m_b the most open slots one column of block b covers; the best a
+      gives the fractional knapsack f + k + (|U| - S_k) / m_(k+1), the m_b
+      in descending order, S_k the sum of the first k and k the most that
+      sum below |U|;
+    - packing: y = 1 on a greedy set P of open slots, in slot order, no
+      free column covering two of them; z = 0, so f + |P|.
+    The LP is infeasible when an open slot has no free covering column or
+    the capacities sum below |U| (the dual is then unbounded).  The first
+    step, a = 1 / max m_b, is f + |U| / max m_b; the knapsack and the
+    packing are priced only when the incumbent is finite and that step
+    does not reach it, and the larger bound is returned.
+    """
+    picks = [blk * w + choice - 1 for blk, choice in fixed.items() if choice]
+    f = len(picks)
+    open_hit = hit[~hit[:, picks].any(axis=1)]
+    n_open = len(open_hit)
+    if not n_open:
+        return f
+    free = np.ones(hit.shape[1] // w, dtype=bool)
+    free[list(fixed)] = False
+    cover = open_hit.reshape(n_open, -1, w)[:, free]
+    caps = cover.sum(axis=0).max(axis=1)
+    m = int(caps.max(initial=0))
+    if not m:
+        return math.inf
+    bound = Fraction(f * m + n_open, m)
+    if bound >= incumbent:
+        return bound
+    if int(caps.sum()) < n_open or not cover.any(axis=(1, 2)).all():
+        return math.inf
+    if incumbent == math.inf:
+        return bound
+    caps = np.sort(caps)[::-1]
+    k = int(np.searchsorted(np.cumsum(caps), n_open))
+    m = int(caps[k])
+    bound = Fraction((f + k) * m + n_open - int(caps[:k].sum()), m)
+    if bound >= incumbent:
+        return bound
+    taken = np.zeros(cover.shape[1] * w, dtype=bool)
+    packed = 0
+    for row in cover.reshape(n_open, -1):
+        if not (row & taken).any():
+            taken |= row
+            packed += 1
+    return max(bound, f + packed)
+
+
 def _cheapest_block(sched: Schedule, target: int, work: Work):
     """Fewest spoofed clocks that starve `target` of an exclusive schedule.
 
@@ -143,17 +211,19 @@ def _cheapest_block(sched: Schedule, target: int, work: Work):
     integral relaxation becomes the incumbent, and otherwise the most
     fractional live block (ties to the smallest sensor) is pinned to each of
     its T choices in turn, 0 meaning that sensor's clock stays honest.
-    Before its LP, a node takes the cover bound f + |U| / m: f picks fixed,
-    U the target's slots they leave open, m the most of U that one free
-    column covers.  It bounds the LP optimum from below, so where it cannot
-    beat the incumbent (or m = 0, an infeasible LP) the node is pruned
-    without its LP, as the LP would have pruned it: the nodes visited, the
-    branching and the result are those of an LP at every node.
+    Before its LP, every node but the root takes `_lp_bound`, the value of
+    a feasible solution of its LP's dual and so, by weak duality, at most
+    the LP optimum: where it reaches the incumbent (or the LP is shown
+    infeasible) the node is pruned without its LP, as the LP would have
+    pruned it, so the nodes visited, the branching and the result are
+    those of an LP at every node.  The root has nothing fixed and no
+    incumbent, so only an infeasible LP could prune it, and its own LP
+    reports that.
     `work` is charged the root's dense tableau, its constraint rows times
     its structural and slack columns, from N and T before any matrix is
     built, so an oversized schedule is refused before it takes the
-    memory; then each node the cells of `hit` its cover test reads, and
-    each LP after the root's its tableau, before it is solved.
+    memory; then each node the cells of `hit` its bound reads, and each
+    LP after the root's its tableau, before it is solved.
 
     Returns (cost, taus, nodes); cost and taus are None when no tuple with
     an honest target clock starves the target.
@@ -182,22 +252,17 @@ def _cheapest_block(sched: Schedule, target: int, work: Work):
         nonlocal incumbent, best, nodes
         nodes += 1
         work.charge(hit.size)
+        # the root's own LP, charged up front, is the only test it needs
+        if nodes > 1:
+            if _lp_bound(hit, fixed, w, incumbent) >= incumbent:
+                return
+            work.charge(tableau)
         lower = np.zeros(K)
         upper = np.ones(K)
         for blk, choice in fixed.items():
             upper[blk * w:(blk + 1) * w] = 0.0
             if choice:
                 lower[blk * w + choice - 1] = upper[blk * w + choice - 1] = 1.0
-        # the cover bound, times m: exact, as the incumbent is whole or inf
-        picked = lower > 0
-        open_slots = hit[~hit[:, picked].any(axis=1)]
-        if len(open_slots):
-            f = int(np.count_nonzero(picked))
-            m = int(open_slots[:, upper > lower].sum(axis=0).max(initial=0))
-            if m == 0 or f * m + len(open_slots) >= incumbent * m:
-                return
-        if nodes > 1:  # the root's LP was charged up front
-            work.charge(tableau)
         res = solve_bounded_lp(np.ones(K), A, b, lower, upper, tol=LP_TOL)
         if res.status != "optimal" or res.objective >= incumbent - LP_TOL:
             return
@@ -234,8 +299,11 @@ def bnb_optimal_attack(sched: Schedule) -> AttackSearchResult:
     result's per_target_costs records each target's optimum and
     nodes_explored sums the search nodes of all targets.  The budget
     (SCHEDSEC_BUDGET) is charged, for all targets together, each root's
-    dense tableau before it is built, each node its cover test, and each
-    later LP its tableau before it is solved.
+    dense tableau before it is built, each node the cells of its LP bound,
+    and each later LP its tableau before it is solved.  The bound is the
+    value of a feasible solution of the node's LP dual, never above the LP
+    optimum, so it prunes only nodes the LP would prune: the search path,
+    nodes_explored included, is that of an LP at every node.
     """
     sched.require_exclusive()
     N = sched.n_sensors

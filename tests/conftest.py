@@ -341,6 +341,40 @@ def per_target_min_spoof(sched, target):
     return best
 
 
+def per_target_min_spoof_blocked(sched, target, block=1 << 16):
+    """per_target_min_spoof over NumPy blocks of shift tuples, so that
+    N = 6, T = 10 (10^5 tuples a target) takes milliseconds.
+
+    Each other sensor's T shifted rows (np.roll, shift tau transmitting
+    row[(k + tau) % T] at slot k), read on the target's transmit slots,
+    are packed into one integer of slot bits.  Tuple number i, in
+    itertools.product order, takes the digits of i in base T; a tuple
+    starves the target when the OR of its rows' bits sets every slot bit,
+    and costs its nonzero digits."""
+    rows = np.asarray(sched.array, dtype=np.int64)
+    N, T = rows.shape
+    slots = np.flatnonzero(rows[target])
+    assert len(slots) < 63, "slot bits must fit an int64"
+    weights = np.left_shift(1, np.arange(len(slots), dtype=np.int64))
+    bits = [np.stack([np.roll(rows[j], -tau) for tau in range(T)])[:, slots]
+            @ weights for j in range(N) if j != target]
+    full = int(weights.sum())
+    best = None
+    total = T ** len(bits)
+    for start in range(0, total, block):
+        index = np.arange(start, min(start + block, total), dtype=np.int64)
+        cover = np.zeros(len(index), dtype=np.int64)
+        cost = np.zeros(len(index), dtype=np.int64)
+        for place, mask in enumerate(reversed(bits)):
+            digit = index // T ** place % T
+            cover |= mask[digit]
+            cost += digit != 0
+        starving = cost[cover == full]
+        if starving.size and (best is None or starving.min() < best):
+            best = int(starving.min())
+    return best
+
+
 def bland_reference_lp(c, A_ub, b_ub, lower, upper, tol=1e-9, max_iter=None):
     """Reference for solve_bounded_lp: the same two-phase Bland's-rule
     simplex, column by column, with 'L'/'U'/'B' status strings, one reduced

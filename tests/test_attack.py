@@ -234,6 +234,86 @@ def test_per_target_costs_match_brute_force(sched):
         assert attack.spoofed_count == want[target]
 
 
+def test_per_target_costs_match_the_blocked_oracle():
+    # up to 10^5 shift tuples a target, past what the brute force affords:
+    # six sensors over up to ten slots, where nearly every search ends at
+    # its root, and five over 14 to 16 slots, where the searches branch and
+    # prune, so a prune that cuts a target's optimum shows in its cost; the
+    # blocked oracle is the loop oracle's answer where both run
+    from conftest import (per_target_min_spoof, per_target_min_spoof_blocked,
+                          random_exclusive_schedule)
+    rng = np.random.default_rng(33)
+    for _ in range(10):
+        sched = random_exclusive_schedule(rng, int(rng.integers(2, 5)),
+                                          int(rng.integers(2, 7)))
+        for target in range(sched.n_sensors):
+            assert (per_target_min_spoof_blocked(sched, target, block=7)
+                    == per_target_min_spoof(sched, target))
+    for N, periods, full in ((6, (6, 11), False), (5, (14, 17), True)):
+        for _ in range(20):
+            sched = random_exclusive_schedule(
+                rng, N, int(rng.integers(*periods)), full_coverage=full)
+            want = [per_target_min_spoof_blocked(sched, target)
+                    for target in range(N)]
+            assert list(bnb_optimal_attack(sched).per_target_costs) == want
+
+
+def _node_lp(sched, target):
+    """The covering LP `_cheapest_block` relaxes, built from np.roll:
+    (hit, A_ub, b_ub), column b * (T - 1) + t - 1 the row of the b-th
+    other sensor shifted by t."""
+    rows = sched.array.astype(int)
+    N, T = rows.shape
+    cols = np.array([np.roll(rows[j], -t) for j in range(N) if j != target
+                     for t in range(1, T)]).reshape(-1, T).T
+    A = np.vstack([-cols, np.kron(np.eye(N - 1), np.ones(T - 1))])
+    b = np.concatenate([-rows[target], np.ones(N - 1)])
+    return cols[rows[target] == 1].astype(bool), A, b
+
+
+def test_lp_bound_never_exceeds_the_lp():
+    # 480 node states: exclusive schedules of 3 <= N <= 6 sensors over
+    # 8 <= T <= 10 slots, every sensor holding a slot, the busiest one the
+    # target (a few percent of these LPs are fractional), each with no
+    # fixed block and with 1 to N - 1 random ones; at every incumbent the
+    # search can hold, the bound is the value of a dual-feasible solution,
+    # so it is at most the LP optimum of scipy's HiGHS and of
+    # solve_bounded_lp, and an infeasible verdict is an infeasible LP
+    from scipy.optimize import linprog
+    from conftest import random_exclusive_schedule
+    rng = np.random.default_rng(33)
+    for _ in range(240):
+        N = int(rng.integers(3, 7))
+        sched = random_exclusive_schedule(rng, N, int(rng.integers(8, 11)),
+                                          full_coverage=True)
+        target = int(np.argmax(sched.array.sum(axis=1)))
+        w = sched.period - 1
+        drawn = {int(blk): int(rng.integers(sched.period))
+                 for blk in rng.permutation(N - 1)[:int(rng.integers(1, N))]}
+        hit, A, b = _node_lp(sched, target)
+        c = np.ones(A.shape[1])
+        for fixed in ({}, drawn):
+            lower, upper = np.zeros(len(c)), np.ones(len(c))
+            for blk, choice in fixed.items():
+                upper[blk * w:(blk + 1) * w] = 0.0
+                if choice:
+                    lower[blk * w + choice - 1] = 1.0
+                    upper[blk * w + choice - 1] = 1.0
+            highs = linprog(c, A_ub=A, b_ub=b,
+                            bounds=np.column_stack([lower, upper]),
+                            method="highs")
+            ours = attack.solve_bounded_lp(c, A, b, lower, upper)
+            assert highs.status in (0, 2)
+            assert (highs.status == 2) == (ours.status == "infeasible")
+            for incumbent in (*range(1, N + 1), float("inf")):
+                bound = attack._lp_bound(hit, fixed, w, incumbent)
+                if bound == float("inf"):
+                    assert highs.status == 2
+                elif highs.status == 0:
+                    assert bound <= highs.fun + 1e-9
+                    assert bound <= ours.objective + 1e-9
+
+
 def _attack_costs(sched):
     result = bnb_optimal_attack(sched)
     return result.per_target_costs, result.spoofed_count
@@ -422,3 +502,22 @@ def test_attack_optimal_cli_on_the_ten_sensor_schedule(tmp_path):
     assert report["per_target_costs"] == entry["per_target_costs"]
     assert report["taus"] == entry["taus"]
     assert report["nodes_explored"] == entry["nodes_explored"]
+
+
+def test_attack_optimal_cli_on_the_twelve_sensor_schedule(tmp_path):
+    # the schedule file the CI's rerun step feeds to `attack optimal` is
+    # the twelve-sensor, forty-slot instance of the default-budget test
+    # above, and the CLI reports that test's path under the default budget
+    from conftest import random_exclusive_schedule
+    from schedsec.cli import main
+    path = DATA / "twelve_sensor_schedule.json"
+    doc = json.loads(path.read_text())
+    sched = random_exclusive_schedule(np.random.default_rng(0), 12, 40,
+                                      full_coverage=True)
+    assert doc == {"T": 40, "rows": [list(row) for row in sched.rows]}
+    assert main(["attack", "optimal", "--schedule", str(path),
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "attack_report.json").read_text())
+    assert report["nodes_explored"] == 572
+    assert report["per_target_costs"] == [2, 1, 1, 1, 1, 2, 3, 2, 2, 2, 2, 2]
+    assert report["taus"] == [2] + [0] * 11
